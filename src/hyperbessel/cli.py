@@ -6,17 +6,15 @@ structured outputs (transition laws, verification reports) are JSON. Numbers
 are serialized with 17 significant digits so output round-trips exactly.
 
 Exit status: 0 on success, 1 on invalid parameters (single-line diagnostic on
-stderr), 2 when a verification check fails. HYPERBESSEL_THREADS caps the
-simulation thread pool; per-path seeding makes output independent of it.
+stderr), 2 when a verification check fails. Each simulated path draws from
+its own seeded stream, so its rows do not depend on --paths.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,17 +99,6 @@ def _emit_table(args, header: list[str], rows: list[list]):
     _emit(args, "\n".join(lines) + "\n")
 
 
-def _threads() -> int:
-    raw = os.environ.get("HYPERBESSEL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise CliError(f"HYPERBESSEL_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise CliError(f"HYPERBESSEL_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def cmd_qbes_kernel(args) -> int:
     if args.format == "csv":
         raise CliError("qbes-kernel emits a structured law; use --format json")
@@ -136,14 +123,9 @@ def cmd_qbes_sim(args) -> int:
     grid = parse_grid(args.t_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0.0:
         raise CliError("--t-grid must be strictly increasing and start after 0")
-
-    def one_path(pid: int) -> sp.PathSample:
-        rng = sp.RngState.for_path(args.seed, pid)
-        return sp.sample_qbes_path(start, grid, args.delta, rng,
-                                   trunc_eps=args.trunc_eps, path_id=pid)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        paths = list(pool.map(one_path, range(args.paths)))
+    paths = [sp.sample_qbes_path(start, grid, args.delta,
+                                 sp.RngState.for_path(args.seed, pid), path_id=pid)
+             for pid in range(args.paths)]
     rows = [row for path in paths for row in _path_rows(path)]
     _emit_table(args, ["path_id", "time", "coord0", "coord1", "branch", "k"], rows)
     return 0
@@ -155,13 +137,9 @@ def cmd_bes_sim(args) -> int:
         raise CliError("--t-grid must be strictly increasing and start after 0")
     if args.x0 < 0.0:
         raise CliError("--x0 must be >= 0")
-
-    def one_path(pid: int) -> sp.PathSample:
-        rng = sp.RngState.for_path(args.seed, pid)
-        return sp.sample_bes_path(args.x0, grid, args.delta, rng, path_id=pid)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        paths = list(pool.map(one_path, range(args.paths)))
+    paths = [sp.sample_bes_path(args.x0, grid, args.delta,
+                                sp.RngState.for_path(args.seed, pid), path_id=pid)
+             for pid in range(args.paths)]
     rows = [[p.path_id, t, y, 0.0, "continuous", -1]
             for p in paths for t, y in zip(p.times, p.states)]
     _emit_table(args, ["path_id", "time", "coord0", "coord1", "branch", "k"], rows)
@@ -255,7 +233,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t-grid", required=True, dest="t_grid")
     p.add_argument("--paths", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trunc-eps", type=float, default=1e-12, dest="trunc_eps")
     add_common(p)
     p.set_defaults(func=cmd_qbes_sim)
 

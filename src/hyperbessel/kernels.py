@@ -21,7 +21,7 @@ there and no epsilon snapping is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,17 +75,6 @@ class GammaRay:
 
 
 @dataclass(frozen=True)
-class _SeriesTail:
-    """How to extend a truncated atom list beyond its last stored level."""
-
-    kind: str          # "negbin" or "poisson"
-    q: float           # negbin failure weight, or the Poisson rate
-    r: float           # negbin shape (unused for poisson)
-    base_level: int
-    tau: float
-
-
-@dataclass(frozen=True)
 class TransitionLaw:
     """One-step QBES law: atoms and/or a gamma density, plus truncated tail."""
 
@@ -93,7 +82,6 @@ class TransitionLaw:
     atoms: tuple
     gamma_ray: GammaRay | None = None
     tail_mass: float = 0.0
-    extension: _SeriesTail | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4, 5):
@@ -113,7 +101,7 @@ class TransitionLaw:
         return mass + (1.0 if self.gamma_ray is not None else 0.0)
 
 
-def _truncate_series(log_pmf, trunc_eps, make_point, kind, q, r, base_level, tau, case):
+def _truncate_series(log_pmf, trunc_eps, make_point, case):
     """Accumulate atoms until the compensated mass reaches 1 - trunc_eps.
 
     The stop target keeps a small margin below trunc_eps so that the exact
@@ -152,8 +140,7 @@ def _truncate_series(log_pmf, trunc_eps, make_point, kind, q, r, base_level, tau
         raise ArithmeticError(f"truncated mass {exact!r} exceeds 1 beyond slack")
     tail = max(0.0, 1.0 - exact)
     atoms = tuple((make_point(m), p) for m, p in enumerate(probs))
-    ext = _SeriesTail(kind=kind, q=q, r=r, base_level=base_level, tau=tau)
-    return TransitionLaw(case=case, atoms=atoms, tail_mass=tail, extension=ext)
+    return TransitionLaw(case=case, atoms=atoms, tail_mass=tail)
 
 
 def qbes_transition(start: FanPoint, t: float, delta: float,
@@ -176,10 +163,7 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         def log_pmf(ls):
             return ls * log_rate - rate - log_gamma(ls + 1.0)
 
-        return _truncate_series(log_pmf, trunc_eps,
-                                lambda m: DiscretePoint(t, m),
-                                kind="poisson", q=rate, r=0.0,
-                                base_level=0, tau=t, case=4)
+        return _truncate_series(log_pmf, trunc_eps, lambda m: DiscretePoint(t, m), case=4)
 
     if not isinstance(start, DiscretePoint):
         raise TypeError(f"not a fan point: {start!r}")
@@ -211,10 +195,7 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
             return (log_gamma(r + ms) - log_gamma(r) - log_gamma(ms + 1.0)
                     + r * lp + ms * lq)
 
-        return _truncate_series(log_pmf, trunc_eps,
-                                lambda m: DiscretePoint(u, k + m),
-                                kind="negbin", q=1.0 - p, r=r,
-                                base_level=k, tau=u, case=1)
+        return _truncate_series(log_pmf, trunc_eps, lambda m: DiscretePoint(u, k + m), case=1)
 
     # case 3: u > 0, shifted negative binomial on levels l >= 0
     p = u / t
@@ -225,10 +206,7 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         return (log_gamma(r + ls) - log_gamma(r) - log_gamma(ls + 1.0)
                 + r * lp + ls * lq)
 
-    return _truncate_series(log_pmf, trunc_eps,
-                            lambda m: DiscretePoint(u, m),
-                            kind="negbin", q=q, r=r,
-                            base_level=0, tau=u, case=3)
+    return _truncate_series(log_pmf, trunc_eps, lambda m: DiscretePoint(u, m), case=3)
 
 
 def qbes_law_pmf(law: TransitionLaw, point: FanPoint) -> float:

@@ -3,7 +3,7 @@
 Randomness comes from a counter-based 64-bit generator (splitmix-style
 avalanche over a Weyl sequence). Per-path streams are derived from
 (master_seed, path_id) through the same mixing function, so a batch of paths
-is bit-reproducible regardless of scheduling or thread count.
+is bit-reproducible whatever the batch size or the order of the paths.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .hypergroup import ContinuousPoint, DiscretePoint, FanPoint
-from .kernels import TransitionLaw, qbes_transition
+from .kernels import TransitionLaw
 
 __all__ = [
     "RngState",
@@ -19,6 +19,7 @@ __all__ = [
     "sample_law",
     "sample_gamma",
     "sample_poisson",
+    "sample_binomial",
     "sample_qbes_path",
     "sample_bes",
     "sample_bes_path",
@@ -89,57 +90,85 @@ def sample_gamma(rng: RngState, shape: float, scale: float) -> float:
 
 
 def sample_poisson(rng: RngState, rate: float) -> int:
-    """Poisson variate by product inversion, split for large rates."""
-    if rate < 0.0:
-        raise ValueError("sample_poisson requires rate >= 0")
+    """Poisson variate: product inversion below rate 10, PTRS (Hoermann 1993)
+    above, about two uniforms per draw at any rate; its log-pmf acceptance
+    test has a rounding error that grows like rate * 2^-53."""
+    if not 0.0 <= rate < math.inf:
+        raise ValueError("sample_poisson requires a finite rate >= 0")
     if rate == 0.0:
         return 0
-    if rate > 500.0:
-        half = rate / 2.0
-        return sample_poisson(rng, half) + sample_poisson(rng, rate - half)
-    limit = math.exp(-rate)
-    k = 0
-    prod = rng.uniform()
-    while prod > limit:
-        k += 1
-        prod *= rng.uniform()
-    return k
+    if rate < 10.0:
+        limit = math.exp(-rate)
+        k = 0
+        prod = rng.uniform()
+        while prod > limit:
+            k += 1
+            prod *= rng.uniform()
+        return k
+    log_rate = math.log(rate)
+    b = 0.931 + 2.53 * math.sqrt(rate)
+    a = -0.059 + 0.02483 * b
+    log_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rng.uniform() - 0.5
+        v = rng.uniform()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + rate + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return k
+        if k >= 0 and (us >= 0.013 or v <= us) and (
+                math.log(v) + log_alpha - math.log(a / (us * us) + b)
+                <= -rate + k * log_rate - math.lgamma(k + 1.0)):
+            return k
+
+
+def sample_binomial(rng: RngState, n: int, p: float) -> int:
+    """Binomial(n, p) variate: median splitting down to n <= 64, then inversion.
+    The median X of n uniforms is Beta(i, n + 1 - i); the count below p is
+    Binomial(i - 1, p / X) if p < X, else i + Binomial(n - i, (p - X) / (1 - X))
+    (Knuth, TAOCP 2, 3.4.1). O(log n) gamma draws keep huge levels cheap."""
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError("sample_binomial requires n >= 0 and 0 <= p <= 1")
+    below = 0
+    while n > 64:
+        i = (n + 1) // 2
+        g = sample_gamma(rng, i, 1.0)
+        x = g / (g + sample_gamma(rng, n + 1 - i, 1.0))
+        if p < x:
+            n, p = i - 1, p / x
+        else:
+            below += i
+            n, p = n - i, (p - x) / (1.0 - x)
+    if p > 0.5:
+        return below + n - sample_binomial(rng, n, 1.0 - p)
+    # inversion; q >= 1/2 and n <= 64, so q^n does not underflow
+    ratio = p / (1.0 - p)
+    prob = (1.0 - p) ** n
+    u = rng.uniform()
+    j = 0
+    while u > prob and j < n:
+        u -= prob
+        prob *= ratio * (n - j) / (j + 1.0)
+        j += 1
+    return below + j
 
 
 def sample_law(law: TransitionLaw, rng: RngState) -> FanPoint:
-    """Draw a fan point from a one-step law by inverse CDF over its atoms.
-
-    Mass landing beyond the stored atoms resumes the underlying negative
-    binomial / Poisson series via its pmf ratio recurrence; a gamma-ray law
-    draws Gamma(shape, scale) onto the continuous branch.
-    """
-    u = rng.uniform()
+    """Draw a fan point from a one-step law by inverse CDF over its atoms,
+    conditioned on them (u is scaled by 1 - tail_mass): exact for the truncated
+    law, within tail_mass <= trunc_eps of the true law in total variation. A
+    gamma-ray law draws Gamma(shape, scale) onto the continuous branch."""
+    u = rng.uniform() * (1.0 - law.tail_mass)
     cum = 0.0
-    last_prob = 0.0
-    last_atom = None
     for atom, prob in law.atoms:
         cum += prob
-        last_prob, last_atom = prob, atom
         if u <= cum:
             return atom
     if law.gamma_ray is not None:
         return ContinuousPoint(sample_gamma(rng, law.gamma_ray.shape, law.gamma_ray.scale))
-    ext = law.extension
-    if ext is None or last_atom is None:
-        return last_atom if last_atom is not None else ContinuousPoint(0.0)
-    # resume the series one pmf ratio at a time
-    m = last_atom.k - ext.base_level
-    prob = last_prob
-    for _ in range(10_000_000):
-        if ext.kind == "negbin":
-            prob *= ext.q * (ext.r + m) / (m + 1.0)
-        else:
-            prob *= ext.q / (m + 1.0)
-        m += 1
-        cum += prob
-        if u <= cum:
-            break
-    return DiscretePoint(ext.tau, ext.base_level + m)
+    # u fell past a sum of atoms that rounded below 1 - tail_mass
+    return law.atoms[-1][0]
 
 
 @dataclass(frozen=True)
@@ -159,25 +188,41 @@ class PathSample:
             raise ValueError("path_id must be >= 0")
 
 
-def sample_qbes_path(start: FanPoint, time_grid, delta: float, rng: RngState,
-                     trunc_eps: float = 1e-12, path_id: int = 0) -> PathSample:
-    """Iterate one-step QBES kernels over the grid increments (grid from time 0).
+def _qbes_step(state: FanPoint, u: float, delta: float, rng: RngState) -> FanPoint:
+    """One exact QBES(delta) step to ray coordinate u, drawn from its kernel case.
+    Negative binomials are Poisson(Gamma(r, 1) (1-p)/p) mixtures (Devroye 1986),
+    so a step that rounds to zero length has rate 0."""
+    if isinstance(state, ContinuousPoint):  # case 4
+        return DiscretePoint(u, sample_poisson(rng, state.y1 / u))
+    s, k = state.tau, state.k
+    if s > 0.0:  # case 5
+        return DiscretePoint(u, sample_binomial(rng, k, s / u))
+    r = delta + k
+    if u == 0.0:  # case 2
+        return ContinuousPoint(sample_gamma(rng, r, -s))
+    if u < 0.0:  # case 1: p = u/s, (1-p)/p = (s-u)/u
+        return DiscretePoint(u, k + sample_poisson(rng, sample_gamma(rng, r, 1.0) * (s - u) / u))
+    # case 3: p = u/t, (1-p)/p = -s/u
+    return DiscretePoint(u, sample_poisson(rng, sample_gamma(rng, r, 1.0) * -s / u))
 
-    The first coordinate advances uniformly to the right, so the continuous
-    branch is visited only if the grid contains the exact crossing time of the
-    starting ray.
+
+def sample_qbes_path(start: FanPoint, time_grid, delta: float, rng: RngState,
+                     path_id: int = 0) -> PathSample:
+    """Draw each QBES step directly from its kernel case (grid from time 0).
+
+    At grid time t the first coordinate is start.tau + t (t from a continuous
+    start), one rounding from the caller's numbers, so a grid holding the
+    number -start.tau visits the continuous branch exactly there.
     """
     times = tuple(float(t) for t in time_grid)
     if not times or times[0] <= 0.0:
         raise ValueError("time grid must start after 0")
+    anchor = start.tau if isinstance(start, DiscretePoint) else 0.0
     state = start
-    t_prev = 0.0
     states = []
-    for t_next in times:
-        law = qbes_transition(state, t_next - t_prev, delta, trunc_eps)
-        state = sample_law(law, rng)
+    for t in times:
+        state = _qbes_step(state, anchor + t, delta, rng)
         states.append(state)
-        t_prev = t_next
     return PathSample(times=times, states=tuple(states), path_id=path_id)
 
 

@@ -77,17 +77,18 @@ class TestSim:
         body = [line.split(",", 1)[1] for line in lines[1:]]
         assert body[0:2] == body[2:4] == body[4:6]
 
-    def test_thread_count_invariance(self, capsys, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("HYPERBESSEL_THREADS", threads)
-            out_file = tmp_path / f"paths_{threads}.csv"
+    def test_batch_size_invariance(self, capsys, tmp_path):
+        # each path has its own stream: path i's rows do not depend on --paths
+        outputs = {}
+        for paths in (16, 32):
+            out_file = tmp_path / f"paths_{paths}.csv"
             code, _, _ = run_cli(["qbes-sim", "--delta", "1.5", "--start", "tau=-1,k=1",
-                                  "--t-grid", "0.5,1.0,1.5", "--paths", "16",
+                                  "--t-grid", "0.5,1.0,1.5", "--paths", str(paths),
                                   "--seed", "42", "--out", str(out_file)], capsys)
             assert code == 0
-            outputs.append(out_file.read_bytes())
-        assert outputs[0] == outputs[1]
+            outputs[paths] = out_file.read_bytes().splitlines(keepends=True)
+        assert len(outputs[16]) == 1 + 16 * 3
+        assert outputs[32][:len(outputs[16])] == outputs[16]
 
     def test_continuous_rows_schema(self, capsys):
         code, out, _ = run_cli(["qbes-sim", "--delta", "1.5", "--start", "tau=-1,k=0",

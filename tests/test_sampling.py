@@ -3,15 +3,38 @@
 Statistical assertions use fixed seeds and 3-sigma (or chi-square 0.999)
 bands so they are deterministic, not flaky.
 """
+import dataclasses
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from hyperbessel import cli
 from hyperbessel import kernels as kn
 from hyperbessel import sampling as sp
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint
+
+
+def chi2_against_law(law, counts, n):
+    """Chi-square of level counts over the 20 heaviest atoms plus one rest cell."""
+    ranked = sorted(law.atoms, key=lambda ap: -ap[1])[:20]
+    chi2 = 0.0
+    covered = 0.0
+    for atom, prob in ranked:
+        exp = n * prob
+        chi2 += (counts.get(atom.k, 0) - exp) ** 2 / exp
+        covered += prob
+    cells = len(ranked)
+    rest = 1.0 - covered
+    if rest > 1e-12:
+        exp = n * rest
+        obs = n - sum(counts.get(a.k, 0) for a, _ in ranked)
+        chi2 += (obs - exp) ** 2 / exp
+        cells += 1
+    return chi2, stats.chi2.ppf(0.999, cells - 1)
 
 
 class TestRngState:
@@ -55,10 +78,51 @@ class TestDistributions:
         draws = np.array([sp.sample_poisson(rng, 3.7) for _ in range(100000)])
         assert draws.mean() == pytest.approx(3.7, abs=3.0 * draws.std() / math.sqrt(draws.size))
 
-    def test_poisson_large_rate_split(self):
+    def test_small_rates_keep_product_inversion(self):
+        # bes-sim bytes at rates below 10 rest on this exact use of the stream
+        for rate in (0.0, 0.3, 9.99):
+            rng, ref = sp.RngState(21), sp.RngState(21)
+            for _ in range(200):
+                want = 0
+                if rate > 0.0:
+                    prod = ref.uniform()
+                    while prod > math.exp(-rate):
+                        want += 1
+                        prod *= ref.uniform()
+                assert sp.sample_poisson(rng, rate) == want
+            assert rng.next_u64() == ref.next_u64()
+
+    def test_poisson_ptrs_moments(self):
         rng = sp.RngState(14)
-        draws = np.array([sp.sample_poisson(rng, 900.0) for _ in range(3000)])
-        assert draws.mean() == pytest.approx(900.0, abs=3.0 * draws.std() / math.sqrt(draws.size))
+        for rate in (900.0, 1e6):
+            draws = np.array([sp.sample_poisson(rng, rate) for _ in range(30000)], dtype=float)
+            assert draws.mean() == pytest.approx(rate, abs=3.0 * math.sqrt(rate / draws.size))
+            assert draws.var() == pytest.approx(rate, rel=0.05)
+
+    def test_poisson_huge_rate_returns_fast(self):
+        # a step one ulp off the crossing asks for rates like this
+        rng = sp.RngState(15)
+        t0 = time.perf_counter()
+        draw = sp.sample_poisson(rng, 1e12)
+        assert time.perf_counter() - t0 < 0.01
+        assert abs(draw - 1e12) < 10.0 * 1e6
+
+    def test_poisson_rejects_bad_rates(self):
+        for rate in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sp.sample_poisson(sp.RngState(0), rate)
+
+    def test_binomial_moments(self):
+        # n = 1000 goes through median splitting, the others through inversion
+        rng = sp.RngState(16)
+        for n, p in ((1000, 0.3), (40, 0.8), (5, 0.5)):
+            draws = np.array([sp.sample_binomial(rng, n, p) for _ in range(30000)], dtype=float)
+            var = n * p * (1.0 - p)
+            assert draws.mean() == pytest.approx(n * p, abs=3.0 * math.sqrt(var / draws.size))
+            assert draws.var() == pytest.approx(var, rel=0.05)
+            assert draws.min() >= 0 and draws.max() <= n
+        assert sp.sample_binomial(rng, 10**15, 1.0) == 10**15
+        assert sp.sample_binomial(rng, 7, 0.0) == 0
 
 
 class TestSampleLaw:
@@ -101,27 +165,59 @@ class TestSampleLaw:
         n = 100000
         for case, law in laws.items():
             rng = sp.RngState(1000 + case)
-            counts: dict[int, int] = {}
-            for _ in range(n):
-                pt = sp.sample_law(law, rng)
-                counts[pt.k] = counts.get(pt.k, 0) + 1
-            ranked = sorted(law.atoms, key=lambda ap: -ap[1])[:20]
-            chi2 = 0.0
-            covered = 0.0
-            for atom, prob in ranked:
-                exp = n * prob
-                obs = counts.get(atom.k, 0)
-                chi2 += (obs - exp) ** 2 / exp
-                covered += prob
-            cells = len(ranked)
-            rest = 1.0 - covered
-            if rest > 1e-12:
-                exp = n * rest
-                obs = n - sum(counts.get(a.k, 0) for a, _ in ranked)
-                chi2 += (obs - exp) ** 2 / exp
-                cells += 1
-            crit = stats.chi2.ppf(0.999, cells - 1)
+            counts = Counter(sp.sample_law(law, rng).k for _ in range(n))
+            chi2, crit = chi2_against_law(law, counts, n)
             assert chi2 < crit, f"case {case}: chi2 {chi2:.1f} >= {crit:.1f}"
+
+    def test_truncated_law_stays_on_stored_atoms(self):
+        # keep the first 3 levels of a geometric law; 1/8 of its mass is tail
+        law = kn.qbes_transition(DiscretePoint(-2.0, 0), 1.0, 1.0)
+        kept = law.atoms[:3]
+        cut = dataclasses.replace(law, atoms=kept,
+                                  tail_mass=1.0 - math.fsum(p for _, p in kept))
+        rng = sp.RngState(6)
+        n = 20000
+        counts = Counter(sp.sample_law(cut, rng).k for _ in range(n))
+        assert set(counts) <= {0, 1, 2}
+        band = 3.0 * math.sqrt((4.0 / 7.0) * (3.0 / 7.0) / n)
+        assert counts[0] / n == pytest.approx(4.0 / 7.0, abs=band)
+
+
+class TestDirectSteps:
+    """First steps of sample_qbes_path against the exact one-step laws,
+    at the strength of acceptance criterion 9."""
+
+    # (start, t, delta, draws); the last two reach PTRS and median splitting
+    ATOM_CASES = {
+        "case 1": (DiscretePoint(-2.0, 1), 1.0, 1.7, 100000),
+        "case 3": (DiscretePoint(-0.5, 1), 2.0, 2.2, 100000),
+        "case 4": (ContinuousPoint(3.0), 0.8, 1.0, 100000),
+        "case 5": (DiscretePoint(1.2, 4), 0.8, 3.0, 100000),
+        "case 1, rates above 10": (DiscretePoint(-1.0, 20), 0.9, 1.5, 20000),
+        "case 5, k = 300": (DiscretePoint(2.0, 300), 0.5, 3.0, 20000),
+    }
+
+    def test_chi_square_atom_cases(self):
+        for seed, (name, (start, t, delta, n)) in enumerate(self.ATOM_CASES.items()):
+            law = kn.qbes_transition(start, t, delta)
+            rng = sp.RngState(2000 + seed)
+            counts = Counter()
+            for _ in range(n):
+                step = sp.sample_qbes_path(start, [t], delta, rng).states[0]
+                assert step.tau == law.atoms[0][0].tau
+                counts[step.k] += 1
+            chi2, crit = chi2_against_law(law, counts, n)
+            assert chi2 < crit, f"{name}: chi2 {chi2:.1f} >= {crit:.1f}"
+
+    def test_ks_gamma_case(self):
+        start, t, delta, n = DiscretePoint(-1.0, 1), 1.0, 1.7, 100000
+        law = kn.qbes_transition(start, t, delta)
+        rng = sp.RngState(2100)
+        ys = np.sort([sp.sample_qbes_path(start, [t], delta, rng).states[0].y1
+                      for _ in range(n)])
+        cdf = stats.gamma.cdf(ys, a=law.gamma_ray.shape, scale=law.gamma_ray.scale)
+        ks = float(np.max(np.abs(cdf - np.arange(1, n + 1) / n)))
+        assert ks < 1.95 / math.sqrt(n)  # 0.999 Kolmogorov quantile
 
 
 class TestPaths:
@@ -130,16 +226,36 @@ class TestPaths:
         assert [(s.tau, s.k) for s in path.states] == [(1.5, 0), (2.0, 0), (3.0, 0)]
 
     def test_uniform_rightward_motion(self):
-        # the first coordinate advances by exactly the grid increment
+        # the first coordinate is start.tau + t, one rounding from the grid
         grid = [0.4, 1.1, 2.0, 3.5]
         rng = sp.RngState(8)
-        path = sp.sample_qbes_path(DiscretePoint(-5.0, 2), grid, 1.3, rng)
-        tau = -5.0
-        t_prev = 0.0
+        start = DiscretePoint(-5.0, 2)
+        path = sp.sample_qbes_path(start, grid, 1.3, rng)
         for t, state in zip(path.times, path.states):
-            tau = tau + (t - t_prev)
-            t_prev = t
-            assert state.tau == tau
+            assert state.tau == start.tau + t
+
+    def test_decimal_grids_reach_crossing(self):
+        # a:b:n from tau = -b ends on the crossing; summed increments miss it
+        # on most of these grids, and the old sampler then spent ~0.5 s per
+        # path before giving up
+        grids = [(a, b, n) for b in ("0.3", "0.7", "0.9", "1.1", "1.3",
+                                     "1.7", "2.1", "2.3", "2.9", "3.7")
+                 for a, n in (("0.1", 3), ("0.1", 7), ("0.05", 4), ("0.2", 6))]
+        missed_by_increments = 0
+        t0 = time.perf_counter()
+        for a, b, n in grids:
+            grid = cli.parse_grid(f"{a}:{b}:{n}")
+            start = DiscretePoint(-float(b), 3)
+            path = sp.sample_qbes_path(start, grid, 1.5, sp.RngState(n))
+            assert path.times[-1] == float(b)
+            assert isinstance(path.states[-1], ContinuousPoint), (a, b, n)
+            assert all(isinstance(s, DiscretePoint) for s in path.states[:-1])
+            tau = start.tau + grid[0]
+            for t_prev, t_next in zip(grid, grid[1:]):
+                tau += t_next - t_prev
+            missed_by_increments += tau != 0.0
+        assert time.perf_counter() - t0 < 5.0
+        assert missed_by_increments >= len(grids) // 2
 
     def test_crossing_grid_hits_continuous_branch(self):
         rng = sp.RngState(5)
@@ -153,7 +269,7 @@ class TestPaths:
         assert arr.mean() == pytest.approx(1.5, abs=3.0 * arr.std() / math.sqrt(arr.size))
 
     def test_path_reproducibility(self):
-        # dyadic grid: increments compose exactly, so the crossing is hit
+        # -1 + 1.0 == 0, so the third step is on the crossing
         grid = [0.25, 0.75, 1.0, 1.75]
         p1 = sp.sample_qbes_path(DiscretePoint(-1.0, 2), grid, 2.0, sp.RngState.for_path(5, 0))
         p2 = sp.sample_qbes_path(DiscretePoint(-1.0, 2), grid, 2.0, sp.RngState.for_path(5, 0))
