@@ -37,7 +37,6 @@ from .sampling import (
     sample_qbes_path,
 )
 from .specfun import (
-    SeriesPolicy,
     bessel_i_norm,
     bessel_j_norm,
     hyp1f1,
@@ -80,7 +79,6 @@ __all__ = [
     "sample_qbes_path",
     "sample_bes",
     "sample_bes_path",
-    "SeriesPolicy",
     "log_gamma",
     "pochhammer",
     "laguerre_L",

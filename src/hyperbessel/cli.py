@@ -81,6 +81,14 @@ def parse_grid(text: str) -> list[float]:
         raise CliError(f"invalid grid {text!r}: {exc}") from exc
 
 
+def parse_time_grid(text: str) -> list[float]:
+    """A path time grid: strictly increasing and starting after 0."""
+    grid = parse_grid(text)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0.0:
+        raise CliError("--t-grid must be strictly increasing and start after 0")
+    return grid
+
+
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -120,9 +128,7 @@ def _path_rows(path: sp.PathSample) -> list[list]:
 
 def cmd_qbes_sim(args) -> int:
     start = parse_state(args.start)
-    grid = parse_grid(args.t_grid)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0.0:
-        raise CliError("--t-grid must be strictly increasing and start after 0")
+    grid = parse_time_grid(args.t_grid)
     paths = [sp.sample_qbes_path(start, grid, args.delta,
                                  sp.RngState.for_path(args.seed, pid), path_id=pid)
              for pid in range(args.paths)]
@@ -132,9 +138,7 @@ def cmd_qbes_sim(args) -> int:
 
 
 def cmd_bes_sim(args) -> int:
-    grid = parse_grid(args.t_grid)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0.0:
-        raise CliError("--t-grid must be strictly increasing and start after 0")
+    grid = parse_time_grid(args.t_grid)
     if args.x0 < 0.0:
         raise CliError("--x0 must be >= 0")
     paths = [sp.sample_bes_path(args.x0, grid, args.delta,
@@ -292,9 +296,6 @@ def main(argv=None) -> int:
             if args.family == "laguerre" and not (args.state and args.w_grid):
                 raise CliError("char-eval --family laguerre requires --state and --w-grid")
         return args.func(args)
-    except CliError as exc:
-        print(f"hyperbessel: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"hyperbessel: error: {exc}", file=sys.stderr)
         return 1

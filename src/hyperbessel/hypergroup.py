@@ -255,48 +255,22 @@ def bk_gaussian_gram(points, t: float, p: BesselKingmanParams,
     return gram
 
 
-def jacobi_eigenvalues(a, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a small real symmetric matrix by cyclic Jacobi sweeps."""
-    m = np.array(a, dtype=float, copy=True)
+def _require_hermitian(m: np.ndarray) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
+    if not np.allclose(m, m.conj().T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
         raise ValueError("matrix must be symmetric")
-    n = m.shape[0]
-    if n == 1:
-        return m.diagonal().copy()
-    scale = max(1.0, float(np.abs(m).max()))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.square(m - np.diag(m.diagonal())))))
-        if off <= tol * scale:
-            break
-        for p_ in range(n - 1):
-            for q_ in range(p_ + 1, n):
-                apq = m[p_, q_]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (m[q_, q_] - m[p_, p_]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = c * m[:, p_] - s * m[:, q_]
-                rq = s * m[:, p_] + c * m[:, q_]
-                m[:, p_], m[:, q_] = rp, rq
-                rp = c * m[p_, :] - s * m[q_, :]
-                rq = s * m[p_, :] + c * m[q_, :]
-                m[p_, :], m[q_, :] = rp, rq
-    return np.sort(m.diagonal())
+
+
+def jacobi_eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of a small real symmetric matrix."""
+    m = np.asarray(a, dtype=float)
+    _require_hermitian(m)
+    return np.linalg.eigvalsh(m)
 
 
 def min_eig_hermitian(h) -> float:
-    """Minimum eigenvalue of a Hermitian matrix via the real embedding.
-
-    A complex Hermitian H maps to the real symmetric [[Re H, -Im H],
-    [Im H, Re H]] whose spectrum is that of H with doubled multiplicity.
-    """
+    """Minimum eigenvalue of a Hermitian (real symmetric or complex) matrix."""
     m = np.asarray(h)
-    if np.iscomplexobj(m):
-        re, im = m.real, m.imag
-        emb = np.block([[re, -im], [im, re]])
-        return float(jacobi_eigenvalues(emb)[0])
-    return float(jacobi_eigenvalues(m)[0])
+    _require_hermitian(m)
+    return float(np.linalg.eigvalsh(m)[0])

@@ -88,11 +88,9 @@ class TransitionLaw:
             raise ValueError("case must be 1..5")
         if self.tail_mass < 0.0:
             raise ValueError("tail_mass must be >= 0")
-        total = math.fsum(p for _, p in self.atoms) + self.tail_mass
-        if self.gamma_ray is not None:
-            total += 1.0
         if any(p < 0.0 for _, p in self.atoms):
             raise ValueError("atom probabilities must be >= 0")
+        total = self.total_mass()
         if abs(total - 1.0) > _NORM_SLACK:
             raise ValueError(f"law mass {total!r} deviates from 1 beyond 1e-12")
 

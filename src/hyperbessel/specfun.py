@@ -1,37 +1,38 @@
 """Double-precision special functions behind every character, kernel and check.
 
-Provides log-gamma (Lanczos), Pochhammer symbols, generalized Laguerre
-polynomials via the upward three-term recurrence, the normalized spherical
-Bessel function
+- ``log_gamma``: ``scipy.special.gammaln`` for finite x > 0.
+- ``pochhammer``: the direct product (a)_k.
+- ``laguerre_L`` / ``laguerre_L_all``: upward three-term recurrence in the
+  degree.
+- ``bessel_j_norm``: the normalized spherical Bessel function
 
-    j_nu(z) = Gamma(nu + 1) (z/2)^(-nu) J_nu(z),
+      j_nu(z) = Gamma(nu + 1) (z/2)^(-nu) J_nu(z),
 
-its modified companion i_nu(y) = j_nu evaluated at the imaginary argument iy
-(real and >= 1), and the Kummer series 1F1(a; b; z) kept as a cross-check
-oracle for the Laguerre route.
+  summed as a float64 power series where z^2 <= 4 K (nu + 1) (K = 9: every
+  partial sum stays within i_nu(z) <= e^K, so the absolute error is about
+  e^K 2^-53), and elsewhere ``scipy.special.jv`` (Amos 1986) times the
+  prefactor taken in log space. Where J_nu underflows the double range
+  there (orders nu >~ 600) it raises OverflowError instead of returning 0.
+- ``log_bessel_i_norm``: ln of the modified companion i_nu(y) = j_nu(iy)
+  (real and >= 1). The all-positive series where y^2 <= 4 (nu + 1) or where
+  ``scipy.special.ive`` underflows, elsewhere ln ive + y + the log prefactor.
+  ``bessel_i_norm`` is its exponential and raises OverflowError beyond the
+  double range.
+- ``hyp1f1``: Kummer 1F1(a; b; z), summed in exact rationals when it
+  terminates (the Laguerre oracle), else ``scipy.special.hyp1f1``.
 
 All functions are pure, reject NaN and out-of-domain inputs, and accept
-scalars or numpy arrays (scalar in, Python float out). The alternating power
-series (j_nu below the asymptotic crossover, 1F1) are summed in double-double
-arithmetic: their largest term grows like e^z, so a plain double sum at the
-z = 25 crossover would retain only ~6 correct digits where the library
-promises ~12.
+scalars or numpy arrays (scalar in, Python float out).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from . import _dd
+from scipy import special
 
 __all__ = [
-    "SeriesPolicy",
-    "DEFAULT_POLICY",
     "ConvergenceError",
-    "J_SERIES_CROSSOVER",
     "log_gamma",
     "pochhammer",
     "laguerre_L",
@@ -42,31 +43,14 @@ __all__ = [
     "hyp1f1",
 ]
 
-LN_2PI = math.log(2.0 * math.pi)
-
-#: series/asymptotic switch point for bessel_j_norm
-J_SERIES_CROSSOVER = 25.0
+#: j_nu is summed as a series where z^2 <= 4 K (nu + 1); its terms stay below e^K
+_J_SERIES_K = 9.0
+_MAX_TERMS = 100_000
+_TINY = np.finfo(float).tiny
 
 
 class ConvergenceError(RuntimeError):
-    """A series failed to meet its relative tolerance within max_terms."""
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control for all series evaluations."""
-
-    max_terms: int = 512
-    rel_tol: float = 1e-16
-
-    def __post_init__(self):
-        if self.max_terms < 32:
-            raise ValueError("SeriesPolicy.max_terms must be >= 32")
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise ValueError("SeriesPolicy.rel_tol must be in (0, 1e-6)")
-
-
-DEFAULT_POLICY = SeriesPolicy()
+    """A series failed to converge within its term budget."""
 
 
 def _as_array(x, name):
@@ -82,44 +66,12 @@ def _maybe_scalar(out, like):
     return out
 
 
-# Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).
-# ln Gamma(x) = ln(2 pi)/2 + (x - 1/2) ln t - t + ln A(x),  t = x + g - 1/2,
-# A(x) = c0 + sum_k c_k / (x + k - 1).  Relative error ~1e-14 on (0, inf).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array([
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
-
-
 def log_gamma(x):
-    """Natural log of the Gamma function for x > 0.
-
-    Relative accuracy ~1e-14 across [1e-3, 1e6] (absolute near the zeros of
-    ln Gamma at x = 1, 2).
-    """
+    """Natural log of the Gamma function for finite x > 0."""
     arr = _as_array(x, "x")
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("log_gamma requires finite x > 0")
-    t = arr + (_LANCZOS_G - 0.5)
-    a = np.full_like(arr, _LANCZOS_C[0])
-    for k in range(1, 15):
-        a = a + _LANCZOS_C[k] / (arr + (k - 1.0))
-    out = 0.5 * LN_2PI + (arr - 0.5) * np.log(t) - t + np.log(a)
-    return _maybe_scalar(out, x)
+    return _maybe_scalar(special.gammaln(arr), x)
 
 
 def pochhammer(a, k):
@@ -163,150 +115,95 @@ def laguerre_L_all(k_max, a, x):
     return out
 
 
-def bessel_j_norm(nu, z, policy: SeriesPolicy | None = None):
+def _bessel_args(name, nu, z, arg):
+    if not np.isfinite(nu) or nu <= -1.0:
+        raise ValueError(f"{name} requires nu > -1")
+    arr = _as_array(z, arg)
+    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
+        raise ValueError(f"{name} requires finite {arg} >= 0")
+    return arr
+
+
+def _series_tail(nu, q):
+    """sum_{m>=1} q^m / (m! (nu+1)_m) in float64: q = -z^2/4 for j, y^2/4 for i."""
+    term = np.ones_like(q)
+    tail = np.zeros_like(q)
+    with np.errstate(over="ignore"):
+        for m in range(1, _MAX_TERMS):
+            term = term * q / (m * (nu + m))
+            tail = tail + term
+            if np.all(np.abs(term) <= 2.0 ** -53 * np.abs(tail)):
+                return tail
+    raise ConvergenceError("Bessel series did not converge")
+
+
+def _log_prefactor(nu, z):
+    """ln of Gamma(nu + 1) (z/2)^(-nu)."""
+    return special.gammaln(nu + 1.0) - nu * np.log(0.5 * z)
+
+
+def bessel_j_norm(nu, z):
     """Normalized spherical Bessel function j_nu(z), nu > -1, z >= 0.
 
-    j_nu(0) = 1. Power series below z = 25 (summed in double-double), the
-    standard large-argument Hankel expansion of J_nu above. Closed forms:
-    j_{-1/2}(z) = cos z and j_{1/2}(z) = sin(z)/z.
+    j_nu(0) = 1. Closed forms: j_{-1/2}(z) = cos z and j_{1/2}(z) = sin(z)/z.
+    Absolute error below 1e-12 for nu <= 500; raises OverflowError where
+    J_nu(z) underflows the double range (only for nu >~ 600, z < nu/2).
     """
-    policy = policy or DEFAULT_POLICY
-    if not np.isfinite(nu) or nu <= -1.0:
-        raise ValueError("bessel_j_norm requires nu > -1")
-    arr = _as_array(z, "z")
-    if np.any(arr < 0.0):
-        raise ValueError("bessel_j_norm requires z >= 0")
+    arr = _bessel_args("bessel_j_norm", nu, z, "z")
     out = np.empty_like(arr)
-    small = arr < J_SERIES_CROSSOVER
-    if np.any(small):
-        out[small] = _j_series_dd(nu, arr[small], policy)
-    if np.any(~small):
-        out[~small] = _j_asymptotic(nu, arr[~small])
+    small = arr * arr <= 4.0 * _J_SERIES_K * (nu + 1.0)
+    out[small] = 1.0 + _series_tail(nu, -0.25 * np.square(arr[small]))
+    big = arr[~small]
+    jv = special.jv(nu, big)
+    if np.any(np.abs(jv) < _TINY):
+        raise OverflowError(f"bessel_j_norm: J_nu underflows at nu={nu!r}; order too large")
+    out[~small] = np.sign(jv) * np.exp(_log_prefactor(nu, big) + np.log(np.abs(jv)))
     return _maybe_scalar(out, z)
 
 
-def _j_series_dd(nu, z, policy):
-    """sum_m (-z^2/4)^m / (m! (nu+1)_m) in double-double arithmetic."""
-    q = _dd.two_prod(z, z)
-    q = (-0.25 * q[0], -0.25 * q[1])  # exact scaling
-    term = _dd.from_float(np.ones_like(z))
-    total = term
-    thresh = policy.rel_tol
-    for m in range(policy.max_terms):
-        denom = _dd.mul_d(_dd.two_sum(nu, m + 1.0), m + 1.0)
-        term = _dd.div(_dd.mul(term, q), denom)
-        total = _dd.add(total, term)
-        if np.all(np.abs(term[0]) <= thresh * (np.abs(total[0]) + 1e-300)):
-            return _dd.to_float(total)
-    raise ConvergenceError("bessel_j_norm series did not converge")
-
-
-def _j_asymptotic(nu, z):
-    """Hankel large-argument expansion of J_nu plus the log-space prefactor."""
-    omega = z - (0.5 * nu + 0.25) * math.pi
-    four_nu2 = 4.0 * nu * nu
-    p = np.ones_like(z)
-    q = np.zeros_like(z)
-    u = np.ones_like(z)
-    active = np.ones_like(z, dtype=bool)
-    sign_p, sign_q = -1.0, 1.0
-    for k in range(1, 64):
-        u_next = u * (four_nu2 - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
-        grown = np.abs(u_next) >= np.abs(u)
-        active = active & ~grown
-        u = np.where(active, u_next, 0.0)
-        if k % 2 == 1:
-            q = q + sign_q * u
-            sign_q = -sign_q
-        else:
-            p = p + sign_p * u
-            sign_p = -sign_p
-        if not np.any(np.abs(u) > 1e-18):
-            break
-    bessel_j = np.sqrt(2.0 / (math.pi * z)) * (np.cos(omega) * p - np.sin(omega) * q)
-    log_pref = log_gamma(nu + 1.0) - nu * np.log(0.5 * z)
-    return np.exp(log_pref) * bessel_j
-
-
-def bessel_i_norm(nu, y, policy: SeriesPolicy | None = None):
+def bessel_i_norm(nu, y):
     """j_nu at the imaginary argument iy: sum_m (y^2/4)^m / (m! (nu+1)_m).
 
     Real, >= 1, and strictly increasing in y. Raises OverflowError when the
     value exceeds the double range; callers that need exp(-c) * i_nu products
     must combine exponents via log_bessel_i_norm instead.
     """
-    policy = policy or DEFAULT_POLICY
-    if not np.isfinite(nu) or nu <= -1.0:
-        raise ValueError("bessel_i_norm requires nu > -1")
-    arr = _as_array(y, "y")
-    if np.any(arr < 0.0):
-        raise ValueError("bessel_i_norm requires y >= 0")
-    out = _i_series(nu, arr, policy)
+    with np.errstate(over="ignore"):
+        out = np.exp(log_bessel_i_norm(nu, y))
     if np.any(~np.isfinite(out)):
         raise OverflowError("bessel_i_norm overflow; use log_bessel_i_norm")
     return _maybe_scalar(out, y)
 
 
-def _i_series(nu, y, policy):
-    q = 0.25 * y * y
-    term = np.ones_like(y)
-    total = np.ones_like(y)
-    with np.errstate(over="ignore"):
-        for m in range(policy.max_terms):
-            term = term * q / ((m + 1.0) * (nu + m + 1.0))
-            total = total + term
-            if not np.all(np.isfinite(total)):
-                return total
-            if np.all(term <= policy.rel_tol * total):
-                return total
-    raise ConvergenceError("bessel_i_norm series did not converge")
+def log_bessel_i_norm(nu, y):
+    """ln of bessel_i_norm, safe for arguments far beyond the double range.
 
-
-def log_bessel_i_norm(nu, y, policy: SeriesPolicy | None = None):
-    """ln of bessel_i_norm, safe for arguments far beyond the double range."""
-    policy = policy or DEFAULT_POLICY
-    if not np.isfinite(nu) or nu <= -1.0:
-        raise ValueError("log_bessel_i_norm requires nu > -1")
-    arr = _as_array(y, "y")
-    if np.any(arr < 0.0):
-        raise ValueError("log_bessel_i_norm requires y >= 0")
+    Relative error below 1e-12 for nu <= 1000, y <= 4000; raises
+    OverflowError where neither ive nor the series is representable (only
+    for nu >~ 1900).
+    """
+    arr = _bessel_args("log_bessel_i_norm", nu, y, "y")
     out = np.empty_like(arr)
-    small = arr <= 600.0
-    if np.any(small):
-        out[small] = np.log(_i_series(nu, arr[small], policy))
-    if np.any(~small):
-        out[~small] = _log_i_asymptotic(nu, arr[~small])
+    ive = special.ive(nu, arr)
+    series = (arr * arr <= 4.0 * (nu + 1.0)) | (ive < _TINY)
+    out[series] = np.log1p(_series_tail(nu, 0.25 * np.square(arr[series])))
+    if np.any(~np.isfinite(out[series])):
+        raise OverflowError(f"log_bessel_i_norm: series overflows at nu={nu!r}; "
+                            "order too large")
+    big = arr[~series]
+    out[~series] = np.log(ive[~series]) + big + _log_prefactor(nu, big)
     return _maybe_scalar(out, y)
 
 
-def _log_i_asymptotic(nu, y):
-    # I_nu(y) ~ e^y / sqrt(2 pi y) * sum_k (-1)^k a_k(nu) / y^k
-    four_nu2 = 4.0 * nu * nu
-    s = np.ones_like(y)
-    u = np.ones_like(y)
-    active = np.ones_like(y, dtype=bool)
-    for k in range(1, 40):
-        u_next = -u * (four_nu2 - (2.0 * k - 1.0) ** 2) / (8.0 * k * y)
-        grown = np.abs(u_next) >= np.abs(u)
-        active = active & ~grown
-        u = np.where(active, u_next, 0.0)
-        s = s + u
-        if not np.any(np.abs(u) > 1e-18):
-            break
-    return (log_gamma(nu + 1.0) - nu * np.log(0.5 * y)
-            + y - 0.5 * np.log(2.0 * math.pi * y) + np.log(s))
-
-
-def hyp1f1(a, b, z, policy: SeriesPolicy | None = None):
+def hyp1f1(a, b, z):
     """Kummer confluent hypergeometric series 1F1(a; b; z).
 
     Terminates exactly when a is a nonpositive integer; b must not be a
     nonpositive integer. The terminating case is summed in exact rational
     arithmetic (its cancellation can exceed any fixed precision: at a = -60,
     z = 50 the largest term is ~1e28 times the sum); the generic case is
-    summed in double-double.
+    scipy.special.hyp1f1.
     """
-    policy = policy or DEFAULT_POLICY
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("hyp1f1 requires finite a, b")
     if b <= 0.0 and b == round(b):
@@ -315,17 +212,7 @@ def hyp1f1(a, b, z, policy: SeriesPolicy | None = None):
     if a <= 0.0 and a == round(a):
         flat = np.array([_hyp1f1_exact(int(round(-a)), b, v) for v in arr.ravel()])
         return _maybe_scalar(flat.reshape(arr.shape), z)
-    zz = _dd.from_float(arr)
-    term = _dd.from_float(np.ones_like(arr))
-    total = term
-    for m in range(policy.max_terms):
-        num = _dd.two_sum(a, float(m))
-        den = _dd.mul_d(_dd.two_sum(b, float(m)), m + 1.0)
-        term = _dd.div(_dd.mul(_dd.mul(term, num), zz), den)
-        total = _dd.add(total, term)
-        if np.all(np.abs(term[0]) <= policy.rel_tol * (np.abs(total[0]) + 1e-300)):
-            return _maybe_scalar(_dd.to_float(total), z)
-    raise ConvergenceError("hyp1f1 series did not converge")
+    return _maybe_scalar(special.hyp1f1(a, b, arr), z)
 
 
 def _hyp1f1_exact(k, b, z):

@@ -166,6 +166,29 @@ class TestTables:
             assert val == pytest.approx(math.sin(u) / u, abs=1e-9)
 
 
+class TestLargeOrderTables:
+    """Orders where a fixed z = 25 / y = 600 Hankel switch was wrong.
+
+    References: 50-digit mpmath, nu, z, y taken exactly from the parsed doubles;
+    the density is 2 y^(delta-1) / ((2t)^(delta/2) Gamma(delta/2))
+    * i_(delta/2-1)(x y / t) * exp(-(x^2 + y^2) / (2t)).
+    """
+
+    def test_char_eval_bk_alpha82(self, capsys):
+        code, out, _ = run_cli(["char-eval", "--family", "bk", "--alpha", "82",
+                                "--u-grid", "1", "--x-grid", "25.5"], capsys)
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[2])
+        assert abs(value - 0.01529833004857060695422886) <= 1e-12
+
+    def test_bes_density_delta82(self, capsys):
+        code, out, _ = run_cli(["bes-density", "--delta", "82", "--t", "1", "--x", "30",
+                                "--y-grid", "20.1"], capsys)
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(4.988656609137588227880132e-30, rel=1e-10, abs=0.0)
+
+
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

@@ -3,7 +3,8 @@
 Oracles are kept independent of the implementation paths: log-gamma is checked
 against a Stirling series with Bernoulli coefficients plus the recursion
 Gamma(x+1) = x Gamma(x), Bessel values against trigonometric closed forms and
-scipy, Laguerre against the exact-rational 1F1 route.
+scipy, Laguerre against the exact-rational 1F1 route. Large-order Bessel values
+are checked against 50-digit mpmath literals.
 """
 import math
 
@@ -162,14 +163,6 @@ class TestBesselJNorm:
                 ref = ss.gamma(nu + 1.0) * (z / 2.0) ** (-nu) * ss.jv(nu, z)
                 assert sf.bessel_j_norm(nu, z) == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
-    def test_branch_agreement_at_crossover(self):
-        # series and asymptotic evaluations must coincide at the switch point
-        z = np.array([sf.J_SERIES_CROSSOVER])
-        for nu in [0.0, 1.4, 3.0]:
-            series = sf._j_series_dd(nu, z, sf.DEFAULT_POLICY)[0]
-            asym = sf._j_asymptotic(nu, z)[0]
-            assert abs(series - asym) < 1e-13
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             sf.bessel_j_norm(-1.0, 1.0)
@@ -245,15 +238,47 @@ class TestHyp1F1:
             sf.hyp1f1(1.0, -2.0, 1.0)
 
 
-class TestSeriesPolicy:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            sf.SeriesPolicy(max_terms=8)
-        with pytest.raises(ValueError):
-            sf.SeriesPolicy(rel_tol=1e-3)
-        with pytest.raises(ValueError):
-            sf.SeriesPolicy(rel_tol=0.0)
+# 50-digit references, generated once with mpmath (mp.dps = 50) as
+#   j:     gamma(nu + 1) * (z/2)**(-nu) * besselj(nu, z)
+#   ln i:  log(gamma(nu + 1) * (y/2)**(-nu) * besseli(nu, y))
+# with nu, z, y converted exactly from the doubles below; printed to 25 digits.
+J_LARGE_ORDER = {
+    10: {24.5: -0.000006426571646441263883566578, 25.5: -4.579071604443252274948059e-8},
+    20: {24.5: 0.00004661758686954308467238602, 25.5: -0.000001950400274815876557632859},
+    40: {24.5: 0.0214692796670220749468294, 25.5: 0.01529833004857060695422886},
+}
+LOG_I_LARGE_ORDER = {
+    10: {1e-3: 2.272727270575068970161488e-8, 599.5: 553.3746762161913507587693,
+         600.5: 554.3573149757256616813035},
+    20: {1e-3: 1.190476190154091989592044e-8, 599.5: 523.3260037418190575136865,
+         600.5: 524.2923930485565631019924},
+    40: {1e-3: 6.097560975167134329467599e-9, 599.5: 476.2508466520969702864147,
+         600.5: 477.1855697460542963191802},
+}
 
-    def test_tight_budget_raises(self):
-        with pytest.raises(sf.ConvergenceError):
-            sf.bessel_j_norm(0.0, 24.0, policy=sf.SeriesPolicy(max_terms=32, rel_tol=1e-15))
+
+class TestLargeOrder:
+    """Orders beyond the nu <= 6 that test_against_scipy samples.
+
+    A fixed switch to the Hankel expansion at z = 25 (j) or y = 600 (ln i)
+    is wrong at large order, since that expansion needs z >> nu^2; ln(1 + s)
+    for a tiny s loses relative digits near y = 0.
+    """
+
+    @pytest.mark.parametrize("nu", sorted(J_LARGE_ORDER))
+    def test_j_both_sides_of_z25(self, nu):
+        for z, ref in J_LARGE_ORDER[nu].items():
+            assert abs(sf.bessel_j_norm(nu, z) - ref) <= 1e-12
+
+    @pytest.mark.parametrize("nu", sorted(LOG_I_LARGE_ORDER))
+    def test_log_i_both_sides_of_y600_and_near_zero(self, nu):
+        for y, ref in LOG_I_LARGE_ORDER[nu].items():
+            assert sf.log_bessel_i_norm(nu, y) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_j_raises_where_jv_underflows(self):
+        # J_700(175) ~ 1e-320 underflows while j_700(175) ~ 1e-5 does not
+        with pytest.raises(OverflowError):
+            sf.bessel_j_norm(700.0, 175.0)
+        with pytest.raises(OverflowError):
+            sf.bessel_j_norm(700.0, np.array([100.0, 175.0]))
+        assert 0.0 < sf.bessel_j_norm(700.0, 150.0) < 1.0
