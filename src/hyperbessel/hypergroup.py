@@ -68,15 +68,21 @@ class LaguerreParams:
 
 @dataclass(frozen=True)
 class HeisPoint:
-    """Point (x, w) of the radial Heisenberg-type state space R_+ x R."""
+    """Point (x, w) of the radial Heisenberg-type state space R_+ x R.
 
-    x: float
-    w: float
+    x and w may also be arrays that broadcast together: a grid of points,
+    each checked as a single point would be, in row-major order.
+    """
+
+    x: float | np.ndarray
+    w: float | np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.w)):
-            raise ValueError("HeisPoint coordinates must be finite")
-        if self.x < 0.0:
+        finite = np.isfinite(self.x) & np.isfinite(self.w)
+        bad = ~finite | (np.asarray(self.x) < 0.0)
+        if np.any(bad):
+            if not np.ravel(finite)[np.argmax(bad)]:
+                raise ValueError("HeisPoint coordinates must be finite")
             raise ValueError("HeisPoint requires x >= 0")
 
 
@@ -186,18 +192,25 @@ def _second_kind_char(alpha: float, y1: float, x):
     return bessel_j_norm(alpha, 2.0 * np.asarray(x, dtype=float) * math.sqrt(y1))
 
 
-def lag_character(c: FanPoint, a: HeisPoint, p: LaguerreParams) -> complex:
+def lag_character(c: FanPoint, a: HeisPoint, p: LaguerreParams):
     """Laguerre-hypergroup character chi_c evaluated at the point a.
 
     Discrete c = (tau, k): [k! Gamma(alpha+1)/Gamma(k+alpha+1)]
     exp(i tau w - |tau| x^2 / 2) L_k^(alpha)(|tau| x^2).
     Continuous c = (0, y1): j_alpha(2 x sqrt(y1)), real.
+    A complex for a single point; a complex array shaped like the grid when
+    a holds coordinate arrays.
     """
     if isinstance(c, DiscretePoint):
-        return complex(_first_kind_char(p.alpha, c.tau, c.k, a.x, a.w))
-    if isinstance(c, ContinuousPoint):
-        return complex(_second_kind_char(p.alpha, c.y1, a.x))
-    raise TypeError(f"not a fan point: {c!r}")
+        out = _first_kind_char(p.alpha, c.tau, c.k, a.x, a.w)
+    elif isinstance(c, ContinuousPoint):
+        x = np.broadcast_arrays(a.x, a.w)[0]
+        out = _second_kind_char(p.alpha, c.y1, x)
+    else:
+        raise TypeError(f"not a fan point: {c!r}")
+    if np.ndim(out) == 0:
+        return complex(out)
+    return np.asarray(out, dtype=complex)
 
 
 def psi_heis(a: HeisPoint) -> complex:

@@ -14,9 +14,12 @@ regimes indexed by the sign of the start ray s and of u = s + t:
 All factorial/Gamma ratios are assembled in log space. Infinite supports are
 truncated by cumulative mass (never by fixed count); the remainder is recorded
 in tail_mass, and normalization within 1e-12 is enforced as a constructor
-invariant rather than silently repaired. The regime boundary u = 0 triggers
-only on exact float equality s + t == 0: the kernel is genuinely singular
-there and no epsilon snapping is applied.
+invariant rather than silently repaired. Rounded atom probabilities can sum
+to just under the mass target: once a geometric bound on the atoms still to
+come shows that, the law raises RuntimeError instead of walking on to the
+atom cap. bes_density evaluates a whole y-grid in one call. The regime
+boundary u = 0 triggers only on exact float equality s + t == 0: the kernel
+is genuinely singular there and no epsilon snapping is applied.
 """
 from __future__ import annotations
 
@@ -99,11 +102,19 @@ class TransitionLaw:
         return mass + (1.0 if self.gamma_ray is not None else 0.0)
 
 
-def _truncate_series(log_pmf, trunc_eps, make_point, case):
+def _truncate_series(log_pmf, tail_ratio, trunc_eps, make_point, case):
     """Accumulate atoms until the compensated mass reaches 1 - trunc_eps.
 
     The stop target keeps a small margin below trunc_eps so that the exact
     tail (1 - fsum) cannot exceed trunc_eps through summation slop.
+
+    tail_ratio(m) bounds every later pmf ratio p_(j+1) / p_j, j >= m: the
+    ratio at m or its limit (0 for the Poisson, q for the negative
+    binomials). After a chunk ending at atom m, the atoms still to come hold
+    at most p_m R / (1 - R), R = tail_ratio(m) < 1. Doubling that covers
+    relative pmf rounding up to 1/3 (gammaln's is ~1e-9 even at level 5e5)
+    and 1e-15 the rounding of the compensated sum; if the mass still falls
+    short of the target, the law raises there instead of at _MAX_ATOMS.
     """
     target = 1.0 - 0.9375 * trunc_eps
     probs: list[float] = []
@@ -128,17 +139,29 @@ def _truncate_series(log_pmf, trunc_eps, make_point, case):
                 done = True
                 break
         level += chunk
-        if level > _MAX_ATOMS:
+        ratio = tail_ratio(level - 1)
+        out_of_reach = not done and ratio < 1.0 and (
+            total + comp + 2.0 * float(ps[-1]) * ratio / (1.0 - ratio) + 1e-15 < target)
+        if out_of_reach or level > _MAX_ATOMS:
             raise RuntimeError(
                 f"transition law support too large to truncate (mass {total + comp:.6f} "
-                f"after {level} atoms); a start ray this close to the crossing usually "
-                "means the time grid missed s + t = 0 exactly")
+                f"after {level} atoms); its rounded atom probabilities "
+                f"{'cannot' if out_of_reach else 'do not'} reach 1 - trunc_eps "
+                f"(trunc_eps = {trunc_eps:g}); use a larger trunc_eps (--trunc-eps)")
     exact = math.fsum(probs)
     if exact > 1.0 + _NORM_SLACK:
         raise ArithmeticError(f"truncated mass {exact!r} exceeds 1 beyond slack")
     tail = max(0.0, 1.0 - exact)
     atoms = tuple((make_point(m), p) for m, p in enumerate(probs))
     return TransitionLaw(case=case, atoms=atoms, tail_mass=tail)
+
+
+def _nb_tail_ratio(r, q, m):
+    """sup over j >= m of the negative-binomial ratio (r + j) / (j + 1) q.
+
+    (r + j) / (j + 1) falls to 1 when r >= 1 and rises to 1 when r < 1.
+    """
+    return q * max((r + m) / (m + 1.0), 1.0)
 
 
 def qbes_transition(start: FanPoint, t: float, delta: float,
@@ -161,7 +184,8 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         def log_pmf(ls):
             return ls * log_rate - rate - log_gamma(ls + 1.0)
 
-        return _truncate_series(log_pmf, trunc_eps, lambda m: DiscretePoint(t, m), case=4)
+        return _truncate_series(log_pmf, lambda m: rate / (m + 1.0), trunc_eps,
+                                lambda m: DiscretePoint(t, m), case=4)
 
     if not isinstance(start, DiscretePoint):
         raise TypeError(f"not a fan point: {start!r}")
@@ -188,12 +212,14 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         # case 1: negative binomial with success u/s, atoms at levels l >= k
         p = u / s
         lp, lq = math.log(p), math.log1p(-p)
+        q = math.exp(lq)
 
         def log_pmf(ms):
             return (log_gamma(r + ms) - log_gamma(r) - log_gamma(ms + 1.0)
                     + r * lp + ms * lq)
 
-        return _truncate_series(log_pmf, trunc_eps, lambda m: DiscretePoint(u, k + m), case=1)
+        return _truncate_series(log_pmf, lambda m: _nb_tail_ratio(r, q, m), trunc_eps,
+                                lambda m: DiscretePoint(u, k + m), case=1)
 
     # case 3: u > 0, shifted negative binomial on levels l >= 0
     p = u / t
@@ -204,7 +230,8 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         return (log_gamma(r + ls) - log_gamma(r) - log_gamma(ls + 1.0)
                 + r * lp + ls * lq)
 
-    return _truncate_series(log_pmf, trunc_eps, lambda m: DiscretePoint(u, m), case=3)
+    return _truncate_series(log_pmf, lambda m: _nb_tail_ratio(r, q, m), trunc_eps,
+                            lambda m: DiscretePoint(u, m), case=3)
 
 
 def qbes_law_pmf(law: TransitionLaw, point: FanPoint) -> float:

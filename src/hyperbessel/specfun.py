@@ -16,6 +16,8 @@
 - ``log_bessel_i_norm``: ln of the modified companion i_nu(y) = j_nu(iy)
   (real and >= 1). The all-positive series where y^2 <= 4 (nu + 1) or where
   ``scipy.special.ive`` underflows, elsewhere ln ive + y + the log prefactor.
+  A series sum past the double range is summed again, scaled by exact
+  powers of two, so its log is finite wherever ln i is.
   ``bessel_i_norm`` is its exponential and raises OverflowError beyond the
   double range.
 - ``hyp1f1``: Kummer 1F1(a; b; z), summed in exact rationals when it
@@ -47,6 +49,7 @@ __all__ = [
 _J_SERIES_K = 9.0
 _MAX_TERMS = 100_000
 _TINY = np.finfo(float).tiny
+_LN2 = float(np.log(2.0))
 
 
 class ConvergenceError(RuntimeError):
@@ -118,22 +121,44 @@ def laguerre_L_all(k_max, a, x):
 def _bessel_args(name, nu, z, arg):
     if not np.isfinite(nu) or nu <= -1.0:
         raise ValueError(f"{name} requires nu > -1")
-    arr = _as_array(z, arg)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
+    arr = np.asarray(z, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    if np.any(bad):
+        # the first bad element names the error, as a scalar call on it would
+        if np.isnan(np.ravel(arr)[np.argmax(bad)]):
+            raise ValueError(f"{arg} must not be NaN")
         raise ValueError(f"{name} requires finite {arg} >= 0")
     return arr
 
 
-def _series_tail(nu, q):
-    """sum_{m>=1} q^m / (m! (nu+1)_m) in float64: q = -z^2/4 for j, y^2/4 for i."""
+def _series_tail(nu, q, scaled=False):
+    """sum_{m>=1} q^m / (m! (nu+1)_m) in float64: q = -z^2/4 for j, y^2/4 for i.
+
+    Returns (tail, e), the sum being tail * 2^e. Each element stops at its own
+    last term (later terms are zeroed), so an array call gives the bits of
+    element-by-element scalar calls. e is 0 unless scaled (for q > 0): then a
+    partial sum past 2^960 is scaled by 2^-600, so a sum past the double
+    range stays finite.
+    """
     term = np.ones_like(q)
     tail = np.zeros_like(q)
+    e = np.zeros(np.shape(q), dtype=int)
     with np.errstate(over="ignore"):
         for m in range(1, _MAX_TERMS):
             term = term * q / (m * (nu + m))
             tail = tail + term
-            if np.all(np.abs(term) <= 2.0 ** -53 * np.abs(tail)):
-                return tail
+            if scaled:
+                big = tail > 2.0 ** 960
+                if np.any(big):
+                    term[big] = np.ldexp(term[big], -600)
+                    tail[big] = np.ldexp(tail[big], -600)
+                    e[big] += 600
+            done = np.abs(term) <= 2.0 ** -53 * np.abs(tail)
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
+                return tail, e
+            if n_done:
+                term[done] = 0.0
     raise ConvergenceError("Bessel series did not converge")
 
 
@@ -152,7 +177,8 @@ def bessel_j_norm(nu, z):
     arr = _bessel_args("bessel_j_norm", nu, z, "z")
     out = np.empty_like(arr)
     small = arr * arr <= 4.0 * _J_SERIES_K * (nu + 1.0)
-    out[small] = 1.0 + _series_tail(nu, -0.25 * np.square(arr[small]))
+    tail, _ = _series_tail(nu, -0.25 * np.square(arr[small]))
+    out[small] = 1.0 + tail
     big = arr[~small]
     jv = special.jv(nu, big)
     if np.any(np.abs(jv) < _TINY):
@@ -178,16 +204,24 @@ def bessel_i_norm(nu, y):
 def log_bessel_i_norm(nu, y):
     """ln of bessel_i_norm, safe for arguments far beyond the double range.
 
-    Relative error below 1e-12 for nu <= 1000, y <= 4000; raises
-    OverflowError where neither ive nor the series is representable (only
-    for nu >~ 1900).
+    Relative error below 1e-12 for nu <= 1000, y <= 4000. Where the series
+    sum exceeds the double range (nu >~ 1900, where ive underflows too) it
+    is summed again in scaled form and its log taken from that.
     """
     arr = _bessel_args("log_bessel_i_norm", nu, y, "y")
     out = np.empty_like(arr)
     ive = special.ive(nu, arr)
     series = (arr * arr <= 4.0 * (nu + 1.0)) | (ive < _TINY)
-    out[series] = np.log1p(_series_tail(nu, 0.25 * np.square(arr[series])))
-    if np.any(~np.isfinite(out[series])):
+    q = 0.25 * np.square(arr[series])
+    tail, _ = _series_tail(nu, q)
+    log_i = np.log1p(tail)
+    over = np.isinf(tail)
+    if np.any(over):
+        # sum past the double range again in scaled form; 1 + sum is the sum there
+        tail, e = _series_tail(nu, q[over], scaled=True)
+        log_i[over] = np.log(tail) + e * _LN2
+    out[series] = log_i
+    if np.any(~np.isfinite(log_i)):
         raise OverflowError(f"log_bessel_i_norm: series overflows at nu={nu!r}; "
                             "order too large")
     big = arr[~series]

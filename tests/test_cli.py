@@ -1,12 +1,14 @@
 """CLI tests: flag parsing, output schemas, determinism, exit codes."""
 import json
 import math
+import types
 
 import pytest
 
 from hyperbessel import cli
 from hyperbessel import kernels as kn
-from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint
+from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, DiscretePoint,
+                                    HeisPoint, LaguerreParams, bk_character, lag_character)
 
 
 def run_cli(args, capsys):
@@ -187,6 +189,98 @@ class TestLargeOrderTables:
         assert code == 0
         value = float(out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(4.988656609137588227880132e-30, rel=1e-10, abs=0.0)
+
+    def test_bes_density_delta4002(self, capsys):
+        # x y / t in the band where ive(2000, .) underflows and the plain
+        # series overflows; the first density is 4.7e-356 and rounds to 0
+        code, out, _ = run_cli(["bes-density", "--delta", "4002", "--t", "1", "--x", "52",
+                                "--y-grid", "50"], capsys)
+        assert code == 0
+        assert out == "y,density\n50,0\n"
+        code, out, _ = run_cli(["bes-density", "--delta", "4002", "--t", "1", "--x", "36",
+                                "--y-grid", "72.8"], capsys)
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(0.5055472209617336399739909, rel=1e-10, abs=0.0)
+
+
+def _loop_reference(argv, path):
+    """The per-point loop the table commands ran before one array call served
+    each table; returns the error message or None after writing path."""
+    args = cli.build_parser().parse_args(argv + ["--out", str(path)])
+    rows = []
+    try:
+        if args.command == "bes-density":
+            density = kn.BesDensity(args.delta, args.t, args.x)
+            rows = [[y, kn.bes_density(density, y)] for y in cli.parse_grid(args.y_grid)]
+            header = ["y", "density"]
+        elif args.family == "bk":
+            p = BesselKingmanParams(args.alpha)
+            for u in cli.parse_grid(args.u_grid):
+                for x in cli.parse_grid(args.x_grid):
+                    rows.append([u, x, bk_character(u, x, p)])
+            header = ["u", "x", "value"]
+        else:
+            p = LaguerreParams(args.alpha)
+            c = cli.parse_state(args.state)
+            for x in cli.parse_grid(args.x_grid):
+                for w in cli.parse_grid(args.w_grid):
+                    val = lag_character(c, HeisPoint(x, w), p)
+                    rows.append([x, w, val.real, val.imag])
+            header = ["x", "w", "re", "im"]
+    except ValueError as exc:
+        return str(exc)
+    cli._emit_table(types.SimpleNamespace(out=str(path), format=args.format), header, rows)
+    return None
+
+
+class TestTablesMatchPointLoop:
+    """One array call per table writes the bytes the per-point loop wrote."""
+
+    TABLES = [
+        ["char-eval", "--family", "bk", "--alpha", "2", "--u-grid", "0:2:5", "--x-grid", "0:2:5"],
+        ["char-eval", "--family", "bk", "--alpha", "61.3", "--u-grid", "0:2:20",
+         "--x-grid", "0:24:16"],
+        ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2",
+         "--x-grid", "0:2:5", "--w-grid=-1:1:5"],
+        ["char-eval", "--family", "laguerre", "--alpha", "0.52", "--state", "tau=-1.47,k=9",
+         "--x-grid", "0:3:40", "--w-grid=-2:2:40"],
+        ["char-eval", "--family", "laguerre", "--alpha", "30.2", "--state", "y1=4.1",
+         "--x-grid", "0:8:20", "--w-grid=-1:1:3"],
+        ["bes-density", "--delta", "2.5", "--t", "0.7", "--x", "1.3", "--y-grid", "0:4:81"],
+        ["bes-density", "--delta", "0.7", "--t", "0.7", "--x", "1.3", "--y-grid", "0:4:81"],
+        ["bes-density", "--delta", "60.4", "--t", "1", "--x", "30.1", "--y-grid", "0:40:200"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", TABLES)
+    def test_bytes(self, argv, fmt, capsys, tmp_path):
+        argv = argv + ["--format", fmt]
+        assert _loop_reference(argv, tmp_path / "ref") is None
+        code, _, _ = run_cli(argv + ["--out", str(tmp_path / "new")], capsys)
+        assert code == 0
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    LAGUERRE = ["char-eval", "--family", "laguerre", "--alpha", "0.5"]
+    BK = ["char-eval", "--family", "bk", "--alpha", "2", "--x-grid", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        LAGUERRE + ["--state", "tau=1,k=2", "--x-grid=-1:1:3", "--w-grid=0"],
+        LAGUERRE + ["--state", "tau=1,k=2", "--x-grid=0,1,inf", "--w-grid=0"],
+        LAGUERRE + ["--state", "tau=1,k=2", "--x-grid=0,1", "--w-grid=0,nan"],
+        LAGUERRE + ["--state", "y1=1", "--x-grid=1,-1,nan", "--w-grid=0"],
+        LAGUERRE + ["--state", "y1=1", "--x-grid=1,nan,-1", "--w-grid=0"],
+        BK + ["--u-grid=-1,nan"],
+        BK + ["--u-grid=nan,-1"],
+        BK + ["--u-grid=1,inf"],
+        ["bes-density", "--delta", "2", "--t", "1", "--x", "1", "--y-grid=1,-1,nan"],
+    ])
+    def test_invalid_points(self, argv, capsys, tmp_path):
+        want = _loop_reference(argv, tmp_path / "ref")
+        assert want is not None
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"hyperbessel: error: {want}\n"
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ reflected-Gaussian closed form at dimension 1 and adaptive quadrature for
 normalization.
 """
 import math
+import time
 
 import numpy as np
 import pytest
@@ -126,6 +127,38 @@ class TestQbesTransition:
             kn.qbes_transition(DiscretePoint(1.0, 0), 1.0, 1.0, trunc_eps=1e-3)
         with pytest.raises(ValueError):
             kn.qbes_transition(DiscretePoint(1.0, 0), -1.0, 1.0)
+
+
+class TestUnreachableTarget:
+    """Laws whose rounded atoms sum to just under 1 - 0.9375 trunc_eps."""
+
+    @pytest.mark.parametrize("start, t, delta", [
+        (DiscretePoint(-1.5, 8), 1.496, 0.9),   # case 1, sums to 1 - 9.5e-13
+        (ContinuousPoint(2003.09), 1.0, 2.5),   # case 4, sums to 1 - 9.99e-13
+    ])
+    def test_raise_early(self, start, t, delta):
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            with pytest.raises(RuntimeError) as info:
+                kn.qbes_transition(start, t, delta)
+            elapsed.append(time.perf_counter() - t0)
+        # walking on to the 500k-atom cap took over 0.1 s per law
+        assert min(elapsed) < 0.05
+        msg = str(info.value)
+        assert msg.startswith("transition law support too large to truncate (mass 1.000000 after")
+        assert "cannot reach 1 - trunc_eps" in msg and "--trunc-eps" in msg
+
+    @pytest.mark.parametrize("start, t, delta, n_atoms", [
+        (DiscretePoint(-1.0, 4), 0.996, 1.3, 10028),
+        (DiscretePoint(-1.0, 0), 0.992, 2.0, 3880),
+        (ContinuousPoint(2000.0), 1.0, 2.5, 2326),
+        (DiscretePoint(-0.5, 200), 1.5, 1.5, 205),
+    ])
+    def test_reachable_laws_keep_their_atoms(self, start, t, delta, n_atoms):
+        law = kn.qbes_transition(start, t, delta)
+        assert len(law.atoms) == n_atoms
+        assert law.tail_mass <= 1e-12
 
 
 class TestLawPmf:

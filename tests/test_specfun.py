@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import special as ss
 
+from hyperbessel import kernels as kn
 from hyperbessel import specfun as sf
 
 RNG = np.random.default_rng(161803)
@@ -282,3 +283,71 @@ class TestLargeOrder:
         with pytest.raises(OverflowError):
             sf.bessel_j_norm(700.0, np.array([100.0, 175.0]))
         assert 0.0 < sf.bessel_j_norm(700.0, 150.0) < 1.0
+
+
+# ln i_2000(y) in the band where ive(2000, y) underflows and the plain series
+# sum overflows; same 50-digit mpmath formula as LOG_I_LARGE_ORDER above.
+LOG_I_OVERFLOW_BAND = {2560.0: 705.0423520850126083148826,
+                       2660.0: 754.3838013479454793062299,
+                       2760.0: 804.8534738402063063859193}
+
+
+class TestLogINormOverflowBand:
+    def test_against_mpmath(self):
+        for y, ref in LOG_I_OVERFLOW_BAND.items():
+            assert sf.log_bessel_i_norm(2000.0, y) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _bits_equal(batch, scalars):
+    batch = np.asarray(batch, dtype=float)
+    scalars = np.asarray(scalars, dtype=float)
+    return np.array_equal(batch.view(np.int64), scalars.view(np.int64))
+
+
+class TestBatchInvariance:
+    """An array call returns, bit for bit, what per-element scalar calls do."""
+
+    NUS = [-0.9, -0.5, 0.0, 0.5, 2.5, 10.0, 40.0, 150.0, 500.0]
+
+    def test_bessel_j_norm(self):
+        for nu in self.NUS:
+            edge = math.sqrt(36.0 * (nu + 1.0))  # series / jv boundary
+            zs = np.concatenate([np.linspace(0.0, 3 * nu + 8 * math.sqrt(nu + 1) + 30, 150),
+                                 edge * np.array([1 - 1e-9, 1.0, 1 + 1e-9])])
+            assert _bits_equal(sf.bessel_j_norm(nu, zs),
+                               [sf.bessel_j_norm(nu, float(z)) for z in zs]), nu
+
+    def test_log_bessel_i_norm(self):
+        for nu in self.NUS + [1000.0]:
+            edge = math.sqrt(4.0 * (nu + 1.0))  # series / ive boundary
+            ys = np.concatenate([np.linspace(0.0, 4 * nu + 60, 120),
+                                 np.geomspace(1e-6, 4000.0, 30),
+                                 edge * np.array([1 - 1e-9, 1.0, 1 + 1e-9])])
+            assert _bits_equal(sf.log_bessel_i_norm(nu, ys),
+                               [sf.log_bessel_i_norm(nu, float(y)) for y in ys]), nu
+
+    def test_log_bessel_i_norm_converged_lanes_stay_put(self):
+        # y = 1511.1 needs the most series terms; summing further terms onto
+        # these lanes after they converged moved their last bit
+        ys = np.array([1511.1, 1157.8343413917923, 1173.8315856698814, 1493.46097357386])
+        assert _bits_equal(sf.log_bessel_i_norm(1500.0, ys),
+                           [sf.log_bessel_i_norm(1500.0, float(y)) for y in ys])
+        band = np.array(sorted(LOG_I_OVERFLOW_BAND))
+        assert _bits_equal(sf.log_bessel_i_norm(2000.0, band),
+                           [sf.log_bessel_i_norm(2000.0, float(y)) for y in band])
+
+    def test_laguerre_L(self):
+        xs = np.linspace(0.0, 60.0, 100)
+        for k in (0, 1, 5, 40):
+            for a in (0.0, 0.5, 7.0):
+                assert _bits_equal(sf.laguerre_L(k, a, xs),
+                                   [sf.laguerre_L(k, a, float(x)) for x in xs]), (k, a)
+
+    def test_bes_density(self):
+        # x y / t runs past y^2 = 4 (nu + 1) and to ~2400
+        for delta, t, x in ((0.7, 0.5, 1.2), (1.0, 0.7, 0.0), (3.0, 1.0, 30.0),
+                            (60.0, 1.0, 30.0)):
+            d = kn.BesDensity(delta, t, x)
+            ys = np.linspace(0.0, 40.0, 200)
+            assert _bits_equal(kn.bes_density(d, ys),
+                               [kn.bes_density(d, float(y)) for y in ys]), delta
