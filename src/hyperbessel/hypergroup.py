@@ -94,7 +94,7 @@ class DiscretePoint:
     k: int
 
     def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau == 0.0:
+        if not math.isfinite(self.tau) or self.tau == 0.0:
             raise ValueError("DiscretePoint requires nonzero finite tau")
         if self.k != int(self.k) or self.k < 0:
             raise ValueError("DiscretePoint requires integer k >= 0")
@@ -108,7 +108,7 @@ class ContinuousPoint:
     y1: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.y1) and self.y1 >= 0.0):
+        if not (math.isfinite(self.y1) and self.y1 >= 0.0):
             raise ValueError("ContinuousPoint requires y1 >= 0")
 
 

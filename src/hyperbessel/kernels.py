@@ -11,15 +11,17 @@ regimes indexed by the sign of the start ray s and of u = s + t:
     4. s = 0 (continuous start y1): Poisson(y1/t) atoms at (t, l t).
     5. s > 0: binomial(k, s/u) atoms at (u, l u), l = 0..k, exact.
 
-All factorial/Gamma ratios are assembled in log space. Infinite supports are
+A law stores its one ray tau (None for the gamma-ray law), a range of levels,
+a tuple of their probs, an optional gamma ray and tail_mass. All
+factorial/Gamma ratios are assembled in log space. Infinite supports are
 truncated by cumulative mass (never by fixed count); the remainder is recorded
 in tail_mass, and normalization within 1e-12 is enforced as a constructor
-invariant rather than silently repaired. Rounded atom probabilities can sum
-to just under the mass target: once a geometric bound on the atoms still to
-come shows that, the law raises RuntimeError instead of walking on to the
-atom cap. bes_density evaluates a whole y-grid in one call. The regime
-boundary u = 0 triggers only on exact float equality s + t == 0: the kernel
-is genuinely singular there and no epsilon snapping is applied.
+invariant rather than silently repaired. Rounded atom probabilities can sum to
+just under the mass target: once a geometric bound on the atoms still to come
+shows that, the law raises RuntimeError instead of walking on to the atom cap.
+bes_density evaluates a whole y-grid in one call. The regime boundary u = 0
+triggers only on exact float equality s + t == 0: the kernel is genuinely
+singular there and no epsilon snapping is applied.
 """
 from __future__ import annotations
 
@@ -79,31 +81,43 @@ class GammaRay:
 
 @dataclass(frozen=True)
 class TransitionLaw:
-    """One-step QBES law: atoms and/or a gamma density, plus truncated tail."""
+    """One-step QBES law: a tuple of probs at the step-1 range of levels on the one
+    ray tau (None for the gamma-ray law), an optional gamma ray and tail_mass."""
 
     case: int
-    atoms: tuple
+    tau: float | None = None
+    levels: range = range(0)
+    probs: tuple = ()
     gamma_ray: GammaRay | None = None
     tail_mass: float = 0.0
 
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4, 5):
             raise ValueError("case must be 1..5")
+        if not (isinstance(self.levels, range) and self.levels.step == 1
+                and self.levels.start >= 0 and len(self.levels) == len(self.probs)):
+            raise ValueError("levels must be a step-1 range of levels >= 0, one per prob")
+        if self.levels and (self.tau is None or not math.isfinite(self.tau) or self.tau == 0.0):
+            raise ValueError("atoms require a nonzero finite ray tau")
         if self.tail_mass < 0.0:
             raise ValueError("tail_mass must be >= 0")
-        if any(p < 0.0 for _, p in self.atoms):
+        if any(p < 0.0 for p in self.probs):
             raise ValueError("atom probabilities must be >= 0")
         total = self.total_mass()
         if abs(total - 1.0) > _NORM_SLACK:
             raise ValueError(f"law mass {total!r} deviates from 1 beyond 1e-12")
 
+    @property
+    def atoms(self) -> tuple:  # (DiscretePoint, prob) pairs, rebuilt on each access
+        return tuple((DiscretePoint(self.tau, l), p) for l, p in zip(self.levels, self.probs))
+
     def total_mass(self) -> float:
-        mass = math.fsum(p for _, p in self.atoms) + self.tail_mass
+        mass = math.fsum(self.probs) + self.tail_mass
         return mass + (1.0 if self.gamma_ray is not None else 0.0)
 
 
-def _truncate_series(log_pmf, tail_ratio, trunc_eps, make_point, case):
-    """Accumulate atoms until the compensated mass reaches 1 - trunc_eps.
+def _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case):
+    """Accumulate atoms (tau, first_level + m) until the compensated mass reaches 1 - trunc_eps.
 
     The stop target keeps a small margin below trunc_eps so that the exact
     tail (1 - fsum) cannot exceed trunc_eps through summation slop.
@@ -152,8 +166,8 @@ def _truncate_series(log_pmf, tail_ratio, trunc_eps, make_point, case):
     if exact > 1.0 + _NORM_SLACK:
         raise ArithmeticError(f"truncated mass {exact!r} exceeds 1 beyond slack")
     tail = max(0.0, 1.0 - exact)
-    atoms = tuple((make_point(m), p) for m, p in enumerate(probs))
-    return TransitionLaw(case=case, atoms=atoms, tail_mass=tail)
+    return TransitionLaw(case=case, tau=tau, levels=range(first_level, first_level + len(probs)),
+                         probs=tuple(probs), tail_mass=tail)
 
 
 def _nb_tail_ratio(r, q, m):
@@ -178,14 +192,13 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         # case 4: Poisson(y1/t) atoms on (t, l t)
         rate = start.y1 / t
         if rate == 0.0:
-            return TransitionLaw(case=4, atoms=((DiscretePoint(t, 0), 1.0),))
+            return TransitionLaw(case=4, tau=t, levels=range(1), probs=(1.0,))
         log_rate = math.log(rate)
 
         def log_pmf(ls):
             return ls * log_rate - rate - log_gamma(ls + 1.0)
 
-        return _truncate_series(log_pmf, lambda m: rate / (m + 1.0), trunc_eps,
-                                lambda m: DiscretePoint(t, m), case=4)
+        return _truncate_series(log_pmf, lambda m: rate / (m + 1.0), trunc_eps, t, 0, case=4)
 
     if not isinstance(start, DiscretePoint):
         raise TypeError(f"not a fan point: {start!r}")
@@ -199,13 +212,12 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         ls = np.arange(k + 1)
         logs = (log_gamma(k + 1.0) - log_gamma(ls + 1.0) - log_gamma(k - ls + 1.0)
                 + ls * lp + (k - ls) * lq)
-        probs = np.exp(logs)
-        atoms = tuple((DiscretePoint(u, int(l)), float(pr)) for l, pr in zip(ls, probs))
-        return TransitionLaw(case=5, atoms=atoms)
+        return TransitionLaw(case=5, tau=u, levels=range(k + 1),
+                             probs=tuple(np.exp(logs).tolist()))
 
     if u == 0.0:
         # case 2: the continuous branch, Gamma(delta + k, t)
-        return TransitionLaw(case=2, atoms=(), gamma_ray=GammaRay(delta + k, t))
+        return TransitionLaw(case=2, gamma_ray=GammaRay(delta + k, t))
 
     r = delta + k
     if u < 0.0:
@@ -219,7 +231,7 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
                     + r * lp + ms * lq)
 
         return _truncate_series(log_pmf, lambda m: _nb_tail_ratio(r, q, m), trunc_eps,
-                                lambda m: DiscretePoint(u, k + m), case=1)
+                                u, k, case=1)
 
     # case 3: u > 0, shifted negative binomial on levels l >= 0
     p = u / t
@@ -231,15 +243,14 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
                 + r * lp + ls * lq)
 
     return _truncate_series(log_pmf, lambda m: _nb_tail_ratio(r, q, m), trunc_eps,
-                            lambda m: DiscretePoint(u, m), case=3)
+                            u, 0, case=3)
 
 
 def qbes_law_pmf(law: TransitionLaw, point: FanPoint) -> float:
     """Probability of an atom (0 if absent); density value on the gamma ray."""
     if isinstance(point, DiscretePoint):
-        for atom, prob in law.atoms:
-            if isinstance(atom, DiscretePoint) and atom.tau == point.tau and atom.k == point.k:
-                return prob
+        if point.tau == law.tau and point.k in law.levels:
+            return law.probs[point.k - law.levels.start]
         return 0.0
     if isinstance(point, ContinuousPoint):
         if law.gamma_ray is None:
@@ -338,46 +349,38 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
 
     if law1.gamma_ray is not None:
         # gamma intermediate -> Poisson step; direct law is discrete (case 3)
-        levels = [atom.k for atom, _ in direct.atoms]
-        levels += [max(levels) + 1 + i for i in range(3)]
+        levels = range(direct.levels.start, direct.levels.stop + 3)
         composed = _poisson_mixture_pmf(law1.gamma_ray, t2, levels, quad)
-        direct_pmf = {atom.k: p for atom, p in direct.atoms}
-        return float(max(abs(c - direct_pmf.get(l, 0.0))
-                         for l, c in zip(levels, composed)))
+        return float(np.max(np.abs(composed - np.array(direct.probs + (0.0,) * 3))))
 
     if direct.gamma_ray is not None:
         # discrete intermediate laws all hit the continuous branch exactly
         g = direct.gamma_ray
         grid = np.linspace(0.0, (g.shape + 10.0 * math.sqrt(g.shape) + 10.0) * g.scale, 257)[1:]
         mix = np.zeros_like(grid)
-        for atom, p1 in law1.atoms:
-            step = qbes_transition(atom, t2, delta, trunc_eps)
+        for l, p1 in zip(law1.levels, law1.probs):
+            step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta, trunc_eps)
             if step.gamma_ray is None:
                 raise AssertionError("intermediate atom missed the continuous branch")
             mix += p1 * step.gamma_ray.pdf(grid)
         return float(np.max(np.abs(mix - g.pdf(grid))))
 
-    # discrete -> discrete composition
-    acc: dict[int, float] = {}
-    for atom, p1 in law1.atoms:
-        step = qbes_transition(atom, t2, delta, trunc_eps)
+    # discrete -> discrete composition; each level sums p1 * p2 in law1's order
+    acc = np.zeros(direct.levels.stop)
+    for l, p1 in zip(law1.levels, law1.probs):
+        step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta, trunc_eps)
         if step.gamma_ray is not None:
             raise AssertionError("unexpected continuous branch in discrete composition")
-        for atom2, p2 in step.atoms:
-            acc[atom2.k] = acc.get(atom2.k, 0.0) + p1 * p2
-    direct_pmf = {atom.k: p for atom, p in direct.atoms}
-    levels = set(acc) | set(direct_pmf)
-    return float(max(abs(acc.get(l, 0.0) - direct_pmf.get(l, 0.0)) for l in levels))
+        acc = np.pad(acc, (0, max(0, step.levels.stop - len(acc))))
+        acc[step.levels.start:step.levels.stop] += p1 * np.array(step.probs)
+    acc[direct.levels.start:direct.levels.stop] -= direct.probs
+    return float(np.max(np.abs(acc)))
 
 
 def law_to_dict(law: TransitionLaw) -> dict:
     """Structured serialization: {case, atoms:[{tau,k,y1,prob}], gamma, tail_mass}."""
-    atoms = []
-    for point, prob in law.atoms:
-        if isinstance(point, DiscretePoint):
-            atoms.append({"tau": point.tau, "k": point.k, "y1": None, "prob": prob})
-        else:
-            atoms.append({"tau": None, "k": None, "y1": point.y1, "prob": prob})
+    atoms = [{"tau": law.tau, "k": l, "y1": None, "prob": p}
+             for l, p in zip(law.levels, law.probs)]
     gamma = None
     if law.gamma_ray is not None:
         gamma = {"shape": law.gamma_ray.shape, "scale": law.gamma_ray.scale}
@@ -385,14 +388,16 @@ def law_to_dict(law: TransitionLaw) -> dict:
 
 
 def law_from_dict(data: dict) -> TransitionLaw:
-    atoms = []
-    for entry in data["atoms"]:
-        if entry.get("tau") is not None:
-            atoms.append((DiscretePoint(entry["tau"], entry["k"]), entry["prob"]))
-        else:
-            atoms.append((ContinuousPoint(entry["y1"]), entry["prob"]))
+    """Inverse of law_to_dict; atoms must sit at consecutive levels of one ray."""
+    atoms = data["atoms"]
+    keys = [(a["tau"], a["k"]) for a in atoms]
+    tau, first = keys[0] if keys else (None, 0)
+    if not isinstance(first, int) or keys != [(tau, first + i) for i in range(len(keys))]:
+        raise ValueError("law atoms must sit at consecutive levels of one ray")
+    levels = range(first, first + len(keys))
     gamma = None
     if data.get("gamma") is not None:
         gamma = GammaRay(data["gamma"]["shape"], data["gamma"]["scale"])
-    return TransitionLaw(case=data["case"], atoms=tuple(atoms),
+    return TransitionLaw(case=data["case"], tau=tau, levels=levels,
+                         probs=tuple(a["prob"] for a in atoms),
                          gamma_ray=gamma, tail_mass=data["tail_mass"])

@@ -31,18 +31,15 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature controls: nodes per axis, scheme, and adaptive tolerance."""
+    """Quadrature controls: nodes per axis, adaptive tolerance and depth."""
 
     nodes: int = 64
-    kind: str = "adaptive"  # "gauss" (fixed order) or "adaptive" (bisection)
     abs_tol: float = 1e-10
     max_depth: int = 20
 
     def __post_init__(self):
         if self.nodes < 16:
             raise ValueError("QuadratureSpec.nodes must be >= 16")
-        if self.kind not in ("gauss", "adaptive"):
-            raise ValueError("QuadratureSpec.kind must be 'gauss' or 'adaptive'")
         if not self.abs_tol > 0.0:
             raise ValueError("QuadratureSpec.abs_tol must be positive")
         if self.max_depth < 1:
@@ -73,9 +70,9 @@ def integrate_fixed(f, a: float, b: float, n: int):
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
-    """Integrate f over [a, b] with the scheme selected by spec.kind.
+    """Integrate f over [a, b] by adaptive bisection.
 
-    The adaptive scheme greedily bisects the panel with the largest error
+    The scheme greedily bisects the panel with the largest error
     estimate (Gauss pair of order n and 2n) until the summed estimate drops
     below abs_tol, and raises QuadratureError once a panel would have to be
     split beyond max_depth while the budget is still unmet.
@@ -85,8 +82,6 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
         raise ValueError("integrate requires a <= b")
     if b == a:
         return 0.0
-    if spec.kind == "gauss":
-        return integrate_fixed(f, a, b, spec.nodes)
     order = min(spec.nodes, 16)
     err0, val0 = _panel(f, a, b, order)
     # (neg_err, pa, pb, depth, value); pa is unique per panel, so comparisons

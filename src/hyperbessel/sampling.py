@@ -161,14 +161,14 @@ def sample_law(law: TransitionLaw, rng: RngState) -> FanPoint:
     gamma-ray law draws Gamma(shape, scale) onto the continuous branch."""
     u = rng.uniform() * (1.0 - law.tail_mass)
     cum = 0.0
-    for atom, prob in law.atoms:
+    for level, prob in zip(law.levels, law.probs):
         cum += prob
         if u <= cum:
-            return atom
+            return DiscretePoint(law.tau, level)
     if law.gamma_ray is not None:
         return ContinuousPoint(sample_gamma(rng, law.gamma_ray.shape, law.gamma_ray.scale))
     # u fell past a sum of atoms that rounded below 1 - tail_mass
-    return law.atoms[-1][0]
+    return DiscretePoint(law.tau, law.levels[-1])
 
 
 @dataclass(frozen=True)

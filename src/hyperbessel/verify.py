@@ -187,15 +187,13 @@ def glowne3_check(start: FanPoint, a: HeisPoint, t: float, delta: float,
 
     law = kn.qbes_transition(start, t, delta, trunc_eps)
     rhs = 0.0 + 0.0j
-    if law.atoms:
-        levels = np.array([atom.k for atom, _ in law.atoms])
-        probs = np.array([p for _, p in law.atoms])
-        tau = law.atoms[0][0].tau
-        arg = abs(tau) * x * x
-        l_max = int(levels.max())
-        lag_vals = laguerre_L_all(l_max, al, arg)[levels]
+    if law.levels:
+        levels = np.arange(law.levels.start, law.levels.stop)
+        probs = np.array(law.probs)
+        arg = abs(law.tau) * x * x
+        lag_vals = laguerre_L_all(law.levels[-1], al, arg)[levels]
         log_pref = log_gamma(levels + 1.0) + log_gamma(al + 1.0) - log_gamma(levels + al + 1.0)
-        chis = np.exp(log_pref) * np.exp(1j * tau * w_inv - 0.5 * arg) * lag_vals
+        chis = np.exp(log_pref) * np.exp(1j * law.tau * w_inv - 0.5 * arg) * lag_vals
         rhs += np.sum(probs * chis)
     if law.gamma_ray is not None:
         g = law.gamma_ray

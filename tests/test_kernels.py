@@ -5,6 +5,7 @@ of the binomial / Poisson / negative-binomial forms, densities against the
 reflected-Gaussian closed form at dimension 1 and adaptive quadrature for
 normalization.
 """
+import json
 import math
 import time
 
@@ -169,7 +170,8 @@ class TestLawPmf:
         assert kn.qbes_law_pmf(law, ContinuousPoint(1.0)) == 0.0
 
     def test_gamma_density_value(self):
-        law = kn.TransitionLaw(case=2, atoms=(), gamma_ray=kn.GammaRay(1.0, 1.0))
+        law = kn.TransitionLaw(case=2, tau=None, levels=range(0), probs=(),
+                               gamma_ray=kn.GammaRay(1.0, 1.0))
         assert kn.qbes_law_pmf(law, ContinuousPoint(0.0)) == 1.0
         assert kn.qbes_law_pmf(law, ContinuousPoint(2.0)) == pytest.approx(math.exp(-2.0))
 
@@ -177,12 +179,11 @@ class TestLawPmf:
 class TestTransitionLawInvariants:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
-            kn.TransitionLaw(case=5, atoms=((DiscretePoint(1.0, 0), 0.5),))
+            kn.TransitionLaw(case=5, tau=1.0, levels=range(1), probs=(0.5,))
 
     def test_rejects_negative_prob(self):
         with pytest.raises(ValueError):
-            kn.TransitionLaw(case=5, atoms=((DiscretePoint(1.0, 0), 1.5),
-                                            (DiscretePoint(1.0, 1), -0.5)))
+            kn.TransitionLaw(case=5, tau=1.0, levels=range(2), probs=(1.5, -0.5))
 
     def test_serialization_round_trip(self):
         for law in [
@@ -192,6 +193,76 @@ class TestTransitionLawInvariants:
             kn.qbes_transition(DiscretePoint(0.5, 3), 0.5, 2.0),
         ]:
             assert kn.law_from_dict(kn.law_to_dict(law)) == law
+
+
+def per_atom_law_to_dict(law):
+    """law_to_dict as it was when a law stored (point, prob) pairs."""
+    atoms = []
+    for point, prob in law.atoms:
+        if isinstance(point, DiscretePoint):
+            atoms.append({"tau": point.tau, "k": point.k, "y1": None, "prob": prob})
+        else:
+            atoms.append({"tau": None, "k": None, "y1": point.y1, "prob": prob})
+    gamma = None
+    if law.gamma_ray is not None:
+        gamma = {"shape": law.gamma_ray.shape, "scale": law.gamma_ray.scale}
+    return {"case": law.case, "atoms": atoms, "gamma": gamma, "tail_mass": law.tail_mass}
+
+
+class TestLawLayout:
+    """A law is one ray tau, a step-1 range of levels and a tuple of probs."""
+
+    LAWS = [
+        (DiscretePoint(-2.0, 1), 1.0, 1.3),      # case 1
+        (DiscretePoint(-1.0, 2), 1.0, 1.5),      # case 2
+        (DiscretePoint(-0.5, 1), 2.0, 2.2),      # case 3
+        (ContinuousPoint(3.0), 0.8, 1.0),        # case 4
+        (ContinuousPoint(0.0), 2.0, 1.0),        # case 4, zero rate
+        (DiscretePoint(1.2, 4), 0.8, 3.0),       # case 5
+        (DiscretePoint(1.0, 0), 0.7, 2.0),       # case 5, k = 0
+        (DiscretePoint(-1.0, 4), 0.996, 1.3),    # the reachable laws of TestUnreachableTarget
+        (DiscretePoint(-1.0, 0), 0.992, 2.0),
+        (ContinuousPoint(2000.0), 1.0, 2.5),
+        (DiscretePoint(-0.5, 200), 1.5, 1.5),
+    ]
+
+    @pytest.mark.parametrize("start, t, delta", LAWS)
+    def test_json_matches_per_atom_serialization(self, start, t, delta):
+        law = kn.qbes_transition(start, t, delta)
+        assert json.dumps(kn.law_to_dict(law)) == json.dumps(per_atom_law_to_dict(law))
+        assert kn.law_from_dict(json.loads(json.dumps(kn.law_to_dict(law)))) == law
+
+    @pytest.mark.parametrize("atoms", [
+        [(1.5, 0), (-1.5, 1)],   # two rays
+        [(1.5, 0), (1.5, 2)],    # gapped levels
+        [(1.5, 1), (1.5, 0)],    # unsorted levels
+        [(None, 0)],             # no ray
+    ])
+    def test_law_from_dict_rejects_atoms_off_one_ray(self, atoms):
+        data = {"case": 5, "gamma": None, "tail_mass": 0.0,
+                "atoms": [{"tau": tau, "k": k, "y1": None, "prob": 1.0 / len(atoms)}
+                          for tau, k in atoms]}
+        with pytest.raises(ValueError):
+            kn.law_from_dict(data)
+
+    @pytest.mark.parametrize("levels", [[0, 1], (0, 1), range(0, 4, 2), range(1, -1, -1)])
+    def test_levels_must_be_a_step_one_range(self, levels):
+        with pytest.raises(ValueError):
+            kn.TransitionLaw(case=5, tau=1.0, levels=levels, probs=(0.5, 0.5))
+
+    def test_chapman_kolmogorov_values_unchanged(self):
+        # the chapman-kolmogorov verify suite, in its order; per-level sums
+        # keep their order, so every value keeps its bits
+        scenarios = [
+            (DiscretePoint(-2.0, 0), 0.5, 0.5, 1.7, 2.712053462546436e-13),
+            (DiscretePoint(-1.0, 1), 0.4, 1.0, 2.3, 2.3250239070369417e-13),
+            (DiscretePoint(-1.0, 1), 1.0, 1.0, 2.3, 2.9268765841051877e-13),
+            (DiscretePoint(-2.0, 1), 1.2, 0.8, 1.5, 3.895669382064031e-14),
+            (DiscretePoint(1.0, 3), 0.4, 0.6, 0.9, 5.551115123125783e-17),
+            (ContinuousPoint(0.7), 0.6, 0.9, 2.0, 1.388569873546468e-13),
+        ]
+        for start, t1, t2, delta, want in scenarios:
+            assert kn.chapman_kolmogorov_qbes(start, t1, t2, delta, 1e-12) == want
 
 
 class TestBesDensity:

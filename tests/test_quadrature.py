@@ -18,8 +18,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=8)
     with pytest.raises(ValueError):
-        QuadratureSpec(kind="simpson")
-    with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
 
 
@@ -47,7 +45,7 @@ def test_fixed_vs_closed_form():
 
 
 def test_adaptive_matches_closed_form():
-    spec = QuadratureSpec(kind="adaptive", abs_tol=1e-12)
+    spec = QuadratureSpec(abs_tol=1e-12)
     got = integrate(lambda x: np.cos(x) * np.exp(-0.1 * x), 0.0, 20.0, spec)
     # int cos(x) e^{-cx} = [e^{-cx}(sin x - c cos x)/(1+c^2)]
     c = 0.1
@@ -59,13 +57,13 @@ def test_adaptive_matches_closed_form():
 
 
 def test_adaptive_handles_mild_endpoint_singularity():
-    spec = QuadratureSpec(kind="adaptive", abs_tol=1e-10)
+    spec = QuadratureSpec(abs_tol=1e-10)
     got = integrate(lambda x: np.sqrt(x), 0.0, 1.0, spec)
     assert got == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def test_adaptive_complex_integrand():
-    spec = QuadratureSpec(kind="adaptive", abs_tol=1e-12)
+    spec = QuadratureSpec(abs_tol=1e-12)
     got = integrate(lambda x: np.exp(1j * x), 0.0, math.pi, spec)
     assert got == pytest.approx(2j, abs=1e-11)
 
@@ -73,7 +71,7 @@ def test_adaptive_complex_integrand():
 def test_adaptive_depth_exhaustion_raises():
     # an interior |x - c|^(-0.9) singularity cannot be bisected to 1e-14 in 8 levels
     c = 1.0 / math.sqrt(2.0)
-    spec = QuadratureSpec(kind="adaptive", abs_tol=1e-14, max_depth=8)
+    spec = QuadratureSpec(abs_tol=1e-14, max_depth=8)
     with pytest.raises(QuadratureError):
         integrate(lambda x: np.abs(x - c) ** -0.9, 0.0, 1.0, spec)
 

@@ -172,9 +172,9 @@ class TestSampleLaw:
     def test_truncated_law_stays_on_stored_atoms(self):
         # keep the first 3 levels of a geometric law; 1/8 of its mass is tail
         law = kn.qbes_transition(DiscretePoint(-2.0, 0), 1.0, 1.0)
-        kept = law.atoms[:3]
-        cut = dataclasses.replace(law, atoms=kept,
-                                  tail_mass=1.0 - math.fsum(p for _, p in kept))
+        kept = law.probs[:3]
+        cut = dataclasses.replace(law, levels=law.levels[:3], probs=kept,
+                                  tail_mass=1.0 - math.fsum(kept))
         rng = sp.RngState(6)
         n = 20000
         counts = Counter(sp.sample_law(cut, rng).k for _ in range(n))
@@ -204,7 +204,7 @@ class TestDirectSteps:
             counts = Counter()
             for _ in range(n):
                 step = sp.sample_qbes_path(start, [t], delta, rng).states[0]
-                assert step.tau == law.atoms[0][0].tau
+                assert step.tau == law.tau
                 counts[step.k] += 1
             chi2, crit = chi2_against_law(law, counts, n)
             assert chi2 < crit, f"{name}: chi2 {chi2:.1f} >= {crit:.1f}"
