@@ -46,12 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def parse_state(text: str):
     """Fan-point syntax: 'tau=<real>,k=<int>' or 'y1=<real>'."""
     fields = {}
@@ -82,10 +76,11 @@ def parse_grid(text: str) -> list[float]:
 
 
 def parse_time_grid(text: str) -> list[float]:
-    """A path time grid: strictly increasing and starting after 0."""
+    """A path time grid: finite, strictly increasing and starting after 0."""
     grid = parse_grid(text)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0.0:
-        raise CliError("--t-grid must be strictly increasing and start after 0")
+    if (not grid or not all(map(math.isfinite, grid)) or grid[0] <= 0.0
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise CliError("--t-grid must be finite, strictly increasing and start after 0")
     return grid
 
 
@@ -97,13 +92,14 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _emit_table(args, header: list[str], rows: list):
+def _emit_table(args, header: list[str], rows: list[tuple], template: str):
+    """Rows as JSON objects, or as CSV lines formatted by the % template."""
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _emit(args, json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
         return
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(template % row for row in rows)
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -115,14 +111,18 @@ def cmd_qbes_kernel(args) -> int:
     return 0
 
 
-def _path_rows(path: sp.PathSample) -> list[list]:
+_SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]
+_SIM_TEMPLATE = "%d,%.17g,%.17g,%.17g,%s,%d"
+
+
+def _path_rows(path: sp.PathSample) -> list[tuple]:
     rows = []
     for t, state in zip(path.times, path.states):
         coord0, coord1 = fan_coords(state)
         if isinstance(state, DiscretePoint):
-            rows.append([path.path_id, t, coord0, coord1, "discrete", state.k])
+            rows.append((path.path_id, t, coord0, coord1, "discrete", state.k))
         else:
-            rows.append([path.path_id, t, coord0, coord1, "continuous", -1])
+            rows.append((path.path_id, t, coord0, coord1, "continuous", -1))
     return rows
 
 
@@ -133,20 +133,20 @@ def cmd_qbes_sim(args) -> int:
                                  sp.RngState.for_path(args.seed, pid), path_id=pid)
              for pid in range(args.paths)]
     rows = [row for path in paths for row in _path_rows(path)]
-    _emit_table(args, ["path_id", "time", "coord0", "coord1", "branch", "k"], rows)
+    _emit_table(args, _SIM_HEADER, rows, _SIM_TEMPLATE)
     return 0
 
 
 def cmd_bes_sim(args) -> int:
     grid = parse_time_grid(args.t_grid)
-    if args.x0 < 0.0:
-        raise CliError("--x0 must be >= 0")
+    if not 0.0 <= args.x0 < math.inf:
+        raise CliError("--x0 must be finite and >= 0")
     paths = [sp.sample_bes_path(args.x0, grid, args.delta,
                                 sp.RngState.for_path(args.seed, pid), path_id=pid)
              for pid in range(args.paths)]
-    rows = [[p.path_id, t, y, 0.0, "continuous", -1]
+    rows = [(p.path_id, t, y, 0.0, "continuous", -1)
             for p in paths for t, y in zip(p.times, p.states)]
-    _emit_table(args, ["path_id", "time", "coord0", "coord1", "branch", "k"], rows)
+    _emit_table(args, _SIM_HEADER, rows, _SIM_TEMPLATE)
     return 0
 
 
@@ -154,7 +154,7 @@ def cmd_bes_density(args) -> int:
     density = kn.BesDensity(args.delta, args.t, args.x)
     ys = parse_grid(args.y_grid)
     values = kn.bes_density(density, np.array(ys)).tolist()
-    _emit_table(args, ["y", "density"], list(zip(ys, values)))
+    _emit_table(args, ["y", "density"], list(zip(ys, values)), "%.17g,%.17g")
     return 0
 
 
@@ -165,7 +165,8 @@ def cmd_char_eval(args) -> int:
         us, xs = np.meshgrid(parse_grid(args.u_grid), parse_grid(args.x_grid), indexing="ij")
         vals = bk_character(us, xs, p)
         _emit_table(args, ["u", "x", "value"],
-                    list(zip(us.ravel().tolist(), xs.ravel().tolist(), vals.ravel().tolist())))
+                    list(zip(us.ravel().tolist(), xs.ravel().tolist(), vals.ravel().tolist())),
+                    "%.17g,%.17g,%.17g")
         return 0
     p = LaguerreParams(args.alpha)
     c = parse_state(args.state)
@@ -173,7 +174,8 @@ def cmd_char_eval(args) -> int:
     vals = lag_character(c, HeisPoint(xs, ws), p).ravel()
     _emit_table(args, ["x", "w", "re", "im"],
                 list(zip(xs.ravel().tolist(), ws.ravel().tolist(),
-                         vals.real.tolist(), vals.imag.tolist())))
+                         vals.real.tolist(), vals.imag.tolist())),
+                "%.17g,%.17g,%.17g,%.17g")
     return 0
 
 
@@ -190,8 +192,8 @@ def cmd_hankel(args) -> int:
     # the indicator vanishes beyond 1, so cut just past its support edge
     cutoff = min(args.cutoff, math.nextafter(1.0, 2.0)) if args.function == "indicator" \
         else args.cutoff
-    rows = [[u, bk_fourier(f, u, p, spec, cutoff=cutoff)] for u in parse_grid(args.u_grid)]
-    _emit_table(args, ["u", "value"], rows)
+    rows = [(u, bk_fourier(f, u, p, spec, cutoff=cutoff)) for u in parse_grid(args.u_grid)]
+    _emit_table(args, ["u", "value"], rows, "%.17g,%.17g")
     return 0
 
 
@@ -295,6 +297,8 @@ def main(argv=None) -> int:
                 raise CliError("char-eval --family bk requires --u-grid")
             if args.family == "laguerre" and not (args.state and args.w_grid):
                 raise CliError("char-eval --family laguerre requires --state and --w-grid")
+        if args.command in ("qbes-sim", "bes-sim") and args.paths < 0:
+            raise CliError("--paths must be >= 0")
         return args.func(args)
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"hyperbessel: error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Quadrature engines shared by the hypergroup and verification modules.
 
 Fixed-order Gauss-Legendre, weight-matched Gauss-Jacobi nodes (for the
-sin^a theta convolution weights), and an adaptive bisection scheme on
-Gauss-Legendre panels. Integrands are called with a numpy array of nodes and
+sin^a theta convolution weights; scipy's ``roots_jacobi``, imported on the
+first call), and an adaptive bisection scheme on Gauss-Legendre panels. Integrands are called with a numpy array of nodes and
 must return an array (real or complex) of the same length.
 """
 from __future__ import annotations
@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 __all__ = [
     "QuadratureSpec",
@@ -58,6 +57,7 @@ def gauss_legendre(n: int):
 @lru_cache(maxsize=256)
 def gauss_jacobi(n: int, a: float, b: float):
     """Nodes and weights for the weight (1-x)^a (1+x)^b on [-1, 1]."""
+    from scipy.special import roots_jacobi
     return roots_jacobi(n, a, b)
 
 

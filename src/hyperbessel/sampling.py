@@ -69,8 +69,8 @@ class RngState:
 
 def sample_gamma(rng: RngState, shape: float, scale: float) -> float:
     """Gamma variate: Marsaglia-Tsang squeeze for shape >= 1, boost below."""
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("sample_gamma requires positive shape and scale")
+    if not (0.0 < shape < math.inf and 0.0 < scale < math.inf):
+        raise ValueError("sample_gamma requires finite positive shape and scale")
     if shape < 1.0:
         u = rng.uniform()
         return sample_gamma(rng, shape + 1.0, scale) * u ** (1.0 / shape)
@@ -214,6 +214,8 @@ def sample_qbes_path(start: FanPoint, time_grid, delta: float, rng: RngState,
     start), one rounding from the caller's numbers, so a grid holding the
     number -start.tau visits the continuous branch exactly there.
     """
+    if not 0.0 < delta < math.inf:
+        raise ValueError("qbes_transition requires delta > 0")
     times = tuple(float(t) for t in time_grid)
     if not times or times[0] <= 0.0:
         raise ValueError("time grid must start after 0")
@@ -232,9 +234,9 @@ def sample_bes(x0: float, t: float, delta: float, rng: RngState) -> float:
     Y^2 ~ t * noncentral chi-square(delta, x0^2/t), realized through the
     Poisson mixture: N ~ Poisson(x0^2 / 2t), Y^2 ~ Gamma(delta/2 + N, 2t).
     """
-    if x0 < 0.0:
-        raise ValueError("sample_bes requires x0 >= 0")
-    if t <= 0.0 or delta <= 0.0:
+    if not 0.0 <= x0 < math.inf:
+        raise ValueError("sample_bes requires finite x0 >= 0")
+    if not (t > 0.0 and 0.0 < delta < math.inf):
         raise ValueError("sample_bes requires t > 0 and delta > 0")
     n = sample_poisson(rng, x0 * x0 / (2.0 * t))
     y_sq = sample_gamma(rng, 0.5 * delta + n, 2.0 * t)

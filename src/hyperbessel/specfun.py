@@ -24,14 +24,15 @@
   terminates (the Laguerre oracle), else ``scipy.special.hyp1f1``.
 
 All functions are pure, reject NaN and out-of-domain inputs, and accept
-scalars or numpy arrays (scalar in, Python float out).
+scalars or numpy arrays (scalar in, Python float out). ``scipy.special`` is
+imported inside the functions that call it, so importing this module does
+not load scipy.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ConvergenceError",
@@ -71,6 +72,7 @@ def _maybe_scalar(out, like):
 
 def log_gamma(x):
     """Natural log of the Gamma function for finite x > 0."""
+    from scipy import special
     arr = _as_array(x, "x")
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("log_gamma requires finite x > 0")
@@ -164,6 +166,7 @@ def _series_tail(nu, q, scaled=False):
 
 def _log_prefactor(nu, z):
     """ln of Gamma(nu + 1) (z/2)^(-nu)."""
+    from scipy import special
     return special.gammaln(nu + 1.0) - nu * np.log(0.5 * z)
 
 
@@ -174,6 +177,7 @@ def bessel_j_norm(nu, z):
     Absolute error below 1e-12 for nu <= 500; raises OverflowError where
     J_nu(z) underflows the double range (only for nu >~ 600, z < nu/2).
     """
+    from scipy import special
     arr = _bessel_args("bessel_j_norm", nu, z, "z")
     out = np.empty_like(arr)
     small = arr * arr <= 4.0 * _J_SERIES_K * (nu + 1.0)
@@ -208,6 +212,7 @@ def log_bessel_i_norm(nu, y):
     sum exceeds the double range (nu >~ 1900, where ive underflows too) it
     is summed again in scaled form and its log taken from that.
     """
+    from scipy import special
     arr = _bessel_args("log_bessel_i_norm", nu, y, "y")
     out = np.empty_like(arr)
     ive = special.ive(nu, arr)
@@ -238,6 +243,7 @@ def hyp1f1(a, b, z):
     z = 50 the largest term is ~1e28 times the sum); the generic case is
     scipy.special.hyp1f1.
     """
+    from scipy import special
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("hyp1f1 requires finite a, b")
     if b <= 0.0 and b == round(b):

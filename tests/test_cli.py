@@ -1,7 +1,9 @@
 """CLI tests: flag parsing, output schemas, determinism, exit codes."""
 import json
 import math
-import types
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -115,6 +117,49 @@ class TestSim:
         code, _, err = run_cli(["qbes-sim", "--delta", "2", "--start", "tau=1,k=0",
                                 "--t-grid", "1.0,0.5", "--paths", "1"], capsys)
         assert code == 1
+
+    GRID_ERROR = "hyperbessel: error: --t-grid must be finite, strictly increasing " \
+                 "and start after 0\n"
+
+    @pytest.mark.parametrize("grid", ["0.5,inf", "0.5,nan", "0.5,nan,1.0", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["qbes-sim", "--delta", "2", "--start", "tau=1,k=2"],
+        ["bes-sim", "--delta", "2", "--x0", "1"],
+    ])
+    def test_non_finite_grid(self, argv, grid, capsys):
+        code, out, err = run_cli(argv + ["--t-grid", grid], capsys)
+        assert (code, out, err) == (1, "", self.GRID_ERROR)
+
+    @pytest.mark.parametrize("argv", [
+        ["qbes-sim", "--delta", "2", "--start", "tau=1,k=2", "--t-grid", "0.5"],
+        ["bes-sim", "--delta", "2", "--x0", "1", "--t-grid", "0.5"],
+    ])
+    def test_path_count(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--paths", "-3"], capsys)
+        assert (code, out, err) == (1, "", "hyperbessel: error: --paths must be >= 0\n")
+        code, out, _ = run_cli(argv + ["--paths", "0"], capsys)
+        assert (code, out) == (0, "path_id,time,coord0,coord1,branch,k\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["qbes-sim", "--delta", "-1", "--start", "tau=-1,k=2"],
+         "qbes_transition requires delta > 0"),
+        (["qbes-sim", "--delta", "nan", "--start", "tau=1,k=2"],
+         "qbes_transition requires delta > 0"),
+        (["qbes-sim", "--delta", "inf", "--start", "y1=1"],
+         "qbes_transition requires delta > 0"),
+        (["bes-sim", "--delta", "nan", "--x0", "1"],
+         "sample_bes requires t > 0 and delta > 0"),
+        (["bes-sim", "--delta", "inf", "--x0", "1"],
+         "sample_bes requires t > 0 and delta > 0"),
+        (["bes-sim", "--delta", "-1", "--x0", "0"],
+         "sample_bes requires t > 0 and delta > 0"),
+        (["bes-sim", "--delta", "2", "--x0", "inf"], "--x0 must be finite and >= 0"),
+        (["bes-sim", "--delta", "2", "--x0", "nan"], "--x0 must be finite and >= 0"),
+        (["bes-sim", "--delta", "2", "--x0=-1"], "--x0 must be finite and >= 0"),
+    ])
+    def test_invalid_parameters(self, argv, message, capsys):
+        code, out, err = run_cli(argv + ["--t-grid", "0.5"], capsys)
+        assert (code, out, err) == (1, "", f"hyperbessel: error: {message}\n")
 
 
 class TestTables:
@@ -230,7 +275,13 @@ def _loop_reference(argv, path):
             header = ["x", "w", "re", "im"]
     except ValueError as exc:
         return str(exc)
-    cli._emit_table(types.SimpleNamespace(out=str(path), format=args.format), header, rows)
+    # the table writer of that loop: one format(v, ".17g") per value
+    if args.format == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":"))
+    else:
+        text = "\n".join([",".join(header)]
+                         + [",".join(format(v, ".17g") for v in row) for row in rows])
+    path.write_text(text + "\n", encoding="utf-8")
     return None
 
 
@@ -303,7 +354,30 @@ class TestVerifyCommand:
         assert code == 1
 
 
-def test_round_trip_17_digits():
+def test_round_trip_17_digits(capsys):
     val = 0.1 + 0.2
-    assert float(cli._fmt(val)) == val
-    assert float(cli._fmt(1.0 / 3.0)) == 1.0 / 3.0
+    code, out, _ = run_cli(["char-eval", "--family", "bk", "--alpha", "2",
+                            "--u-grid", repr(val), "--x-grid", repr(1.0 / 3.0)], capsys)
+    assert code == 0
+    u, x, value = map(float, out.splitlines()[1].split(","))
+    assert (u, x) == (val, 1.0 / 3.0)
+    assert value == bk_character(val, 1.0 / 3.0, BesselKingmanParams(2.0))
+
+
+def test_sim_commands_never_import_scipy():
+    # a fresh interpreter: the test modules import scipy themselves
+    code = ("import sys, io, contextlib\n"
+            "import hyperbessel\n"
+            "from hyperbessel import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['qbes-sim', '--delta', '1.5', '--start', 'tau=-1,k=3',\n"
+            "                     '--t-grid', '0.5,1.0,1.5', '--paths', '4']) == 0\n"
+            "    assert cli.main(['bes-sim', '--delta', '2.5', '--x0', '1',\n"
+            "                     '--t-grid', '0.5,1.0', '--paths', '4']) == 0\n"
+            "print('scipy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

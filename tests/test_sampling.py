@@ -107,6 +107,12 @@ class TestDistributions:
         assert time.perf_counter() - t0 < 0.01
         assert abs(draw - 1e12) < 10.0 * 1e6
 
+    def test_gamma_rejects_bad_parameters(self):
+        for shape, scale in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                             (2.0, math.nan), (0.5, math.inf)):
+            with pytest.raises(ValueError):
+                sp.sample_gamma(sp.RngState(0), shape, scale)
+
     def test_poisson_rejects_bad_rates(self):
         for rate in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -284,6 +290,12 @@ class TestPaths:
 
 
 class TestSampleBes:
+    def test_rejects_bad_parameters(self):
+        for x0, t, delta in ((-1.0, 1.0, 2.0), (math.inf, 1.0, 2.0), (math.nan, 1.0, 2.0),
+                             (1.0, math.nan, 2.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)):
+            with pytest.raises(ValueError):
+                sp.sample_bes(x0, t, delta, sp.RngState(0))
+
     def test_exponential_case(self):
         # x0 = 0, delta = 2: Y^2 ~ Exponential(mean 2t)
         rng = sp.RngState(17)
