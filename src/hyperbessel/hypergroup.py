@@ -228,8 +228,8 @@ def bk_fourier(f, u: float, p: BesselKingmanParams,
     q = q or QuadratureSpec()
     if u < 0.0:
         raise ValueError("bk_fourier requires u >= 0")
-    if cutoff <= 0.0:
-        raise ValueError("bk_fourier requires a positive cutoff")
+    if not 0.0 < cutoff < math.inf:
+        raise ValueError("bk_fourier requires a finite positive cutoff")
     a = p.alpha
     tail = abs(float(f(np.array([cutoff]))[0])) * cutoff ** (a - 1.0)
     if tail > q.abs_tol:

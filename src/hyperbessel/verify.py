@@ -234,14 +234,25 @@ def bk_spectral_check(u: float, x: float, t: float, delta: float,
 # Laguerre-side identities used in the QBES identification
 
 
-def _identity_i(alpha, j, v, tau, tol):
-    """Generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i."""
-    m_max = 420
-    lag = laguerre_L_all(j + m_max, alpha, v)
+# terms summed by the series identities (i), (iii) and (iv)
+_LAG_TERMS = 420
+
+
+def _lag_columns(k_max, alpha, vs):
+    """(v, [L_0(v), ..., L_k_max(v)]) for each v, from one laguerre_L_all table.
+
+    Entry n of the upward recurrence does not depend on k_max or on the other
+    points, so each column holds the bits of a per-point table."""
+    table = laguerre_L_all(k_max, alpha, np.array(vs))
+    return [(v, table[:, c]) for c, v in enumerate(vs)]
+
+
+def _identity_i(alpha, j, v, lag, tau):
+    """Generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i; lag holds L_n(v)."""
     coef = 1.0
     total = 0.0
     tp = 1.0
-    for i in range(m_max):
+    for i in range(_LAG_TERMS):
         term = coef * lag[i + j] * tp
         total += term
         if abs(term) <= 1e-18 * max(1.0, abs(total)) and i > 8:
@@ -275,14 +286,12 @@ def _identity_ii(alpha, k, u, q):
     return abs(lhs - rhs)
 
 
-def _identity_iii(alpha, c, v, tau):
-    """Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form."""
-    m_max = 420
-    lag = laguerre_L_all(m_max, alpha, v)
+def _identity_iii(alpha, c, v, lag, tau):
+    """Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form; lag holds L_n(v)."""
     coef = 1.0
     total = 0.0
     tp = 1.0
-    for l in range(m_max):
+    for l in range(_LAG_TERMS):
         term = coef * lag[l] * tp
         total += term
         if abs(term) <= 1e-18 * max(1.0, abs(total)) and l > 8:
@@ -294,14 +303,12 @@ def _identity_iii(alpha, c, v, tau):
     return abs(total - rhs)
 
 
-def _identity_iv(alpha, v, tau):
-    """sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))."""
-    m_max = 420
-    lag = laguerre_L_all(m_max, alpha, v)
+def _identity_iv(alpha, v, lag, tau):
+    """sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau)); lag holds L_n(v)."""
     denom = 1.0
     total = 0.0
     tp = 1.0
-    for l in range(m_max):
+    for l in range(_LAG_TERMS):
         term = lag[l] * tp / denom
         total += term
         if abs(term) <= 1e-18 * max(1.0, abs(total)) and l > 8:
@@ -312,10 +319,10 @@ def _identity_iv(alpha, v, tau):
     return abs(total - rhs)
 
 
-def _identity_v(alpha, k, c, v):
-    """Dilation: L_k(c v) = (alpha+1)_k sum_l c^l (1-c)^{k-l} / ((k-l)! (alpha+1)_l) L_l(v)."""
+def _identity_v(alpha, k, c, v, lag):
+    """Dilation: L_k(c v) = (alpha+1)_k sum_l c^l (1-c)^{k-l} / ((k-l)! (alpha+1)_l) L_l(v);
+    lag holds L_0(v), ..., L_k(v) or more."""
     lhs = laguerre_L(k, alpha, c * v)
-    lag = laguerre_L_all(k, alpha, v)
     total = 0.0
     for l in range(k + 1):
         total += (c ** l * (1.0 - c) ** (k - l)
@@ -339,22 +346,26 @@ def laguerre_identity_suite(alpha: float, k_max: int = 10,
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
     reports = []
 
-    err = max(_identity_i(alpha, j, v, tau, tols["i"])
-              for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+    columns = _lag_columns(k_max + _LAG_TERMS, alpha, (0.5, 2.1))
+    err = max(_identity_i(alpha, j, v, lag, tau)
+              for j in ks for v, lag in columns for tau in (0.3, -0.4))
     reports.append(_report("laguerre_identity_i", {"alpha": alpha}, err, tols["i"]))
 
     err = max(_identity_ii(alpha, k, u, q) for k in ks for u in (0.5, 2.0))
     reports.append(_report("laguerre_identity_ii", {"alpha": alpha}, err, tols["ii"]))
 
-    err = max(_identity_iii(alpha, c, v, tau)
+    columns = _lag_columns(_LAG_TERMS, alpha, (1.2, 2.1))
+    err = max(_identity_iii(alpha, c, v, lag, tau)
               for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
-              for v in (1.2, 2.1) for tau in (0.35,))
+              for v, lag in columns for tau in (0.35,))
     reports.append(_report("laguerre_identity_iii", {"alpha": alpha}, err, tols["iii"]))
 
-    err = max(_identity_iv(alpha, v, tau) for v in (0.8, 3.0) for tau in (0.4, 2.5))
+    columns = _lag_columns(_LAG_TERMS, alpha, (0.8, 3.0))
+    err = max(_identity_iv(alpha, v, lag, tau) for v, lag in columns for tau in (0.4, 2.5))
     reports.append(_report("laguerre_identity_iv", {"alpha": alpha}, err, tols["iv"]))
 
-    err = max(_identity_v(alpha, k, c, 1.7) for k in ks for c in (1.0, 0.35, 1.4))
+    lag = laguerre_L_all(k_max, alpha, 1.7)
+    err = max(_identity_v(alpha, k, c, 1.7, lag) for k in ks for c in (1.0, 0.35, 1.4))
     reports.append(_report("laguerre_identity_v", {"alpha": alpha}, err, tols["v"]))
     return reports
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -211,6 +212,21 @@ class TestTables:
         for line in out.splitlines()[1:]:
             u, val = (float(v) for v in line.split(","))
             assert val == pytest.approx(math.sin(u) / u, abs=1e-9)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tol", "inf", "QuadratureSpec.abs_tol must be finite and positive"),
+        ("--cutoff", "inf", "bk_fourier requires a finite positive cutoff"),
+        ("--cutoff", "nan", "bk_fourier requires a finite positive cutoff"),
+    ])
+    def test_hankel_non_finite_controls(self, flag, value, message, capsys):
+        # one diagnostic line on stderr, no numpy warning and no table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["hankel", "--alpha", "2", "--function", "gaussian",
+                                      "--u-grid", "1", flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"hyperbessel: error: {message}\n"
 
 
 class TestLargeOrderTables:

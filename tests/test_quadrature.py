@@ -1,4 +1,5 @@
 """Tests for the Gauss-Legendre / Gauss-Jacobi / adaptive quadrature layer."""
+import heapq
 import math
 
 import numpy as np
@@ -19,6 +20,9 @@ def test_spec_validation():
         QuadratureSpec(nodes=8)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuadratureSpec(abs_tol=tol)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -80,3 +84,91 @@ def test_degenerate_interval():
     assert integrate(lambda x: x, 2.0, 2.0) == 0.0
     with pytest.raises(ValueError):
         integrate(lambda x: x, 2.0, 1.0)
+
+
+def _reference_integrate(f, a, b, spec):
+    """The per-panel integrator that integrate replaced: four calls of f (two
+    Gauss rules on each half) per bisection. integrate must match it bit for
+    bit on elementwise integrands."""
+    def panel(pa, pb):
+        coarse = integrate_fixed(f, pa, pb, 16)
+        fine = integrate_fixed(f, pa, pb, 32)
+        return abs(fine - coarse), fine
+
+    err0, val0 = panel(a, b)
+    heap = [(-err0, a, b, 0, val0)]
+    total_err, total_val = err0, val0
+    n_panels = 1
+    while total_err > spec.abs_tol:
+        neg_err, pa, pb, depth, v_old = heapq.heappop(heap)
+        if depth >= spec.max_depth or n_panels >= 16384:
+            raise QuadratureError(
+                f"adaptive quadrature exhausted on [{pa:g}, {pb:g}]: "
+                f"total residual {total_err:.3e} > {spec.abs_tol:.3e}")
+        mid = 0.5 * (pa + pb)
+        e1, v1 = panel(pa, mid)
+        e2, v2 = panel(mid, pb)
+        total_err += e1 + e2 + neg_err
+        total_val += v1 + v2 - v_old
+        heapq.heappush(heap, (-e1, pa, mid, depth + 1, v1))
+        heapq.heappush(heap, (-e2, mid, pb, depth + 1, v2))
+        n_panels += 1
+    return total_val
+
+
+class _Counting:
+    """Wraps an integrand and records the nodes of every call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, xs):
+        self.calls.append(np.array(xs))
+        return self.f(xs)
+
+
+_SINGULAR_C = 1.0 / math.sqrt(2.0)
+
+BATCH_CASES = [
+    (lambda x: np.cos(x) * np.exp(-0.1 * x), 0.0, 20.0, QuadratureSpec(abs_tol=1e-12)),
+    (lambda x: np.sqrt(x), 0.0, 1.0, QuadratureSpec(abs_tol=1e-10)),
+    (lambda x: np.exp(1j * x), 0.0, math.pi, QuadratureSpec(abs_tol=1e-12)),
+    (lambda x: np.exp(-x * x), -1.0, 6.0, QuadratureSpec()),
+    # chirps that take several bisections
+    (lambda x: np.sin(x * x), 0.0, 12.0, QuadratureSpec(abs_tol=1e-11)),
+    (lambda x: np.exp(1j * x * x), 0.0, 8.0, QuadratureSpec(abs_tol=1e-12)),
+]
+
+
+@pytest.mark.parametrize("f,a,b,spec", BATCH_CASES)
+def test_batched_integrate_matches_per_panel_reference(f, a, b, spec):
+    got = integrate(f, a, b, spec)
+    want = _reference_integrate(f, a, b, spec)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("f,a,b,spec", BATCH_CASES)
+def test_one_integrand_call_per_bisection(f, a, b, spec):
+    new, ref = _Counting(f), _Counting(f)
+    integrate(new, a, b, spec)
+    _reference_integrate(ref, a, b, spec)
+    # the reference calls f twice on the first panel and four times per bisection
+    bisections = (len(ref.calls) - 2) // 4
+    assert len(ref.calls) == 2 + 4 * bisections
+    assert len(new.calls) == 1 + bisections
+    assert [xs.size for xs in new.calls] == [48] + [96] * bisections
+    # the same nodes, each once per panel rule, in fewer calls
+    assert np.array_equal(np.sort(np.concatenate(new.calls)),
+                          np.sort(np.concatenate(ref.calls)))
+
+
+def test_batched_exhaustion_message_matches_reference():
+    spec = QuadratureSpec(abs_tol=1e-14, max_depth=8)
+    f = lambda x: np.abs(x - _SINGULAR_C) ** -0.9  # noqa: E731
+    with pytest.raises(QuadratureError) as new:
+        integrate(f, 0.0, 1.0, spec)
+    with pytest.raises(QuadratureError) as ref:
+        _reference_integrate(f, 0.0, 1.0, spec)
+    assert str(new.value) == str(ref.value)

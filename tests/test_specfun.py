@@ -343,6 +343,18 @@ class TestBatchInvariance:
                 assert _bits_equal(sf.laguerre_L(k, a, xs),
                                    [sf.laguerre_L(k, a, float(x)) for x in xs]), (k, a)
 
+    def test_laguerre_L_all_prefix(self):
+        # row n of a degree-K table over several points holds the bits of a
+        # scalar table of any degree k >= n: the Laguerre identity checks
+        # slice one table per identity family instead of one per point
+        xs = np.array([0.5, 0.8, 1.2, 1.7, 2.1, 3.0])
+        for a in (-0.3, 0.0, 0.5, 2.1):
+            table = sf.laguerre_L_all(430, a, xs)
+            for c, x in enumerate(xs):
+                for k in (0, 1, 10, 420):
+                    assert _bits_equal(table[:k + 1, c], sf.laguerre_L_all(k, a, float(x))), \
+                        (a, x, k)
+
     def test_bes_density(self):
         # x y / t runs past y^2 = 4 (nu + 1) and to ~2400
         for delta, t, x in ((0.7, 0.5, 1.2), (1.0, 0.7, 0.0), (3.0, 1.0, 30.0),

@@ -7,6 +7,7 @@ import pytest
 from hyperbessel import verify as vf
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint, HeisPoint
 from hyperbessel.quadrature import QuadratureSpec
+from hyperbessel.specfun import laguerre_L_all
 
 
 class TestWeberSchafheitlin:
@@ -75,7 +76,7 @@ class TestLaguerreIdentities:
             assert r.passed, (alpha, r.check_name, r.max_abs_err)
 
     def test_dilation_trivial_at_c_one(self):
-        assert vf._identity_v(0.7, 6, 1.0, 2.1) <= 1e-13
+        assert vf._identity_v(0.7, 6, 1.0, 2.1, laguerre_L_all(6, 0.7, 2.1)) <= 1e-13
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
