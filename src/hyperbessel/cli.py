@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .hypergroup import (
     LaguerreParams,
     bk_character,
     bk_fourier,
-    fan_coords,
     lag_character,
     HeisPoint,
 )
@@ -115,25 +115,26 @@ _SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]
 _SIM_TEMPLATE = "%d,%.17g,%.17g,%.17g,%s,%d"
 
 
-def _path_rows(path: sp.PathSample) -> list[tuple]:
-    rows = []
-    for t, state in zip(path.times, path.states):
-        coord0, coord1 = fan_coords(state)
-        if isinstance(state, DiscretePoint):
-            rows.append((path.path_id, t, coord0, coord1, "discrete", state.k))
-        else:
-            rows.append((path.path_id, t, coord0, coord1, "continuous", -1))
-    return rows
+def _path_rows(per_time: list) -> list[tuple]:
+    """Rows path by path, from one iterator of rows over the paths per grid time."""
+    return [row for path in zip(*per_time) for row in path]
 
 
 def cmd_qbes_sim(args) -> int:
     start = parse_state(args.start)
     grid = parse_time_grid(args.t_grid)
-    paths = [sp.sample_qbes_path(start, grid, args.delta,
-                                 sp.RngState.for_path(args.seed, pid), path_id=pid)
-             for pid in range(args.paths)]
-    rows = [row for path in paths for row in _path_rows(path)]
-    _emit_table(args, _SIM_HEADER, rows, _SIM_TEMPLATE)
+    ids = range(args.paths)
+    rng = sp.RngState.for_path(args.seed, ids)
+    per_time = []
+    for t, (u, col) in zip(grid, sp.sample_qbes_lanes(start, grid, args.delta, rng)):
+        if u == 0.0:
+            per_time.append(zip(ids, repeat(t), repeat(0.0), col.tolist(),
+                                repeat("continuous"), repeat(-1)))
+        else:  # a discrete point embeds as (tau, k |tau|)
+            ks = col.tolist()
+            per_time.append(zip(ids, repeat(t), repeat(u), [k * abs(u) for k in ks],
+                                repeat("discrete"), ks))
+    _emit_table(args, _SIM_HEADER, _path_rows(per_time), _SIM_TEMPLATE)
     return 0
 
 
@@ -141,12 +142,11 @@ def cmd_bes_sim(args) -> int:
     grid = parse_time_grid(args.t_grid)
     if not 0.0 <= args.x0 < math.inf:
         raise CliError("--x0 must be finite and >= 0")
-    paths = [sp.sample_bes_path(args.x0, grid, args.delta,
-                                sp.RngState.for_path(args.seed, pid), path_id=pid)
-             for pid in range(args.paths)]
-    rows = [(p.path_id, t, y, 0.0, "continuous", -1)
-            for p in paths for t, y in zip(p.times, p.states)]
-    _emit_table(args, _SIM_HEADER, rows, _SIM_TEMPLATE)
+    ids = range(args.paths)
+    rng = sp.RngState.for_path(args.seed, ids)
+    per_time = [zip(ids, repeat(t), col.tolist(), repeat(0.0), repeat("continuous"), repeat(-1))
+                for t, col in zip(grid, sp.sample_bes_lanes(args.x0, grid, args.delta, rng))]
+    _emit_table(args, _SIM_HEADER, _path_rows(per_time), _SIM_TEMPLATE)
     return 0
 
 

@@ -31,6 +31,9 @@ class QuadratureError(RuntimeError):
     """Adaptive bisection exhausted its depth budget."""
 
 
+_MAX_NODES = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature controls: nodes per axis, adaptive tolerance and depth."""
@@ -40,8 +43,9 @@ class QuadratureSpec:
     max_depth: int = 20
 
     def __post_init__(self):
-        if self.nodes < 16:
-            raise ValueError("QuadratureSpec.nodes must be >= 16")
+        # the plane translations evaluate nodes^2 points, so the cap keeps them in memory
+        if not 16 <= self.nodes <= _MAX_NODES:
+            raise ValueError(f"QuadratureSpec.nodes must be in 16..{_MAX_NODES}")
         if not 0.0 < self.abs_tol < math.inf:
             raise ValueError("QuadratureSpec.abs_tol must be finite and positive")
         if self.max_depth < 1:

@@ -82,8 +82,8 @@ class VerificationReport:
     def __post_init__(self):
         if not (np.isfinite(self.max_abs_err) and self.max_abs_err >= 0.0):
             raise ValueError("max_abs_err must be finite and >= 0")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.passed != (self.max_abs_err <= self.tol):
             raise ValueError("pass flag inconsistent with max_abs_err <= tol")
 
@@ -650,6 +650,8 @@ def run_suite(suite: str | None = None, q: QuadratureSpec | None = None,
     order (check name, then parameters)."""
     if suite is not None and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     names = (suite,) if suite is not None else SUITE_NAMES
     reports = []
     for name in names:

@@ -136,9 +136,8 @@ def test_criterion_5_bes_density_sanity():
         mass = integrate(lambda ws: 2.0 * ws * kn.bes_density(d, ws * ws), 0.0, hi, spec)
         worst_mass = max(worst_mass, abs(mass - 1.0))
     # exact-sampler second moment at N = 1e5
-    rng = sp.RngState(5005)
     x0, t, delta = 1.3, 0.7, 2.5
-    draws = np.array([sp.sample_bes(x0, t, delta, rng) ** 2 for _ in range(100000)])
+    draws = sp.sample_bes(x0, t, delta, sp.RngState.for_path(5005, range(100000))) ** 2
     want = x0 * x0 + delta * t
     sigma = draws.std() / math.sqrt(draws.size)
     moment_dev = abs(draws.mean() - want)
@@ -228,10 +227,8 @@ def test_criterion_9_monte_carlo_law_agreement():
     stats_out = []
     ok = True
     for case, law in laws.items():
-        rng = sp.RngState(9000 + case)
         counts: dict[int, int] = {}
-        for _ in range(n):
-            pt = sp.sample_law(law, rng)
+        for pt in sp.sample_law(law, sp.RngState.for_path(9000 + case, range(n))):
             counts[pt.k] = counts.get(pt.k, 0) + 1
         ranked = sorted(law.atoms, key=lambda ap: -ap[1])[:20]
         chi2 = 0.0
@@ -250,9 +247,8 @@ def test_criterion_9_monte_carlo_law_agreement():
         ok = ok and chi2 < crit
         stats_out.append(f"case{case}={chi2:.1f}<{crit:.1f}")
         # gamma-ray law: Kolmogorov distance of the empirical CDF, same seed policy
-    rng = sp.RngState(9002)
     law2 = kn.qbes_transition(DiscretePoint(-1.0, 1), 1.0, 1.7)
-    ys = np.sort([sp.sample_law(law2, rng).y1 for _ in range(n)])
+    ys = np.sort([pt.y1 for pt in sp.sample_law(law2, sp.RngState.for_path(9002, range(n)))])
     gamma_cdf = stats.gamma.cdf(ys, a=law2.gamma_ray.shape, scale=law2.gamma_ray.scale)
     ks = float(np.max(np.abs(gamma_cdf - np.arange(1, n + 1) / n)))
     ks_crit = 1.95 / math.sqrt(n)  # 0.999 Kolmogorov quantile

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -68,6 +69,20 @@ class TestQbesKernel:
         assert err.count("\n") == 1
 
 
+HUGE_LEVEL_ROWS = """\
+path_id,time,coord0,coord1,branch,k
+0,0.5,-0.5,4944,discrete,9888
+0,0.99999999999999989,-1.1102230246251565e-16,4881.4263361893882,discrete,43967979657398109856
+0,1.5,0.5,4948.5,discrete,9897
+1,0.5,-0.5,4976,discrete,9952
+1,0.99999999999999989,-1.1102230246251565e-16,4943.1096688534954,discrete,44523573725400196832
+1,1.5,0.5,4934,discrete,9868
+2,0.5,-0.5,4989.5,discrete,9979
+2,0.99999999999999989,-1.1102230246251565e-16,5019.7603701069092,discrete,45213981864605320955
+2,1.5,0.5,5052.5,discrete,10105
+"""
+
+
 class TestSim:
     def test_deterministic_absorbing_paths(self, capsys, tmp_path):
         out_file = tmp_path / "paths.csv"
@@ -104,6 +119,14 @@ class TestSim:
         assert first[4] == "continuous" and first[5] == "-1" and first[2] == "0"
         second = lines[2].split(",")
         assert second[4] == "discrete" and second[2] == "1"
+
+    def test_huge_levels_stay_exact(self, capsys):
+        # one ulp short of the crossing: case 1 lands on levels above 2^63
+        code, out, err = run_cli(["qbes-sim", "--delta", "1.5", "--start", "tau=-1,k=5000",
+                                  "--t-grid", "0.5,0.9999999999999999,1.5", "--paths", "3",
+                                  "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert out == HUGE_LEVEL_ROWS
 
     def test_bes_sim(self, capsys):
         code, out, _ = run_cli(["bes-sim", "--delta", "2", "--x0", "1.0",
@@ -368,6 +391,20 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_one(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "bogus"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_finite(self, tol, capsys):
+        # an infinite tolerance passes every check, so it certifies nothing
+        code, out, err = run_cli(["verify", "--suite", "gegenbauer", "--tol", tol], capsys)
+        assert (code, out, err) == (1, "", "hyperbessel: error: tol must be finite and positive\n")
+
+    @pytest.mark.parametrize("nodes", ["8", "1025", "100000000"])
+    def test_node_count_is_capped(self, nodes, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["verify", "--suite", "gegenbauer", "--nodes", nodes], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out, err) == (1, "", "hyperbessel: error: QuadratureSpec.nodes must be "
+                                           "in 16..1024\n")
 
 
 def test_round_trip_17_digits(capsys):

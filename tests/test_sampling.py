@@ -18,6 +18,11 @@ from hyperbessel import sampling as sp
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint
 
 
+def lanes(seed, n):
+    """n streams of one seed: path ids 0 .. n-1, one variate per lane and call."""
+    return sp.RngState.for_path(seed, range(n))
+
+
 def chi2_against_law(law, counts, n):
     """Chi-square of level counts over the 20 heaviest atoms plus one rest cell."""
     ranked = sorted(law.atoms, key=lambda ap: -ap[1])[:20]
@@ -54,28 +59,50 @@ class TestRngState:
         assert sp.RngState.for_path(7, 0).uniform() != sp.RngState.for_path(7, 1).uniform()
 
     def test_uniform_open_interval(self):
-        rng = sp.RngState(3)
-        us = [rng.uniform() for _ in range(10000)]
-        assert all(0.0 < u < 1.0 for u in us)
+        us = sp.RngState.for_path(3, range(10000)).uniform()
+        assert np.all((0.0 < us) & (us < 1.0))
         assert np.mean(us) == pytest.approx(0.5, abs=0.02)
+
+
+class TestLanes:
+    def test_lane_draws_do_not_depend_on_other_lanes(self):
+        # shapes below and above 1 in one call; lane 7 rejects on its own stream
+        shapes = np.array([0.3, 2.5] * 5)
+        every = sp.sample_gamma(sp.RngState.for_path(3, range(10)), shapes, 1.0)
+        some = sp.sample_gamma(sp.RngState.for_path(3, [7, 2]), shapes[[7, 2]], 1.0)
+        assert some.tolist() == every[[7, 2]].tolist()
+        assert sp.sample_gamma(sp.RngState.for_path(3, 7), 2.5, 1.0) == every[7]
+
+    def test_scalar_streams_return_python_numbers(self):
+        rng = sp.RngState(1)
+        assert type(rng.next_u64()) is int and type(rng.uniform()) is float
+        assert type(sp.sample_poisson(rng, 2e19)) is int
+        assert type(sp.sample_binomial(rng, 10**20, 0.5)) is int
+        assert type(sp.sample_bes(1.0, 0.5, 2.0, rng)) is float
+
+    def test_lane_checks(self):
+        with pytest.raises(ValueError):
+            sp.RngState.for_path(1, [0, -1])
+        with pytest.raises(ValueError):
+            sp.sample_qbes_path(DiscretePoint(1.0, 0), [1.0], 2.0, sp.RngState.for_path(1, [0]))
+        with pytest.raises(ValueError):
+            sp.sample_poisson(sp.RngState.for_path(1, range(3)), [1.0, math.inf, 2.0])
+        assert sp.sample_gamma(sp.RngState.for_path(1, []), 2.0, 1.0).size == 0
 
 
 class TestDistributions:
     def test_gamma_moments(self):
-        rng = sp.RngState(11)
-        draws = np.array([sp.sample_gamma(rng, 2.5, 1.7) for _ in range(100000)])
+        draws = sp.sample_gamma(lanes(11, 100000), 2.5, 1.7)
         mean, var = 2.5 * 1.7, 2.5 * 1.7 ** 2
         assert draws.mean() == pytest.approx(mean, abs=3.0 * draws.std() / math.sqrt(draws.size))
         assert draws.var() == pytest.approx(var, rel=0.05)
 
     def test_gamma_small_shape(self):
-        rng = sp.RngState(12)
-        draws = np.array([sp.sample_gamma(rng, 0.4, 2.0) for _ in range(100000)])
+        draws = sp.sample_gamma(lanes(12, 100000), 0.4, 2.0)
         assert draws.mean() == pytest.approx(0.8, abs=3.0 * draws.std() / math.sqrt(draws.size))
 
     def test_poisson_moments(self):
-        rng = sp.RngState(13)
-        draws = np.array([sp.sample_poisson(rng, 3.7) for _ in range(100000)])
+        draws = sp.sample_poisson(lanes(13, 100000), 3.7).astype(float)
         assert draws.mean() == pytest.approx(3.7, abs=3.0 * draws.std() / math.sqrt(draws.size))
 
     def test_small_rates_keep_product_inversion(self):
@@ -93,9 +120,9 @@ class TestDistributions:
             assert rng.next_u64() == ref.next_u64()
 
     def test_poisson_ptrs_moments(self):
-        rng = sp.RngState(14)
+        rng = lanes(14, 30000)
         for rate in (900.0, 1e6):
-            draws = np.array([sp.sample_poisson(rng, rate) for _ in range(30000)], dtype=float)
+            draws = sp.sample_poisson(rng, rate).astype(float)
             assert draws.mean() == pytest.approx(rate, abs=3.0 * math.sqrt(rate / draws.size))
             assert draws.var() == pytest.approx(rate, rel=0.05)
 
@@ -120,13 +147,14 @@ class TestDistributions:
 
     def test_binomial_moments(self):
         # n = 1000 goes through median splitting, the others through inversion
-        rng = sp.RngState(16)
+        rng = lanes(16, 30000)
         for n, p in ((1000, 0.3), (40, 0.8), (5, 0.5)):
-            draws = np.array([sp.sample_binomial(rng, n, p) for _ in range(30000)], dtype=float)
+            draws = sp.sample_binomial(rng, n, p).astype(float)
             var = n * p * (1.0 - p)
             assert draws.mean() == pytest.approx(n * p, abs=3.0 * math.sqrt(var / draws.size))
             assert draws.var() == pytest.approx(var, rel=0.05)
             assert draws.min() >= 0 and draws.max() <= n
+        rng = sp.RngState(16)
         assert sp.sample_binomial(rng, 10**15, 1.0) == 10**15
         assert sp.sample_binomial(rng, 7, 0.0) == 0
 
@@ -134,9 +162,7 @@ class TestDistributions:
 class TestSampleLaw:
     def test_single_atom_always(self):
         law = kn.qbes_transition(DiscretePoint(1.0, 0), 0.7, 2.0)
-        rng = sp.RngState(1)
-        for _ in range(50):
-            assert sp.sample_law(law, rng) == DiscretePoint(1.7, 0)
+        assert set(sp.sample_law(law, lanes(1, 50))) == {DiscretePoint(1.7, 0)}
 
     def test_zero_rate_poisson(self):
         law = kn.qbes_transition(ContinuousPoint(0.0), 2.0, 1.5)
@@ -146,16 +172,14 @@ class TestSampleLaw:
     def test_geometric_frequency(self):
         # kernels example: P(l=0) = 1/2
         law = kn.qbes_transition(DiscretePoint(-2.0, 0), 1.0, 1.0)
-        rng = sp.RngState(99)
         n = 100000
-        hits = sum(1 for _ in range(n) if sp.sample_law(law, rng).k == 0)
+        hits = sum(1 for point in sp.sample_law(law, lanes(99, n)) if point.k == 0)
         band = 3.0 * math.sqrt(0.25 / n)
         assert hits / n == pytest.approx(0.5, abs=band)
 
     def test_gamma_ray_law(self):
         law = kn.qbes_transition(DiscretePoint(-1.0, 0), 1.0, 1.5)
-        rng = sp.RngState(4)
-        draws = [sp.sample_law(law, rng) for _ in range(20000)]
+        draws = sp.sample_law(law, lanes(4, 20000))
         assert all(isinstance(d, ContinuousPoint) for d in draws)
         ys = np.array([d.y1 for d in draws])
         assert ys.mean() == pytest.approx(1.5, abs=3.0 * ys.std() / math.sqrt(ys.size))
@@ -170,8 +194,7 @@ class TestSampleLaw:
         }
         n = 100000
         for case, law in laws.items():
-            rng = sp.RngState(1000 + case)
-            counts = Counter(sp.sample_law(law, rng).k for _ in range(n))
+            counts = Counter(point.k for point in sp.sample_law(law, lanes(1000 + case, n)))
             chi2, crit = chi2_against_law(law, counts, n)
             assert chi2 < crit, f"case {case}: chi2 {chi2:.1f} >= {crit:.1f}"
 
@@ -181,16 +204,15 @@ class TestSampleLaw:
         kept = law.probs[:3]
         cut = dataclasses.replace(law, levels=law.levels[:3], probs=kept,
                                   tail_mass=1.0 - math.fsum(kept))
-        rng = sp.RngState(6)
         n = 20000
-        counts = Counter(sp.sample_law(cut, rng).k for _ in range(n))
+        counts = Counter(point.k for point in sp.sample_law(cut, lanes(6, n)))
         assert set(counts) <= {0, 1, 2}
         band = 3.0 * math.sqrt((4.0 / 7.0) * (3.0 / 7.0) / n)
         assert counts[0] / n == pytest.approx(4.0 / 7.0, abs=band)
 
 
 class TestDirectSteps:
-    """First steps of sample_qbes_path against the exact one-step laws,
+    """First steps of sample_qbes_lanes against the exact one-step laws,
     at the strength of acceptance criterion 9."""
 
     # (start, t, delta, draws); the last two reach PTRS and median splitting
@@ -206,21 +228,18 @@ class TestDirectSteps:
     def test_chi_square_atom_cases(self):
         for seed, (name, (start, t, delta, n)) in enumerate(self.ATOM_CASES.items()):
             law = kn.qbes_transition(start, t, delta)
-            rng = sp.RngState(2000 + seed)
-            counts = Counter()
-            for _ in range(n):
-                step = sp.sample_qbes_path(start, [t], delta, rng).states[0]
-                assert step.tau == law.tau
-                counts[step.k] += 1
+            [(tau, levels)] = sp.sample_qbes_lanes(start, [t], delta, lanes(2000 + seed, n))
+            assert tau == law.tau
+            counts = Counter(levels.tolist())
             chi2, crit = chi2_against_law(law, counts, n)
             assert chi2 < crit, f"{name}: chi2 {chi2:.1f} >= {crit:.1f}"
 
     def test_ks_gamma_case(self):
         start, t, delta, n = DiscretePoint(-1.0, 1), 1.0, 1.7, 100000
         law = kn.qbes_transition(start, t, delta)
-        rng = sp.RngState(2100)
-        ys = np.sort([sp.sample_qbes_path(start, [t], delta, rng).states[0].y1
-                      for _ in range(n)])
+        [(tau, ys)] = sp.sample_qbes_lanes(start, [t], delta, lanes(2100, n))
+        assert tau == 0.0
+        ys = np.sort(ys)
         cdf = stats.gamma.cdf(ys, a=law.gamma_ray.shape, scale=law.gamma_ray.scale)
         ks = float(np.max(np.abs(cdf - np.arange(1, n + 1) / n)))
         assert ks < 1.95 / math.sqrt(n)  # 0.999 Kolmogorov quantile
@@ -264,14 +283,11 @@ class TestPaths:
         assert missed_by_increments >= len(grids) // 2
 
     def test_crossing_grid_hits_continuous_branch(self):
-        rng = sp.RngState(5)
-        ys = []
-        for _ in range(20000):
-            path = sp.sample_qbes_path(DiscretePoint(-1.0, 0), [1.0, 2.0], 1.5, rng)
-            assert isinstance(path.states[0], ContinuousPoint)
-            assert isinstance(path.states[1], DiscretePoint)
-            ys.append(path.states[0].y1)
-        arr = np.array(ys)
+        # u = 0.0 marks the continuous branch, a nonzero u a discrete ray
+        (u0, arr), (u1, levels) = sp.sample_qbes_lanes(DiscretePoint(-1.0, 0), [1.0, 2.0], 1.5,
+                                                       lanes(5, 20000))
+        assert (u0, u1) == (0.0, 1.0)
+        assert arr.dtype == float and levels.dtype == object
         assert arr.mean() == pytest.approx(1.5, abs=3.0 * arr.std() / math.sqrt(arr.size))
 
     def test_path_reproducibility(self):
@@ -298,23 +314,21 @@ class TestSampleBes:
 
     def test_exponential_case(self):
         # x0 = 0, delta = 2: Y^2 ~ Exponential(mean 2t)
-        rng = sp.RngState(17)
         t = 0.7
-        ys = np.array([sp.sample_bes(0.0, t, 2.0, rng) ** 2 for _ in range(100000)])
+        ys = sp.sample_bes(0.0, t, 2.0, lanes(17, 100000)) ** 2
         assert ys.mean() == pytest.approx(2.0 * t, abs=3.0 * ys.std() / math.sqrt(ys.size))
 
     def test_second_moment_identity(self):
-        rng = sp.RngState(18)
+        rng = lanes(18, 100000)
         for (x0, t, delta) in [(1.0, 0.05, 2.0), (1.3, 0.7, 3.5), (0.5, 1.0, 0.8)]:
-            ys = np.array([sp.sample_bes(x0, t, delta, rng) ** 2 for _ in range(100000)])
+            ys = sp.sample_bes(x0, t, delta, rng) ** 2
             want = x0 * x0 + delta * t
             assert ys.mean() == pytest.approx(want, abs=3.0 * ys.std() / math.sqrt(ys.size))
 
     def test_histogram_matches_density(self):
-        rng = sp.RngState(19)
         delta, t, x0 = 2.5, 0.7, 1.3
         n = 100000
-        ys = np.array([sp.sample_bes(x0, t, delta, rng) for _ in range(n)])
+        ys = sp.sample_bes(x0, t, delta, lanes(19, n))
         d = kn.BesDensity(delta, t, x0)
         edges = np.linspace(0.0, ys.max() + 0.5, 21)
         counts, _ = np.histogram(ys, bins=edges)
