@@ -40,7 +40,6 @@ __all__ = [
     "bk_fourier",
     "bk_gaussian_gram",
     "jacobi_eigenvalues",
-    "min_eig_hermitian",
 ]
 
 
@@ -268,22 +267,11 @@ def bk_gaussian_gram(points, t: float, p: BesselKingmanParams,
     return gram
 
 
-def _require_hermitian(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(m, m.conj().T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-        raise ValueError("matrix must be symmetric")
-
-
 def jacobi_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a small real symmetric matrix."""
     m = np.asarray(a, dtype=float)
-    _require_hermitian(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
+        raise ValueError("matrix must be symmetric")
     return np.linalg.eigvalsh(m)
-
-
-def min_eig_hermitian(h) -> float:
-    """Minimum eigenvalue of a Hermitian (real symmetric or complex) matrix."""
-    m = np.asarray(h)
-    _require_hermitian(m)
-    return float(np.linalg.eigvalsh(m)[0])

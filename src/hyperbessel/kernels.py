@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergroup import ContinuousPoint, DiscretePoint, FanPoint
+from .quadrature import QuadratureSpec, integrate
 from .specfun import log_bessel_i_norm, log_gamma
 
 __all__ = [
@@ -162,20 +163,26 @@ def _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case):
                 f"after {level} atoms); its rounded atom probabilities "
                 f"{'cannot' if out_of_reach else 'do not'} reach 1 - trunc_eps "
                 f"(trunc_eps = {trunc_eps:g}); use a larger trunc_eps (--trunc-eps)")
-    exact = math.fsum(probs)
-    if exact > 1.0 + _NORM_SLACK:
-        raise ArithmeticError(f"truncated mass {exact!r} exceeds 1 beyond slack")
-    tail = max(0.0, 1.0 - exact)
+    tail = max(0.0, 1.0 - math.fsum(probs))
     return TransitionLaw(case=case, tau=tau, levels=range(first_level, first_level + len(probs)),
                          probs=tuple(probs), tail_mass=tail)
 
 
-def _nb_tail_ratio(r, q, m):
-    """sup over j >= m of the negative-binomial ratio (r + j) / (j + 1) q.
+def _neg_binomial(r, lp, lq, trunc_eps, tau, first_level, case):
+    """Negative binomial of real shape r, ln success lp and ln failure lq:
+    Gamma(r + m) / (Gamma(r) m!) p^r q^m at levels first_level + m, m >= 0."""
+    q = math.exp(lq)
 
-    (r + j) / (j + 1) falls to 1 when r >= 1 and rises to 1 when r < 1.
-    """
-    return q * max((r + m) / (m + 1.0), 1.0)
+    def log_pmf(ms):
+        return (log_gamma(r + ms) - log_gamma(r) - log_gamma(ms + 1.0)
+                + r * lp + ms * lq)
+
+    def tail_ratio(m):
+        # sup over j >= m of (r + j) / (j + 1) q; the fraction falls to 1
+        # when r >= 1 and rises to 1 when r < 1
+        return q * max((r + m) / (m + 1.0), 1.0)
+
+    return _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case)
 
 
 def qbes_transition(start: FanPoint, t: float, delta: float,
@@ -223,27 +230,9 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
     if u < 0.0:
         # case 1: negative binomial with success u/s, atoms at levels l >= k
         p = u / s
-        lp, lq = math.log(p), math.log1p(-p)
-        q = math.exp(lq)
-
-        def log_pmf(ms):
-            return (log_gamma(r + ms) - log_gamma(r) - log_gamma(ms + 1.0)
-                    + r * lp + ms * lq)
-
-        return _truncate_series(log_pmf, lambda m: _nb_tail_ratio(r, q, m), trunc_eps,
-                                u, k, case=1)
-
-    # case 3: u > 0, shifted negative binomial on levels l >= 0
-    p = u / t
-    q = -s / t
-    lp, lq = math.log(p), math.log(q)
-
-    def log_pmf(ls):
-        return (log_gamma(r + ls) - log_gamma(r) - log_gamma(ls + 1.0)
-                + r * lp + ls * lq)
-
-    return _truncate_series(log_pmf, lambda m: _nb_tail_ratio(r, q, m), trunc_eps,
-                            u, 0, case=3)
+        return _neg_binomial(r, math.log(p), math.log1p(-p), trunc_eps, u, k, case=1)
+    # case 3: u > 0, shifted negative binomial with success u/t on levels l >= 0
+    return _neg_binomial(r, math.log(u / t), math.log(-s / t), trunc_eps, u, 0, case=3)
 
 
 def qbes_law_pmf(law: TransitionLaw, point: FanPoint) -> float:
@@ -313,8 +302,6 @@ def bes_density(d: BesDensity, y):
 
 def _poisson_mixture_pmf(gamma_ray: GammaRay, t2: float, levels, quad) -> np.ndarray:
     """P(level = l) of Poisson(Y/t2) with Y ~ gamma_ray, by adaptive quadrature."""
-    from .quadrature import integrate
-
     shape, scale = gamma_ray.shape, gamma_ray.scale
     rate_scale = 1.0 / scale + 1.0 / t2
     out = np.empty(len(levels))
@@ -341,8 +328,6 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
     through the Poisson step by adaptive quadrature; a gamma endpoint is
     compared as a density mixture on a quantile-spread grid.
     """
-    from .quadrature import QuadratureSpec
-
     quad = quad or QuadratureSpec(abs_tol=1e-12)
     law1 = qbes_transition(start, t1, delta, trunc_eps)
     direct = qbes_transition(start, t1 + t2, delta, trunc_eps)

@@ -1,8 +1,8 @@
 """Quadrature engines shared by the hypergroup and verification modules.
 
-Fixed-order Gauss-Legendre, weight-matched Gauss-Jacobi nodes (for the
-sin^a theta convolution weights; scipy's ``roots_jacobi``, imported on the
-first call), and an adaptive bisection scheme on Gauss-Legendre panels.
+Gauss-Legendre nodes, weight-matched Gauss-Jacobi nodes (for the sin^a theta
+convolution weights; scipy's ``roots_jacobi``, imported on the first call),
+and an adaptive bisection scheme on Gauss-Legendre panels.
 Integrands are called with a 1-d numpy array of nodes and must return an
 array (real or complex) of the same length whose every value depends only on
 its own node: ``integrate`` evaluates several panels' nodes in one call.
@@ -23,7 +23,6 @@ __all__ = [
     "gauss_legendre",
     "gauss_jacobi",
     "integrate",
-    "integrate_fixed",
 ]
 
 
@@ -70,14 +69,6 @@ def gauss_jacobi(n: int, a: float, b: float):
     return roots_jacobi(n, a, b)
 
 
-def integrate_fixed(f, a: float, b: float, n: int):
-    """Single Gauss-Legendre panel of order n on [a, b]."""
-    x, w = gauss_legendre(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * np.sum(w * f(mid + half * x))
-
-
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
     """Integrate f over [a, b] by adaptive bisection.
 
@@ -100,8 +91,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
     x_pair = np.concatenate((x_coarse, x_fine))
 
     def panels(*bounds):
-        # (error, fine value) of each panel, from one call of f on all nodes;
-        # each sum is the one integrate_fixed forms
+        # (error, fine value) of each panel, from one call of f on all nodes
         halves = [0.5 * (pb - pa) for pa, pb in bounds]
         vals = f(np.concatenate([0.5 * (pa + pb) + half * x_pair
                                  for (pa, pb), half in zip(bounds, halves)]))

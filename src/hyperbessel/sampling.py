@@ -318,9 +318,11 @@ class PathSample:
 
 
 def _grid(time_grid) -> list[float]:
+    """A path time grid: finite, strictly increasing and starting after 0."""
     times = [float(t) for t in time_grid]
-    if not times or times[0] <= 0.0:
-        raise ValueError("time grid must start after 0")
+    if (not times or not all(map(math.isfinite, times)) or times[0] <= 0.0
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise ValueError("time grid must be finite, strictly increasing and start after 0")
     return times
 
 

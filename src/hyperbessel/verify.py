@@ -7,6 +7,11 @@ tolerance. Default tolerances: 1e-8 for quadrature-backed checks, 1e-10 for
 series-only checks, 1e-12 for algebraically exact reductions; the spectral
 integral check runs at 1e-9.
 
+A check called on its own integrates adaptively to abs_tol 1e-12 unless
+given a QuadratureSpec. The standard suite (run_suite, ``hyperbessel verify``)
+runs every check under one spec, QuadratureSpec() unless one is given:
+64 Gauss-Jacobi nodes and adaptive abs_tol 1e-10.
+
 Validity guards are hard: the Gegenbauer and Watson product formulas are
 rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
 infinite integrals are cut where the integrand envelope drops below 1e-16 of
@@ -332,41 +337,44 @@ def _identity_v(alpha, k, c, v, lag):
 
 def laguerre_identity_suite(alpha: float, k_max: int = 10,
                             q: QuadratureSpec | None = None,
-                            tols: dict | None = None) -> list[VerificationReport]:
+                            tol: float | None = None) -> list[VerificationReport]:
     """The five Laguerre/Bessel identities behind the kernel identification.
 
-    Per-identity default tolerances: (i) 1e-10, (ii) 1e-8 (quadrature),
-    (iii) 1e-10, (iv) 1e-10, (v) 1e-12 (finite, exact in exact arithmetic).
+    A given tol applies to all five; otherwise each has its own default:
+    (i) 1e-10, (ii) 1e-8 (quadrature), (iii) 1e-10, (iv) 1e-10, (v) 1e-12
+    (finite, exact in exact arithmetic).
     """
     if not alpha > -1.0:
         raise ValueError("laguerre_identity_suite requires alpha > -1")
     q = q or QuadratureSpec(abs_tol=1e-12)
-    tols = {**{"i": 1e-10, "ii": 1e-8, "iii": 1e-10, "iv": 1e-10, "v": 1e-12},
-            **(tols or {})}
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
     reports = []
+
+    def report(identity, err, default_tol):
+        reports.append(_report(f"laguerre_identity_{identity}", {"alpha": alpha}, err,
+                               default_tol if tol is None else tol))
 
     columns = _lag_columns(k_max + _LAG_TERMS, alpha, (0.5, 2.1))
     err = max(_identity_i(alpha, j, v, lag, tau)
               for j in ks for v, lag in columns for tau in (0.3, -0.4))
-    reports.append(_report("laguerre_identity_i", {"alpha": alpha}, err, tols["i"]))
+    report("i", err, 1e-10)
 
     err = max(_identity_ii(alpha, k, u, q) for k in ks for u in (0.5, 2.0))
-    reports.append(_report("laguerre_identity_ii", {"alpha": alpha}, err, tols["ii"]))
+    report("ii", err, 1e-8)
 
     columns = _lag_columns(_LAG_TERMS, alpha, (1.2, 2.1))
     err = max(_identity_iii(alpha, c, v, lag, tau)
               for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
               for v, lag in columns for tau in (0.35,))
-    reports.append(_report("laguerre_identity_iii", {"alpha": alpha}, err, tols["iii"]))
+    report("iii", err, 1e-10)
 
     columns = _lag_columns(_LAG_TERMS, alpha, (0.8, 3.0))
     err = max(_identity_iv(alpha, v, lag, tau) for v, lag in columns for tau in (0.4, 2.5))
-    reports.append(_report("laguerre_identity_iv", {"alpha": alpha}, err, tols["iv"]))
+    report("iv", err, 1e-10)
 
     lag = laguerre_L_all(k_max, alpha, 1.7)
     err = max(_identity_v(alpha, k, c, 1.7, lag) for k in ks for c in (1.0, 0.35, 1.4))
-    reports.append(_report("laguerre_identity_v", {"alpha": alpha}, err, tols["v"]))
+    report("v", err, 1e-12)
     return reports
 
 
@@ -521,18 +529,9 @@ def normalization_check(n: int = 200, seed: int = 20240 + 1,
 # the standard suite
 
 
-SUITE_NAMES = (
-    "weber-schafheitlin",
-    "glowne3",
-    "bk-spectral",
-    "laguerre-identities",
-    "gegenbauer",
-    "watson",
-    "multiplicativity",
-    "psd-gram",
-    "chapman-kolmogorov",
-    "normalization",
-)
+def _tol(tol) -> dict:
+    """The user's tolerance as a keyword, or none so each check keeps its default."""
+    return {} if tol is None else {"tol": tol}
 
 
 def _suite_weber(q, tol):
@@ -540,7 +539,7 @@ def _suite_weber(q, tol):
     for nu in (-0.5, 0.5, 1.5):
         for (al, be, ga) in ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0),
                              (0.7, 0.5, 1.5), (2.0, 1.2, 0.3)):
-            reports.append(weber_schafheitlin_check(nu, al, be, ga, q, tol or 1e-9))
+            reports.append(weber_schafheitlin_check(nu, al, be, ga, q, **_tol(tol)))
     return reports
 
 
@@ -556,32 +555,29 @@ def _suite_glowne3(q, tol):
                 (ContinuousPoint(0.7), 0.9),     # case 4
                 (DiscretePoint(1.0, 3), 0.7),    # case 5
             ):
-                reports.append(glowne3_check(start, a, t, delta, 1e-12, q, tol or 1e-8))
+                reports.append(glowne3_check(start, a, t, delta, 1e-12, q, **_tol(tol)))
     return reports
 
 
 def _suite_bk_spectral(q, tol):
-    return [bk_spectral_check(u, x, t, delta, q, tol or 1e-8)
+    return [bk_spectral_check(u, x, t, delta, q, **_tol(tol))
             for delta in (1.0, 2.0, 2.5, 4.0)
             for (u, x, t) in ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))]
 
 
 def _suite_laguerre(q, tol):
-    reports = []
-    for alpha in (-0.3, 0.0, 0.5, 2.1):
-        tols = None if tol is None else {k: tol for k in ("i", "ii", "iii", "iv", "v")}
-        reports.extend(laguerre_identity_suite(alpha, 10, q, tols))
-    return reports
+    return [r for alpha in (-0.3, 0.0, 0.5, 2.1)
+            for r in laguerre_identity_suite(alpha, 10, q, tol)]
 
 
 def _suite_gegenbauer(q, tol):
-    return [gegenbauer_check(nu, x, y, q, tol or 1e-8)
+    return [gegenbauer_check(nu, x, y, q, **_tol(tol))
             for nu in (-0.5, 0.75, 2.0)
             for (x, y) in ((1.3, 0.7), (3.0, 0.1), (0.4, 2.2))]
 
 
 def _suite_watson(q, tol):
-    return [watson_check(nu, x, y, k, q, tol or 1e-8)
+    return [watson_check(nu, x, y, k, q, **_tol(tol))
             for nu in (0.5, 1.4)
             for k in (0, 2, 5)
             for (x, y) in ((1.0, 1.0), (0.0, 1.3), (1.7, 0.6))]
@@ -593,7 +589,7 @@ def _suite_multiplicativity(q, tol):
     for _ in range(25):
         alpha = float(rng.uniform(1.0, 4.0))
         u, x, xp = (float(v) for v in rng.uniform(0.1, 2.5, size=3))
-        reports.append(bk_multiplicativity_check(u, x, xp, alpha, q, tol or 1e-6))
+        reports.append(bk_multiplicativity_check(u, x, xp, alpha, q, **_tol(tol)))
     for i in range(25):
         alpha = float(rng.uniform(0.0, 3.0))
         a = HeisPoint(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2.0, 2.0)))
@@ -603,13 +599,13 @@ def _suite_multiplicativity(q, tol):
         else:
             c = DiscretePoint(float(rng.uniform(0.2, 2.0)) * (-1.0 if i % 2 else 1.0),
                               int(rng.integers(0, 5)))
-        reports.append(lag_multiplicativity_check(c, a, b, alpha, q, tol or 1e-6))
+        reports.append(lag_multiplicativity_check(c, a, b, alpha, q, **_tol(tol)))
     return reports
 
 
 def _suite_psd(q, tol):
     points = np.linspace(0.3, 2.7, 10)
-    return [psd_gram_check(points, t, delta, q, tol or 1e-8)
+    return [psd_gram_check(points, t, delta, q, **_tol(tol))
             for t in (0.1, 1.0, 5.0) for delta in (1.0, 2.5)]
 
 
@@ -627,7 +623,7 @@ def _suite_ck(q, tol):
 
 
 def _suite_normalization(q, tol):
-    return [normalization_check(200, tol=tol or 1e-12)]
+    return [normalization_check(200, **_tol(tol))]
 
 
 _SUITES = {
@@ -642,6 +638,7 @@ _SUITES = {
     "chapman-kolmogorov": _suite_ck,
     "normalization": _suite_normalization,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(suite: str | None = None, q: QuadratureSpec | None = None,
@@ -652,6 +649,7 @@ def run_suite(suite: str | None = None, q: QuadratureSpec | None = None,
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
+    q = q or QuadratureSpec()
     names = (suite,) if suite is not None else SUITE_NAMES
     reports = []
     for name in names:

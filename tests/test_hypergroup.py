@@ -207,11 +207,6 @@ class TestEigen:
             want = np.linalg.eigvalsh(a)
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.abs(want).max())
 
-    def test_hermitian_embedding(self):
-        h = RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5))
-        h = 0.5 * (h + h.conj().T)
-        assert hg.min_eig_hermitian(h) == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
-
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             hg.jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))

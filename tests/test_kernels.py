@@ -162,6 +162,13 @@ class TestUnreachableTarget:
         assert law.tail_mass <= 1e-12
 
 
+def test_truncation_overshoot_is_rejected():
+    # two atoms of 0.5 + 1e-11: the rounded atoms sum above 1 + 1e-12
+    log_pmf = lambda ms: np.where(ms < 2, math.log(0.5 + 1e-11), -np.inf)  # noqa: E731
+    with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
+        kn._truncate_series(log_pmf, lambda m: 0.0, 1e-12, -1.0, 0, case=1)
+
+
 class TestLawPmf:
     def test_present_and_absent(self):
         law = kn.qbes_transition(DiscretePoint(1.0, 0), 0.7, 2.0)

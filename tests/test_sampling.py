@@ -304,6 +304,17 @@ class TestPaths:
         with pytest.raises(ValueError):
             sp.PathSample(times=(1.0, 1.0), states=(None, None))
 
+    @pytest.mark.parametrize("grid", [[0.5, 0.5, 0.7], [0.7, 0.5], [0.5, math.nan],
+                                      [0.5, math.inf], [0.0, 0.5]])
+    @pytest.mark.parametrize("sample", [
+        lambda grid, rng: sp.sample_qbes_lanes(DiscretePoint(-1.0, 3), grid, 2.0, rng),
+        lambda grid, rng: sp.sample_bes_lanes(1.0, grid, 2.0, rng),
+    ], ids=["qbes", "bes"])
+    def test_lanes_reject_bad_grids(self, sample, grid):
+        with pytest.raises(ValueError, match="^time grid must be finite, strictly "
+                                             "increasing and start after 0$"):
+            sample(grid, lanes(3, 4))
+
 
 class TestSampleBes:
     def test_rejects_bad_parameters(self):

@@ -1,9 +1,11 @@
 """Tests for the identity verification suite."""
+import json
 import math
 
 import numpy as np
 import pytest
 
+from hyperbessel import cli
 from hyperbessel import verify as vf
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint, HeisPoint
 from hyperbessel.quadrature import QuadratureSpec
@@ -82,6 +84,11 @@ class TestLaguerreIdentities:
         with pytest.raises(ValueError):
             vf.laguerre_identity_suite(-1.0)
 
+    def test_one_tol_for_all_five(self):
+        reports = vf.laguerre_identity_suite(0.5, tol=3e-7)
+        assert len(reports) == 5
+        assert all(r.tol == 3e-7 for r in reports)
+
 
 class TestProductFormulas:
     def test_gegenbauer_degenerate(self):
@@ -155,6 +162,15 @@ class TestReports:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             vf.run_suite("nope")
+
+    @pytest.mark.parametrize("suite", ["weber-schafheitlin", "glowne3", "bk-spectral",
+                                       "laguerre-identities", "chapman-kolmogorov"])
+    def test_cli_and_run_suite_agree(self, suite, tmp_path, capsys):
+        # the integrating suites: both entry points certify under one quadrature spec
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text()) == [vf.report_to_dict(r) for r in vf.run_suite(suite)]
 
     def test_coverage_contract(self):
         # every family of checks is reachable through the standard suite map
