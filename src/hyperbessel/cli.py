@@ -8,6 +8,13 @@ are serialized with 17 significant digits so output round-trips exactly.
 Exit status: 0 on success, 1 on invalid parameters (single-line diagnostic on
 stderr), 2 when a verification check fails. Each simulated path draws from
 its own seeded stream, so its rows do not depend on --paths.
+
+A command builds only its own parser from the one table of subcommands;
+build_parser() assembles all of them, for --help and for an argv that names
+no subcommand. Output text comes from % templates: one per transition law
+(the bytes of json.dumps(kernels.law_to_dict(law))), one per grid time for
+the CSV path rows, whose shared cells are formatted once, and one per table.
+Every other JSON output is written by json.dumps.
 """
 from __future__ import annotations
 
@@ -107,17 +114,49 @@ def cmd_qbes_kernel(args) -> int:
     if args.format == "csv":
         raise CliError("qbes-kernel emits a structured law; use --format json")
     law = kn.qbes_transition(parse_state(args.state), args.t, args.delta, args.trunc_eps)
-    _emit(args, json.dumps(kn.law_to_dict(law)) + "\n")
+    _emit(args, _law_json(law) + "\n")
     return 0
 
 
+def _law_json(law: kn.TransitionLaw) -> str:
+    """json.dumps(kn.law_to_dict(law)), written from one % template per law.
+
+    The ray, the gamma ray and tail_mass are formatted once by json; each atom
+    adds its level and float.__repr__ of its prob, which is how json writes a
+    float (repr of a numpy float would not be)."""
+    atom = '{"tau": %s, "k": %%d, "y1": null, "prob": %%s}' % json.dumps(law.tau)
+    atoms = ", ".join([atom % (l, float.__repr__(p)) for l, p in zip(law.levels, law.probs)])
+    g = law.gamma_ray
+    gamma = None if g is None else {"shape": g.shape, "scale": g.scale}
+    return '{"case": %d, "atoms": [%s], "gamma": %s, "tail_mass": %s}' % (
+        law.case, atoms, json.dumps(gamma), json.dumps(law.tail_mass))
+
+
 _SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]
-_SIM_TEMPLATE = "%d,%.17g,%.17g,%.17g,%s,%d"
+_SIM_CELLS = ("%d", "%.17g", "%.17g", "%.17g", "%s", "%d")
 
 
-def _path_rows(per_time: list) -> list[tuple]:
-    """Rows path by path, from one iterator of rows over the paths per grid time."""
-    return [row for path in zip(*per_time) for row in path]
+def _sim_rows(args, shared: tuple, *cols) -> list:
+    """The rows of one grid time, one per path.
+
+    shared holds the cells every path shares, and None where each path has its
+    own; cols fill those, path ids first. A CSV row comes from one % template
+    in which the shared cells are formatted once; a JSON row is a tuple for
+    _emit_table."""
+    if args.format == "json":
+        own = iter(cols)
+        return list(zip(*[next(own) if c is None else repeat(c) for c in shared]))
+    template = ",".join(spec if c is None else spec % c for spec, c in zip(_SIM_CELLS, shared))
+    return [template % row for row in zip(*cols)]
+
+
+def _emit_sim(args, per_time: list[list]):
+    """Rows path by path, from the rows over the paths per grid time."""
+    rows = [row for path in zip(*per_time) for row in path]
+    if args.format == "json":
+        _emit_table(args, _SIM_HEADER, rows, None)
+    else:
+        _emit(args, "\n".join([",".join(_SIM_HEADER)] + rows) + "\n")
 
 
 def cmd_qbes_sim(args) -> int:
@@ -128,13 +167,13 @@ def cmd_qbes_sim(args) -> int:
     per_time = []
     for t, (u, col) in zip(grid, sp.sample_qbes_lanes(start, grid, args.delta, rng)):
         if u == 0.0:
-            per_time.append(zip(ids, repeat(t), repeat(0.0), col.tolist(),
-                                repeat("continuous"), repeat(-1)))
+            per_time.append(_sim_rows(args, (None, t, 0.0, None, "continuous", -1),
+                                      ids, col.tolist()))
         else:  # a discrete point embeds as (tau, k |tau|)
             ks = col.tolist()
-            per_time.append(zip(ids, repeat(t), repeat(u), [k * abs(u) for k in ks],
-                                repeat("discrete"), ks))
-    _emit_table(args, _SIM_HEADER, _path_rows(per_time), _SIM_TEMPLATE)
+            per_time.append(_sim_rows(args, (None, t, u, None, "discrete", None),
+                                      ids, [k * abs(u) for k in ks], ks))
+    _emit_sim(args, per_time)
     return 0
 
 
@@ -144,9 +183,9 @@ def cmd_bes_sim(args) -> int:
         raise CliError("--x0 must be finite and >= 0")
     ids = range(args.paths)
     rng = sp.RngState.for_path(args.seed, ids)
-    per_time = [zip(ids, repeat(t), col.tolist(), repeat(0.0), repeat("continuous"), repeat(-1))
+    per_time = [_sim_rows(args, (None, t, None, 0.0, "continuous", -1), ids, col.tolist())
                 for t, col in zip(grid, sp.sample_bes_lanes(args.x0, grid, args.delta, rng))]
-    _emit_table(args, _SIM_HEADER, _path_rows(per_time), _SIM_TEMPLATE)
+    _emit_sim(args, per_time)
     return 0
 
 
@@ -214,81 +253,70 @@ def cmd_verify(args) -> int:
     return 2 if n_failed else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hyperbessel", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+_STATE_HELP = "tau=<real>,k=<int> or y1=<real>"
+_REAL = dict(type=float, required=True)
+_SIM_ARGS = [("--t-grid", dict(required=True, dest="t_grid")),
+             ("--paths", dict(type=int, default=1)), ("--seed", dict(type=int, default=0))]
 
-    def add_common(sp_, fmt_default="csv"):
-        sp_.add_argument("--out", default=None, help="output file (default stdout)")
-        sp_.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+#: each subcommand once: name -> (help, handler, default --format, the
+#: (flag, add_argument keywords) of its options before --out and --format)
+_COMMANDS = {
+    "qbes-kernel": ("serialize a one-step QBES transition law", cmd_qbes_kernel, "json", [
+        ("--delta", _REAL), ("--state", dict(required=True, help=_STATE_HELP)), ("--t", _REAL),
+        ("--trunc-eps", dict(type=float, default=1e-12, dest="trunc_eps"))]),
+    "qbes-sim": ("simulate QBES paths to CSV", cmd_qbes_sim, "csv", [
+        ("--delta", _REAL), ("--start", dict(required=True, help=_STATE_HELP)), *_SIM_ARGS]),
+    "bes-sim": ("simulate BES paths to CSV", cmd_bes_sim, "csv",
+                [("--delta", _REAL), ("--x0", _REAL), *_SIM_ARGS]),
+    "bes-density": ("tabulate the BES transition density", cmd_bes_density, "csv", [
+        ("--delta", _REAL), ("--t", _REAL), ("--x", _REAL),
+        ("--y-grid", dict(required=True, dest="y_grid"))]),
+    "char-eval": ("evaluate hypergroup characters on grids", cmd_char_eval, "csv", [
+        ("--family", dict(choices=("bk", "laguerre"), required=True)), ("--alpha", _REAL),
+        ("--u-grid", dict(dest="u_grid", help="bk family: character index grid")),
+        ("--x-grid", dict(dest="x_grid", required=True)),
+        ("--w-grid", dict(dest="w_grid", help="laguerre family: central coordinate grid")),
+        ("--state", dict(help="laguerre family: fan point of the character"))]),
+    "hankel": ("Haar-weighted transform of a built-in test function", cmd_hankel, "csv", [
+        ("--alpha", _REAL), ("--function", dict(choices=sorted(_HANKEL_FUNCTIONS), required=True)),
+        ("--u-grid", dict(required=True, dest="u_grid")),
+        ("--cutoff", dict(type=float, default=30.0)), ("--tol", dict(type=float, default=1e-10))]),
+    "verify": ("run the identity verification suite", cmd_verify, "json", [
+        ("--suite", dict(choices=vf.SUITE_NAMES)), ("--tol", dict(type=float)),
+        ("--nodes", dict(type=int, default=64))]),
+}
 
-    p = sub.add_parser("qbes-kernel", help="serialize a one-step QBES transition law")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--state", required=True, help="tau=<real>,k=<int> or y1=<real>")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--trunc-eps", type=float, default=1e-12, dest="trunc_eps")
-    add_common(p, fmt_default="json")
-    p.set_defaults(func=cmd_qbes_kernel)
 
-    p = sub.add_parser("qbes-sim", help="simulate QBES paths to CSV")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--start", required=True, help="tau=<real>,k=<int> or y1=<real>")
-    p.add_argument("--t-grid", required=True, dest="t_grid")
-    p.add_argument("--paths", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_qbes_sim)
-
-    p = sub.add_parser("bes-sim", help="simulate BES paths to CSV")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--t-grid", required=True, dest="t_grid")
-    p.add_argument("--paths", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_bes_sim)
-
-    p = sub.add_parser("bes-density", help="tabulate the BES transition density")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y-grid", required=True, dest="y_grid")
-    add_common(p)
-    p.set_defaults(func=cmd_bes_density)
-
-    p = sub.add_parser("char-eval", help="evaluate hypergroup characters on grids")
-    p.add_argument("--family", choices=("bk", "laguerre"), required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--u-grid", dest="u_grid", help="bk family: character index grid")
-    p.add_argument("--x-grid", dest="x_grid", required=True)
-    p.add_argument("--w-grid", dest="w_grid", help="laguerre family: central coordinate grid")
-    p.add_argument("--state", help="laguerre family: fan point of the character")
-    add_common(p)
-    p.set_defaults(func=cmd_char_eval)
-
-    p = sub.add_parser("hankel", help="Haar-weighted transform of a built-in test function")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--function", choices=sorted(_HANKEL_FUNCTIONS), required=True)
-    p.add_argument("--u-grid", required=True, dest="u_grid")
-    p.add_argument("--cutoff", type=float, default=30.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    add_common(p)
-    p.set_defaults(func=cmd_hankel)
-
-    p = sub.add_parser("verify", help="run the identity verification suite")
-    p.add_argument("--suite", choices=vf.SUITE_NAMES, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=64)
-    add_common(p, fmt_default="json")
-    p.set_defaults(func=cmd_verify)
-
+def _command(parser: _Parser, name: str) -> _Parser:
+    """parser with the options and handler of the subcommand name."""
+    _, handler, fmt, options = _COMMANDS[name]
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    parser.add_argument("--out", help="output file (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default=fmt)
+    parser.set_defaults(command=name, func=handler)
     return parser
 
 
+def build_parser() -> _Parser:
+    """Every subcommand's parser: for --help, and for an argv that names none."""
+    parser = _Parser(prog="hyperbessel", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, *_) in _COMMANDS.items():
+        _command(sub.add_parser(name, help=help_), name)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its subcommand's parser alone, or by build_parser()."""
+    if argv and argv[0] in _COMMANDS:
+        return _command(_Parser(prog=f"hyperbessel {argv[0]}"), argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.command == "char-eval":
             if args.family == "bk" and not args.u_grid:
                 raise CliError("char-eval --family bk requires --u-grid")

@@ -179,11 +179,24 @@ def bk_character(u, x, p: BesselKingmanParams):
 
 
 def _first_kind_char(alpha: float, tau: float, k: int, x, w):
-    """First-kind character at order alpha, vectorized over (x, w)."""
+    """First-kind character at order alpha, vectorized over (x, w).
+
+    Raises OverflowError at the first point (row-major) where the product is
+    not finite: for large k and |tau| x^2, L_k overflows the double range
+    while exp(-|tau| x^2 / 2) underflows.
+    """
     pref = math.exp(log_gamma(k + 1.0) + log_gamma(alpha + 1.0)
                     - log_gamma(k + alpha + 1.0))
     arg = abs(tau) * np.square(x)
-    return pref * np.exp(1j * tau * w - 0.5 * arg) * laguerre_L(k, alpha, arg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pref * np.exp(1j * tau * w - 0.5 * arg) * laguerre_L(k, alpha, arg)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        i = np.argmax(bad)
+        xi, wi = (float(np.ravel(v)[i]) for v in np.broadcast_arrays(x, w))
+        raise OverflowError(f"lag_character: L_k overflows at x={xi!r}, w={wi!r} "
+                            f"(tau={tau!r}, k={k}); degree too large")
+    return out
 
 
 def _second_kind_char(alpha: float, y1: float, x):

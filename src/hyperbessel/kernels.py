@@ -102,7 +102,7 @@ class TransitionLaw:
             raise ValueError("atoms require a nonzero finite ray tau")
         if self.tail_mass < 0.0:
             raise ValueError("tail_mass must be >= 0")
-        if any(p < 0.0 for p in self.probs):
+        if not all(p >= 0.0 for p in self.probs):  # NaN included
             raise ValueError("atom probabilities must be >= 0")
         total = self.total_mass()
         if abs(total - 1.0) > _NORM_SLACK:

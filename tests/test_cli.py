@@ -1,4 +1,5 @@
 """CLI tests: flag parsing, output schemas, determinism, exit codes."""
+import argparse
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from hyperbessel import cli
@@ -371,6 +373,133 @@ class TestTablesMatchPointLoop:
         code, _, err = run_cli(argv, capsys)
         assert code == 1
         assert err == f"hyperbessel: error: {want}\n"
+
+
+class TestParserPaths:
+    """A subcommand's own parser parses, helps and fails as build_parser() does."""
+
+    @staticmethod
+    def _full_subparser(name):
+        full = cli.build_parser()
+        sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[name]
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_subcommand_help(self, name, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            cli.main([name, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == self._full_subparser(name).format_help()
+
+    def test_top_level_help(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+
+    @staticmethod
+    def _outcome(parse, argv):
+        try:
+            return parse(argv)
+        except cli.CliError as exc:
+            return f"CliError: {exc}"
+
+    @pytest.mark.parametrize("argv, parses", [
+        ([], False),  # no command
+        (["bogus", "--delta", "1"], False),  # unknown command
+        (["qbes-kernel", "--delta", "1", "--t", "1"], False),  # missing required option
+        (["qbes-kernel", "--delta", "x", "--state", "tau=1,k=0", "--t", "1"], False),  # type=
+        (["char-eval", "--family", "foo", "--alpha", "1", "--x-grid", "1"], False),  # choices=
+        (["bes-sim", "--delta", "2", "--x0", "1", "--t-grid", "0.5", "--bogus"], False),
+        (["hankel", "--alpha", "2", "--function", "gaussian", "--u-grid", "1", "extra"], False),
+        (["verify", "--nodes", "1.5"], False),
+        (["qbes-sim", "--del", "2", "--start", "tau=1,k=0", "--t-grid", "0.5"], True),
+        (["qbes-kernel", "--delta=1", "--state=tau=-1,k=0", "--t=1.5", "--format", "csv"], True),
+        (["char-eval", "--family", "bk", "--alpha", "2", "--u-grid", "1", "--x-grid=-1"], True),
+        (["bes-density", "--delta", "2", "--t", "1", "--x", "1", "--y-grid", "1", "--out", "f"],
+         True),
+        (["verify"], True),
+    ])
+    def test_same_namespace_or_error(self, argv, parses, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = self._outcome(cli._parse, argv)
+        assert got == self._outcome(cli.build_parser().parse_args, argv)
+        assert isinstance(got, argparse.Namespace) == parses
+
+
+class TestLawTemplate:
+    """qbes-kernel writes the bytes of json.dumps(law_to_dict(law))."""
+
+    @pytest.mark.parametrize("start, t, delta, case, n_atoms", [
+        (DiscretePoint(-2.0, 0), 1.0, 1.0, 1, None),
+        (DiscretePoint(-1.0, 0), 1.0, 1.5, 2, 0),  # the gamma law: "atoms": []
+        (DiscretePoint(-2.0, 5), 2.5, 0.7, 3, None),
+        (ContinuousPoint(3.0), 1.0, 2.5, 4, None),
+        (ContinuousPoint(0.0), 1.0, 2.5, 4, 1),  # Poisson of rate 0
+        (DiscretePoint(2.0, 300), 0.5, 3.0, 5, 301),
+        (DiscretePoint(-1.0, 4), 0.996, 1.3, 1, 10_028),
+        (DiscretePoint(-1.0, 0), 0.992, 2.0, 1, 3_880),  # tau = -0.008000000000000007
+        (DiscretePoint(1.0, 1000), 0.3, 1.0, 5, 1_001),  # probs through subnormals to 0
+    ])
+    def test_bytes(self, start, t, delta, case, n_atoms):
+        law = kn.qbes_transition(start, t, delta)
+        assert law.case == case
+        assert n_atoms is None or len(law.probs) == n_atoms
+        assert cli._law_json(law) == json.dumps(kn.law_to_dict(law))
+
+    def test_edge_values_are_present(self):
+        assert kn.qbes_transition(DiscretePoint(-1.0, 0), 0.992, 2.0).tau == -0.008000000000000007
+        probs = kn.qbes_transition(DiscretePoint(1.0, 1000), 0.3, 1.0).probs
+        assert 5e-324 in probs and 0.0 in probs
+
+    def test_numpy_floats(self):
+        # repr of a numpy 2 float reads np.float64(...); json writes float.__repr__
+        law = kn.TransitionLaw(case=5, tau=np.float64(2.5), levels=range(3, 5),
+                               probs=(np.float64(0.1), np.float64(0.9)))
+        assert cli._law_json(law) == json.dumps(kn.law_to_dict(law))
+        assert '"prob": 0.1}' in cli._law_json(law)
+
+    def test_cli_output(self, capsys):
+        code, out, err = run_cli(["qbes-kernel", "--delta", "1.3", "--state", "tau=-1,k=4",
+                                  "--t", "0.996"], capsys)
+        law = kn.qbes_transition(DiscretePoint(-1.0, 4), 0.996, 1.3)
+        assert (code, out, err) == (0, json.dumps(kn.law_to_dict(law)) + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["qbes-sim", "--delta", "1.5", "--start", "tau=-1,k=0", "--t-grid", "0.5,1.0,2.0,3.5",
+     "--paths", "7", "--seed", "3"],
+    ["qbes-sim", "--delta", "2.5", "--start", "y1=2", "--t-grid", "0.5,1.0", "--paths", "4"],
+    ["bes-sim", "--delta", "0.3", "--x0", "0", "--t-grid", "0.5,1.0", "--paths", "6"],
+    ["bes-sim", "--delta", "2", "--x0", "1", "--t-grid", "0.5", "--paths", "0"],
+    # coordinates that overflow to inf: json writes Infinity
+    ["bes-sim", "--delta", "1e308", "--x0", "0", "--t-grid", "10"],
+    ["qbes-sim", "--delta", "1", "--start", "tau=-1e300,k=1000000000", "--t-grid", "1"],
+])
+def test_sim_json_is_json_dumps_of_csv_rows(argv, capsys):
+    # the CSV rows' per-grid-time templates hold the values json.dumps writes
+    _, csv_out, _ = run_cli(argv, capsys)
+    _, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    header, *lines = csv_out.splitlines()
+    rows = []
+    for line in lines:
+        i, t, c0, c1, branch, k = line.split(",")
+        rows.append(dict(zip(header.split(","),
+                             (int(i), float(t), float(c0), float(c1), branch, int(k)))))
+    assert json_out == json.dumps(rows, separators=(",", ":")) + "\n"
+
+
+def test_laguerre_overflow_is_one_line_error():
+    # exp(-1800) L_2000(3600) printed nan,nan with exit 0 and four warning lines
+    argv = ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2000",
+            "--x-grid", "60", "--w-grid", "0"]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    result = subprocess.run([sys.executable, "-m", "hyperbessel.cli"] + argv, capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == ("hyperbessel: error: lag_character: L_k overflows at x=60.0, "
+                             "w=0.0 (tau=1.0, k=2000); degree too large\n")
 
 
 class TestVerifyCommand:

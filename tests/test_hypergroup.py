@@ -4,6 +4,7 @@ Product-formula oracles are evaluated by independent high-order quadrature;
 eigenvalue routines are cross-checked against numpy's LAPACK wrappers.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ class TestCharacters:
             lhs = hg.lag_character(c, a_bar, p)
             rhs = np.conj(hg.lag_character(c, a, p))
             assert lhs == pytest.approx(rhs, abs=1e-14)
+
+    def test_lag_character_overflow_raises(self):
+        # L_2000(3600) overflows while exp(-1800) underflows; the product was nan
+        p = hg.LaguerreParams(0.5)
+        c = hg.DiscretePoint(1.0, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"x=60\.0, w=0\.0 "):
+                hg.lag_character(c, hg.HeisPoint(60.0, 0.0), p)
+            # on a grid, the first non-finite point in row-major order is named
+            xs, ws = np.meshgrid([1.0, 40.0, 60.0], [-0.5, 0.5], indexing="ij")
+            with pytest.raises(OverflowError, match=r"x=40\.0, w=-0\.5 "):
+                hg.lag_character(c, hg.HeisPoint(xs, ws), p)
+            assert math.isfinite(abs(hg.lag_character(c, hg.HeisPoint(1.0, 0.5), p)))
 
     def test_psi(self):
         assert hg.psi_heis(hg.HeisPoint(0.0, 0.0)) == 0.0

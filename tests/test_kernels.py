@@ -192,6 +192,11 @@ class TestTransitionLawInvariants:
         with pytest.raises(ValueError):
             kn.TransitionLaw(case=5, tau=1.0, levels=range(2), probs=(1.5, -0.5))
 
+    def test_rejects_nan_prob(self):
+        # NaN sums to a NaN mass, which the mass check alone lets through
+        with pytest.raises(ValueError, match="must be >= 0"):
+            kn.TransitionLaw(case=5, tau=1.0, levels=range(2), probs=(1.0, math.nan))
+
     def test_serialization_round_trip(self):
         for law in [
             kn.qbes_transition(DiscretePoint(-2.0, 1), 1.0, 1.3),
