@@ -231,8 +231,9 @@ def cmd_hankel(args) -> int:
     # the indicator vanishes beyond 1, so cut just past its support edge
     cutoff = min(args.cutoff, math.nextafter(1.0, 2.0)) if args.function == "indicator" \
         else args.cutoff
-    rows = [(u, bk_fourier(f, u, p, spec, cutoff=cutoff)) for u in parse_grid(args.u_grid)]
-    _emit_table(args, ["u", "value"], rows, "%.17g,%.17g")
+    us = parse_grid(args.u_grid)
+    values = bk_fourier(f, np.array(us), p, spec, cutoff=cutoff)
+    _emit_table(args, ["u", "value"], list(zip(us, values.tolist())), "%.17g,%.17g")
     return 0
 
 

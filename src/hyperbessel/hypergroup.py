@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, gauss_jacobi, integrate
+from .quadrature import QuadratureSpec, gauss_jacobi, integrate_rows
 from .specfun import bessel_j_norm, laguerre_L, log_gamma
 
 __all__ = [
@@ -230,15 +230,21 @@ def psi_heis(a: HeisPoint) -> complex:
     return complex(-0.5 * a.x * a.x, -a.w)
 
 
-def bk_fourier(f, u: float, p: BesselKingmanParams,
-               q: QuadratureSpec | None = None, cutoff: float = 30.0) -> float:
+def bk_fourier(f, u, p: BesselKingmanParams,
+               q: QuadratureSpec | None = None, cutoff: float = 30.0):
     """Haar-weighted Hankel-type transform: int_0^cutoff f(x) eta_u(x) x^(alpha-1) dx.
 
-    Warns when the integrand envelope at the cutoff exceeds abs_tol, i.e. when
-    the neglected tail is not obviously below the quadrature tolerance.
+    u may be a 1-d array: one integral per u from one integrate_rows call,
+    each with the bits and the error of a loop of scalar calls. Warns when the
+    integrand envelope at the cutoff exceeds abs_tol, i.e. when the neglected
+    tail is not obviously below the quadrature tolerance.
     """
     q = q or QuadratureSpec()
-    if u < 0.0:
+    us = np.asarray(u, dtype=float).ravel()
+    if not us.size:
+        return np.empty(0)
+    n_ok = int(np.argmin(np.append(np.isfinite(us) & (us >= 0.0), False)))  # first bad u
+    if us[0] < 0.0:
         raise ValueError("bk_fourier requires u >= 0")
     if not 0.0 < cutoff < math.inf:
         raise ValueError("bk_fourier requires a finite positive cutoff")
@@ -249,11 +255,16 @@ def bk_fourier(f, u: float, p: BesselKingmanParams,
             f"bk_fourier tail bound {tail:.3e} exceeds abs_tol {q.abs_tol:.3e}; "
             "increase the cutoff", RuntimeWarning)
 
-    def integrand(xs):
+    def integrand(xs, rows):
         weight = np.power(xs, a - 1.0) if a != 1.0 else np.ones_like(xs)
-        return f(xs) * bk_character(u, xs, p) * weight
+        return f(xs) * bk_character(us[rows], xs, p) * weight
 
-    return float(integrate(integrand, 0.0, cutoff, q))
+    values = integrate_rows(integrand, [(0.0, cutoff)] * n_ok, q)
+    if n_ok < us.size:
+        if us[n_ok] < 0.0:
+            raise ValueError("bk_fourier requires u >= 0")
+        bk_character(us[n_ok], cutoff, p)  # raises for a NaN or infinite u, as its integrand would
+    return float(values[0]) if np.ndim(u) == 0 else np.array(values, dtype=float)
 
 
 def bk_gaussian_gram(points, t: float, p: BesselKingmanParams,

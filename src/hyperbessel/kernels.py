@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergroup import ContinuousPoint, DiscretePoint, FanPoint
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate_rows
 from .specfun import log_bessel_i_norm, log_gamma
 
 __all__ = [
@@ -213,9 +213,9 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
     s, k = start.tau, start.k
     u = s + t
     if s > 0.0:
-        # case 5: binomial(k, s/u) on levels 0..k, exact
+        # case 5: binomial(k, s/u) on levels 0..k, exact; ln q = ln(t/u) where s/u rounds to 1
         p = s / u
-        lp, lq = math.log(p), math.log1p(-p)
+        lp, lq = math.log(p), math.log1p(-p) if p < 1.0 else math.log(t / u)
         ls = np.arange(k + 1)
         logs = (log_gamma(k + 1.0) - log_gamma(ls + 1.0) - log_gamma(k - ls + 1.0)
                 + ls * lp + (k - ls) * lq)
@@ -301,23 +301,23 @@ def bes_density(d: BesDensity, y):
 
 
 def _poisson_mixture_pmf(gamma_ray: GammaRay, t2: float, levels, quad) -> np.ndarray:
-    """P(level = l) of Poisson(Y/t2) with Y ~ gamma_ray, by adaptive quadrature."""
+    """P(level = l) of Poisson(Y/t2) with Y ~ gamma_ray, one quadrature row per level."""
     shape, scale = gamma_ray.shape, gamma_ray.scale
     rate_scale = 1.0 / scale + 1.0 / t2
-    out = np.empty(len(levels))
-    for i, l in enumerate(levels):
-        cutoff = (shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / rate_scale
+    ls = np.array(levels, dtype=float)
+    log_fact = log_gamma(ls + 1.0)
 
-        def integrand(ys):
-            with np.errstate(divide="ignore"):
-                log_f = ((shape - 1.0) * np.log(ys) - ys / scale
-                         - log_gamma(shape) - shape * math.log(scale)
-                         + l * (np.log(ys) - math.log(t2)) - ys / t2
-                         - log_gamma(l + 1.0))
-            return np.exp(log_f)
+    def integrand(ys, rows):
+        with np.errstate(divide="ignore"):
+            log_f = ((shape - 1.0) * np.log(ys) - ys / scale
+                     - log_gamma(shape) - shape * math.log(scale)
+                     + ls[rows] * (np.log(ys) - math.log(t2)) - ys / t2
+                     - log_fact[rows])
+        return np.exp(log_f)
 
-        out[i] = integrate(integrand, 0.0, cutoff, quad)
-    return out
+    cutoffs = [(shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / rate_scale
+               for l in levels]
+    return np.array(integrate_rows(integrand, [(0.0, c) for c in cutoffs], quad))
 
 
 def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,

@@ -59,7 +59,7 @@ class ConvergenceError(RuntimeError):
 
 def _as_array(x, name):
     arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)):
+    if arr.size and np.isnan(arr.min()):  # min propagates NaN
         raise ValueError(f"{name} must not be NaN")
     return arr
 
@@ -73,8 +73,9 @@ def _maybe_scalar(out, like):
 def log_gamma(x):
     """Natural log of the Gamma function for finite x > 0."""
     from scipy import special
-    arr = _as_array(x, "x")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not 0.0 < arr.min() <= arr.max() < np.inf:
+        _as_array(arr, "x")  # a NaN anywhere names the error
         raise ValueError("log_gamma requires finite x > 0")
     return _maybe_scalar(special.gammaln(arr), x)
 
@@ -124,9 +125,9 @@ def _bessel_args(name, nu, z, arg):
     if not np.isfinite(nu) or nu <= -1.0:
         raise ValueError(f"{name} requires nu > -1")
     arr = np.asarray(z, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr >= 0.0))
-    if np.any(bad):
+    if arr.size and not 0.0 <= arr.min() <= arr.max() < np.inf:
         # the first bad element names the error, as a scalar call on it would
+        bad = ~(np.isfinite(arr) & (arr >= 0.0))
         if np.isnan(np.ravel(arr)[np.argmax(bad)]):
             raise ValueError(f"{arg} must not be NaN")
         raise ValueError(f"{name} requires finite {arg} >= 0")
@@ -147,8 +148,9 @@ def _series_tail(nu, q, scaled=False):
     e = np.zeros(np.shape(q), dtype=int)
     with np.errstate(over="ignore"):
         for m in range(1, _MAX_TERMS):
-            term = term * q / (m * (nu + m))
-            tail = tail + term
+            term *= q
+            term /= m * (nu + m)
+            tail += term
             if scaled:
                 big = tail > 2.0 ** 960
                 if np.any(big):

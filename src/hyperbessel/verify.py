@@ -42,7 +42,7 @@ from .hypergroup import (
     lag_translate,
     psi_heis,
 )
-from .quadrature import QuadratureSpec, gauss_jacobi, integrate
+from .quadrature import QuadratureSpec, gauss_jacobi, integrate, integrate_rows
 from .specfun import (
     bessel_i_norm,
     bessel_j_norm,
@@ -126,9 +126,12 @@ def _fan_label(point: FanPoint) -> str:
 # integral identity for the BES identification
 
 
+_WEBER_TOL = 1e-9
+
+
 def weber_schafheitlin_check(nu: float, alpha: float, beta: float, gamma_: float,
                              q: QuadratureSpec | None = None,
-                             tol: float = 1e-9) -> VerificationReport:
+                             tol: float = _WEBER_TOL) -> VerificationReport:
     """int_0^inf e^{-alpha v^2} i_nu(beta v) j_nu(gamma v) v^(2nu+1) / (2^nu Gamma(nu+1)) dv
     against the closed form (2 alpha)^-(nu+1) e^{(beta^2-gamma^2)/(4 alpha)} j_nu(beta gamma / (2 alpha)).
     """
@@ -138,32 +141,39 @@ def weber_schafheitlin_check(nu: float, alpha: float, beta: float, gamma_: float
         raise ValueError("weber_schafheitlin_check requires alpha > 0")
     if beta < 0.0 or gamma_ < 0.0:
         raise ValueError("weber_schafheitlin_check requires beta, gamma >= 0")
-    q = q or QuadratureSpec(abs_tol=1e-12)
+    return _weber_rows(nu, [(alpha, beta, gamma_)], q, tol)[0]
 
+
+def _weber_rows(nu, rows, q, tol) -> list[VerificationReport]:
+    """weber_schafheitlin_check of each (alpha, beta, gamma) row at one nu, the
+    integrals from one integrate_rows call."""
+    q = q or QuadratureSpec(abs_tol=1e-12)
+    alphas, betas, gammas = (np.array(col, dtype=float) for col in zip(*rows))
     log_pref = -nu * math.log(2.0) - log_gamma(nu + 1.0)
 
-    def integrand(vs):
+    def integrand(vs, r):
         with np.errstate(divide="ignore"):
-            log_env = -alpha * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref
-        i_part = np.exp(log_env + (np.log(bessel_i_norm(nu, beta * vs))
-                                   if beta > 0.0 else 0.0))
-        return i_part * bessel_j_norm(nu, gamma_ * vs)
+            log_env = -alphas[r] * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref
+        # at beta = 0, i_nu(0) = 1 adds exactly 0 to the exponent
+        i_part = np.exp(log_env + np.log(bessel_i_norm(nu, betas[r] * vs)))
+        return i_part * bessel_j_norm(nu, gammas[r] * vs)
 
-    # cutoff: grow until the exponential envelope is 1e-16 of its peak
-    peak_v = max((beta + math.sqrt(beta * beta + 4.0 * alpha * (2.0 * nu + 1.0 + 1.0)))
-                 / (2.0 * alpha), 1.0)
-    cut = peak_v + math.sqrt(50.0 / alpha) + beta / alpha
-    while (-alpha * cut * cut + beta * cut + abs(2.0 * nu + 1.0) * math.log(1.0 + cut)
-           ) > (-alpha * peak_v * peak_v + beta * peak_v - 37.0 * math.log(10.0)):
-        cut *= 1.25
+    cuts = []  # grow each cutoff until the exponential envelope is 1e-16 of its peak
+    for alpha, beta, _ in rows:
+        peak_v = max((beta + math.sqrt(beta * beta + 4.0 * alpha * (2.0 * nu + 1.0 + 1.0)))
+                     / (2.0 * alpha), 1.0)
+        cut = peak_v + math.sqrt(50.0 / alpha) + beta / alpha
+        while (-alpha * cut * cut + beta * cut + abs(2.0 * nu + 1.0) * math.log(1.0 + cut)
+               ) > (-alpha * peak_v * peak_v + beta * peak_v - 37.0 * math.log(10.0)):
+            cut *= 1.25
+        cuts.append(cut)
 
-    lhs = integrate(integrand, 0.0, cut, q)
-    rhs = ((2.0 * alpha) ** -(nu + 1.0)
-           * math.exp((beta * beta - gamma_ * gamma_) / (4.0 * alpha))
-           * bessel_j_norm(nu, beta * gamma_ / (2.0 * alpha)))
-    return _report("weber_schafheitlin",
-                   {"nu": nu, "alpha": alpha, "beta": beta, "gamma": gamma_},
-                   abs(lhs - rhs), tol)
+    lhs = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
+    return [_report("weber_schafheitlin", {"nu": nu, "alpha": al, "beta": be, "gamma": ga},
+                    abs(value - (2.0 * al) ** -(nu + 1.0)
+                        * math.exp((be * be - ga * ga) / (4.0 * al))
+                        * bessel_j_norm(nu, be * ga / (2.0 * al))), tol)
+            for (al, be, ga), value in zip(rows, lhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,96 +253,53 @@ def bk_spectral_check(u: float, x: float, t: float, delta: float,
 _LAG_TERMS = 420
 
 
-def _lag_columns(k_max, alpha, vs):
-    """(v, [L_0(v), ..., L_k_max(v)]) for each v, from one laguerre_L_all table.
-
-    Entry n of the upward recurrence does not depend on k_max or on the other
-    points, so each column holds the bits of a per-point table."""
-    table = laguerre_L_all(k_max, alpha, np.array(vs))
-    return [(v, table[:, c]) for c, v in enumerate(vs)]
-
-
-def _identity_i(alpha, j, v, lag, tau):
-    """Generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i; lag holds L_n(v)."""
+def _lag_series(lag, tau, ratio, divide=False):
+    """sum_n c_n lag[n] tau^n with c_0 = 1 and c_{n+1} = c_n ratio(n); with
+    divide, the terms are lag[n] tau^n / c_n instead. Stops after the first
+    term past n = 8 below 1e-18 of the sum, or after _LAG_TERMS terms."""
     coef = 1.0
     total = 0.0
     tp = 1.0
-    for i in range(_LAG_TERMS):
-        term = coef * lag[i + j] * tp
+    for n in range(_LAG_TERMS):
+        term = lag[n] * tp / coef if divide else coef * lag[n] * tp
         total += term
-        if abs(term) <= 1e-18 * max(1.0, abs(total)) and i > 8:
+        if abs(term) <= 1e-18 * max(1.0, abs(total)) and n > 8:
             break
-        coef *= (i + j + 1.0) / (i + 1.0)
+        coef *= ratio(n)
         tp *= tau
-    rhs = ((1.0 - tau) ** (-alpha - 1.0 - j)
-           * math.exp(-v * tau / (1.0 - tau))
-           * laguerre_L(j, alpha, v / (1.0 - tau)))
-    return abs(total - rhs)
+    return total
 
 
-def _identity_ii(alpha, k, u, q):
+def _identity_ii(alpha, rows, lag, q):
     """Integral form: k! L_k(u) = u^{-alpha/2} int e^{u-v} v^{k+alpha/2} J_alpha(2 sqrt(uv)) dv.
 
     Compared as L_k(u) vs e^u / (k! Gamma(alpha+1)) int e^{-v} v^{k+alpha}
     j_alpha(2 sqrt(uv)) dv, integrated under v = w^4 so the v^alpha endpoint
-    stays differentiable even at k = 0, alpha < 0.
+    stays differentiable even at k = 0, alpha < 0. Returns the error of each
+    (k, u) row, the integrals from one integrate_rows call; lag[u] holds L_n(u).
     """
-    lhs = laguerre_L(k, alpha, u)
-    log_norm = u - log_gamma(k + 1.0) - log_gamma(alpha + 1.0)
-    cut = (k + alpha + 50.0 + 12.0 * math.sqrt(k + alpha + 1.0)) ** 0.25
+    ks, us = (np.array(col, dtype=float) for col in zip(*rows))
+    log_norm = us - log_gamma(ks + 1.0) - log_gamma(alpha + 1.0)
 
-    def integrand(ws):
+    def integrand(ws, r):
         vs = ws ** 4
         with np.errstate(divide="ignore"):
-            log_f = -vs + (k + alpha) * np.log(vs) + np.log(4.0 * ws ** 3)
-        return np.exp(log_f + log_norm) * bessel_j_norm(alpha, 2.0 * np.sqrt(u * vs))
+            log_f = -vs + (ks[r] + alpha) * np.log(vs) + np.log(4.0 * ws ** 3)
+        return np.exp(log_f + log_norm[r]) * bessel_j_norm(alpha, 2.0 * np.sqrt(us[r] * vs))
 
-    rhs = integrate(integrand, 0.0, cut, q)
-    return abs(lhs - rhs)
-
-
-def _identity_iii(alpha, c, v, lag, tau):
-    """Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form; lag holds L_n(v)."""
-    coef = 1.0
-    total = 0.0
-    tp = 1.0
-    for l in range(_LAG_TERMS):
-        term = coef * lag[l] * tp
-        total += term
-        if abs(term) <= 1e-18 * max(1.0, abs(total)) and l > 8:
-            break
-        coef *= (c + l) / (alpha + 1.0 + l)
-        tp *= tau
-    w = v * tau / (1.0 - tau)
-    rhs = (1.0 - tau) ** (-c) * math.exp(-w) * hyp1f1(alpha + 1.0 - c, alpha + 1.0, w)
-    return abs(total - rhs)
+    cuts = [(k + alpha + 50.0 + 12.0 * math.sqrt(k + alpha + 1.0)) ** 0.25 for k, _ in rows]
+    rhs = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
+    return [abs(lag[u][k] - value) for (k, u), value in zip(rows, rhs)]
 
 
-def _identity_iv(alpha, v, lag, tau):
-    """sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau)); lag holds L_n(v)."""
-    denom = 1.0
-    total = 0.0
-    tp = 1.0
-    for l in range(_LAG_TERMS):
-        term = lag[l] * tp / denom
-        total += term
-        if abs(term) <= 1e-18 * max(1.0, abs(total)) and l > 8:
-            break
-        denom *= alpha + 1.0 + l
-        tp *= tau
-    rhs = math.exp(tau) * bessel_j_norm(alpha, 2.0 * math.sqrt(v * tau))
-    return abs(total - rhs)
-
-
-def _identity_v(alpha, k, c, v, lag):
+def _identity_v(alpha, k, c, lag, lag_c):
     """Dilation: L_k(c v) = (alpha+1)_k sum_l c^l (1-c)^{k-l} / ((k-l)! (alpha+1)_l) L_l(v);
-    lag holds L_0(v), ..., L_k(v) or more."""
-    lhs = laguerre_L(k, alpha, c * v)
+    lag holds L_n(v) and lag_c holds L_n(c v), each to degree k or more."""
     total = 0.0
     for l in range(k + 1):
         total += (c ** l * (1.0 - c) ** (k - l)
                   / (math.factorial(k - l) * pochhammer(alpha + 1.0, l)) * lag[l])
-    return abs(lhs - pochhammer(alpha + 1.0, k) * total)
+    return abs(lag_c[k] - pochhammer(alpha + 1.0, k) * total)
 
 
 def laguerre_identity_suite(alpha: float, k_max: int = 10,
@@ -354,26 +321,37 @@ def laguerre_identity_suite(alpha: float, k_max: int = 10,
         reports.append(_report(f"laguerre_identity_{identity}", {"alpha": alpha}, err,
                                default_tol if tol is None else tol))
 
-    columns = _lag_columns(k_max + _LAG_TERMS, alpha, (0.5, 2.1))
-    err = max(_identity_i(alpha, j, v, lag, tau)
-              for j in ks for v, lag in columns for tau in (0.3, -0.4))
-    report("i", err, 1e-10)
+    # one table over every point read by (i) to (v); entry n of the upward
+    # recurrence at a point does not depend on the other points
+    points = [0.5, 2.1, *(v / (1.0 - tau) for v in (0.5, 2.1) for tau in (0.3, -0.4)),
+              2.0, 1.2, 0.8, 3.0, *(c * 1.7 for c in (1.0, 0.35, 1.4))]
+    lag = dict(zip(points, laguerre_L_all(k_max + _LAG_TERMS, alpha, points).T))
 
-    err = max(_identity_ii(alpha, k, u, q) for k in ks for u in (0.5, 2.0))
+    err = max(abs(_lag_series(lag[v][j:], tau, lambda i: (i + j + 1.0) / (i + 1.0))
+                  - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
+                  * lag[v / (1.0 - tau)][j])
+              for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+    report("i", err, 1e-10)  # generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
+
+    err = max(_identity_ii(alpha, [(k, u) for k in ks for u in (0.5, 2.0)], lag, q))
     report("ii", err, 1e-8)
 
-    columns = _lag_columns(_LAG_TERMS, alpha, (1.2, 2.1))
-    err = max(_identity_iii(alpha, c, v, lag, tau)
+    # Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
+    err = max(abs(_lag_series(lag[v], tau, lambda l: (c + l) / (alpha + 1.0 + l))
+                  - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
+                  * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
               for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
-              for v, lag in columns for tau in (0.35,))
+              for v in (1.2, 2.1) for tau in (0.35,))
     report("iii", err, 1e-10)
 
-    columns = _lag_columns(_LAG_TERMS, alpha, (0.8, 3.0))
-    err = max(_identity_iv(alpha, v, lag, tau) for v, lag in columns for tau in (0.4, 2.5))
+    # sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
+    err = max(abs(_lag_series(lag[v], tau, lambda l: alpha + 1.0 + l, divide=True)
+                  - math.exp(tau) * bessel_j_norm(alpha, 2.0 * math.sqrt(v * tau)))
+              for v in (0.8, 3.0) for tau in (0.4, 2.5))
     report("iv", err, 1e-10)
 
-    lag = laguerre_L_all(k_max, alpha, 1.7)
-    err = max(_identity_v(alpha, k, c, 1.7, lag) for k in ks for c in (1.0, 0.35, 1.4))
+    err = max(_identity_v(alpha, k, c, lag[1.7], lag[c * 1.7])
+              for k in ks for c in (1.0, 0.35, 1.4))
     report("v", err, 1e-12)
     return reports
 
@@ -535,12 +513,8 @@ def _tol(tol) -> dict:
 
 
 def _suite_weber(q, tol):
-    reports = []
-    for nu in (-0.5, 0.5, 1.5):
-        for (al, be, ga) in ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0),
-                             (0.7, 0.5, 1.5), (2.0, 1.2, 0.3)):
-            reports.append(weber_schafheitlin_check(nu, al, be, ga, q, **_tol(tol)))
-    return reports
+    rows = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3))
+    return [r for nu in (-0.5, 0.5, 1.5) for r in _weber_rows(nu, rows, q, tol or _WEBER_TOL)]
 
 
 def _suite_glowne3(q, tol):

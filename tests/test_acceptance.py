@@ -190,8 +190,8 @@ def test_criterion_7_laguerre_identity_suite():
             key = r.check_name.rsplit("_", 1)[-1]
             worst[key] = max(worst.get(key, 0.0), r.max_abs_err / r.tol)
     # the dilation identity collapses exactly at c = 1
-    trivial = max(vf._identity_v(alpha, 6, 1.0, 2.1, laguerre_L_all(6, alpha, 2.1))
-                  for alpha in (-0.3, 0.0, 0.5, 2.1))
+    trivial = max(vf._identity_v(alpha, 6, 1.0, lag, lag)  # L_n(c v) = L_n(v) at c = 1
+                  for alpha in (-0.3, 0.0, 0.5, 2.1) for lag in [laguerre_L_all(6, alpha, 2.1)])
     elapsed = time.time() - t0
     ok = all(v <= 1.0 for v in worst.values()) and trivial <= 1e-13 and elapsed < 10.0
     detail = " ".join(f"{k}={v:.1e}x" for k, v in sorted(worst.items()))

@@ -41,6 +41,18 @@ class TestStateAndGridParsing:
 
 
 class TestQbesKernel:
+    def test_case5_start_ray_past_1e16_t(self, capsys):
+        # s / u rounds to 1.0 here; this exited 1 with "math domain error"
+        code, out, err = run_cli(["qbes-kernel", "--delta", "1", "--state", "tau=1e16,k=2",
+                                  "--t", "1"], capsys)
+        assert (code, err) == (0, "")
+        law = json.loads(out)
+        assert law["case"] == 5
+        assert [a["k"] for a in law["atoms"]] == [0, 1, 2]
+        assert all(a["tau"] == 1e16 for a in law["atoms"])
+        assert [a["prob"] for a in law["atoms"]] == pytest.approx([1e-32, 2e-16, 1.0],
+                                                                  rel=1e-12)
+
     def test_geometric_example(self, capsys):
         code, out, _ = run_cli(["qbes-kernel", "--delta", "1",
                                 "--state", "tau=-2,k=0", "--t", "1"], capsys)
@@ -252,6 +264,43 @@ class TestTables:
         assert code == 1
         assert out == ""
         assert err == f"hyperbessel: error: {message}\n"
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--alpha", "1.1", "--u-grid", "0:4:16", "--cutoff", "12"],
+         "adaptive quadrature exhausted on [0, 1.14441e-05]: "
+         "total residual 3.100e-10 > 1.000e-10"),
+        (["--alpha", "1.05", "--u-grid", "0:3:4"],
+         "adaptive quadrature exhausted on [0, 2.86102e-05]: "
+         "total residual 1.025e-09 > 1.000e-10"),
+        (["--alpha", "1.1", "--u-grid", "0,-1"],
+         "adaptive quadrature exhausted on [0, 2.86102e-05]: "
+         "total residual 8.494e-10 > 1.000e-10"),
+        (["--alpha", "2", "--u-grid", "1,nan,2"], "z must not be NaN"),
+        (["--alpha", "2", "--u-grid", "1,-1,2"], "bk_fourier requires u >= 0"),
+        (["--alpha", "2", "--u-grid", "1,inf"], "bessel_j_norm requires finite z >= 0"),
+    ])
+    def test_hankel_u_grid_errors(self, argv, message, capsys):
+        # the error of the first u that fails, as a loop over the grid gives it
+        code, out, err = run_cli(["hankel", "--function", "gaussian"] + argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"hyperbessel: error: {message}\n"
+
+    def test_hankel_json_rows_match_csv(self, capsys):
+        argv = ["hankel", "--alpha", "2.5", "--function", "gaussian", "--u-grid", "0:6:13"]
+        code, csv_out, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in csv_out.splitlines()[1:]]
+        assert [[r["u"], r["value"]] for r in json.loads(json_out)] == rows
+        assert len(rows) == 13
+
+    def test_hankel_empty_grid(self, capsys):
+        code, out, err = run_cli(["hankel", "--alpha", "2", "--function", "gaussian",
+                                  "--u-grid", "0:1:0"], capsys)
+        assert (code, out, err) == (0, "u,value\n", "")
 
 
 class TestLargeOrderTables:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hyperbessel import hypergroup as hg
-from hyperbessel.quadrature import QuadratureSpec
+from hyperbessel.quadrature import QuadratureError, QuadratureSpec
 
 Q = QuadratureSpec()
 Q_BIG = QuadratureSpec(nodes=96)
@@ -211,6 +211,63 @@ class TestBkFourier:
         g = lambda xs: np.exp(-0.5 * xs * xs)
         with pytest.warns(RuntimeWarning):
             hg.bk_fourier(g, 0.5, p, Q, cutoff=1.0)
+
+
+    @pytest.mark.parametrize("alpha,fn,cutoff,tol", [
+        (1.0, "gaussian", 12.0, 1e-10),
+        (2.5, "gaussian", 12.0, 1e-12),
+        (3.7, "gaussian", 8.0, 1e-10),
+        (2.0, "indicator", 1.0, 1e-10),
+    ])
+    def test_u_array_matches_scalar_calls(self, alpha, fn, cutoff, tol):
+        p = hg.BesselKingmanParams(alpha)
+        q = QuadratureSpec(abs_tol=tol)
+        f = {"gaussian": lambda xs: np.exp(-0.5 * xs * xs),
+             "indicator": lambda xs: np.where(xs <= 1.0, 1.0, 0.0)}[fn]
+        us = np.linspace(0.0, 12.0, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = hg.bk_fourier(f, us, p, q, cutoff=cutoff)
+            want = [hg.bk_fourier(f, u, p, q, cutoff=cutoff) for u in us.tolist()]
+        assert got.shape == us.shape and got.dtype == float
+        assert got.tolist() == want
+        assert all(type(v) is float for v in want)
+
+    def test_u_array_warns_once(self):
+        p = hg.BesselKingmanParams(2.0)
+        g = lambda xs: np.exp(-0.5 * xs * xs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hg.bk_fourier(g, np.linspace(0.0, 2.0, 5), p, Q, cutoff=1.0)
+        assert len(caught) == 1 and "tail bound" in str(caught[0].message)
+
+    def test_empty_u_array(self):
+        p = hg.BesselKingmanParams(2.0)
+        got = hg.bk_fourier(lambda xs: np.exp(-xs), np.array([]), p, Q)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("us,error,message", [
+        ([1.0, -1.0, 2.0], ValueError, "bk_fourier requires u >= 0"),
+        ([-1.0], ValueError, "bk_fourier requires u >= 0"),
+        ([1.0, math.nan, 2.0], ValueError, "z must not be NaN"),
+        ([math.nan, -1.0], ValueError, "z must not be NaN"),
+        ([1.0, math.inf], ValueError, "bessel_j_norm requires finite z >= 0"),
+    ])
+    def test_u_array_errors_as_a_loop_over_u(self, us, error, message):
+        p = hg.BesselKingmanParams(2.0)
+        g = lambda xs: np.exp(-0.5 * xs * xs)
+        with pytest.raises(error, match=f"^{message}$"):
+            hg.bk_fourier(g, np.array(us), p, Q, cutoff=12.0)
+        first_bad = next(u for u in us if not (math.isfinite(u) and u >= 0.0))
+        with pytest.raises(error, match=f"^{message}$"):
+            hg.bk_fourier(g, first_bad, p, Q, cutoff=12.0)
+
+    def test_exhausted_u_before_a_negative_u(self):
+        # a loop over u exhausts at u = 0 before it reaches u = -1
+        p = hg.BesselKingmanParams(1.1)
+        g = lambda xs: np.exp(-0.5 * xs * xs)
+        with pytest.raises(QuadratureError, match=r"exhausted on \[0, 2.86102e-05\]"):
+            hg.bk_fourier(g, np.array([0.0, -1.0]), p, QuadratureSpec(abs_tol=1e-10))
 
 
 class TestEigen:

@@ -14,7 +14,8 @@ import pytest
 
 from hyperbessel import kernels as kn
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint
-from hyperbessel.quadrature import QuadratureSpec, integrate
+from hyperbessel.quadrature import QuadratureError, QuadratureSpec, integrate
+from hyperbessel.specfun import log_gamma
 
 RNG = np.random.default_rng(905)
 
@@ -47,6 +48,14 @@ class TestQbesTransition:
                 atom, prob = law.atoms[0]
                 assert atom == DiscretePoint(1.0 + t, 0)
                 assert prob == pytest.approx(1.0, abs=1e-14)
+
+    def test_case5_start_ray_past_1e16_t(self):
+        # s / u rounds to 1.0 here; ln(1 - p) is taken as ln(t / u)
+        law = kn.qbes_transition(DiscretePoint(1e16, 2), 1.0, 1.0)
+        assert law.case == 5 and law.tau == 1e16
+        assert law.probs == pytest.approx((1e-32, 2e-16, 1.0), rel=1e-12)
+        far = kn.qbes_transition(DiscretePoint(1e300, 3), 1.0, 2.0)
+        assert far.probs == pytest.approx((0.0, 0.0, 3e-300, 1.0), rel=1e-12)
 
     def test_case4_zero_rate(self):
         law = kn.qbes_transition(ContinuousPoint(0.0), 2.0, 1.0)
@@ -331,3 +340,47 @@ class TestChapmanKolmogorov:
 
     def test_poisson_thinning(self):
         assert kn.chapman_kolmogorov_qbes(ContinuousPoint(0.7), 0.6, 0.9, 2.0) <= 1e-12
+
+    def test_case5_start_ray_past_1e16_t(self):
+        # raised "math domain error" while s / u rounded to 1.0
+        err = kn.chapman_kolmogorov_qbes(DiscretePoint(1e16, 2), 1, 1, 1)
+        assert 0.0 <= err <= 1e-15
+
+
+def _parent_poisson_mixture_pmf(gamma_ray, t2, levels, quad):
+    """The per-level loop that _poisson_mixture_pmf replaced, verbatim."""
+    shape, scale = gamma_ray.shape, gamma_ray.scale
+    rate_scale = 1.0 / scale + 1.0 / t2
+    out = np.empty(len(levels))
+    for i, l in enumerate(levels):
+        cutoff = (shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / rate_scale
+
+        def integrand(ys):
+            with np.errstate(divide="ignore"):
+                log_f = ((shape - 1.0) * np.log(ys) - ys / scale
+                         - log_gamma(shape) - shape * math.log(scale)
+                         + l * (np.log(ys) - math.log(t2)) - ys / t2
+                         - log_gamma(l + 1.0))
+            return np.exp(log_f)
+
+        out[i] = integrate(integrand, 0.0, cutoff, quad)
+    return out
+
+
+@pytest.mark.parametrize("shape,scale,t2,levels", [
+    (3.3, 1.0, 1.0, range(0, 40)),     # the chapman-kolmogorov verify scenario
+    (1.5, 2.0, 0.8, range(0, 25)),
+    (0.4, 0.7, 2.5, range(3, 9)),
+])
+@pytest.mark.parametrize("quad", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
+def test_poisson_mixture_matches_per_level_loop(shape, scale, t2, levels, quad):
+    gamma_ray = kn.GammaRay(shape, scale)
+    try:
+        want = _parent_poisson_mixture_pmf(gamma_ray, t2, levels, quad)
+    except QuadratureError as exc:  # the same error, from the same level
+        with pytest.raises(QuadratureError) as got:
+            kn._poisson_mixture_pmf(gamma_ray, t2, levels, quad)
+        assert str(got.value) == str(exc)
+        return
+    got = kn._poisson_mixture_pmf(gamma_ray, t2, levels, quad)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

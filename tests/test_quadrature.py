@@ -11,6 +11,7 @@ from hyperbessel.quadrature import (
     gauss_jacobi,
     gauss_legendre,
     integrate,
+    integrate_rows,
 )
 
 
@@ -173,3 +174,118 @@ def test_batched_exhaustion_message_matches_reference():
     with pytest.raises(QuadratureError) as ref:
         _reference_integrate(f, 0.0, 1.0, spec)
     assert str(new.value) == str(ref.value)
+
+
+def _row_integrand(fs, complex_=False):
+    """f(xs, rows) evaluating fs[i] on the nodes of row i, recording every call."""
+    calls = []
+
+    def f(xs, rows):
+        calls.append((np.array(xs), np.array(rows)))
+        out = np.empty(xs.shape, dtype=complex if complex_ else float)
+        for i, fi in enumerate(fs):
+            mask = rows == i
+            if np.any(mask):
+                out[mask] = fi(xs[mask])
+        return out
+
+    return f, calls
+
+
+ROW_SPEC = QuadratureSpec(abs_tol=1e-11)
+# rows of different depths (1, 1, 16 and 8 bisections) and a degenerate row
+REAL_ROWS = [
+    (lambda x: np.exp(-x * x), -1.0, 6.0),
+    (lambda x: np.cos(x) * np.exp(-0.1 * x), 0.0, 20.0),
+    (lambda x: np.sin(x * x), 0.0, 12.0),
+    (lambda x: x, 2.0, 2.0),
+    (lambda x: np.sqrt(x), 0.0, 1.0),
+]
+COMPLEX_ROWS = [
+    (lambda x: np.exp(1j * x * x), 0.0, 8.0),
+    (lambda x: x + 0j, 1.0, 1.0),
+    (lambda x: np.exp(1j * x), 0.0, math.pi),
+]
+
+
+@pytest.mark.parametrize("rows,complex_", [(REAL_ROWS, False), (COMPLEX_ROWS, True)])
+def test_integrate_rows_matches_reference_per_row(rows, complex_):
+    f, _ = _row_integrand([fi for fi, _, _ in rows], complex_)
+    got = integrate_rows(f, [(a, b) for _, a, b in rows], ROW_SPEC)
+    for value, (fi, a, b) in zip(got, rows):
+        want = _reference_integrate(fi, a, b, ROW_SPEC) if b != a else 0.0
+        assert type(value) is type(want)
+        assert value == want
+        assert value == integrate(fi, a, b, ROW_SPEC)
+
+
+def test_integrate_rows_one_call_per_round():
+    f, calls = _row_integrand([fi for fi, _, _ in REAL_ROWS])
+    integrate_rows(f, [(a, b) for _, a, b in REAL_ROWS], ROW_SPEC)
+    bisections = []
+    for fi, a, b in REAL_ROWS:
+        counted = _Counting(fi)
+        integrate(counted, a, b, ROW_SPEC)
+        bisections.append(len(counted.calls) - 1 if b != a else None)
+    live = [n for n in bisections if n is not None]
+    assert len(calls) == 1 + max(live)
+    # round r bisects every row that needs more than r - 1 bisections, 96 nodes each
+    assert [xs.size for xs, _ in calls] == (
+        [48 * len(live)] + [96 * sum(n >= r for n in live) for r in range(1, max(live) + 1)])
+    for xs, rows in calls:
+        assert rows.shape == xs.shape and rows.dtype.kind == "i"
+    assert bisections[3] is None and not any(np.any(rows == 3) for _, rows in calls)
+
+
+_TWO_SINGULAR = (lambda x: np.abs(x - _SINGULAR_C) ** -0.9  # noqa: E731
+                 + np.abs(x - 0.3) ** -0.9)
+_ONE_SINGULAR = lambda x: np.abs(x - _SINGULAR_C) ** -0.9  # noqa: E731
+EXHAUST_SPEC = QuadratureSpec(abs_tol=1e-14, max_depth=8)
+
+
+def _exhaustion(fi):
+    with pytest.raises(QuadratureError) as exc:
+        _reference_integrate(fi, 0.0, 1.0, EXHAUST_SPEC)
+    return str(exc.value)
+
+
+def test_integrate_rows_raises_first_failing_row_and_drops_later_rows():
+    # row 0 succeeds after many rounds, row 1 exhausts early, row 2 would exhaust
+    fs = [lambda x: np.sin(x * x), _ONE_SINGULAR, _TWO_SINGULAR]
+    f, calls = _row_integrand(fs)
+    with pytest.raises(QuadratureError) as exc:
+        integrate_rows(f, [(0.0, 12.0), (0.0, 1.0), (0.0, 1.0)], EXHAUST_SPEC)
+    assert str(exc.value) == _exhaustion(_ONE_SINGULAR)
+    counted = _Counting(_ONE_SINGULAR)
+    with pytest.raises(QuadratureError):
+        integrate(counted, 0.0, 1.0, EXHAUST_SPEC)
+    failed_round = len(counted.calls)  # the round whose pop exhausts row 1
+    assert any(np.any(rows == 0) for _, rows in calls[failed_round:])
+    assert not any(np.any(rows >= 1) for _, rows in calls[failed_round:])
+
+
+def test_integrate_rows_lower_row_failing_later_wins():
+    # row 1 exhausts first, but a loop over the rows would stop at row 0
+    for first, second in ((_ONE_SINGULAR, _TWO_SINGULAR), (_TWO_SINGULAR, _ONE_SINGULAR)):
+        f, _ = _row_integrand([first, second])
+        with pytest.raises(QuadratureError) as exc:
+            integrate_rows(f, [(0.0, 1.0), (0.0, 1.0)], EXHAUST_SPEC)
+        assert str(exc.value) == _exhaustion(first)
+    assert _exhaustion(_ONE_SINGULAR) != _exhaustion(_TWO_SINGULAR)
+
+
+def test_integrate_rows_edge_cases():
+    assert integrate_rows(lambda xs, rows: xs, [], ROW_SPEC) == []
+    assert integrate_rows(lambda xs, rows: xs, [(1.0, 1.0)] * 2) == [0.0, 0.0]
+    with pytest.raises(ValueError, match="a <= b"):
+        integrate_rows(lambda xs, rows: xs, [(0.0, 1.0), (2.0, 1.0)])
+
+
+def test_nan_row_stops_as_a_lone_call():
+    # a NaN error estimate ends a row at once (as "while err > tol" does), it is not bisected
+    f = lambda x: np.full_like(x, np.nan)  # noqa: E731
+    assert math.isnan(_reference_integrate(f, 0.0, 1.0, ROW_SPEC))
+    g, calls = _row_integrand([f, np.exp])
+    nan_row, exp_row = integrate_rows(g, [(0.0, 1.0), (0.0, 1.0)], ROW_SPEC)
+    assert math.isnan(nan_row) and exp_row == _reference_integrate(np.exp, 0.0, 1.0, ROW_SPEC)
+    assert len(calls) == 1

@@ -363,3 +363,65 @@ class TestBatchInvariance:
             ys = np.linspace(0.0, 40.0, 200)
             assert _bits_equal(kn.bes_density(d, ys),
                                [kn.bes_density(d, float(y)) for y in ys]), delta
+
+
+NAN, INF = math.nan, math.inf
+_J_MSG = "bessel_j_norm requires finite z >= 0"
+_I_MSG = "log_bessel_i_norm requires finite y >= 0"
+_LG_MSG = "log_gamma requires finite x > 0"
+
+
+@pytest.mark.parametrize("fn,x,message", [
+    # log_gamma: a NaN anywhere names the error, before any other bad value
+    (lambda x: sf.log_gamma(x), NAN, "x must not be NaN"),
+    (lambda x: sf.log_gamma(x), [NAN, -1.0], "x must not be NaN"),
+    (lambda x: sf.log_gamma(x), [-1.0, NAN], "x must not be NaN"),
+    (lambda x: sf.log_gamma(x), [[1.0, -1.0], [NAN, 2.0]], "x must not be NaN"),
+    (lambda x: sf.log_gamma(x), -INF, _LG_MSG),
+    (lambda x: sf.log_gamma(x), [2.0, INF], _LG_MSG),
+    (lambda x: sf.log_gamma(x), [1.0, 0.0], _LG_MSG),
+    (lambda x: sf.log_gamma(x), -0.0, _LG_MSG),
+    # the Bessel functions: the first bad element (row-major) names the error
+    (lambda z: sf.bessel_j_norm(0.5, z), NAN, "z must not be NaN"),
+    (lambda z: sf.bessel_j_norm(0.5, z), [NAN, -1.0], "z must not be NaN"),
+    (lambda z: sf.bessel_j_norm(0.5, z), [-1.0, NAN], _J_MSG),
+    (lambda z: sf.bessel_j_norm(0.5, z), [[1.0, -1.0], [NAN, 2.0]], _J_MSG),
+    (lambda z: sf.bessel_j_norm(0.5, z), [[1.0, NAN], [-1.0, 2.0]], "z must not be NaN"),
+    (lambda z: sf.bessel_j_norm(0.5, z), -INF, _J_MSG),
+    (lambda z: sf.bessel_j_norm(0.5, z), [1.0, INF], _J_MSG),
+    (lambda y: sf.log_bessel_i_norm(0.5, y), NAN, "y must not be NaN"),
+    (lambda y: sf.log_bessel_i_norm(0.5, y), [NAN, -1.0], "y must not be NaN"),
+    (lambda y: sf.log_bessel_i_norm(0.5, y), [-1.0, NAN], _I_MSG),
+    (lambda y: sf.log_bessel_i_norm(0.5, y), -INF, _I_MSG),
+    (lambda y: sf.log_bessel_i_norm(0.5, y), [1.0, INF], _I_MSG),
+    # laguerre_L_all rejects NaN only
+    (lambda x: sf.laguerre_L_all(3, 0.5, x), NAN, "x must not be NaN"),
+    (lambda x: sf.laguerre_L_all(3, 0.5, x), [NAN, -1.0], "x must not be NaN"),
+    (lambda x: sf.laguerre_L_all(3, 0.5, x), [-1.0, -INF, NAN], "x must not be NaN"),
+])
+def test_input_error_messages(fn, x, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(x)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(np.array(x))
+
+
+@pytest.mark.parametrize("fn,extra", [
+    (lambda x: sf.log_gamma(x), ()),
+    (lambda z: sf.bessel_j_norm(0.5, z), ()),
+    (lambda y: sf.log_bessel_i_norm(0.5, y), ()),
+    (lambda x: sf.laguerre_L_all(3, 0.5, x), (4,)),
+])
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_empty_arrays_pass_the_checks(fn, extra, shape):
+    for x in (np.empty(shape), np.empty(shape).tolist()):
+        out = fn(x)
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert out.shape == extra + np.shape(x)
+
+
+def test_laguerre_accepts_infinite_x():
+    # only NaN is rejected; the recurrence runs at -inf and inf
+    with np.errstate(invalid="ignore"):
+        assert sf.laguerre_L_all(3, 0.5, -INF).shape == (4,)
+        assert sf.laguerre_L_all(3, 0.5, [2.0, INF]).shape == (4, 2)

@@ -8,8 +8,9 @@ import pytest
 from hyperbessel import cli
 from hyperbessel import verify as vf
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint, HeisPoint
-from hyperbessel.quadrature import QuadratureSpec
-from hyperbessel.specfun import laguerre_L_all
+from hyperbessel.quadrature import QuadratureSpec, integrate
+from hyperbessel.specfun import (bessel_i_norm, bessel_j_norm, laguerre_L, laguerre_L_all,
+                                 log_gamma)
 
 
 class TestWeberSchafheitlin:
@@ -27,6 +28,44 @@ class TestWeberSchafheitlin:
             vf.weber_schafheitlin_check(-1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             vf.weber_schafheitlin_check(0.5, 0.0, 0.0, 1.0)
+
+
+def _parent_weber_lhs(nu, alpha, beta, gamma_, q):
+    """The integral of the per-check weber_schafheitlin_check that the batched
+    rows replaced, verbatim."""
+    log_pref = -nu * math.log(2.0) - log_gamma(nu + 1.0)
+
+    def integrand(vs):
+        with np.errstate(divide="ignore"):
+            log_env = -alpha * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref
+        i_part = np.exp(log_env + (np.log(bessel_i_norm(nu, beta * vs))
+                                   if beta > 0.0 else 0.0))
+        return i_part * bessel_j_norm(nu, gamma_ * vs)
+
+    # cutoff: grow until the exponential envelope is 1e-16 of its peak
+    peak_v = max((beta + math.sqrt(beta * beta + 4.0 * alpha * (2.0 * nu + 1.0 + 1.0)))
+                 / (2.0 * alpha), 1.0)
+    cut = peak_v + math.sqrt(50.0 / alpha) + beta / alpha
+    while (-alpha * cut * cut + beta * cut + abs(2.0 * nu + 1.0) * math.log(1.0 + cut)
+           ) > (-alpha * peak_v * peak_v + beta * peak_v - 37.0 * math.log(10.0)):
+        cut *= 1.25
+
+    return integrate(integrand, 0.0, cut, q)
+
+
+WEBER_ROWS = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3),
+              (1.0, 0.0, 0.0), (0.3, 2.0, 0.0))
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.5, 1.5, 0.7])
+@pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
+def test_weber_rows_match_per_check_loop(nu, q):
+    batched = vf._weber_rows(nu, WEBER_ROWS, q, 1e-9)
+    for report, (al, be, ga) in zip(batched, WEBER_ROWS):
+        assert report == vf.weber_schafheitlin_check(nu, al, be, ga, q)
+        rhs = ((2.0 * al) ** -(nu + 1.0) * math.exp((be * be - ga * ga) / (4.0 * al))
+               * bessel_j_norm(nu, be * ga / (2.0 * al)))
+        assert report.max_abs_err == float(abs(_parent_weber_lhs(nu, al, be, ga, q) - rhs))
 
 
 class TestGlowne3:
@@ -78,7 +117,8 @@ class TestLaguerreIdentities:
             assert r.passed, (alpha, r.check_name, r.max_abs_err)
 
     def test_dilation_trivial_at_c_one(self):
-        assert vf._identity_v(0.7, 6, 1.0, 2.1, laguerre_L_all(6, 0.7, 2.1)) <= 1e-13
+        lag = laguerre_L_all(6, 0.7, 2.1)
+        assert vf._identity_v(0.7, 6, 1.0, lag, lag) <= 1e-13
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
@@ -88,6 +128,55 @@ class TestLaguerreIdentities:
         reports = vf.laguerre_identity_suite(0.5, tol=3e-7)
         assert len(reports) == 5
         assert all(r.tol == 3e-7 for r in reports)
+
+
+def _parent_identity_ii(alpha, k, u, q):
+    """The per-integral identity (ii) that the batched rows replaced, verbatim."""
+    lhs = laguerre_L(k, alpha, u)
+    log_norm = u - log_gamma(k + 1.0) - log_gamma(alpha + 1.0)
+    cut = (k + alpha + 50.0 + 12.0 * math.sqrt(k + alpha + 1.0)) ** 0.25
+
+    def integrand(ws):
+        vs = ws ** 4
+        with np.errstate(divide="ignore"):
+            log_f = -vs + (k + alpha) * np.log(vs) + np.log(4.0 * ws ** 3)
+        return np.exp(log_f + log_norm) * bessel_j_norm(alpha, 2.0 * np.sqrt(u * vs))
+
+    rhs = integrate(integrand, 0.0, cut, q)
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.5, 2.1])
+@pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
+def test_identity_ii_rows_match_per_integral_loop(alpha, q):
+    rows = [(k, u) for k in (0, 1, 3, 7, 10) for u in (0.5, 2.0)]
+    lag = {u: laguerre_L_all(10, alpha, u) for u in (0.5, 2.0)}
+    got = vf._identity_ii(alpha, rows, lag, q)
+    assert got == [_parent_identity_ii(alpha, k, u, q) for k, u in rows]
+
+
+@pytest.mark.parametrize("alpha,k_max,q,want", [
+    (-0.3, 10, QuadratureSpec(), [1.9539925233402755e-14, 1.0198508704206688e-12,
+                                  2.4868995751603507e-14, 1.1102230246251565e-14,
+                                  9.992007221626409e-15]),
+    (2.1, 10, QuadratureSpec(), [2.8421709430404007e-13, 4.3165471197426086e-13,
+                                 3.419486915845482e-14, 1.7763568394002505e-15,
+                                 3.108624468950438e-14]),
+    (0.5, 4, None, [3.9968028886505635e-15, 1.4432899320127035e-15, 6.661338147750939e-16,
+                    2.220446049250313e-15, 1.6653345369377348e-16]),
+])
+def test_laguerre_suite_errors_unchanged(alpha, k_max, q, want):
+    # (i) to (v) as the per-identity loops over per-point tables computed them
+    assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max, q)] == want
+
+
+def test_laguerre_table_columns_match_scalar_calls():
+    # the suite reads L_n at every point from one table; entry n matches a scalar call
+    points = [0.5, 2.1, 0.5 / 0.7, 2.1 / 1.4, 2.0, 3.0, 1.4 * 1.7]
+    table = laguerre_L_all(440, 0.5, points)
+    for c, x in enumerate(points):
+        for n in (0, 1, 7, 10, 429, 440):
+            assert table[n, c] == laguerre_L(n, 0.5, x)
 
 
 class TestProductFormulas:
