@@ -28,14 +28,7 @@ from .kernels import (
     qbes_transition,
 )
 from .quadrature import QuadratureSpec
-from .sampling import (
-    PathSample,
-    RngState,
-    sample_bes,
-    sample_bes_path,
-    sample_law,
-    sample_qbes_path,
-)
+from .sampling import RngState, sample_bes, sample_bes_lanes, sample_qbes_lanes
 from .specfun import (
     bessel_i_norm,
     bessel_j_norm,
@@ -74,11 +67,9 @@ __all__ = [
     "law_from_dict",
     "QuadratureSpec",
     "RngState",
-    "PathSample",
-    "sample_law",
-    "sample_qbes_path",
+    "sample_qbes_lanes",
     "sample_bes",
-    "sample_bes_path",
+    "sample_bes_lanes",
     "log_gamma",
     "pochhammer",
     "laguerre_L",

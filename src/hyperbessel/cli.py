@@ -6,8 +6,9 @@ structured outputs (transition laws, verification reports) are JSON. Numbers
 are serialized with 17 significant digits so output round-trips exactly.
 
 Exit status: 0 on success, 1 on invalid parameters (single-line diagnostic on
-stderr), 2 when a verification check fails. Each simulated path draws from
-its own seeded stream, so its rows do not depend on --paths.
+stderr), 2 when a verification check fails. A warning is one stderr line,
+"hyperbessel: warning: <message>". Each simulated path draws from its own
+seeded stream, so its rows do not depend on --paths.
 
 A command builds only its own parser from the one table of subcommands;
 build_parser() assembles all of them, for --help and for an argv that names
@@ -22,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from itertools import repeat
 
 import numpy as np
@@ -315,7 +317,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _show_warning(message, *_) -> None:
+    """A warning as one line with no source location, so it reads the same
+    from every install."""
+    print(f"hyperbessel: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    shown, warnings.showwarning = warnings.showwarning, _show_warning
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args.command == "char-eval":
@@ -329,6 +338,8 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"hyperbessel: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

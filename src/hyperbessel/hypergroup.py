@@ -187,8 +187,8 @@ def _first_kind_char(alpha: float, tau: float, k: int, x, w):
     """
     pref = math.exp(log_gamma(k + 1.0) + log_gamma(alpha + 1.0)
                     - log_gamma(k + alpha + 1.0))
-    arg = abs(tau) * np.square(x)
     with np.errstate(over="ignore", invalid="ignore"):
+        arg = abs(tau) * np.square(x)
         out = pref * np.exp(1j * tau * w - 0.5 * arg) * laguerre_L(k, alpha, arg)
     bad = ~np.isfinite(out)
     if np.any(bad):

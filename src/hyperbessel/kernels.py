@@ -64,19 +64,11 @@ class GammaRay:
     def log_pdf(self, y):
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore"):
-            return ((self.shape - 1.0) * np.log(y) - y / self.scale
-                    - log_gamma(self.shape) - self.shape * math.log(self.scale))
+            # shape 1 has no log y term; 0 * log 0 would be NaN at y = 0
+            power = (self.shape - 1.0) * np.log(y) if self.shape != 1.0 else 0.0
+        return power - y / self.scale - log_gamma(self.shape) - self.shape * math.log(self.scale)
 
     def pdf(self, y):
-        if np.ndim(y) == 0:
-            y = float(y)
-            if y == 0.0:
-                if self.shape > 1.0:
-                    return 0.0
-                if self.shape == 1.0:
-                    return 1.0 / self.scale
-                return math.inf
-            return math.exp(self.log_pdf(y))
         return np.exp(self.log_pdf(y))
 
 

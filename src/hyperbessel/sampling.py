@@ -10,10 +10,8 @@ stream, and a draw returns one variate per lane. The rejection loops
 (Marsaglia-Tsang gamma, PTRS Poisson, binomial inversion) are masked numpy
 loops that advance only the lanes still rejecting, so each lane consumes its
 stream exactly as a lone draw would and a path's values do not depend on the
-other lanes. An `RngState` built from one seed or one path id is a scalar
-stream: its draws return Python numbers, at the cost of a one-lane numpy pass
-(about 0.02 ms for a uniform and 0.15 to 0.3 ms for a gamma, Poisson or BES
-draw), so draw many variates from one multi-lane state instead.
+other lanes. An `RngState` built from one seed or one path id has one lane,
+and its draws are one-element arrays.
 
 log, exp, cos, pow and lgamma go through `math` element by element, since
 numpy's own versions differ from the C library in the last bit on a few
@@ -24,24 +22,18 @@ one ulp short of the crossing reaches levels above 2^63.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergroup import ContinuousPoint, DiscretePoint, FanPoint
-from .kernels import TransitionLaw
+from .hypergroup import DiscretePoint, FanPoint
 
 __all__ = [
     "RngState",
-    "PathSample",
-    "sample_law",
     "sample_gamma",
     "sample_poisson",
     "sample_binomial",
-    "sample_qbes_path",
     "sample_qbes_lanes",
     "sample_bes",
-    "sample_bes_path",
     "sample_bes_lanes",
 ]
 
@@ -73,14 +65,12 @@ def _seed_word(seed: int) -> np.ndarray:
 
 class RngState:
     """Seed-derived counter states, one per lane; identical seeds produce
-    identical streams. A state built from one seed or one path id is scalar:
-    its draws are Python numbers rather than one-element arrays."""
+    identical streams. A state built from one seed has one lane."""
 
-    __slots__ = ("_state", "_scalar")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = _seed_word(seed)
-        self._scalar = True
 
     @classmethod
     def for_path(cls, master_seed: int, path_id) -> "RngState":
@@ -90,7 +80,6 @@ class RngState:
         if ids.size and ids.min() < 0:
             raise ValueError("path_id must be >= 0")
         rng = cls.__new__(cls)
-        rng._scalar = ids.ndim == 0
         rng._state = _seed_word(master_seed) ^ _mix64(
             (ids.reshape(-1).astype(np.uint64) + 1) * _GOLDEN)
         return rng
@@ -98,18 +87,15 @@ class RngState:
     def _lanes(self) -> np.ndarray:
         return np.arange(self._state.size)
 
-    def _out(self, values: np.ndarray):
-        return values.tolist()[0] if self._scalar else values
+    def next_u64(self) -> np.ndarray:
+        return _words(self._state, self._lanes())[0]
 
-    def next_u64(self):
-        return self._out(_words(self._state, self._lanes())[0])
-
-    def uniform(self):
+    def uniform(self) -> np.ndarray:
         """Uniform on the open interval (0, 1)."""
-        return self._out(_uniform(self._state, self._lanes()))
+        return _uniform(self._state, self._lanes())
 
-    def normal(self):
-        return self._out(_gauss(*_uniforms(self._state, self._lanes(), 2)))
+    def normal(self) -> np.ndarray:
+        return _gauss(*_uniforms(self._state, self._lanes(), 2))
 
 
 # Lane kernels: `s` is the state array of an RngState and `idx` the lanes to
@@ -265,56 +251,18 @@ def _binomial(s, idx, n, p):
 
 def sample_gamma(rng: RngState, shape, scale):
     """Gamma(shape, scale) variate per lane (Marsaglia-Tsang; boosted below shape 1)."""
-    return rng._out(_gamma(rng._state, rng._lanes(), shape, scale))
+    return _gamma(rng._state, rng._lanes(), shape, scale)
 
 
 def sample_poisson(rng: RngState, rate):
     """Poisson(rate) variate per lane, an exact int at any rate: product
     inversion below rate 10, PTRS above."""
-    return rng._out(_exact(_poisson(rng._state, rng._lanes(), rate)))
+    return _exact(_poisson(rng._state, rng._lanes(), rate))
 
 
 def sample_binomial(rng: RngState, n, p):
     """Binomial(n, p) variate per lane: median splitting down to n <= 64, then inversion."""
-    return rng._out(_binomial(rng._state, rng._lanes(), n, p))
-
-
-def sample_law(law: TransitionLaw, rng: RngState):
-    """Draw a fan point per lane from a one-step law by inverse CDF over its
-    atoms, conditioned on them (u is scaled by 1 - tail_mass): exact for the
-    truncated law, within tail_mass <= trunc_eps of the true law in total
-    variation. A gamma-ray law draws Gamma(shape, scale) onto the continuous
-    branch. Several lanes give an object array of points."""
-    s, idx = rng._state, rng._lanes()
-    u = _uniform(s, idx) * (1.0 - law.tail_mass)
-    # np.cumsum adds in atom order, so this is the first atom whose running mass reaches u
-    pick = np.searchsorted(np.cumsum(law.probs), u)
-    ray = pick == len(law.probs) if law.gamma_ray is not None else np.zeros(idx.size, bool)
-    points = np.empty(idx.size, dtype=object)
-    # without a gamma ray, u past a sum of atoms that rounded below 1 - tail_mass takes the last
-    points[~ray] = [DiscretePoint(law.tau, law.levels[min(a, len(law.probs) - 1)])
-                    for a in pick[~ray].tolist()]
-    if ray.any():
-        ys = _gamma(s, idx[ray], law.gamma_ray.shape, law.gamma_ray.scale)
-        points[ray] = [ContinuousPoint(y) for y in ys.tolist()]
-    return rng._out(points)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """A simulated trajectory on a strictly increasing time grid."""
-
-    times: tuple
-    states: tuple
-    path_id: int = 0
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
-        if self.path_id < 0:
-            raise ValueError("path_id must be >= 0")
+    return _binomial(rng._state, rng._lanes(), n, p)
 
 
 def _grid(time_grid) -> list[float]:
@@ -374,22 +322,6 @@ def sample_qbes_lanes(start: FanPoint, time_grid, delta: float, rng: RngState) -
     return steps
 
 
-def _one_lane(rng: RngState) -> None:
-    if not rng._scalar:
-        raise ValueError("a single path needs a scalar RngState")
-
-
-def sample_qbes_path(start: FanPoint, time_grid, delta: float, rng: RngState,
-                     path_id: int = 0) -> PathSample:
-    """One QBES path: sample_qbes_lanes on a scalar stream."""
-    _one_lane(rng)
-    times = [float(t) for t in time_grid]
-    steps = sample_qbes_lanes(start, times, delta, rng)
-    states = tuple(DiscretePoint(u, col[0]) if u != 0.0 else ContinuousPoint(float(col[0]))
-                   for u, col in steps)
-    return PathSample(times=tuple(times), states=states, path_id=path_id)
-
-
 @_float_semantics
 def _bes(s, idx, x0, t, delta):
     if not np.all((0.0 <= x0) & (x0 < math.inf)):
@@ -408,7 +340,7 @@ def sample_bes(x0, t: float, delta: float, rng: RngState):
     """
     idx = rng._lanes()
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), idx.shape)
-    return rng._out(_bes(rng._state, idx, x0, t, delta))
+    return _bes(rng._state, idx, x0, t, delta)
 
 
 def sample_bes_lanes(x0: float, time_grid, delta: float, rng: RngState) -> list:
@@ -425,12 +357,3 @@ def sample_bes_lanes(x0: float, time_grid, delta: float, rng: RngState) -> list:
         t_prev = t_next
     return steps
 
-
-def sample_bes_path(x0: float, time_grid, delta: float, rng: RngState,
-                    path_id: int = 0) -> PathSample:
-    """One BES path: sample_bes_lanes on a scalar stream."""
-    _one_lane(rng)
-    times = _grid(time_grid)
-    steps = sample_bes_lanes(x0, times, delta, rng)
-    return PathSample(times=tuple(times), states=tuple(float(c[0]) for c in steps),
-                      path_id=path_id)

@@ -64,7 +64,7 @@ def _as_array(x, name):
     return arr
 
 
-def _maybe_scalar(out, like):
+def _shaped_like(out, like):
     if np.isscalar(like) or np.ndim(like) == 0:
         return complex(out) if np.iscomplexobj(out) else float(out)
     return out
@@ -77,7 +77,7 @@ def log_gamma(x):
     if arr.size and not 0.0 < arr.min() <= arr.max() < np.inf:
         _as_array(arr, "x")  # a NaN anywhere names the error
         raise ValueError("log_gamma requires finite x > 0")
-    return _maybe_scalar(special.gammaln(arr), x)
+    return _shaped_like(special.gammaln(arr), x)
 
 
 def pochhammer(a, k):
@@ -88,7 +88,7 @@ def pochhammer(a, k):
     out = np.ones_like(arr)
     for i in range(int(k)):
         out = out * (arr + i)
-    return _maybe_scalar(out, a)
+    return _shaped_like(out, a)
 
 
 def laguerre_L(k, a, x):
@@ -97,7 +97,7 @@ def laguerre_L(k, a, x):
     Upward three-term recurrence in the degree, stable for x >= 0 (the only
     regime used here); the 1F1 series route is kept purely as a test oracle.
     """
-    return _maybe_scalar(laguerre_L_all(k, a, x)[-1], x)
+    return _shaped_like(laguerre_L_all(k, a, x)[-1], x)
 
 
 def laguerre_L_all(k_max, a, x):
@@ -190,7 +190,7 @@ def bessel_j_norm(nu, z):
     if np.any(np.abs(jv) < _TINY):
         raise OverflowError(f"bessel_j_norm: J_nu underflows at nu={nu!r}; order too large")
     out[~small] = np.sign(jv) * np.exp(_log_prefactor(nu, big) + np.log(np.abs(jv)))
-    return _maybe_scalar(out, z)
+    return _shaped_like(out, z)
 
 
 def bessel_i_norm(nu, y):
@@ -204,7 +204,7 @@ def bessel_i_norm(nu, y):
         out = np.exp(log_bessel_i_norm(nu, y))
     if np.any(~np.isfinite(out)):
         raise OverflowError("bessel_i_norm overflow; use log_bessel_i_norm")
-    return _maybe_scalar(out, y)
+    return _shaped_like(out, y)
 
 
 def log_bessel_i_norm(nu, y):
@@ -233,7 +233,7 @@ def log_bessel_i_norm(nu, y):
                             "order too large")
     big = arr[~series]
     out[~series] = np.log(ive[~series]) + big + _log_prefactor(nu, big)
-    return _maybe_scalar(out, y)
+    return _shaped_like(out, y)
 
 
 def hyp1f1(a, b, z):
@@ -253,8 +253,8 @@ def hyp1f1(a, b, z):
     arr = _as_array(z, "z")
     if a <= 0.0 and a == round(a):
         flat = np.array([_hyp1f1_exact(int(round(-a)), b, v) for v in arr.ravel()])
-        return _maybe_scalar(flat.reshape(arr.shape), z)
-    return _maybe_scalar(special.hyp1f1(a, b, arr), z)
+        return _shaped_like(flat.reshape(arr.shape), z)
+    return _shaped_like(special.hyp1f1(a, b, arr), z)
 
 
 def _hyp1f1_exact(k, b, z):

@@ -6,6 +6,7 @@ lines. Tolerances and runtime budgets are fixed here, not configurable.
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -217,19 +218,20 @@ def test_criterion_8_positive_definiteness():
 
 def test_criterion_9_monte_carlo_law_agreement():
     t0 = time.time()
-    laws = {
-        1: kn.qbes_transition(DiscretePoint(-2.0, 1), 1.0, 1.7),
-        3: kn.qbes_transition(DiscretePoint(-0.5, 1), 2.0, 2.2),
-        4: kn.qbes_transition(ContinuousPoint(3.0), 0.8, 1.0),
-        5: kn.qbes_transition(DiscretePoint(1.2, 4), 0.8, 3.0),
+    steps = {
+        1: (DiscretePoint(-2.0, 1), 1.0, 1.7),
+        3: (DiscretePoint(-0.5, 1), 2.0, 2.2),
+        4: (ContinuousPoint(3.0), 0.8, 1.0),
+        5: (DiscretePoint(1.2, 4), 0.8, 3.0),
     }
     n = 100000
     stats_out = []
     ok = True
-    for case, law in laws.items():
-        counts: dict[int, int] = {}
-        for pt in sp.sample_law(law, sp.RngState.for_path(9000 + case, range(n))):
-            counts[pt.k] = counts.get(pt.k, 0) + 1
+    for case, (start, t, delta) in steps.items():
+        law = kn.qbes_transition(start, t, delta)
+        [(_, levels)] = sp.sample_qbes_lanes(start, [t], delta,
+                                             sp.RngState.for_path(9000 + case, range(n)))
+        counts = Counter(levels.tolist())
         ranked = sorted(law.atoms, key=lambda ap: -ap[1])[:20]
         chi2 = 0.0
         covered = 0.0
@@ -248,7 +250,9 @@ def test_criterion_9_monte_carlo_law_agreement():
         stats_out.append(f"case{case}={chi2:.1f}<{crit:.1f}")
         # gamma-ray law: Kolmogorov distance of the empirical CDF, same seed policy
     law2 = kn.qbes_transition(DiscretePoint(-1.0, 1), 1.0, 1.7)
-    ys = np.sort([pt.y1 for pt in sp.sample_law(law2, sp.RngState.for_path(9002, range(n)))])
+    [(_, ys)] = sp.sample_qbes_lanes(DiscretePoint(-1.0, 1), [1.0], 1.7,
+                                     sp.RngState.for_path(9002, range(n)))
+    ys = np.sort(ys)
     gamma_cdf = stats.gamma.cdf(ys, a=law2.gamma_ray.shape, scale=law2.gamma_ray.scale)
     ks = float(np.max(np.abs(gamma_cdf - np.arange(1, n + 1) / n)))
     ks_crit = 1.95 / math.sqrt(n)  # 0.999 Kolmogorov quantile

@@ -539,16 +539,41 @@ def test_sim_json_is_json_dumps_of_csv_rows(argv, capsys):
     assert json_out == json.dumps(rows, separators=(",", ":")) + "\n"
 
 
+def run_cli_process(argv):
+    """The CLI in a fresh interpreter: its warnings reach stderr as users see them."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    result = subprocess.run([sys.executable, "-m", "hyperbessel.cli"] + argv, capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    return result.returncode, result.stdout, result.stderr
+
+
 def test_laguerre_overflow_is_one_line_error():
     # exp(-1800) L_2000(3600) printed nan,nan with exit 0 and four warning lines
     argv = ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2000",
             "--x-grid", "60", "--w-grid", "0"]
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    result = subprocess.run([sys.executable, "-m", "hyperbessel.cli"] + argv, capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr == ("hyperbessel: error: lag_character: L_k overflows at x=60.0, "
-                             "w=0.0 (tau=1.0, k=2000); degree too large\n")
+    assert run_cli_process(argv) == (1, "", "hyperbessel: error: lag_character: L_k overflows "
+                                            "at x=60.0, w=0.0 (tau=1.0, k=2000); degree too "
+                                            "large\n")
+
+
+def test_laguerre_overflowing_argument():
+    # |tau| x^2 overflows to inf: exp(-inf) L_0 is 0 with no numpy warning, L_2 an error
+    argv = ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--x-grid", "1e10",
+            "--w-grid", "0", "--state"]
+    assert run_cli_process(argv + ["tau=1e300,k=0"]) == (0, "x,w,re,im\n10000000000,0,0,0\n", "")
+    assert run_cli_process(argv + ["tau=1e300,k=2"]) == (
+        1, "", "hyperbessel: error: lag_character: L_k overflows at x=10000000000.0, w=0.0 "
+               "(tau=1e+300, k=2); degree too large\n")
+
+
+def test_warning_is_one_stable_line():
+    # no source path or line number, which changed with every edit and install
+    code, out, err = run_cli_process(["hankel", "--alpha", "1", "--function", "gaussian",
+                                      "--u-grid", "0:3:4", "--cutoff", "3"])
+    assert (code, out) == (0, "u,value\n0,1.2499304447415476\n1,0.76341202872584757\n"
+                              "2,0.16673305852420628\n3,0.016401612263060465\n")
+    assert err == ("hyperbessel: warning: bk_fourier tail bound 1.111e-02 exceeds abs_tol "
+                   "1.000e-10; increase the cutoff\n")
 
 
 class TestVerifyCommand:

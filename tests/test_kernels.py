@@ -8,6 +8,7 @@ normalization.
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestQbesTransition:
         assert law.case == 2
         assert law.gamma_ray == kn.GammaRay(1.5, 1.0)
         assert law.atoms == ()
+
+    @pytest.mark.parametrize("shape, at_zero", [(0.5, math.inf), (1.0, 0.5), (2.5, 0.0)])
+    def test_gamma_ray_pdf_at_zero(self, shape, at_zero):
+        # arrays and scalars take the same path: no NaN or warning at y = 0 for shape 1
+        ray = kn.GammaRay(shape, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ys = ray.pdf(np.array([0.0, 1.0]))
+            assert ys[0] == pytest.approx(at_zero, rel=1e-15)
+            assert ray.pdf(0.0) == ys[0] and ray.pdf(1.0) == ys[1]
+        assert ys[1] == pytest.approx(math.exp(-0.5) / (math.gamma(shape) * 2.0 ** shape),
+                                      rel=1e-14)
 
     def test_case1_weights_match_negative_binomial(self):
         s, k, t, delta = -2.5, 2, 1.0, 1.7

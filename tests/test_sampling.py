@@ -3,7 +3,6 @@
 Statistical assertions use fixed seeds and 3-sigma (or chi-square 0.999)
 bands so they are deterministic, not flaky.
 """
-import dataclasses
 import math
 import time
 from collections import Counter
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import hyperbessel
 from hyperbessel import cli
 from hyperbessel import kernels as kn
 from hyperbessel import sampling as sp
@@ -73,18 +73,9 @@ class TestLanes:
         assert some.tolist() == every[[7, 2]].tolist()
         assert sp.sample_gamma(sp.RngState.for_path(3, 7), 2.5, 1.0) == every[7]
 
-    def test_scalar_streams_return_python_numbers(self):
-        rng = sp.RngState(1)
-        assert type(rng.next_u64()) is int and type(rng.uniform()) is float
-        assert type(sp.sample_poisson(rng, 2e19)) is int
-        assert type(sp.sample_binomial(rng, 10**20, 0.5)) is int
-        assert type(sp.sample_bes(1.0, 0.5, 2.0, rng)) is float
-
     def test_lane_checks(self):
         with pytest.raises(ValueError):
             sp.RngState.for_path(1, [0, -1])
-        with pytest.raises(ValueError):
-            sp.sample_qbes_path(DiscretePoint(1.0, 0), [1.0], 2.0, sp.RngState.for_path(1, [0]))
         with pytest.raises(ValueError):
             sp.sample_poisson(sp.RngState.for_path(1, range(3)), [1.0, math.inf, 2.0])
         assert sp.sample_gamma(sp.RngState.for_path(1, []), 2.0, 1.0).size == 0
@@ -159,58 +150,6 @@ class TestDistributions:
         assert sp.sample_binomial(rng, 7, 0.0) == 0
 
 
-class TestSampleLaw:
-    def test_single_atom_always(self):
-        law = kn.qbes_transition(DiscretePoint(1.0, 0), 0.7, 2.0)
-        assert set(sp.sample_law(law, lanes(1, 50))) == {DiscretePoint(1.7, 0)}
-
-    def test_zero_rate_poisson(self):
-        law = kn.qbes_transition(ContinuousPoint(0.0), 2.0, 1.5)
-        rng = sp.RngState(2)
-        assert sp.sample_law(law, rng) == DiscretePoint(2.0, 0)
-
-    def test_geometric_frequency(self):
-        # kernels example: P(l=0) = 1/2
-        law = kn.qbes_transition(DiscretePoint(-2.0, 0), 1.0, 1.0)
-        n = 100000
-        hits = sum(1 for point in sp.sample_law(law, lanes(99, n)) if point.k == 0)
-        band = 3.0 * math.sqrt(0.25 / n)
-        assert hits / n == pytest.approx(0.5, abs=band)
-
-    def test_gamma_ray_law(self):
-        law = kn.qbes_transition(DiscretePoint(-1.0, 0), 1.0, 1.5)
-        draws = sp.sample_law(law, lanes(4, 20000))
-        assert all(isinstance(d, ContinuousPoint) for d in draws)
-        ys = np.array([d.y1 for d in draws])
-        assert ys.mean() == pytest.approx(1.5, abs=3.0 * ys.std() / math.sqrt(ys.size))
-
-    def test_chi_square_against_pmf(self):
-        # one law per kernel discrete case, N = 1e5, fixed seed
-        laws = {
-            1: kn.qbes_transition(DiscretePoint(-2.0, 1), 1.0, 1.7),
-            3: kn.qbes_transition(DiscretePoint(-0.5, 1), 2.0, 2.2),
-            4: kn.qbes_transition(ContinuousPoint(3.0), 0.8, 1.0),
-            5: kn.qbes_transition(DiscretePoint(1.2, 4), 0.8, 3.0),
-        }
-        n = 100000
-        for case, law in laws.items():
-            counts = Counter(point.k for point in sp.sample_law(law, lanes(1000 + case, n)))
-            chi2, crit = chi2_against_law(law, counts, n)
-            assert chi2 < crit, f"case {case}: chi2 {chi2:.1f} >= {crit:.1f}"
-
-    def test_truncated_law_stays_on_stored_atoms(self):
-        # keep the first 3 levels of a geometric law; 1/8 of its mass is tail
-        law = kn.qbes_transition(DiscretePoint(-2.0, 0), 1.0, 1.0)
-        kept = law.probs[:3]
-        cut = dataclasses.replace(law, levels=law.levels[:3], probs=kept,
-                                  tail_mass=1.0 - math.fsum(kept))
-        n = 20000
-        counts = Counter(point.k for point in sp.sample_law(cut, lanes(6, n)))
-        assert set(counts) <= {0, 1, 2}
-        band = 3.0 * math.sqrt((4.0 / 7.0) * (3.0 / 7.0) / n)
-        assert counts[0] / n == pytest.approx(4.0 / 7.0, abs=band)
-
-
 class TestDirectSteps:
     """First steps of sample_qbes_lanes against the exact one-step laws,
     at the strength of acceptance criterion 9."""
@@ -234,6 +173,42 @@ class TestDirectSteps:
             chi2, crit = chi2_against_law(law, counts, n)
             assert chi2 < crit, f"{name}: chi2 {chi2:.1f} >= {crit:.1f}"
 
+    def test_single_atom_always(self):
+        [(tau, levels)] = sp.sample_qbes_lanes(DiscretePoint(1.0, 0), [0.7], 2.0, lanes(1, 50))
+        assert (tau, set(levels.tolist())) == (1.7, {0})
+
+    def test_zero_rate_poisson(self):
+        [(tau, levels)] = sp.sample_qbes_lanes(ContinuousPoint(0.0), [2.0], 1.5, sp.RngState(2))
+        assert (tau, levels.tolist()) == (2.0, [0])
+
+    def test_geometric_frequency(self):
+        # kernels example: P(l=0) = 1/2
+        n = 100000
+        [(_, levels)] = sp.sample_qbes_lanes(DiscretePoint(-2.0, 0), [1.0], 1.0, lanes(99, n))
+        hits = levels.tolist().count(0)
+        band = 3.0 * math.sqrt(0.25 / n)
+        assert hits / n == pytest.approx(0.5, abs=band)
+
+    def test_gamma_ray_law(self):
+        [(tau, ys)] = sp.sample_qbes_lanes(DiscretePoint(-1.0, 0), [1.0], 1.5, lanes(4, 20000))
+        assert tau == 0.0 and ys.dtype == float
+        assert ys.mean() == pytest.approx(1.5, abs=3.0 * ys.std() / math.sqrt(ys.size))
+
+    def test_chi_square_against_pmf(self):
+        # one law per kernel discrete case, N = 1e5, fixed seed
+        steps = {
+            1: (DiscretePoint(-2.0, 1), 1.0, 1.7),
+            3: (DiscretePoint(-0.5, 1), 2.0, 2.2),
+            4: (ContinuousPoint(3.0), 0.8, 1.0),
+            5: (DiscretePoint(1.2, 4), 0.8, 3.0),
+        }
+        n = 100000
+        for case, (start, t, delta) in steps.items():
+            [(_, levels)] = sp.sample_qbes_lanes(start, [t], delta, lanes(1000 + case, n))
+            law = kn.qbes_transition(start, t, delta)
+            chi2, crit = chi2_against_law(law, Counter(levels.tolist()), n)
+            assert chi2 < crit, f"case {case}: chi2 {chi2:.1f} >= {crit:.1f}"
+
     def test_ks_gamma_case(self):
         start, t, delta, n = DiscretePoint(-1.0, 1), 1.0, 1.7, 100000
         law = kn.qbes_transition(start, t, delta)
@@ -245,19 +220,23 @@ class TestDirectSteps:
         assert ks < 1.95 / math.sqrt(n)  # 0.999 Kolmogorov quantile
 
 
+def one_path(steps):
+    """The (u, value) states of a one-lane path from sample_qbes_lanes."""
+    return [(u, col.tolist()[0]) for u, col in steps]
+
+
 class TestPaths:
     def test_absorbing_case5_path(self):
-        path = sp.sample_qbes_path(DiscretePoint(1.0, 0), [0.5, 1.0, 2.0], 2.0, sp.RngState(1))
-        assert [(s.tau, s.k) for s in path.states] == [(1.5, 0), (2.0, 0), (3.0, 0)]
+        steps = sp.sample_qbes_lanes(DiscretePoint(1.0, 0), [0.5, 1.0, 2.0], 2.0, sp.RngState(1))
+        assert one_path(steps) == [(1.5, 0), (2.0, 0), (3.0, 0)]
 
     def test_uniform_rightward_motion(self):
         # the first coordinate is start.tau + t, one rounding from the grid
         grid = [0.4, 1.1, 2.0, 3.5]
         rng = sp.RngState(8)
         start = DiscretePoint(-5.0, 2)
-        path = sp.sample_qbes_path(start, grid, 1.3, rng)
-        for t, state in zip(path.times, path.states):
-            assert state.tau == start.tau + t
+        steps = sp.sample_qbes_lanes(start, grid, 1.3, rng)
+        assert [u for u, _ in steps] == [start.tau + t for t in grid]
 
     def test_decimal_grids_reach_crossing(self):
         # a:b:n from tau = -b ends on the crossing; summed increments miss it
@@ -271,10 +250,10 @@ class TestPaths:
         for a, b, n in grids:
             grid = cli.parse_grid(f"{a}:{b}:{n}")
             start = DiscretePoint(-float(b), 3)
-            path = sp.sample_qbes_path(start, grid, 1.5, sp.RngState(n))
-            assert path.times[-1] == float(b)
-            assert isinstance(path.states[-1], ContinuousPoint), (a, b, n)
-            assert all(isinstance(s, DiscretePoint) for s in path.states[:-1])
+            steps = sp.sample_qbes_lanes(start, grid, 1.5, sp.RngState(n))
+            assert grid[-1] == float(b)
+            assert steps[-1][0] == 0.0 and steps[-1][1].dtype == float, (a, b, n)
+            assert all(u != 0.0 and col.dtype == object for u, col in steps[:-1])
             tau = start.tau + grid[0]
             for t_prev, t_next in zip(grid, grid[1:]):
                 tau += t_next - t_prev
@@ -293,16 +272,14 @@ class TestPaths:
     def test_path_reproducibility(self):
         # -1 + 1.0 == 0, so the third step is on the crossing
         grid = [0.25, 0.75, 1.0, 1.75]
-        p1 = sp.sample_qbes_path(DiscretePoint(-1.0, 2), grid, 2.0, sp.RngState.for_path(5, 0))
-        p2 = sp.sample_qbes_path(DiscretePoint(-1.0, 2), grid, 2.0, sp.RngState.for_path(5, 0))
-        assert p1 == p2
-        assert isinstance(p1.states[2], ContinuousPoint)
+        p1 = sp.sample_qbes_lanes(DiscretePoint(-1.0, 2), grid, 2.0, sp.RngState.for_path(5, [0]))
+        p2 = sp.sample_qbes_lanes(DiscretePoint(-1.0, 2), grid, 2.0, sp.RngState.for_path(5, [0]))
+        assert one_path(p1) == one_path(p2)
+        assert p1[2][0] == 0.0 and p1[2][1].dtype == float
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            sp.sample_qbes_path(DiscretePoint(1.0, 0), [], 1.0, sp.RngState(0))
-        with pytest.raises(ValueError):
-            sp.PathSample(times=(1.0, 1.0), states=(None, None))
+            sp.sample_qbes_lanes(DiscretePoint(1.0, 0), [], 1.0, sp.RngState(0))
 
     @pytest.mark.parametrize("grid", [[0.5, 0.5, 0.7], [0.7, 0.5], [0.5, math.nan],
                                       [0.5, math.inf], [0.0, 0.5]])
@@ -350,3 +327,9 @@ class TestSampleBes:
             prob = integrate(lambda v: kn.bes_density(d, v), edges[i], edges[i + 1], spec)
             sup = max(sup, abs(counts[i] / n - prob))
         assert sup <= 4.0 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("module", [hyperbessel, sp], ids=lambda m: m.__name__)
+def test_exported_names_resolve(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
