@@ -62,11 +62,13 @@ class GammaRay:
             raise ValueError("GammaRay requires positive shape and scale")
 
     def log_pdf(self, y):
+        """ln of the density: -inf (density 0) at y < 0, off the ray."""
         y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             # shape 1 has no log y term; 0 * log 0 would be NaN at y = 0
             power = (self.shape - 1.0) * np.log(y) if self.shape != 1.0 else 0.0
-        return power - y / self.scale - log_gamma(self.shape) - self.shape * math.log(self.scale)
+        out = power - y / self.scale - log_gamma(self.shape) - self.shape * math.log(self.scale)
+        return np.where(y < 0.0, -np.inf, out)[()]
 
     def pdf(self, y):
         return np.exp(self.log_pdf(y))
@@ -265,17 +267,27 @@ def bes_density(d: BesDensity, y):
     cancellation between the modified Bessel factor and the Gaussian does not
     overflow for large x y / t.
     """
+    return _bes_density_rows([d], y)
+
+
+def _bes_density_rows(densities, y, rows=0):
+    """bes_density at each y under densities[r] (one delta for all), r the
+    node's entry of rows: a family of (x, t) rows in one array call."""
     arr = np.asarray(y, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise ValueError("bes_density requires y >= 0")
-    delta, t, x = d.delta, d.t, d.x
+    delta = densities[0].delta
+    rows = np.broadcast_to(rows, arr.shape)
     nu = delta / 2.0 - 1.0
     out = np.empty_like(arr)
     pos = arr > 0.0
     if np.any(pos):
         yp = arr[pos]
+        # ln (2t)^(delta/2) once per row, by math.log as a lone call takes it
+        x, t, log_norm = np.array([(d.x, d.t, 0.5 * delta * math.log(2.0 * d.t))
+                                   for d in densities])[rows[pos]].T
         log_p = (math.log(2.0) + (delta - 1.0) * np.log(yp)
-                 - 0.5 * delta * math.log(2.0 * t) - log_gamma(delta / 2.0)
+                 - log_norm - log_gamma(delta / 2.0)
                  + log_bessel_i_norm(nu, x * yp / t)
                  - (x * x + yp * yp) / (2.0 * t))
         out[pos] = np.exp(log_p)
@@ -283,13 +295,12 @@ def bes_density(d: BesDensity, y):
         if delta > 1.0:
             edge = 0.0
         elif delta == 1.0:
-            edge = 2.0 * math.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+            edge = [2.0 * math.exp(-d.x * d.x / (2.0 * d.t)) / math.sqrt(2.0 * math.pi * d.t)
+                    for d in (densities[r] for r in rows[~pos].tolist())]
         else:
             edge = math.inf
         out[~pos] = edge
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(y) == 0 else out
 
 
 def _poisson_mixture_pmf(gamma_ray: GammaRay, t2: float, levels, quad) -> np.ndarray:

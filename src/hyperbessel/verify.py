@@ -12,6 +12,11 @@ given a QuadratureSpec. The standard suite (run_suite, ``hyperbessel verify``)
 runs every check under one spec, QuadratureSpec() unless one is given:
 64 Gauss-Jacobi nodes and adaptive abs_tol 1e-10.
 
+Checks are certified by rows: the Weber, generator and spectral checks are
+one-row calls of a family per order, which the suites call once per order;
+a family takes its integrals from one integrate_rows call and its closed
+forms from array calls, which return the bits of the lone check's scalar calls.
+
 Validity guards are hard: the Gegenbauer and Watson product formulas are
 rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
 infinite integrals are cut where the integrand envelope drops below 1e-16 of
@@ -50,7 +55,6 @@ from .specfun import (
     laguerre_L,
     laguerre_L_all,
     log_gamma,
-    pochhammer,
 )
 
 __all__ = [
@@ -144,9 +148,10 @@ def weber_schafheitlin_check(nu: float, alpha: float, beta: float, gamma_: float
     return _weber_rows(nu, [(alpha, beta, gamma_)], q, tol)[0]
 
 
-def _weber_rows(nu, rows, q, tol) -> list[VerificationReport]:
+def _weber_rows(nu, rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
     """weber_schafheitlin_check of each (alpha, beta, gamma) row at one nu, the
-    integrals from one integrate_rows call."""
+    integrals from one integrate_rows call and the closed forms' j_nu from one
+    bessel_j_norm call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
     alphas, betas, gammas = (np.array(col, dtype=float) for col in zip(*rows))
     log_pref = -nu * math.log(2.0) - log_gamma(nu + 1.0)
@@ -169,11 +174,11 @@ def _weber_rows(nu, rows, q, tol) -> list[VerificationReport]:
         cuts.append(cut)
 
     lhs = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
+    js = bessel_j_norm(nu, np.array([be * ga / (2.0 * al) for al, be, ga in rows])).tolist()
     return [_report("weber_schafheitlin", {"nu": nu, "alpha": al, "beta": be, "gamma": ga},
                     abs(value - (2.0 * al) ** -(nu + 1.0)
-                        * math.exp((be * be - ga * ga) / (4.0 * al))
-                        * bessel_j_norm(nu, be * ga / (2.0 * al))), tol)
-            for (al, be, ga), value in zip(rows, lhs)]
+                        * math.exp((be * be - ga * ga) / (4.0 * al)) * j), tol)
+            for (al, be, ga), value, j in zip(rows, lhs, js)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,39 +195,56 @@ def glowne3_check(start: FanPoint, a: HeisPoint, t: float, delta: float,
     """
     if not delta > 0.0:
         raise ValueError("glowne3_check requires delta > 0")
+    return _glowne3_rows(delta, [(start, t)], [a], trunc_eps, q, tol)[0]
+
+
+def _glowne3_rows(delta, laws, points, trunc_eps, q, tol=1e-8) -> list[VerificationReport]:
+    """glowne3_check of each (start, t) law at each Heisenberg point, at one delta:
+    each law built once, the gamma-ray integrals of all of them from one
+    integrate_rows call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
     al = delta - 1.0
-    x, w_inv = a.x, -a.w
+    params, lhs, rhs = [], [], []  # per law and point; rhs first holds the atom sum
+    gamma_rows = []  # (check index, gamma ray, x) per gamma-ray integral
+    for start, t in laws:
+        if isinstance(start, DiscretePoint):
+            chis_start = [_first_kind_char(al, start.tau, start.k, a.x, -a.w) for a in points]
+        else:
+            chis_start = [_second_kind_char(al, start.y1, a.x) for a in points]
+        law = kn.qbes_transition(start, t, delta, trunc_eps)
+        if law.levels:
+            levels = np.arange(law.levels.start, law.levels.stop)
+            probs = np.array(law.probs)
+            pref = np.exp(log_gamma(levels + 1.0) + log_gamma(al + 1.0)
+                          - log_gamma(levels + al + 1.0))
+            args = [abs(law.tau) * a.x * a.x for a in points]
+            lag_vals = laguerre_L_all(law.levels[-1], al, args)[levels]
+        for i, (a, chi_start) in enumerate(zip(points, chis_start)):
+            atom_sum = 0.0 + 0.0j
+            if law.levels:
+                chis = pref * np.exp(1j * law.tau * -a.w - 0.5 * args[i]) * lag_vals[:, i]
+                atom_sum += np.sum(probs * chis)
+            if law.gamma_ray is not None:
+                gamma_rows.append((len(rhs), law.gamma_ray, a.x))
+            params.append({"start": _fan_label(start), "x": a.x, "w": a.w, "t": t, "delta": delta})
+            lhs.append(np.exp(t * psi_heis(a)) * chi_start)
+            rhs.append(atom_sum)
 
-    if isinstance(start, DiscretePoint):
-        chi_start = _first_kind_char(al, start.tau, start.k, x, w_inv)
-    else:
-        chi_start = _second_kind_char(al, start.y1, x)
-    lhs = np.exp(t * psi_heis(a)) * chi_start
+    rays = [g for _, g, _ in gamma_rows]
+    xs = np.array([x for *_, x in gamma_rows])
 
-    law = kn.qbes_transition(start, t, delta, trunc_eps)
-    rhs = 0.0 + 0.0j
-    if law.levels:
-        levels = np.arange(law.levels.start, law.levels.stop)
-        probs = np.array(law.probs)
-        arg = abs(law.tau) * x * x
-        lag_vals = laguerre_L_all(law.levels[-1], al, arg)[levels]
-        log_pref = log_gamma(levels + 1.0) + log_gamma(al + 1.0) - log_gamma(levels + al + 1.0)
-        chis = np.exp(log_pref) * np.exp(1j * law.tau * w_inv - 0.5 * arg) * lag_vals
-        rhs += np.sum(probs * chis)
-    if law.gamma_ray is not None:
-        g = law.gamma_ray
-        cut = g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0))
-
-        def integrand(ys):
-            return g.pdf(ys) * _second_kind_char(al, 1.0, x * np.sqrt(ys))
-
+    def integrand(ys, rows):
+        pdf = np.empty_like(ys)
+        for row, g in enumerate(rays):
+            pdf[rows == row] = g.pdf(ys[rows == row])
         # chi_(0,y)(x, .) = j_al(2 x sqrt(y)); reuse the y1=1 form scaled
-        rhs += integrate(integrand, 0.0, cut, q)
+        return pdf * _second_kind_char(al, 1.0, xs[rows] * np.sqrt(ys))
 
-    return _report("glowne3",
-                   {"start": _fan_label(start), "x": a.x, "w": a.w, "t": t, "delta": delta},
-                   abs(lhs - rhs), tol)
+    cuts = [g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0)) for g in rays]
+    values = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
+    for (n, _, _), value in zip(gamma_rows, values):
+        rhs[n] += value
+    return [_report("glowne3", p, abs(l - r), tol) for p, l, r in zip(params, lhs, rhs)]
 
 
 def bk_spectral_check(u: float, x: float, t: float, delta: float,
@@ -231,32 +253,43 @@ def bk_spectral_check(u: float, x: float, t: float, delta: float,
     """BES spectral identity: e^{-t x^2/2} eta_u(x) = int eta_v(x) p_t(u, dv)."""
     if u < 0.0 or x < 0.0 or t <= 0.0:
         raise ValueError("bk_spectral_check requires u, x >= 0 and t > 0")
+    return _bk_spectral_rows(delta, [(u, x, t)], q, tol)[0]
+
+
+def _bk_spectral_rows(delta, rows, q, tol=1e-8) -> list[VerificationReport]:
+    """bk_spectral_check of each (u, x, t) row at one delta: the characters
+    eta_u(x) from one bk_character call, the integrals from one integrate_rows
+    call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
     p = BesselKingmanParams(delta)
-    lhs = math.exp(-0.5 * t * x * x) * bk_character(u, x, p)
-    density = kn.BesDensity(delta, t, u)
-    cut = u + 12.0 * math.sqrt(t) + 1.0
+    us, xs, _ = (np.array(col, dtype=float) for col in zip(*rows))
+    chars = bk_character(us, xs, p).tolist()
+    densities = [kn.BesDensity(delta, t, u) for u, _, t in rows]
 
-    def integrand(vs):
-        return bk_character(vs, x, p) * kn.bes_density(density, vs)
+    def integrand(vs, r):
+        return bk_character(vs, xs[r], p) * kn._bes_density_rows(densities, vs, r)
 
-    rhs = integrate(integrand, 0.0, cut, q)
-    return _report("bk_spectral", {"u": u, "x": x, "t": t, "delta": delta},
-                   abs(lhs - rhs), tol)
+    rhs = integrate_rows(integrand, [(0.0, u + 12.0 * math.sqrt(t) + 1.0) for u, _, t in rows], q)
+    return [_report("bk_spectral", {"u": u, "x": x, "t": t, "delta": delta},
+                    abs(math.exp(-0.5 * t * x * x) * char - value), tol)
+            for (u, x, t), char, value in zip(rows, chars, rhs)]
 
 
 # ---------------------------------------------------------------------------
 # Laguerre-side identities used in the QBES identification
 
 
-# terms summed by the series identities (i), (iii) and (iv)
+# terms summed by the series identities (i), (iii) and (iv); the suite builds
+# its table to k_max + _LAG_SHORT, and to k_max + _LAG_TERMS if a series runs past
 _LAG_TERMS = 420
+_LAG_SHORT = 128
 
 
 def _lag_series(lag, tau, ratio, divide=False):
     """sum_n c_n lag[n] tau^n with c_0 = 1 and c_{n+1} = c_n ratio(n); with
     divide, the terms are lag[n] tau^n / c_n instead. Stops after the first
-    term past n = 8 below 1e-18 of the sum, or after _LAG_TERMS terms."""
+    term past n = 8 below 1e-18 of the sum, or after _LAG_TERMS terms; raises
+    IndexError if lag ends first."""
     coef = 1.0
     total = 0.0
     tp = 1.0
@@ -296,10 +329,12 @@ def _identity_v(alpha, k, c, lag, lag_c):
     """Dilation: L_k(c v) = (alpha+1)_k sum_l c^l (1-c)^{k-l} / ((k-l)! (alpha+1)_l) L_l(v);
     lag holds L_n(v) and lag_c holds L_n(c v), each to degree k or more."""
     total = 0.0
+    poch = 1.0  # (alpha+1)_l, multiplied in pochhammer's order
     for l in range(k + 1):
-        total += (c ** l * (1.0 - c) ** (k - l)
-                  / (math.factorial(k - l) * pochhammer(alpha + 1.0, l)) * lag[l])
-    return abs(lag_c[k] - pochhammer(alpha + 1.0, k) * total)
+        total += c ** l * (1.0 - c) ** (k - l) / (math.factorial(k - l) * poch) * lag[l]
+        if l < k:
+            poch *= alpha + 1.0 + l
+    return abs(lag_c[k] - poch * total)
 
 
 def laguerre_identity_suite(alpha: float, k_max: int = 10,
@@ -315,45 +350,45 @@ def laguerre_identity_suite(alpha: float, k_max: int = 10,
         raise ValueError("laguerre_identity_suite requires alpha > -1")
     q = q or QuadratureSpec(abs_tol=1e-12)
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
-    reports = []
-
-    def report(identity, err, default_tol):
-        reports.append(_report(f"laguerre_identity_{identity}", {"alpha": alpha}, err,
-                               default_tol if tol is None else tol))
-
     # one table over every point read by (i) to (v); entry n of the upward
-    # recurrence at a point does not depend on the other points
+    # recurrence at a point does not depend on the other points or the degree
     points = [0.5, 2.1, *(v / (1.0 - tau) for v in (0.5, 2.1) for tau in (0.3, -0.4)),
               2.0, 1.2, 0.8, 3.0, *(c * 1.7 for c in (1.0, 0.35, 1.4))]
-    lag = dict(zip(points, laguerre_L_all(k_max + _LAG_TERMS, alpha, points).T))
+    iv_rows = [(v, tau) for v in (0.8, 3.0) for tau in (0.4, 2.5)]
+    iv_js = bessel_j_norm(alpha, np.array([2.0 * math.sqrt(v * tau)
+                                           for v, tau in iv_rows])).tolist()
 
-    err = max(abs(_lag_series(lag[v][j:], tau, lambda i: (i + j + 1.0) / (i + 1.0))
-                  - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
-                  * lag[v / (1.0 - tau)][j])
-              for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
-    report("i", err, 1e-10)  # generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
+    def series_errors(degree):
+        lag = dict(zip(points, laguerre_L_all(degree, alpha, points).T.tolist()))
+        # (i) generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
+        err_i = max(abs(_lag_series(lag[v][j:], tau, lambda i: (i + j + 1.0) / (i + 1.0))
+                        - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
+                        * lag[v / (1.0 - tau)][j])
+                    for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+        # (iii) Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
+        err_iii = max(abs(_lag_series(lag[v], tau, lambda l: (c + l) / (alpha + 1.0 + l))
+                          - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
+                          * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
+                      for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
+                      for v in (1.2, 2.1) for tau in (0.35,))
+        # (iv) sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
+        err_iv = max(abs(_lag_series(lag[v], tau, lambda l: alpha + 1.0 + l, divide=True)
+                         - math.exp(tau) * j)
+                     for (v, tau), j in zip(iv_rows, iv_js))
+        return lag, err_i, err_iii, err_iv
 
-    err = max(_identity_ii(alpha, [(k, u) for k in ks for u in (0.5, 2.0)], lag, q))
-    report("ii", err, 1e-8)
-
-    # Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
-    err = max(abs(_lag_series(lag[v], tau, lambda l: (c + l) / (alpha + 1.0 + l))
-                  - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
-                  * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
-              for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
-              for v in (1.2, 2.1) for tau in (0.35,))
-    report("iii", err, 1e-10)
-
-    # sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
-    err = max(abs(_lag_series(lag[v], tau, lambda l: alpha + 1.0 + l, divide=True)
-                  - math.exp(tau) * bessel_j_norm(alpha, 2.0 * math.sqrt(v * tau)))
-              for v in (0.8, 3.0) for tau in (0.4, 2.5))
-    report("iv", err, 1e-10)
-
-    err = max(_identity_v(alpha, k, c, lag[1.7], lag[c * 1.7])
-              for k in ks for c in (1.0, 0.35, 1.4))
-    report("v", err, 1e-12)
-    return reports
+    try:
+        lag, err_i, err_iii, err_iv = series_errors(k_max + _LAG_SHORT)
+    except IndexError:  # a series ran past the short table
+        lag, err_i, err_iii, err_iv = series_errors(k_max + _LAG_TERMS)
+    err_ii = max(_identity_ii(alpha, [(k, u) for k in ks for u in (0.5, 2.0)], lag, q))
+    err_v = max(_identity_v(alpha, k, c, lag[1.7], lag[c * 1.7])
+                for k in ks for c in (1.0, 0.35, 1.4))
+    return [_report(f"laguerre_identity_{name}", {"alpha": alpha}, err,
+                    default_tol if tol is None else tol)
+            for name, err, default_tol in (("i", err_i, 1e-10), ("ii", err_ii, 1e-8),
+                                           ("iii", err_iii, 1e-10), ("iv", err_iv, 1e-10),
+                                           ("v", err_v, 1e-12))]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +415,12 @@ def gegenbauer_check(nu: float, x: float, y: float,
         rhs = 0.5 * (math.cos(x + y) + math.cos(x - y))
         return _report("gegenbauer", {"nu": nu, "x": x, "y": y}, abs(lhs - rhs), tol,
                        notes="degenerate cosine product")
-    lhs = bessel_j_norm(nu, x) * bessel_j_norm(nu, y)
+    j_x, j_y = bessel_j_norm(nu, np.array([x, y])).tolist()
     us, ws = gauss_jacobi(q.nodes, nu - 0.5, nu - 0.5)
     radii = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * us, 0.0))
     pref = math.exp(log_gamma(nu + 1.0) - log_gamma(nu + 0.5)) / math.sqrt(math.pi)
     rhs = pref * float(np.sum(ws * bessel_j_norm(nu, radii)))
-    return _report("gegenbauer", {"nu": nu, "x": x, "y": y}, abs(lhs - rhs), tol)
+    return _report("gegenbauer", {"nu": nu, "x": x, "y": y}, abs(j_x * j_y - rhs), tol)
 
 
 def watson_check(nu: float, x: float, y: float, k: int,
@@ -423,9 +458,9 @@ def bk_multiplicativity_check(u: float, x: float, xp: float, alpha: float,
     p = BesselKingmanParams(alpha)
     q = q or QuadratureSpec()
     lhs = bk_translate(lambda r: bk_character(u, r, p), x, xp, p, q)
-    rhs = bk_character(u, x, p) * bk_character(u, xp, p)
+    eta_x, eta_xp = bk_character(u, np.array([x, xp]), p).tolist()
     return _report("bk_multiplicativity", {"u": u, "x": x, "xp": xp, "alpha": alpha},
-                   abs(lhs - rhs), tol)
+                   abs(lhs - eta_x * eta_xp), tol)
 
 
 def lag_multiplicativity_check(c: FanPoint, a: HeisPoint, b: HeisPoint, alpha: float,
@@ -438,11 +473,12 @@ def lag_multiplicativity_check(c: FanPoint, a: HeisPoint, b: HeisPoint, alpha: f
     else:
         fn = lambda xs, ws: _second_kind_char(alpha, c.y1, xs) + 0.0j * ws
     lhs = lag_translate(fn, a, b, p, q)
-    rhs = lag_character(c, a, p) * lag_character(c, b, p)
+    chi_a, chi_b = lag_character(c, HeisPoint(np.array([a.x, b.x]), np.array([a.w, b.w])),
+                                 p).tolist()
     return _report("lag_multiplicativity",
                    {"chi": _fan_label(c), "ax": a.x, "aw": a.w, "bx": b.x, "bw": b.w,
                     "alpha": alpha},
-                   abs(lhs - rhs), tol)
+                   abs(lhs - chi_a * chi_b), tol)
 
 
 def psd_gram_check(points, t: float, delta: float,
@@ -507,41 +543,40 @@ def normalization_check(n: int = 200, seed: int = 20240 + 1,
 # the standard suite
 
 
-def _tol(tol) -> dict:
-    """The user's tolerance as a keyword, or none so each check keeps its default."""
+def _tol(tol, default=None) -> dict:
+    """The user's tolerance as a keyword, else default; none at all keeps the
+    check's own default."""
+    tol = default if tol is None else tol
     return {} if tol is None else {"tol": tol}
 
 
 def _suite_weber(q, tol):
     rows = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3))
-    return [r for nu in (-0.5, 0.5, 1.5) for r in _weber_rows(nu, rows, q, tol or _WEBER_TOL)]
+    return [r for nu in (-0.5, 0.5, 1.5) for r in _weber_rows(nu, rows, q, **_tol(tol))]
 
 
 def _suite_glowne3(q, tol):
-    reports = []
+    laws = (
+        (DiscretePoint(-1.0, 2), 0.4),   # case 1
+        (DiscretePoint(-1.0, 2), 1.0),   # case 2
+        (DiscretePoint(-1.0, 2), 1.6),   # case 3
+        (ContinuousPoint(0.7), 0.9),     # case 4
+        (DiscretePoint(1.0, 3), 0.7),    # case 5
+    )
     heis = (HeisPoint(0.8, 0.3), HeisPoint(2.0, -1.1))
-    for delta in (1.0, 1.5, 2.0, 3.7):
-        for a in heis:
-            for start, t in (
-                (DiscretePoint(-1.0, 2), 0.4),   # case 1
-                (DiscretePoint(-1.0, 2), 1.0),   # case 2
-                (DiscretePoint(-1.0, 2), 1.6),   # case 3
-                (ContinuousPoint(0.7), 0.9),     # case 4
-                (DiscretePoint(1.0, 3), 0.7),    # case 5
-            ):
-                reports.append(glowne3_check(start, a, t, delta, 1e-12, q, **_tol(tol)))
-    return reports
+    return [r for delta in (1.0, 1.5, 2.0, 3.7)
+            for r in _glowne3_rows(delta, laws, heis, 1e-12, q, **_tol(tol))]
 
 
 def _suite_bk_spectral(q, tol):
-    return [bk_spectral_check(u, x, t, delta, q, **_tol(tol))
-            for delta in (1.0, 2.0, 2.5, 4.0)
-            for (u, x, t) in ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))]
+    rows = ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))
+    return [r for delta in (1.0, 2.0, 2.5, 4.0)
+            for r in _bk_spectral_rows(delta, rows, q, **_tol(tol))]
 
 
 def _suite_laguerre(q, tol):
     return [r for alpha in (-0.3, 0.0, 0.5, 2.1)
-            for r in laguerre_identity_suite(alpha, 10, q, tol)]
+            for r in laguerre_identity_suite(alpha, 10, q, **_tol(tol))]
 
 
 def _suite_gegenbauer(q, tol):
@@ -592,7 +627,7 @@ def _suite_ck(q, tol):
         (DiscretePoint(1.0, 3), 0.4, 0.6, 0.9, 1e-12),   # exact binomial
         (ContinuousPoint(0.7), 0.6, 0.9, 2.0, 1e-12),    # Poisson thinning
     )
-    return [chapman_kolmogorov_check(start, t1, t2, delta, 1e-12, q, tol or base_tol)
+    return [chapman_kolmogorov_check(start, t1, t2, delta, 1e-12, q, **_tol(tol, base_tol))
             for (start, t1, t2, delta, base_tol) in scenarios]
 
 

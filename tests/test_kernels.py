@@ -13,10 +13,11 @@ import warnings
 import numpy as np
 import pytest
 
+from hyperbessel import cli
 from hyperbessel import kernels as kn
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint
 from hyperbessel.quadrature import QuadratureError, QuadratureSpec, integrate
-from hyperbessel.specfun import log_gamma
+from hyperbessel.specfun import log_bessel_i_norm, log_gamma
 
 RNG = np.random.default_rng(905)
 
@@ -89,6 +90,17 @@ class TestQbesTransition:
             assert ray.pdf(0.0) == ys[0] and ray.pdf(1.0) == ys[1]
         assert ys[1] == pytest.approx(math.exp(-0.5) / (math.gamma(shape) * 2.0 ** shape),
                                       rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+    def test_gamma_ray_off_support(self, shape):
+        # y < 0 lies off the ray: density 0 and log-density -inf, no NaN or warning
+        ray = kn.GammaRay(shape, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ray.pdf(-1.0) == 0.0 and ray.log_pdf(-1.0) == -math.inf
+            assert ray.pdf(np.array([-2.0, -1e-300])).tolist() == [0.0, 0.0]
+            assert ray.log_pdf(np.array([-2.0, 1.0]))[0] == -math.inf
+            assert ray.pdf(np.array([-1.0, 1.0]))[1] == ray.pdf(1.0)
 
     def test_case1_weights_match_negative_binomial(self):
         s, k, t, delta = -2.5, 2, 1.0, 1.7
@@ -299,6 +311,35 @@ class TestLawLayout:
             assert kn.chapman_kolmogorov_qbes(start, t1, t2, delta, 1e-12) == want
 
 
+def _parent_bes_density(d, y):
+    """bes_density before the per-row helper, verbatim."""
+    arr = np.asarray(y, dtype=float)
+    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+        raise ValueError("bes_density requires y >= 0")
+    delta, t, x = d.delta, d.t, d.x
+    nu = delta / 2.0 - 1.0
+    out = np.empty_like(arr)
+    pos = arr > 0.0
+    if np.any(pos):
+        yp = arr[pos]
+        log_p = (math.log(2.0) + (delta - 1.0) * np.log(yp)
+                 - 0.5 * delta * math.log(2.0 * t) - log_gamma(delta / 2.0)
+                 + log_bessel_i_norm(nu, x * yp / t)
+                 - (x * x + yp * yp) / (2.0 * t))
+        out[pos] = np.exp(log_p)
+    if np.any(~pos):
+        if delta > 1.0:
+            edge = 0.0
+        elif delta == 1.0:
+            edge = 2.0 * math.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+        else:
+            edge = math.inf
+        out[~pos] = edge
+    if np.ndim(y) == 0:
+        return float(out)
+    return out
+
+
 class TestBesDensity:
     def test_dimension_one_reflected_gaussian(self):
         d = kn.BesDensity(1.0, 0.7, 1.3)
@@ -327,6 +368,27 @@ class TestBesDensity:
         d = kn.BesDensity(2.0, 0.001, 30.0)
         val = kn.bes_density(d, 30.0)
         assert np.isfinite(val) and val > 0.0
+
+    @pytest.mark.parametrize("delta,t,x,grid", [
+        (2.5, 0.7, 1.3, "0:4:81"),       # the README example
+        (1.5, 0.5, 1.2, "0:6:200"),      # the tabulate design points
+        (3.0, 1.0, 30.0, "0:40:200"),
+        (60.0, 1.0, 30.0, "0:40:200"),
+        (1.0, 0.7, 1.3, "0:4:81"),       # the y = 0 edge at each side of delta = 1
+        (0.7, 0.5, 1.2, "0:4:81"),
+    ])
+    def test_rows_helper_keeps_bits(self, delta, t, x, grid):
+        ys = np.array(cli.parse_grid(grid))
+        d = kn.BesDensity(delta, t, x)
+        want = _parent_bes_density(d, ys)
+        assert kn.bes_density(d, ys).tobytes() == want.tobytes()
+        assert [kn.bes_density(d, y) for y in ys[:3].tolist()] == want[:3].tolist()
+        # the same density as row 1 of a family, its nodes interleaved with row 0's
+        pair = [kn.BesDensity(delta, 2.0 * t, 0.5 * x), d]
+        rows = np.arange(2 * ys.size) % 2
+        got = kn._bes_density_rows(pair, np.repeat(ys, 2), rows)
+        assert got[1::2].tobytes() == want.tobytes()
+        assert got[0::2].tobytes() == _parent_bes_density(pair[0], ys).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

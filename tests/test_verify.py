@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from hyperbessel import cli
+from hyperbessel import kernels as kn
 from hyperbessel import verify as vf
-from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint, HeisPoint
-from hyperbessel.quadrature import QuadratureSpec, integrate
+from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, DiscretePoint,
+                                    HeisPoint, LaguerreParams, _first_kind_char,
+                                    _second_kind_char, bk_character, bk_translate,
+                                    lag_character, lag_translate, psi_heis)
+from hyperbessel.quadrature import QuadratureSpec, gauss_jacobi, integrate
 from hyperbessel.specfun import (bessel_i_norm, bessel_j_norm, laguerre_L, laguerre_L_all,
-                                 log_gamma)
+                                 log_gamma, pochhammer)
 
 
 class TestWeberSchafheitlin:
@@ -110,6 +114,94 @@ class TestBkSpectral:
         assert r.max_abs_err <= 1e-10
 
 
+GLOWNE3_LAWS = ((DiscretePoint(-1.0, 2), 0.4), (DiscretePoint(-1.0, 2), 1.0),
+                 (DiscretePoint(-1.0, 2), 1.6), (ContinuousPoint(0.7), 0.9),
+                 (DiscretePoint(1.0, 3), 0.7))
+GLOWNE3_POINTS = (HeisPoint(0.8, 0.3), HeisPoint(2.0, -1.1))
+
+
+def _parent_glowne3(start, a, t, delta, q):
+    """The error of the per-check glowne3_check that the per-delta family
+    replaced, verbatim."""
+    al = delta - 1.0
+    x, w_inv = a.x, -a.w
+
+    if isinstance(start, DiscretePoint):
+        chi_start = _first_kind_char(al, start.tau, start.k, x, w_inv)
+    else:
+        chi_start = _second_kind_char(al, start.y1, x)
+    lhs = np.exp(t * psi_heis(a)) * chi_start
+
+    law = kn.qbes_transition(start, t, delta, 1e-12)
+    rhs = 0.0 + 0.0j
+    if law.levels:
+        levels = np.arange(law.levels.start, law.levels.stop)
+        probs = np.array(law.probs)
+        arg = abs(law.tau) * x * x
+        lag_vals = laguerre_L_all(law.levels[-1], al, arg)[levels]
+        log_pref = log_gamma(levels + 1.0) + log_gamma(al + 1.0) - log_gamma(levels + al + 1.0)
+        chis = np.exp(log_pref) * np.exp(1j * law.tau * w_inv - 0.5 * arg) * lag_vals
+        rhs += np.sum(probs * chis)
+    if law.gamma_ray is not None:
+        g = law.gamma_ray
+        cut = g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0))
+
+        def integrand(ys):
+            return g.pdf(ys) * _second_kind_char(al, 1.0, x * np.sqrt(ys))
+
+        rhs += integrate(integrand, 0.0, cut, q)
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.5, 2.0, 3.7, 0.6])
+@pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
+def test_glowne3_rows_match_per_check_code(delta, q):
+    # all five kernel cases at both suite points, each law built once
+    reports = vf._glowne3_rows(delta, GLOWNE3_LAWS, GLOWNE3_POINTS, 1e-12, q)
+    pairs = [(start, t, a) for start, t in GLOWNE3_LAWS for a in GLOWNE3_POINTS]
+    assert len(reports) == len(pairs)
+    for report, (start, t, a) in zip(reports, pairs):
+        assert report.max_abs_err == float(_parent_glowne3(start, a, t, delta, q))
+        assert report == vf.glowne3_check(start, a, t, delta, 1e-12, q)
+
+
+def test_glowne3_rows_with_two_gamma_rays():
+    # two case-2 laws of one delta share one integrate_rows call
+    laws = ((DiscretePoint(-1.0, 2), 1.0), (DiscretePoint(-2.0, 0), 2.0))
+    q = QuadratureSpec()
+    reports = vf._glowne3_rows(1.5, laws, GLOWNE3_POINTS, 1e-12, q)
+    pairs = [(start, t, a) for start, t in laws for a in GLOWNE3_POINTS]
+    assert [r.max_abs_err for r in reports] == [
+        float(_parent_glowne3(start, a, t, 1.5, q)) for start, t, a in pairs]
+
+
+BK_SPECTRAL_ROWS = ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))
+
+
+def _parent_bk_spectral(u, x, t, delta, q):
+    """The error of the per-check bk_spectral_check that the per-delta family
+    replaced, verbatim."""
+    p = BesselKingmanParams(delta)
+    lhs = math.exp(-0.5 * t * x * x) * bk_character(u, x, p)
+    density = kn.BesDensity(delta, t, u)
+    cut = u + 12.0 * math.sqrt(t) + 1.0
+
+    def integrand(vs):
+        return bk_character(vs, x, p) * kn.bes_density(density, vs)
+
+    rhs = integrate(integrand, 0.0, cut, q)
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.0, 2.5, 4.0])
+@pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
+def test_bk_spectral_rows_match_per_check_code(delta, q):
+    reports = vf._bk_spectral_rows(delta, BK_SPECTRAL_ROWS, q)
+    for report, (u, x, t) in zip(reports, BK_SPECTRAL_ROWS):
+        assert report.max_abs_err == float(_parent_bk_spectral(u, x, t, delta, q))
+        assert report == vf.bk_spectral_check(u, x, t, delta, q)
+
+
 class TestLaguerreIdentities:
     @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.5, 2.1])
     def test_suite_passes(self, alpha):
@@ -123,6 +215,22 @@ class TestLaguerreIdentities:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             vf.laguerre_identity_suite(-1.0)
+
+    def test_dilation_matches_pochhammer_code(self):
+        # the running (alpha+1)_l keeps the bits of the per-term pochhammer calls, verbatim
+        def parent(alpha, k, c, lag, lag_c):
+            total = 0.0
+            for l in range(k + 1):
+                total += (c ** l * (1.0 - c) ** (k - l)
+                          / (math.factorial(k - l) * pochhammer(alpha + 1.0, l)) * lag[l])
+            return abs(lag_c[k] - pochhammer(alpha + 1.0, k) * total)
+
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            alpha, c = float(rng.uniform(-0.9, 20.0)), float(rng.uniform(0.1, 2.0))
+            k = int(rng.integers(0, 40))
+            lag, lag_c = rng.normal(size=(2, k + 1)).tolist()
+            assert vf._identity_v(alpha, k, c, lag, lag_c) == parent(alpha, k, c, lag, lag_c)
 
     def test_one_tol_for_all_five(self):
         reports = vf.laguerre_identity_suite(0.5, tol=3e-7)
@@ -170,6 +278,38 @@ def test_laguerre_suite_errors_unchanged(alpha, k_max, q, want):
     assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max, q)] == want
 
 
+@pytest.mark.parametrize("alpha,k_max,want", [
+    (2.1, 30, [1.979060471057892e-08, 2.744471316873387e-13, 1.0550138540565968e-10,
+               1.7763568394002505e-15, 1.574607111365367e-08]),
+    (0.0, 60, [5.675360069935924e-05, 7.93809462606987e-15, 0.0001373291015625,
+               3.6914915568786455e-15, 0.001258119953449266]),
+])
+def test_laguerre_fallback_to_full_table(alpha, k_max, want, monkeypatch):
+    # a series runs past the short table: the suite rebuilds the full-degree
+    # one and reports the errors of a suite that read only the full table
+    degrees = []
+
+    def spy(k, a, x):
+        degrees.append(k)
+        return laguerre_L_all(k, a, x)
+
+    monkeypatch.setattr(vf, "laguerre_L_all", spy)
+    assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max)] == want
+    assert degrees == [k_max + vf._LAG_SHORT, k_max + vf._LAG_TERMS]
+
+
+def test_laguerre_standard_suite_reads_short_table(monkeypatch):
+    degrees = []
+
+    def spy(k, a, x):
+        degrees.append(k)
+        return laguerre_L_all(k, a, x)
+
+    monkeypatch.setattr(vf, "laguerre_L_all", spy)
+    vf.run_suite("laguerre-identities")
+    assert degrees == [10 + vf._LAG_SHORT] * 4
+
+
 def test_laguerre_table_columns_match_scalar_calls():
     # the suite reads L_n at every point from one table; entry n matches a scalar call
     points = [0.5, 2.1, 0.5 / 0.7, 2.1 / 1.4, 2.0, 3.0, 1.4 * 1.7]
@@ -209,6 +349,65 @@ class TestProductFormulas:
         c = DiscretePoint(-0.7, 2)
         r = vf.lag_multiplicativity_check(c, HeisPoint(1.0, 0.3), HeisPoint(0.8, -0.5), 0.5)
         assert r.passed
+
+
+def _parent_gegenbauer(nu, x, y, q):
+    """The error of gegenbauer_check before its left-hand side became one
+    bessel_j_norm call, verbatim (nu > -1/2)."""
+    lhs = bessel_j_norm(nu, x) * bessel_j_norm(nu, y)
+    us, ws = gauss_jacobi(q.nodes, nu - 0.5, nu - 0.5)
+    radii = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * us, 0.0))
+    pref = math.exp(log_gamma(nu + 1.0) - log_gamma(nu + 0.5)) / math.sqrt(math.pi)
+    rhs = pref * float(np.sum(ws * bessel_j_norm(nu, radii)))
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("nu", [0.75, 2.0, -0.2])
+def test_gegenbauer_matches_per_check_code(nu):
+    # the left-hand side's two values now come from one bessel_j_norm call
+    for q in (QuadratureSpec(), QuadratureSpec(nodes=32)):
+        for x, y in ((1.3, 0.7), (3.0, 0.1), (0.4, 2.2)):
+            assert vf.gegenbauer_check(nu, x, y, q).max_abs_err == _parent_gegenbauer(nu, x, y, q)
+
+
+def _multiplicativity_rows():
+    """The standard suite's random rows, drawn as the suite draws them."""
+    rng = np.random.default_rng(777)
+    bk, lag = [], []
+    for _ in range(25):
+        alpha = float(rng.uniform(1.0, 4.0))
+        bk.append((*(float(v) for v in rng.uniform(0.1, 2.5, size=3)), alpha))
+    for i in range(25):
+        alpha = float(rng.uniform(0.0, 3.0))
+        a = HeisPoint(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2.0, 2.0)))
+        b = HeisPoint(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2.0, 2.0)))
+        if i % 3 == 2:
+            c = ContinuousPoint(float(rng.uniform(0.0, 3.0)))
+        else:
+            c = DiscretePoint(float(rng.uniform(0.2, 2.0)) * (-1.0 if i % 2 else 1.0),
+                              int(rng.integers(0, 5)))
+        lag.append((c, a, b, alpha))
+    return bk, lag
+
+
+def test_multiplicativity_checks_match_per_check_code():
+    # the per-check code computed each right-hand side from two scalar calls, verbatim
+    bk_rows, lag_rows = _multiplicativity_rows()
+    q = QuadratureSpec()
+    for u, x, xp, alpha in bk_rows:
+        p = BesselKingmanParams(alpha)
+        lhs = bk_translate(lambda r: bk_character(u, r, p), x, xp, p, q)
+        rhs = bk_character(u, x, p) * bk_character(u, xp, p)
+        assert vf.bk_multiplicativity_check(u, x, xp, alpha, q).max_abs_err == abs(lhs - rhs)
+    for c, a, b, alpha in lag_rows:
+        p = LaguerreParams(alpha)
+        if isinstance(c, DiscretePoint):
+            fn = lambda xs, ws: _first_kind_char(alpha, c.tau, c.k, xs, ws)
+        else:
+            fn = lambda xs, ws: _second_kind_char(alpha, c.y1, xs) + 0.0j * ws
+        lhs = lag_translate(fn, a, b, p, q)
+        rhs = lag_character(c, a, p) * lag_character(c, b, p)
+        assert vf.lag_multiplicativity_check(c, a, b, alpha, q).max_abs_err == abs(lhs - rhs)
 
 
 class TestGramAndKernels:
@@ -260,6 +459,17 @@ class TestReports:
         assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 0
         capsys.readouterr()
         assert json.loads(out.read_text()) == [vf.report_to_dict(r) for r in vf.run_suite(suite)]
+
+    @pytest.mark.parametrize("suite", ["weber-schafheitlin", "chapman-kolmogorov"])
+    def test_user_tol_overrides_each_default(self, suite):
+        # one idiom for the user's tolerance: it replaces every check's default,
+        # and without it each check keeps its own (1e-9, or 1e-8 to 1e-12 per scenario)
+        given = vf.run_suite(suite, tol=1e-6)
+        default = vf.run_suite(suite)
+        assert all(r.tol == 1e-6 for r in given)
+        assert [r.max_abs_err for r in given] == [r.max_abs_err for r in default]
+        want = {1e-9} if suite == "weber-schafheitlin" else {1e-8, 1e-10, 1e-12}
+        assert {r.tol for r in default} == want
 
     def test_coverage_contract(self):
         # every family of checks is reachable through the standard suite map
