@@ -22,9 +22,7 @@ from .kernels import (
     TransitionLaw,
     bes_density,
     chapman_kolmogorov_qbes,
-    law_from_dict,
-    law_to_dict,
-    qbes_law_pmf,
+    law_json,
     qbes_transition,
 )
 from .quadrature import QuadratureSpec
@@ -36,7 +34,6 @@ from .specfun import (
     laguerre_L,
     log_bessel_i_norm,
     log_gamma,
-    pochhammer,
 )
 from .verify import VerificationReport, run_suite
 
@@ -60,18 +57,15 @@ __all__ = [
     "GammaRay",
     "BesDensity",
     "qbes_transition",
-    "qbes_law_pmf",
     "bes_density",
     "chapman_kolmogorov_qbes",
-    "law_to_dict",
-    "law_from_dict",
+    "law_json",
     "QuadratureSpec",
     "RngState",
     "sample_qbes_lanes",
     "sample_bes",
     "sample_bes_lanes",
     "log_gamma",
-    "pochhammer",
     "laguerre_L",
     "bessel_j_norm",
     "bessel_i_norm",

@@ -12,10 +12,10 @@ seeded stream, so its rows do not depend on --paths.
 
 A command builds only its own parser from the one table of subcommands;
 build_parser() assembles all of them, for --help and for an argv that names
-no subcommand. Output text comes from % templates: one per transition law
-(the bytes of json.dumps(kernels.law_to_dict(law))), one per grid time for
-the CSV path rows, whose shared cells are formatted once, and one per table.
-Every other JSON output is written by json.dumps.
+no subcommand. A transition law is written by kernels.law_json. Other output
+text comes from % templates: one per grid time for the CSV path rows, whose
+shared cells are formatted once, and one per table. Every other JSON output
+is written by json.dumps.
 """
 from __future__ import annotations
 
@@ -116,22 +116,8 @@ def cmd_qbes_kernel(args) -> int:
     if args.format == "csv":
         raise CliError("qbes-kernel emits a structured law; use --format json")
     law = kn.qbes_transition(parse_state(args.state), args.t, args.delta, args.trunc_eps)
-    _emit(args, _law_json(law) + "\n")
+    _emit(args, kn.law_json(law) + "\n")
     return 0
-
-
-def _law_json(law: kn.TransitionLaw) -> str:
-    """json.dumps(kn.law_to_dict(law)), written from one % template per law.
-
-    The ray, the gamma ray and tail_mass are formatted once by json; each atom
-    adds its level and float.__repr__ of its prob, which is how json writes a
-    float (repr of a numpy float would not be)."""
-    atom = '{"tau": %s, "k": %%d, "y1": null, "prob": %%s}' % json.dumps(law.tau)
-    atoms = ", ".join([atom % (l, float.__repr__(p)) for l, p in zip(law.levels, law.probs)])
-    g = law.gamma_ray
-    gamma = None if g is None else {"shape": g.shape, "scale": g.scale}
-    return '{"case": %d, "atoms": [%s], "gamma": %s, "tail_mass": %s}' % (
-        law.case, atoms, json.dumps(gamma), json.dumps(law.tail_mass))
 
 
 _SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]

@@ -2,8 +2,8 @@
 
 Translation operators (the convolution of two point masses applied to a test
 function), characters of both families, the dual-fan parametrization, the
-Haar-weighted Hankel-type Fourier transform on the half-line, and the small
-dense eigenvalue machinery used for positive-definiteness certificates.
+Haar-weighted Hankel-type Fourier transform on the half-line, and the Gram
+matrix behind the positive-definiteness certificate.
 
 Convolution integrals carry endpoint-singular weights (sin^(alpha-2) theta on
 the half-line family, r (1-r^2)^(alpha-1) on the plane family), so they are
@@ -39,7 +39,6 @@ __all__ = [
     "psi_heis",
     "bk_fourier",
     "bk_gaussian_gram",
-    "jacobi_eigenvalues",
 ]
 
 
@@ -290,12 +289,3 @@ def bk_gaussian_gram(points, t: float, p: BesselKingmanParams,
             gram[i, j] = gram[j, i] = bk_translate(f, pts[i], pts[j], p, q)
     return gram
 
-
-def jacobi_eigenvalues(a) -> np.ndarray:
-    """Ascending eigenvalues of a small real symmetric matrix."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-        raise ValueError("matrix must be symmetric")
-    return np.linalg.eigvalsh(m)

@@ -25,6 +25,7 @@ singular there and no epsilon snapping is applied.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -39,11 +40,9 @@ __all__ = [
     "TransitionLaw",
     "BesDensity",
     "qbes_transition",
-    "qbes_law_pmf",
     "bes_density",
     "chapman_kolmogorov_qbes",
-    "law_to_dict",
-    "law_from_dict",
+    "law_json",
 ]
 
 _NORM_SLACK = 1e-12
@@ -229,19 +228,6 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
     return _neg_binomial(r, math.log(u / t), math.log(-s / t), trunc_eps, u, 0, case=3)
 
 
-def qbes_law_pmf(law: TransitionLaw, point: FanPoint) -> float:
-    """Probability of an atom (0 if absent); density value on the gamma ray."""
-    if isinstance(point, DiscretePoint):
-        if point.tau == law.tau and point.k in law.levels:
-            return law.probs[point.k - law.levels.start]
-        return 0.0
-    if isinstance(point, ContinuousPoint):
-        if law.gamma_ray is None:
-            return 0.0
-        return law.gamma_ray.pdf(point.y1)
-    raise TypeError(f"not a fan point: {point!r}")
-
-
 @dataclass(frozen=True)
 class BesDensity:
     """Transition density parameters of BES(delta) from x over time t."""
@@ -324,7 +310,7 @@ def _poisson_mixture_pmf(gamma_ray: GammaRay, t2: float, levels, quad) -> np.nda
 
 
 def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
-                            trunc_eps: float = 1e-12, quad=None) -> float:
+                            quad=None) -> float:
     """Max abs discrepancy between the composed two-step law and the direct law.
 
     Discrete intermediates are summed exactly; a gamma intermediate is pushed
@@ -332,8 +318,8 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
     compared as a density mixture on a quantile-spread grid.
     """
     quad = quad or QuadratureSpec(abs_tol=1e-12)
-    law1 = qbes_transition(start, t1, delta, trunc_eps)
-    direct = qbes_transition(start, t1 + t2, delta, trunc_eps)
+    law1 = qbes_transition(start, t1, delta)
+    direct = qbes_transition(start, t1 + t2, delta)
 
     if law1.gamma_ray is not None:
         # gamma intermediate -> Poisson step; direct law is discrete (case 3)
@@ -347,7 +333,7 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
         grid = np.linspace(0.0, (g.shape + 10.0 * math.sqrt(g.shape) + 10.0) * g.scale, 257)[1:]
         mix = np.zeros_like(grid)
         for l, p1 in zip(law1.levels, law1.probs):
-            step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta, trunc_eps)
+            step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta)
             if step.gamma_ray is None:
                 raise AssertionError("intermediate atom missed the continuous branch")
             mix += p1 * step.gamma_ray.pdf(grid)
@@ -356,7 +342,7 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
     # discrete -> discrete composition; each level sums p1 * p2 in law1's order
     acc = np.zeros(direct.levels.stop)
     for l, p1 in zip(law1.levels, law1.probs):
-        step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta, trunc_eps)
+        step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta)
         if step.gamma_ray is not None:
             raise AssertionError("unexpected continuous branch in discrete composition")
         acc = np.pad(acc, (0, max(0, step.levels.stop - len(acc))))
@@ -365,27 +351,14 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
     return float(np.max(np.abs(acc)))
 
 
-def law_to_dict(law: TransitionLaw) -> dict:
-    """Structured serialization: {case, atoms:[{tau,k,y1,prob}], gamma, tail_mass}."""
-    atoms = [{"tau": law.tau, "k": l, "y1": None, "prob": p}
-             for l, p in zip(law.levels, law.probs)]
-    gamma = None
-    if law.gamma_ray is not None:
-        gamma = {"shape": law.gamma_ray.shape, "scale": law.gamma_ray.scale}
-    return {"case": law.case, "atoms": atoms, "gamma": gamma, "tail_mass": law.tail_mass}
-
-
-def law_from_dict(data: dict) -> TransitionLaw:
-    """Inverse of law_to_dict; atoms must sit at consecutive levels of one ray."""
-    atoms = data["atoms"]
-    keys = [(a["tau"], a["k"]) for a in atoms]
-    tau, first = keys[0] if keys else (None, 0)
-    if not isinstance(first, int) or keys != [(tau, first + i) for i in range(len(keys))]:
-        raise ValueError("law atoms must sit at consecutive levels of one ray")
-    levels = range(first, first + len(keys))
-    gamma = None
-    if data.get("gamma") is not None:
-        gamma = GammaRay(data["gamma"]["shape"], data["gamma"]["scale"])
-    return TransitionLaw(case=data["case"], tau=tau, levels=levels,
-                         probs=tuple(a["prob"] for a in atoms),
-                         gamma_ray=gamma, tail_mass=data["tail_mass"])
+def law_json(law: TransitionLaw) -> str:
+    """The law as JSON {case, atoms: [{tau, k, y1, prob}], gamma, tail_mass},
+    from one % template: json formats the ray, the gamma ray and tail_mass
+    once; each atom adds its level and float.__repr__ of its prob, which is
+    how json writes a float (repr of a numpy float would not be)."""
+    atom = '{"tau": %s, "k": %%d, "y1": null, "prob": %%s}' % json.dumps(law.tau)
+    atoms = ", ".join([atom % (l, float.__repr__(p)) for l, p in zip(law.levels, law.probs)])
+    g = law.gamma_ray
+    gamma = None if g is None else {"shape": g.shape, "scale": g.scale}
+    return '{"case": %d, "atoms": [%s], "gamma": %s, "tail_mass": %s}' % (
+        law.case, atoms, json.dumps(gamma), json.dumps(law.tail_mass))

@@ -1,7 +1,6 @@
 """Double-precision special functions behind every character, kernel and check.
 
 - ``log_gamma``: ``scipy.special.gammaln`` for finite x > 0.
-- ``pochhammer``: the direct product (a)_k.
 - ``laguerre_L`` / ``laguerre_L_all``: upward three-term recurrence in the
   degree.
 - ``bessel_j_norm``: the normalized spherical Bessel function
@@ -37,7 +36,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "log_gamma",
-    "pochhammer",
     "laguerre_L",
     "laguerre_L_all",
     "bessel_j_norm",
@@ -78,17 +76,6 @@ def log_gamma(x):
         _as_array(arr, "x")  # a NaN anywhere names the error
         raise ValueError("log_gamma requires finite x > 0")
     return _shaped_like(special.gammaln(arr), x)
-
-
-def pochhammer(a, k):
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k != int(k) or k < 0:
-        raise ValueError("pochhammer requires a nonnegative integer k")
-    arr = _as_array(a, "a")
-    out = np.ones_like(arr)
-    for i in range(int(k)):
-        out = out * (arr + i)
-    return _shaped_like(out, a)
 
 
 def laguerre_L(k, a, x):

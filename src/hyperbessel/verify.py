@@ -3,9 +3,9 @@
 Each check evaluates one identity two independent ways (closed form vs
 quadrature, series vs kernel sum, composed vs direct law) and returns a
 VerificationReport with the observed maximum absolute error against a stated
-tolerance. Default tolerances: 1e-8 for quadrature-backed checks, 1e-10 for
-series-only checks, 1e-12 for algebraically exact reductions; the spectral
-integral check runs at 1e-9.
+tolerance. Default tolerances: 1e-8 for quadrature-backed checks, 1e-9 for
+Weber's integral, 1e-6 for the multiplicativity checks, 1e-10 for series-only
+checks, 1e-12 for algebraically exact reductions.
 
 A check called on its own integrates adaptively to abs_tol 1e-12 unless
 given a QuadratureSpec. The standard suite (run_suite, ``hyperbessel verify``)
@@ -42,12 +42,11 @@ from .hypergroup import (
     bk_character,
     bk_gaussian_gram,
     bk_translate,
-    jacobi_eigenvalues,
     lag_character,
     lag_translate,
     psi_heis,
 )
-from .quadrature import QuadratureSpec, gauss_jacobi, integrate, integrate_rows
+from .quadrature import QuadratureSpec, gauss_jacobi, integrate_rows
 from .specfun import (
     bessel_i_norm,
     bessel_j_norm,
@@ -73,7 +72,6 @@ __all__ = [
     "run_suite",
     "SUITE_NAMES",
     "report_to_dict",
-    "report_from_dict",
 ]
 
 
@@ -85,7 +83,6 @@ class VerificationReport:
     params: tuple
     max_abs_err: float
     tol: float
-    passed: bool
     notes: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -93,14 +90,14 @@ class VerificationReport:
             raise ValueError("max_abs_err must be finite and >= 0")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-        if self.passed != (self.max_abs_err <= self.tol):
-            raise ValueError("pass flag inconsistent with max_abs_err <= tol")
+
+    @property
+    def passed(self) -> bool:
+        return self.max_abs_err <= self.tol
 
 
 def _report(name, params: dict, err: float, tol: float, notes: str = "") -> VerificationReport:
-    err = float(err)
-    return VerificationReport(check_name=name, params=tuple(sorted(params.items())),
-                              max_abs_err=err, tol=tol, passed=err <= tol, notes=notes)
+    return VerificationReport(name, tuple(sorted(params.items())), float(err), tol, notes)
 
 
 def report_to_dict(report: VerificationReport) -> dict:
@@ -111,13 +108,6 @@ def report_to_dict(report: VerificationReport) -> dict:
         "tol": report.tol,
         "pass": report.passed,
     }
-
-
-def report_from_dict(data: dict) -> VerificationReport:
-    return VerificationReport(check_name=data["check"],
-                              params=tuple(sorted(data["params"].items())),
-                              max_abs_err=data["max_abs_err"], tol=data["tol"],
-                              passed=data["pass"])
 
 
 def _fan_label(point: FanPoint) -> str:
@@ -186,7 +176,7 @@ def _weber_rows(nu, rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
 
 
 def glowne3_check(start: FanPoint, a: HeisPoint, t: float, delta: float,
-                  trunc_eps: float = 1e-12, q: QuadratureSpec | None = None,
+                  q: QuadratureSpec | None = None,
                   tol: float = 1e-8) -> VerificationReport:
     """QBES generator identity at order alpha = delta - 1.
 
@@ -195,10 +185,10 @@ def glowne3_check(start: FanPoint, a: HeisPoint, t: float, delta: float,
     """
     if not delta > 0.0:
         raise ValueError("glowne3_check requires delta > 0")
-    return _glowne3_rows(delta, [(start, t)], [a], trunc_eps, q, tol)[0]
+    return _glowne3_rows(delta, [(start, t)], [a], q, tol)[0]
 
 
-def _glowne3_rows(delta, laws, points, trunc_eps, q, tol=1e-8) -> list[VerificationReport]:
+def _glowne3_rows(delta, laws, points, q, tol=1e-8) -> list[VerificationReport]:
     """glowne3_check of each (start, t) law at each Heisenberg point, at one delta:
     each law built once, the gamma-ray integrals of all of them from one
     integrate_rows call."""
@@ -211,7 +201,7 @@ def _glowne3_rows(delta, laws, points, trunc_eps, q, tol=1e-8) -> list[Verificat
             chis_start = [_first_kind_char(al, start.tau, start.k, a.x, -a.w) for a in points]
         else:
             chis_start = [_second_kind_char(al, start.y1, a.x) for a in points]
-        law = kn.qbes_transition(start, t, delta, trunc_eps)
+        law = kn.qbes_transition(start, t, delta)
         if law.levels:
             levels = np.arange(law.levels.start, law.levels.stop)
             probs = np.array(law.probs)
@@ -329,7 +319,7 @@ def _identity_v(alpha, k, c, lag, lag_c):
     """Dilation: L_k(c v) = (alpha+1)_k sum_l c^l (1-c)^{k-l} / ((k-l)! (alpha+1)_l) L_l(v);
     lag holds L_n(v) and lag_c holds L_n(c v), each to degree k or more."""
     total = 0.0
-    poch = 1.0  # (alpha+1)_l, multiplied in pochhammer's order
+    poch = 1.0  # (alpha+1)_l, one factor per term
     for l in range(k + 1):
         total += c ** l * (1.0 - c) ** (k - l) / (math.factorial(k - l) * poch) * lag[l]
         if l < k:
@@ -345,9 +335,18 @@ def laguerre_identity_suite(alpha: float, k_max: int = 10,
     A given tol applies to all five; otherwise each has its own default:
     (i) 1e-10, (ii) 1e-8 (quadrature), (iii) 1e-10, (iv) 1e-10, (v) 1e-12
     (finite, exact in exact arithmetic).
+
+    The defaults hold at k_max = 10 at each alpha probed in [-0.6, 3.8],
+    under either spec. (ii) raises QuadratureError from alpha -0.7 down, and
+    from 3.9 up under the default spec; QuadratureSpec() there fails (i)
+    (1.02e-10 at 4). (v) cancels as k_max grows: at alpha 0.5, k_max 15
+    passes and 20 fails (v) with 4.51e-12; at alpha 2 it fails from 15.
     """
     if not alpha > -1.0:
         raise ValueError("laguerre_identity_suite requires alpha > -1")
+    if not (k_max >= 0 and float(k_max).is_integer()):
+        raise ValueError("laguerre_identity_suite requires an integer k_max >= 0")
+    k_max = int(k_max)
     q = q or QuadratureSpec(abs_tol=1e-12)
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
     # one table over every point read by (i) to (v); entry n of the upward
@@ -487,7 +486,7 @@ def psd_gram_check(points, t: float, delta: float,
     """Bochner positivity: the Gram matrix of exp(t psi) must be PSD."""
     q = q or QuadratureSpec()
     gram = bk_gaussian_gram(points, t, BesselKingmanParams(delta), q)
-    min_eig = float(jacobi_eigenvalues(gram)[0])
+    min_eig = float(np.linalg.eigvalsh(gram)[0])
     err = max(0.0, -min_eig)
     return _report("psd_gram",
                    {"n": len(points), "t": t, "delta": delta},
@@ -495,11 +494,9 @@ def psd_gram_check(points, t: float, delta: float,
 
 
 def chapman_kolmogorov_check(start: FanPoint, t1: float, t2: float, delta: float,
-                             trunc_eps: float = 1e-12,
                              q: QuadratureSpec | None = None,
                              tol: float = 1e-8) -> VerificationReport:
-    err = kn.chapman_kolmogorov_qbes(start, t1, t2, delta, trunc_eps,
-                                     q or QuadratureSpec(abs_tol=1e-12))
+    err = kn.chapman_kolmogorov_qbes(start, t1, t2, delta, q or QuadratureSpec(abs_tol=1e-12))
     return _report("chapman_kolmogorov",
                    {"start": _fan_label(start), "t1": t1, "t2": t2, "delta": delta},
                    err, tol)
@@ -522,17 +519,18 @@ def _random_scenario(rng, case: int):
     return DiscretePoint(float(rng.uniform(0.1, 3.0)), k), float(rng.uniform(0.2, 3.0)), delta
 
 
-def normalization_check(n: int = 200, seed: int = 20240 + 1,
-                        trunc_eps: float = 1e-12,
-                        tol: float = 1e-12) -> VerificationReport:
-    """Sweep random laws through all five kernel cases; report the worst
+def normalization_check(n: int = 200, tol: float = 1e-12) -> VerificationReport:
+    """Sweep n >= 1 random laws through all five kernel cases; report the worst
     deviation of total mass from 1 (tail sizes recorded in the notes)."""
+    if not n >= 1:
+        raise ValueError("normalization_check requires n >= 1")
+    seed = 20241
     rng = np.random.default_rng(seed)
     worst_mass = 0.0
     worst_tail = 0.0
     for i in range(n):
         start, t, delta = _random_scenario(rng, i % 5 + 1)
-        law = kn.qbes_transition(start, t, delta, trunc_eps)
+        law = kn.qbes_transition(start, t, delta)
         worst_mass = max(worst_mass, abs(law.total_mass() - 1.0))
         worst_tail = max(worst_tail, law.tail_mass)
     return _report("normalization", {"n": n, "seed": seed}, worst_mass, tol,
@@ -565,7 +563,7 @@ def _suite_glowne3(q, tol):
     )
     heis = (HeisPoint(0.8, 0.3), HeisPoint(2.0, -1.1))
     return [r for delta in (1.0, 1.5, 2.0, 3.7)
-            for r in _glowne3_rows(delta, laws, heis, 1e-12, q, **_tol(tol))]
+            for r in _glowne3_rows(delta, laws, heis, q, **_tol(tol))]
 
 
 def _suite_bk_spectral(q, tol):
@@ -627,7 +625,7 @@ def _suite_ck(q, tol):
         (DiscretePoint(1.0, 3), 0.4, 0.6, 0.9, 1e-12),   # exact binomial
         (ContinuousPoint(0.7), 0.6, 0.9, 2.0, 1e-12),    # Poisson thinning
     )
-    return [chapman_kolmogorov_check(start, t1, t2, delta, 1e-12, q, **_tol(tol, base_tol))
+    return [chapman_kolmogorov_check(start, t1, t2, delta, q, **_tol(tol, base_tol))
             for (start, t1, t2, delta, base_tol) in scenarios]
 
 

@@ -63,12 +63,25 @@ class TestQbesKernel:
             assert atom["tau"] == -1.0
             assert atom["prob"] == pytest.approx(2.0 ** -(atom["k"] + 1), rel=1e-12)
 
+    def test_readme_example(self, capsys):
+        # the README kernel example: a law whose atoms and tail hold mass 1
+        code, out, err = run_cli(["qbes-kernel", "--delta", "1", "--state", "tau=-2,k=0",
+                                  "--t", "1"], capsys)
+        assert (code, err) == (0, "")
+        law = json.loads(out)
+        assert list(law) == ["case", "atoms", "gamma", "tail_mass"]
+        assert abs(math.fsum([a["prob"] for a in law["atoms"]] + [law["tail_mass"]]) - 1.0) \
+            <= 1e-12
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(["qbes-kernel", "--delta", "1.5",
                                 "--state", "tau=-1,k=0", "--t", "1"], capsys)
         assert code == 0
-        law = kn.law_from_dict(json.loads(out))
-        assert law == kn.qbes_transition(DiscretePoint(-1.0, 0), 1.0, 1.5)
+        data = json.loads(out)
+        law = kn.qbes_transition(DiscretePoint(-1.0, 0), 1.0, 1.5)
+        assert data == {"case": law.case, "atoms": [], "gamma": {"shape": 1.5, "scale": 1.0},
+                        "tail_mass": 0.0}
+        assert kn.GammaRay(**data["gamma"]) == law.gamma_ray
 
     def test_csv_rejected(self, capsys):
         code, _, err = run_cli(["qbes-kernel", "--delta", "1", "--state", "tau=1,k=0",
@@ -477,6 +490,16 @@ class TestParserPaths:
         assert isinstance(got, argparse.Namespace) == parses
 
 
+def law_to_dict(law):
+    """kernels.law_to_dict, the dict form the law JSON once came from, verbatim."""
+    atoms = [{"tau": law.tau, "k": l, "y1": None, "prob": p}
+             for l, p in zip(law.levels, law.probs)]
+    gamma = None
+    if law.gamma_ray is not None:
+        gamma = {"shape": law.gamma_ray.shape, "scale": law.gamma_ray.scale}
+    return {"case": law.case, "atoms": atoms, "gamma": gamma, "tail_mass": law.tail_mass}
+
+
 class TestLawTemplate:
     """qbes-kernel writes the bytes of json.dumps(law_to_dict(law))."""
 
@@ -495,7 +518,7 @@ class TestLawTemplate:
         law = kn.qbes_transition(start, t, delta)
         assert law.case == case
         assert n_atoms is None or len(law.probs) == n_atoms
-        assert cli._law_json(law) == json.dumps(kn.law_to_dict(law))
+        assert kn.law_json(law) == json.dumps(law_to_dict(law))
 
     def test_edge_values_are_present(self):
         assert kn.qbes_transition(DiscretePoint(-1.0, 0), 0.992, 2.0).tau == -0.008000000000000007
@@ -506,14 +529,14 @@ class TestLawTemplate:
         # repr of a numpy 2 float reads np.float64(...); json writes float.__repr__
         law = kn.TransitionLaw(case=5, tau=np.float64(2.5), levels=range(3, 5),
                                probs=(np.float64(0.1), np.float64(0.9)))
-        assert cli._law_json(law) == json.dumps(kn.law_to_dict(law))
-        assert '"prob": 0.1}' in cli._law_json(law)
+        assert kn.law_json(law) == json.dumps(law_to_dict(law))
+        assert '"prob": 0.1}' in kn.law_json(law)
 
     def test_cli_output(self, capsys):
         code, out, err = run_cli(["qbes-kernel", "--delta", "1.3", "--state", "tau=-1,k=4",
                                   "--t", "0.996"], capsys)
         law = kn.qbes_transition(DiscretePoint(-1.0, 4), 0.996, 1.3)
-        assert (code, out, err) == (0, json.dumps(kn.law_to_dict(law)) + "\n", "")
+        assert (code, out, err) == (0, json.dumps(law_to_dict(law)) + "\n", "")
 
 
 @pytest.mark.parametrize("argv", [

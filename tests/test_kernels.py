@@ -203,20 +203,6 @@ def test_truncation_overshoot_is_rejected():
         kn._truncate_series(log_pmf, lambda m: 0.0, 1e-12, -1.0, 0, case=1)
 
 
-class TestLawPmf:
-    def test_present_and_absent(self):
-        law = kn.qbes_transition(DiscretePoint(1.0, 0), 0.7, 2.0)
-        assert kn.qbes_law_pmf(law, DiscretePoint(1.7, 0)) == pytest.approx(1.0, abs=1e-14)
-        assert kn.qbes_law_pmf(law, DiscretePoint(1.7, 3)) == 0.0
-        assert kn.qbes_law_pmf(law, ContinuousPoint(1.0)) == 0.0
-
-    def test_gamma_density_value(self):
-        law = kn.TransitionLaw(case=2, tau=None, levels=range(0), probs=(),
-                               gamma_ray=kn.GammaRay(1.0, 1.0))
-        assert kn.qbes_law_pmf(law, ContinuousPoint(0.0)) == 1.0
-        assert kn.qbes_law_pmf(law, ContinuousPoint(2.0)) == pytest.approx(math.exp(-2.0))
-
-
 class TestTransitionLawInvariants:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
@@ -238,11 +224,18 @@ class TestTransitionLawInvariants:
             kn.qbes_transition(ContinuousPoint(2.0), 0.5, 2.0),
             kn.qbes_transition(DiscretePoint(0.5, 3), 0.5, 2.0),
         ]:
-            assert kn.law_from_dict(kn.law_to_dict(law)) == law
+            # every field of the law reads back exactly from its JSON
+            data = json.loads(kn.law_json(law))
+            assert [(a["tau"], a["k"], a["prob"]) for a in data["atoms"]] == [
+                (law.tau, l, p) for l, p in zip(law.levels, law.probs)]
+            g = law.gamma_ray
+            gamma = None if g is None else {"shape": g.shape, "scale": g.scale}
+            assert (data["case"], data["gamma"], data["tail_mass"]) == (
+                law.case, gamma, law.tail_mass)
 
 
 def per_atom_law_to_dict(law):
-    """law_to_dict as it was when a law stored (point, prob) pairs."""
+    """The law's dict form as it was when a law stored (point, prob) pairs."""
     atoms = []
     for point, prob in law.atoms:
         if isinstance(point, DiscretePoint):
@@ -275,21 +268,7 @@ class TestLawLayout:
     @pytest.mark.parametrize("start, t, delta", LAWS)
     def test_json_matches_per_atom_serialization(self, start, t, delta):
         law = kn.qbes_transition(start, t, delta)
-        assert json.dumps(kn.law_to_dict(law)) == json.dumps(per_atom_law_to_dict(law))
-        assert kn.law_from_dict(json.loads(json.dumps(kn.law_to_dict(law)))) == law
-
-    @pytest.mark.parametrize("atoms", [
-        [(1.5, 0), (-1.5, 1)],   # two rays
-        [(1.5, 0), (1.5, 2)],    # gapped levels
-        [(1.5, 1), (1.5, 0)],    # unsorted levels
-        [(None, 0)],             # no ray
-    ])
-    def test_law_from_dict_rejects_atoms_off_one_ray(self, atoms):
-        data = {"case": 5, "gamma": None, "tail_mass": 0.0,
-                "atoms": [{"tau": tau, "k": k, "y1": None, "prob": 1.0 / len(atoms)}
-                          for tau, k in atoms]}
-        with pytest.raises(ValueError):
-            kn.law_from_dict(data)
+        assert kn.law_json(law) == json.dumps(per_atom_law_to_dict(law))
 
     @pytest.mark.parametrize("levels", [[0, 1], (0, 1), range(0, 4, 2), range(1, -1, -1)])
     def test_levels_must_be_a_step_one_range(self, levels):
@@ -308,7 +287,7 @@ class TestLawLayout:
             (ContinuousPoint(0.7), 0.6, 0.9, 2.0, 1.388569873546468e-13),
         ]
         for start, t1, t2, delta, want in scenarios:
-            assert kn.chapman_kolmogorov_qbes(start, t1, t2, delta, 1e-12) == want
+            assert kn.chapman_kolmogorov_qbes(start, t1, t2, delta) == want
 
 
 def _parent_bes_density(d, y):

@@ -7,6 +7,7 @@ import pytest
 
 from hyperbessel import cli
 from hyperbessel import kernels as kn
+from hyperbessel import specfun as sf
 from hyperbessel import verify as vf
 from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, DiscretePoint,
                                     HeisPoint, LaguerreParams, _first_kind_char,
@@ -14,7 +15,18 @@ from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, Discre
                                     lag_character, lag_translate, psi_heis)
 from hyperbessel.quadrature import QuadratureSpec, gauss_jacobi, integrate
 from hyperbessel.specfun import (bessel_i_norm, bessel_j_norm, laguerre_L, laguerre_L_all,
-                                 log_gamma, pochhammer)
+                                 log_gamma)
+
+
+def pochhammer(a, k):
+    """specfun.pochhammer, the direct product (a)_k, verbatim."""
+    if k != int(k) or k < 0:
+        raise ValueError("pochhammer requires a nonnegative integer k")
+    arr = sf._as_array(a, "a")
+    out = np.ones_like(arr)
+    for i in range(int(k)):
+        out = out * (arr + i)
+    return sf._shaped_like(out, a)
 
 
 class TestWeberSchafheitlin:
@@ -157,19 +169,19 @@ def _parent_glowne3(start, a, t, delta, q):
 @pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
 def test_glowne3_rows_match_per_check_code(delta, q):
     # all five kernel cases at both suite points, each law built once
-    reports = vf._glowne3_rows(delta, GLOWNE3_LAWS, GLOWNE3_POINTS, 1e-12, q)
+    reports = vf._glowne3_rows(delta, GLOWNE3_LAWS, GLOWNE3_POINTS, q)
     pairs = [(start, t, a) for start, t in GLOWNE3_LAWS for a in GLOWNE3_POINTS]
     assert len(reports) == len(pairs)
     for report, (start, t, a) in zip(reports, pairs):
         assert report.max_abs_err == float(_parent_glowne3(start, a, t, delta, q))
-        assert report == vf.glowne3_check(start, a, t, delta, 1e-12, q)
+        assert report == vf.glowne3_check(start, a, t, delta, q)
 
 
 def test_glowne3_rows_with_two_gamma_rays():
     # two case-2 laws of one delta share one integrate_rows call
     laws = ((DiscretePoint(-1.0, 2), 1.0), (DiscretePoint(-2.0, 0), 2.0))
     q = QuadratureSpec()
-    reports = vf._glowne3_rows(1.5, laws, GLOWNE3_POINTS, 1e-12, q)
+    reports = vf._glowne3_rows(1.5, laws, GLOWNE3_POINTS, q)
     pairs = [(start, t, a) for start, t in laws for a in GLOWNE3_POINTS]
     assert [r.max_abs_err for r in reports] == [
         float(_parent_glowne3(start, a, t, 1.5, q)) for start, t, a in pairs]
@@ -215,6 +227,21 @@ class TestLaguerreIdentities:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             vf.laguerre_identity_suite(-1.0)
+
+    @pytest.mark.parametrize("k_max", [-1, -5, 2.5, math.nan, math.inf])
+    def test_count_guard(self, k_max):
+        # k_max = -1 escaped the short-table fallback as a bare IndexError
+        with pytest.raises(ValueError, match="integer k_max >= 0"):
+            vf.laguerre_identity_suite(0.5, k_max)
+
+    def test_documented_k_max_edge(self):
+        # the docstring's edge: at alpha 0.5 under QuadratureSpec(), k_max 15
+        # passes all five and 20 fails the dilation sum (v)
+        assert all(r.passed for r in vf.laguerre_identity_suite(0.5, 15, QuadratureSpec()))
+        failed = [r for r in vf.laguerre_identity_suite(0.5, 20, QuadratureSpec())
+                  if not r.passed]
+        assert [r.check_name for r in failed] == ["laguerre_identity_v"]
+        assert failed[0].max_abs_err == pytest.approx(4.51e-12, rel=1e-2)
 
     def test_dilation_matches_pochhammer_code(self):
         # the running (alpha+1)_l keeps the bits of the per-term pochhammer calls, verbatim
@@ -426,16 +453,22 @@ class TestGramAndKernels:
         r = vf.normalization_check(50)
         assert r.passed
         assert "max_tail" in r.notes
+        assert r.params == (("n", 50), ("seed", 20241))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_normalization_rejects_no_laws(self, n):
+        # a sweep over zero laws reported PASS
+        with pytest.raises(ValueError, match="n >= 1"):
+            vf.normalization_check(n)
 
 
 class TestReports:
-    def test_pass_flag_consistency(self):
-        with pytest.raises(ValueError):
-            vf.VerificationReport("x", (), 1.0, 0.5, True)
-
-    def test_round_trip(self):
-        r = vf.gegenbauer_check(0.75, 1.3, 0.7)
-        assert vf.report_from_dict(vf.report_to_dict(r)) == r
+    @pytest.mark.parametrize("err, tol, passed", [(0.5, 1.0, True), (1.0, 1.0, True),
+                                                  (1.0, 0.5, False)])
+    def test_passed_is_err_within_tol(self, err, tol, passed):
+        r = vf.VerificationReport("x", (), err, tol)
+        assert r.passed is passed
+        assert vf.report_to_dict(r)["pass"] is passed
 
     def test_suite_determinism(self):
         a = vf.run_suite("gegenbauer")
