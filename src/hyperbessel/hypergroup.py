@@ -1,9 +1,11 @@
 """Bessel-Kingman and Laguerre hypergroups.
 
 Translation operators (the convolution of two point masses applied to a test
-function), characters of both families, the dual-fan parametrization, the
-Haar-weighted Hankel-type Fourier transform on the half-line, and the Gram
-matrix behind the positive-definiteness certificate.
+function), characters of both families, the dual-fan parametrization and the
+Haar-weighted Hankel-type Fourier transform on the half-line. Each Laguerre
+character is written once, in _first_kind_char (a whole table of degrees from
+one laguerre_L_all call) and _second_kind_char, and _lag_char is the one place
+that picks the kind of a fan point; bk_translate takes arrays of points.
 
 Convolution integrals carry endpoint-singular weights (sin^(alpha-2) theta on
 the half-line family, r (1-r^2)^(alpha-1) on the plane family), so they are
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureSpec, gauss_jacobi, integrate_rows
-from .specfun import bessel_j_norm, laguerre_L, log_gamma
+from .specfun import bessel_j_norm, laguerre_L_all, log_gamma
 
 __all__ = [
     "BesselKingmanParams",
@@ -38,7 +40,6 @@ __all__ = [
     "lag_character",
     "psi_heis",
     "bk_fourier",
-    "bk_gaussian_gram",
 ]
 
 
@@ -122,25 +123,31 @@ def fan_coords(point: FanPoint) -> tuple[float, float]:
     raise TypeError(f"not a fan point: {point!r}")
 
 
-def bk_translate(f, x: float, xp: float, p: BesselKingmanParams,
-                 q: QuadratureSpec | None = None) -> float:
+def bk_translate(f, x, xp, p: BesselKingmanParams, q: QuadratureSpec | None = None):
     """f evaluated at the convolution x * xp of the half-line hypergroup.
 
     alpha = 1 uses the exact two-point formula (f(x+xp) + f(|x-xp|))/2;
     alpha > 1 averages f(sqrt(x^2 + xp^2 - 2 x xp cos theta)) against the
-    normalized sin^(alpha-2) theta weight. f must accept an array of radii.
+    normalized sin^(alpha-2) theta weight. x and xp may be arrays that
+    broadcast together: one value per pair, each with the bits of a scalar
+    call, from one call of f on the nodes of every pair (on a trailing axis).
+    f must accept an array of radii of any shape. A float for scalar x, xp.
     """
     q = q or QuadratureSpec()
-    if x < 0.0 or xp < 0.0:
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+    if np.any(x < 0.0) or np.any(xp < 0.0):
         raise ValueError("bk_translate requires x, xp >= 0")
     a = p.alpha
     if a == 1.0:
-        vals = f(np.array([x + xp, abs(x - xp)]))
-        return 0.5 * float(vals[0] + vals[1])
-    # u = cos theta turns the weight into the Jacobi weight (1-u^2)^((a-3)/2)
-    u, w = gauss_jacobi(q.nodes, (a - 3.0) / 2.0, (a - 3.0) / 2.0)
-    radii = np.sqrt(np.maximum(x * x + xp * xp - 2.0 * x * xp * u, 0.0))
-    return float(np.sum(w * f(radii)) / np.sum(w))
+        vals = f(np.stack([x + xp, abs(x - xp)], axis=-1))
+        out = 0.5 * (vals[..., 0] + vals[..., 1])
+    else:
+        # u = cos theta turns the weight into the Jacobi weight (1-u^2)^((a-3)/2)
+        u, w = gauss_jacobi(q.nodes, (a - 3.0) / 2.0, (a - 3.0) / 2.0)
+        x, xp = x[..., None], xp[..., None]
+        radii = np.sqrt(np.maximum(x * x + xp * xp - 2.0 * x * xp * u, 0.0))
+        out = np.sum(w * f(radii), axis=-1) / np.sum(w)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def lag_translate(f, a: HeisPoint, b: HeisPoint, p: LaguerreParams,
@@ -164,10 +171,9 @@ def lag_translate(f, a: HeisPoint, b: HeisPoint, p: LaguerreParams,
     # v = r^2 turns r (1-r^2)^(alpha-1) dr into the Jacobi weight (1-v)^(alpha-1)/2
     uv, wv = gauss_jacobi(n, al - 1.0, 0.0)
     r = np.sqrt(0.5 * (uv + 1.0))
-    rr, ct = np.meshgrid(r, cos_t)
-    _, st = np.meshgrid(r, sin_t)
-    radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * rr * ct, 0.0))
-    ws = a.w + b.w + xx * rr * st
+    # rows are theta, columns r
+    radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * r * cos_t[:, None], 0.0))
+    ws = a.w + b.w + xx * r * sin_t[:, None]
     vals = f(radii, ws)
     return complex(np.mean(vals @ wv) / np.sum(wv))
 
@@ -177,30 +183,46 @@ def bk_character(u, x, p: BesselKingmanParams):
     return bessel_j_norm(p.alpha / 2.0 - 1.0, np.multiply(u, x))
 
 
-def _first_kind_char(alpha: float, tau: float, k: int, x, w):
-    """First-kind character at order alpha, vectorized over (x, w).
+def _first_kind_char(alpha: float, tau: float, k, x, w):
+    """First-kind character at order alpha, vectorized over (x, w) and the
+    degrees k (a degree axis first when k is an array), every degree from one
+    laguerre_L_all table and its prefactor from math.exp, so each value has
+    the bits of a scalar-degree call.
 
-    Raises OverflowError at the first point (row-major) where the product is
-    not finite: for large k and |tau| x^2, L_k overflows the double range
-    while exp(-|tau| x^2 / 2) underflows.
+    Raises OverflowError at the first degree and point (row-major) where the
+    product is not finite: for large k and |tau| x^2, L_k overflows the double
+    range while exp(-|tau| x^2 / 2) underflows.
     """
-    pref = math.exp(log_gamma(k + 1.0) + log_gamma(alpha + 1.0)
-                    - log_gamma(k + alpha + 1.0))
+    ks = np.asarray(k)
+    x, w = np.broadcast_arrays(x, w)
+    log_pref = np.ravel(log_gamma(ks + 1.0) + log_gamma(alpha + 1.0)
+                        - log_gamma(ks + alpha + 1.0))
+    pref = np.array([math.exp(v) for v in log_pref]).reshape(ks.shape + (1,) * x.ndim)
     with np.errstate(over="ignore", invalid="ignore"):
         arg = abs(tau) * np.square(x)
-        out = pref * np.exp(1j * tau * w - 0.5 * arg) * laguerre_L(k, alpha, arg)
+        out = pref * np.exp(1j * tau * w - 0.5 * arg) * laguerre_L_all(ks.max(), alpha, arg)[ks]
     bad = ~np.isfinite(out)
     if np.any(bad):
-        i = np.argmax(bad)
-        xi, wi = (float(np.ravel(v)[i]) for v in np.broadcast_arrays(x, w))
-        raise OverflowError(f"lag_character: L_k overflows at x={xi!r}, w={wi!r} "
-                            f"(tau={tau!r}, k={k}); degree too large")
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise OverflowError(f"lag_character: L_k overflows at x={float(x[i[ks.ndim:]])!r}, "
+                            f"w={float(w[i[ks.ndim:]])!r} (tau={tau!r}, "
+                            f"k={int(ks[i[:ks.ndim]])}); degree too large")
     return out
 
 
 def _second_kind_char(alpha: float, y1: float, x):
     """Second-kind character at order alpha (real, independent of w)."""
     return bessel_j_norm(alpha, 2.0 * np.asarray(x, dtype=float) * math.sqrt(y1))
+
+
+def _lag_char(c: FanPoint, alpha: float, x, w):
+    """chi_c(x, w) at order alpha > -1, complex, shaped like the broadcast of
+    x and w: the one place that picks the character kind of a fan point."""
+    if isinstance(c, DiscretePoint):
+        return _first_kind_char(alpha, c.tau, c.k, x, w)
+    if isinstance(c, ContinuousPoint):
+        return _second_kind_char(alpha, c.y1, x) + 0.0j * w
+    raise TypeError(f"not a fan point: {c!r}")
 
 
 def lag_character(c: FanPoint, a: HeisPoint, p: LaguerreParams):
@@ -212,16 +234,8 @@ def lag_character(c: FanPoint, a: HeisPoint, p: LaguerreParams):
     A complex for a single point; a complex array shaped like the grid when
     a holds coordinate arrays.
     """
-    if isinstance(c, DiscretePoint):
-        out = _first_kind_char(p.alpha, c.tau, c.k, a.x, a.w)
-    elif isinstance(c, ContinuousPoint):
-        x = np.broadcast_arrays(a.x, a.w)[0]
-        out = _second_kind_char(p.alpha, c.y1, x)
-    else:
-        raise TypeError(f"not a fan point: {c!r}")
-    if np.ndim(out) == 0:
-        return complex(out)
-    return np.asarray(out, dtype=complex)
+    out = _lag_char(c, p.alpha, a.x, a.w)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def psi_heis(a: HeisPoint) -> complex:
@@ -264,28 +278,3 @@ def bk_fourier(f, u, p: BesselKingmanParams,
             raise ValueError("bk_fourier requires u >= 0")
         bk_character(us[n_ok], cutoff, p)  # raises for a NaN or infinite u, as its integrand would
     return float(values[0]) if np.ndim(u) == 0 else np.array(values, dtype=float)
-
-
-def bk_gaussian_gram(points, t: float, p: BesselKingmanParams,
-                     q: QuadratureSpec | None = None) -> np.ndarray:
-    """Gram matrix G_mn = E[exp(t psi)] under delta_{x_m} * delta_{x_n}.
-
-    psi(x) = -x^2/2 on the half-line, so each entry is the translation of
-    x -> exp(-t x^2 / 2); positive definiteness of exp(t psi) makes G PSD.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise ValueError("bk_gaussian_gram requires a 1-d point list")
-    if t <= 0.0:
-        raise ValueError("bk_gaussian_gram requires t > 0")
-
-    def f(r):
-        return np.exp(-0.5 * t * r * r)
-
-    n = pts.size
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = bk_translate(f, pts[i], pts[j], p, q)
-    return gram
-

@@ -50,6 +50,11 @@ class QuadratureSpec:
             raise ValueError("QuadratureSpec.abs_tol must be finite and positive")
         if self.max_depth < 1:
             raise ValueError("QuadratureSpec.max_depth must be >= 1")
+        for name in ("nodes", "max_depth"):  # an integral float becomes an int
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"QuadratureSpec.{name} must be an integer")
+            object.__setattr__(self, name, int(value))
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -38,9 +38,9 @@ from .hypergroup import (
     HeisPoint,
     LaguerreParams,
     _first_kind_char,
+    _lag_char,
     _second_kind_char,
     bk_character,
-    bk_gaussian_gram,
     bk_translate,
     lag_character,
     lag_translate,
@@ -194,30 +194,25 @@ def _glowne3_rows(delta, laws, points, q, tol=1e-8) -> list[VerificationReport]:
     integrate_rows call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
     al = delta - 1.0
+    xs = np.array([a.x for a in points], dtype=float)
+    ws = -np.array([a.w for a in points], dtype=float)  # the identity reads chi at (x, -w)
     params, lhs, rhs = [], [], []  # per law and point; rhs first holds the atom sum
     gamma_rows = []  # (check index, gamma ray, x) per gamma-ray integral
     for start, t in laws:
-        if isinstance(start, DiscretePoint):
-            chis_start = [_first_kind_char(al, start.tau, start.k, a.x, -a.w) for a in points]
-        else:
-            chis_start = [_second_kind_char(al, start.y1, a.x) for a in points]
+        chis_start = _lag_char(start, al, xs, ws)
         law = kn.qbes_transition(start, t, delta)
         if law.levels:
-            levels = np.arange(law.levels.start, law.levels.stop)
             probs = np.array(law.probs)
-            pref = np.exp(log_gamma(levels + 1.0) + log_gamma(al + 1.0)
-                          - log_gamma(levels + al + 1.0))
-            args = [abs(law.tau) * a.x * a.x for a in points]
-            lag_vals = laguerre_L_all(law.levels[-1], al, args)[levels]
-        for i, (a, chi_start) in enumerate(zip(points, chis_start)):
+            chis = _first_kind_char(al, law.tau, np.arange(law.levels.start, law.levels.stop),
+                                    xs, ws)
+        for i, a in enumerate(points):
             atom_sum = 0.0 + 0.0j
             if law.levels:
-                chis = pref * np.exp(1j * law.tau * -a.w - 0.5 * args[i]) * lag_vals[:, i]
-                atom_sum += np.sum(probs * chis)
+                atom_sum += np.sum(probs * chis[:, i])
             if law.gamma_ray is not None:
                 gamma_rows.append((len(rhs), law.gamma_ray, a.x))
             params.append({"start": _fan_label(start), "x": a.x, "w": a.w, "t": t, "delta": delta})
-            lhs.append(np.exp(t * psi_heis(a)) * chi_start)
+            lhs.append(np.exp(t * psi_heis(a)) * chis_start[i])
             rhs.append(atom_sum)
 
     rays = [g for _, g, _ in gamma_rows]
@@ -467,11 +462,7 @@ def lag_multiplicativity_check(c: FanPoint, a: HeisPoint, b: HeisPoint, alpha: f
                                tol: float = 1e-6) -> VerificationReport:
     p = LaguerreParams(alpha)
     q = q or QuadratureSpec()
-    if isinstance(c, DiscretePoint):
-        fn = lambda xs, ws: _first_kind_char(alpha, c.tau, c.k, xs, ws)
-    else:
-        fn = lambda xs, ws: _second_kind_char(alpha, c.y1, xs) + 0.0j * ws
-    lhs = lag_translate(fn, a, b, p, q)
+    lhs = lag_translate(lambda xs, ws: _lag_char(c, alpha, xs, ws), a, b, p, q)
     chi_a, chi_b = lag_character(c, HeisPoint(np.array([a.x, b.x]), np.array([a.w, b.w])),
                                  p).tolist()
     return _report("lag_multiplicativity",
@@ -483,9 +474,21 @@ def lag_multiplicativity_check(c: FanPoint, a: HeisPoint, b: HeisPoint, alpha: f
 def psd_gram_check(points, t: float, delta: float,
                    q: QuadratureSpec | None = None,
                    tol: float = 1e-8) -> VerificationReport:
-    """Bochner positivity: the Gram matrix of exp(t psi) must be PSD."""
+    """Bochner positivity: the Gram matrix of exp(t psi) must be PSD.
+
+    G_mn = E[exp(-t X^2 / 2)] for X drawn from delta_{x_m} * delta_{x_n}, the
+    translation of x -> exp(-t x^2 / 2) on the half-line of order delta; all
+    entries come from one bk_translate call on the grid of point pairs, so G
+    is exactly symmetric. points is a nonempty 1-d list and t > 0.
+    """
     q = q or QuadratureSpec()
-    gram = bk_gaussian_gram(points, t, BesselKingmanParams(delta), q)
+    p = BesselKingmanParams(delta)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size < 1:
+        raise ValueError("psd_gram_check requires a 1-d point list")
+    if t <= 0.0:
+        raise ValueError("psd_gram_check requires t > 0")
+    gram = bk_translate(lambda r: np.exp(-0.5 * t * r * r), pts[:, None], pts[None, :], p, q)
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     err = max(0.0, -min_eig)
     return _report("psd_gram",

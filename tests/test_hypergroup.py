@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from hyperbessel import hypergroup as hg
-from hyperbessel.quadrature import QuadratureError, QuadratureSpec
+from hyperbessel.quadrature import QuadratureError, QuadratureSpec, gauss_jacobi
+from hyperbessel.specfun import laguerre_L, log_gamma
 
 Q = QuadratureSpec()
 Q_BIG = QuadratureSpec(nodes=96)
@@ -78,7 +79,101 @@ class TestBkTranslate:
             hg.bk_translate(f, 2.0, 1.0, p, Q), abs=1e-14)
 
 
+def _parent_bk_translate(f, x, xp, p, q=None):
+    """bk_translate of one pair of points, before it took arrays, verbatim."""
+    q = q or QuadratureSpec()
+    if x < 0.0 or xp < 0.0:
+        raise ValueError("bk_translate requires x, xp >= 0")
+    a = p.alpha
+    if a == 1.0:
+        vals = f(np.array([x + xp, abs(x - xp)]))
+        return 0.5 * float(vals[0] + vals[1])
+    u, w = gauss_jacobi(q.nodes, (a - 3.0) / 2.0, (a - 3.0) / 2.0)
+    radii = np.sqrt(np.maximum(x * x + xp * xp - 2.0 * x * xp * u, 0.0))
+    return float(np.sum(w * f(radii)) / np.sum(w))
+
+
+def _parent_gaussian_gram(points, t, p, q):
+    """The removed bk_gaussian_gram's double loop of scalar translations, verbatim."""
+    pts = np.asarray(points, dtype=float)
+
+    def f(r):
+        return np.exp(-0.5 * t * r * r)
+
+    n = pts.size
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = _parent_bk_translate(f, pts[i], pts[j], p, q)
+    return gram
+
+
+class TestBkTranslateArrays:
+    @pytest.mark.parametrize("alpha", [1.0, 1.4, 2.5, 3.0, 6.2])
+    def test_pairs_keep_the_bits_of_scalar_calls(self, alpha):
+        p = hg.BesselKingmanParams(alpha)
+        f = lambda r: np.cos(1.3 * r) * np.exp(-0.2 * r)
+        xs, xps = RNG.uniform(0.0, 3.0, size=(2, 7))
+        got = hg.bk_translate(f, xs[:, None], xps, p, Q)
+        assert got.shape == (7, 7)
+        for i, x in enumerate(xs):
+            for j, xp in enumerate(xps):
+                assert got[i, j] == _parent_bk_translate(f, x, xp, p, Q)
+        one = hg.bk_translate(f, xs[0], xps[0], p, Q)
+        assert type(one) is float and one == got[0, 0]
+
+    def test_negative_point_in_an_array(self):
+        p = hg.BesselKingmanParams(2.0)
+        with pytest.raises(ValueError, match="^bk_translate requires x, xp >= 0$"):
+            hg.bk_translate(np.cos, np.array([0.5, -1.0]), 1.0, p, Q)
+
+
+def _parent_lag_translate(f, a, b, p, q):
+    """lag_translate with its (theta, r) grid from np.meshgrid, verbatim."""
+    al = p.alpha
+    n = q.nodes
+    theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    xx = a.x * b.x
+    if al == 0.0:
+        radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * cos_t, 0.0))
+        ws = a.w + b.w + xx * sin_t
+        return complex(np.mean(f(radii, ws)))
+    uv, wv = gauss_jacobi(n, al - 1.0, 0.0)
+    r = np.sqrt(0.5 * (uv + 1.0))
+    rr, ct = np.meshgrid(r, cos_t)
+    _, st = np.meshgrid(r, sin_t)
+    radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * rr * ct, 0.0))
+    ws = a.w + b.w + xx * rr * st
+    vals = f(radii, ws)
+    return complex(np.mean(vals @ wv) / np.sum(wv))
+
+
 class TestLagTranslate:
+    def test_broadcast_grid_keeps_the_bits(self):
+        for alpha in [0.0, 0.4, 1.0, 2.9]:
+            p = hg.LaguerreParams(alpha)
+            for c in [hg.DiscretePoint(-1.3, 3), hg.ContinuousPoint(1.9)]:
+                f = lambda x, w: hg._lag_char(c, alpha, x, w)
+                for q in [Q, QuadratureSpec(nodes=17)]:
+                    for _ in range(3):
+                        a = hg.HeisPoint(*RNG.uniform(0.0, 2.0, size=2))
+                        b = hg.HeisPoint(*RNG.uniform(0.0, 2.0, size=2))
+                        assert (hg.lag_translate(f, a, b, p, q)
+                                == _parent_lag_translate(f, a, b, p, q))
+
+    def test_fractional_node_count_is_rejected(self):
+        # 16.5 nodes were accepted at alpha 0: 17 midpoints spaced 2 pi / 16.5
+        # gave 0.03766+0.00337j, where 16 and 17 nodes both give 0.05113+0.00513j
+        f = lambda x, w: hg._first_kind_char(0.0, 1.0, 2, x, w)
+        a, b, p = hg.HeisPoint(0.7, 0.2), hg.HeisPoint(0.5, -0.1), hg.LaguerreParams(0.0)
+        with pytest.raises(ValueError, match="^QuadratureSpec.nodes must be an integer$"):
+            hg.lag_translate(f, a, b, p, QuadratureSpec(nodes=16.5))
+        for n in (16, 17):
+            got = hg.lag_translate(f, a, b, p, QuadratureSpec(nodes=float(n)))
+            assert got == hg.lag_translate(f, a, b, p, QuadratureSpec(nodes=n))
+            assert got == pytest.approx(0.05113 + 0.00513j, abs=1e-5)
+
     def test_neutral_element(self):
         p = hg.LaguerreParams(0.7)
         b = hg.HeisPoint(1.4, -0.6)
@@ -121,6 +216,76 @@ class TestLagTranslate:
                 lhs = hg.lag_translate(fn, a, b, p, Q)
                 rhs = hg.lag_character(c, a, p) * hg.lag_character(c, b, p)
                 assert abs(lhs - rhs) < 1e-6
+
+
+def _parent_first_kind_char(alpha, tau, k, x, w):
+    """_first_kind_char of one degree, before it read a table, verbatim."""
+    pref = math.exp(log_gamma(k + 1.0) + log_gamma(alpha + 1.0)
+                    - log_gamma(k + alpha + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = abs(tau) * np.square(x)
+        out = pref * np.exp(1j * tau * w - 0.5 * arg) * laguerre_L(k, alpha, arg)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        i = np.argmax(bad)
+        xi, wi = (float(np.ravel(v)[i]) for v in np.broadcast_arrays(x, w))
+        raise OverflowError(f"lag_character: L_k overflows at x={xi!r}, w={wi!r} "
+                            f"(tau={tau!r}, k={k}); degree too large")
+    return out
+
+
+def _bits(z):
+    return np.shape(z), np.asarray(z, dtype=complex).tobytes()
+
+
+class TestFirstKindTable:
+    ALPHAS = (-0.6, 0.0, 0.5, 2.7, 9.0)
+    TAUS = (-2.3, -0.4, 0.7, 3.1)
+
+    def test_scalar_degree_keeps_the_bits(self):
+        rng = np.random.default_rng(1602)
+        xs, ws = rng.uniform(0.0, 6.0, size=(4, 5)), rng.uniform(-3.0, 3.0, size=(4, 5))
+        for alpha in self.ALPHAS:
+            for tau in self.TAUS:
+                for k in (0, 1, 2, 7, 30):
+                    assert _bits(hg._first_kind_char(alpha, tau, k, xs, ws)) == _bits(
+                        _parent_first_kind_char(alpha, tau, k, xs, ws))
+                    one = hg._first_kind_char(alpha, tau, k, xs[1, 2], ws[1, 2])
+                    assert _bits(one) == _bits(
+                        _parent_first_kind_char(alpha, tau, k, xs[1, 2], ws[1, 2]))
+
+    def test_degree_axis_keeps_the_bits(self):
+        # degrees first, then the broadcast of x (a row) and w (a column)
+        rng = np.random.default_rng(1603)
+        xs, ws = rng.uniform(0.0, 6.0, size=5), rng.uniform(-3.0, 3.0, size=(4, 1))
+        for alpha in self.ALPHAS:
+            for tau in self.TAUS:
+                for ks in (np.arange(31), np.array([12, 0, 3])):
+                    table = hg._first_kind_char(alpha, tau, ks, xs, ws)
+                    assert table.shape == (ks.size, 4, 5)
+                    for row, k in zip(table, ks):
+                        assert _bits(row) == _bits(_parent_first_kind_char(alpha, tau, int(k), xs, ws))
+
+    def test_overflow_names_the_first_bad_degree(self):
+        # a table raises what a scalar call at its lowest overflowing degree raises
+        xs, ws = np.array([1.0, 40.0, 60.0]), np.array([0.5, -0.5, 0.0])
+        first_bad = None
+        for k in range(0, 2001, 50):
+            try:
+                _parent_first_kind_char(0.5, 1.0, k, xs, ws)
+            except OverflowError as exc:
+                first_bad = exc
+                break
+        assert first_bad is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as got:
+                hg._first_kind_char(0.5, 1.0, np.arange(0, 2001, 50), xs, ws)
+            assert str(got.value) == str(first_bad)
+            with pytest.raises(OverflowError) as got:
+                hg._first_kind_char(0.5, 1.0, 2000, 60.0, 0.0)
+        assert str(got.value) == ("lag_character: L_k overflows at x=60.0, w=0.0 "
+                                  "(tau=1.0, k=2000); degree too large")
 
 
 class TestCharacters:
@@ -271,12 +436,20 @@ class TestBkFourier:
 
 
 class TestEigen:
-    def test_gram_psd(self):
+    @pytest.mark.parametrize("nodes", [16, 64, 200])
+    def test_gram_psd(self, nodes):
+        # the Gram matrix from one bk_translate call on the grid of pairs has
+        # the bits of the removed scalar double loop and is exactly symmetric
         pts = np.linspace(0.3, 2.7, 9)
-        for delta in [1.0, 2.5]:
-            g = hg.bk_gaussian_gram(pts, 1.0, hg.BesselKingmanParams(delta), Q)
-            assert np.array_equal(g, g.T)
-            assert np.linalg.eigvalsh(g)[0] >= -1e-10
+        q = QuadratureSpec(nodes=nodes)
+        for delta in [1.0, 1.5, 2.5, 4.2]:
+            p = hg.BesselKingmanParams(delta)
+            for t in [0.1, 1.0, 5.0]:
+                g = hg.bk_translate(lambda r: np.exp(-0.5 * t * r * r),
+                                    pts[:, None], pts[None, :], p, q)
+                assert g.tobytes() == _parent_gaussian_gram(pts, t, p, q).tobytes()
+                assert np.array_equal(g, g.T)
+                assert np.linalg.eigvalsh(g)[0] >= -1e-10
 
 
 def cmath_exp(b):

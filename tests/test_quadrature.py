@@ -25,6 +25,16 @@ def test_spec_validation():
             QuadratureSpec(abs_tol=tol)
 
 
+@pytest.mark.parametrize("field", ["nodes", "max_depth"])
+def test_spec_counts_are_integers(field):
+    # a fractional count was accepted; the Jacobi rules then failed inside scipy
+    for value in (16.5, 2.5, math.inf):
+        with pytest.raises(ValueError, match=f"^QuadratureSpec.{field} must be "):
+            QuadratureSpec(**{field: value})
+    spec = QuadratureSpec(**{field: 32.0})  # an integral float becomes an int
+    assert getattr(spec, field) == 32 and type(getattr(spec, field)) is int
+
+
 def test_gauss_legendre_polynomial_exactness():
     # order-n rule integrates degree 2n-1 exactly
     x, w = gauss_legendre(16)

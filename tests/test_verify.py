@@ -1,6 +1,7 @@
 """Tests for the identity verification suite."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,9 +133,18 @@ GLOWNE3_LAWS = ((DiscretePoint(-1.0, 2), 0.4), (DiscretePoint(-1.0, 2), 1.0),
 GLOWNE3_POINTS = (HeisPoint(0.8, 0.3), HeisPoint(2.0, -1.1))
 
 
-def _parent_glowne3(start, a, t, delta, q):
+def _inline_atom_chars(law, al, levels, x, w_inv):
+    """The atom characters as glowne3 once wrote them inline, verbatim."""
+    arg = abs(law.tau) * x * x
+    lag_vals = laguerre_L_all(law.levels[-1], al, arg)[levels]
+    log_pref = log_gamma(levels + 1.0) + log_gamma(al + 1.0) - log_gamma(levels + al + 1.0)
+    return np.exp(log_pref) * np.exp(1j * law.tau * w_inv - 0.5 * arg) * lag_vals
+
+
+def _parent_glowne3(start, a, t, delta, q, atom_chars=None):
     """The error of the per-check glowne3_check that the per-delta family
-    replaced, verbatim."""
+    replaced, verbatim, except that the atom characters come from
+    _first_kind_char unless atom_chars gives another form."""
     al = delta - 1.0
     x, w_inv = a.x, -a.w
 
@@ -149,10 +159,10 @@ def _parent_glowne3(start, a, t, delta, q):
     if law.levels:
         levels = np.arange(law.levels.start, law.levels.stop)
         probs = np.array(law.probs)
-        arg = abs(law.tau) * x * x
-        lag_vals = laguerre_L_all(law.levels[-1], al, arg)[levels]
-        log_pref = log_gamma(levels + 1.0) + log_gamma(al + 1.0) - log_gamma(levels + al + 1.0)
-        chis = np.exp(log_pref) * np.exp(1j * law.tau * w_inv - 0.5 * arg) * lag_vals
+        if atom_chars is None:
+            chis = _first_kind_char(al, law.tau, levels, x, w_inv)
+        else:
+            chis = atom_chars(law, al, levels, x, w_inv)
         rhs += np.sum(probs * chis)
     if law.gamma_ray is not None:
         g = law.gamma_ray
@@ -185,6 +195,43 @@ def test_glowne3_rows_with_two_gamma_rays():
     pairs = [(start, t, a) for start, t in laws for a in GLOWNE3_POINTS]
     assert [r.max_abs_err for r in reports] == [
         float(_parent_glowne3(start, a, t, 1.5, q)) for start, t, a in pairs]
+
+
+# (delta, start, t, x) of the reports whose bits moved when the atom characters
+# came to be read from _first_kind_char: at x = 0.8 the argument is now
+# |tau| (x^2) where glowne3 wrote (|tau| x) x, and at x = 2.0 (x^2 exact) the
+# prefactor is math.exp per degree where glowne3 took np.exp of the array
+GLOWNE3_MOVED = {
+    (1.0, "tau=-1,k=2", 0.4, 0.8), (1.0, "y1=0.7", 0.9, 0.8),
+    (1.5, "tau=-1,k=2", 0.4, 0.8), (1.5, "y1=0.7", 0.9, 0.8),
+    (2.0, "tau=-1,k=2", 0.4, 0.8), (2.0, "tau=-1,k=2", 0.4, 2.0), (2.0, "tau=-1,k=2", 1.6, 2.0),
+    (0.6, "tau=-1,k=2", 0.4, 0.8), (0.6, "tau=-1,k=2", 1.6, 2.0), (0.6, "y1=0.7", 0.9, 0.8),
+}
+
+
+@pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
+def test_glowne3_inline_atom_characters_differ_only_where_declared(q):
+    moved = set()
+    for delta in (1.0, 1.5, 2.0, 3.7, 0.6):
+        reports = vf._glowne3_rows(delta, GLOWNE3_LAWS, GLOWNE3_POINTS, q)
+        pairs = [(start, t, a) for start, t in GLOWNE3_LAWS for a in GLOWNE3_POINTS]
+        for report, (start, t, a) in zip(reports, pairs):
+            old = float(_parent_glowne3(start, a, t, delta, q, _inline_atom_chars))
+            if report.max_abs_err != old:
+                moved.add((delta, vf._fan_label(start), t, a.x))
+                # a few units in the last place of sums of characters of size <= 1
+                assert abs(report.max_abs_err - old) <= 4 * np.finfo(float).eps
+    assert moved == GLOWNE3_MOVED
+
+
+def test_glowne3_overflowing_atom_character_raises():
+    # the case-5 law's atom L_k(1875) overflows from degree 247 while exp(-937.5)
+    # underflows; the report was nan, with three numpy warnings before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^lag_character: L_k overflows at x=25\.0, "
+                                                r"w=-0\.3 \(tau=3, k=247\); degree too large$"):
+            vf.glowne3_check(DiscretePoint(2, 300), HeisPoint(25, 0.3), 1, 2)
 
 
 BK_SPECTRAL_ROWS = ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))
@@ -444,6 +491,15 @@ class TestGramAndKernels:
             for delta in (1.0, 2.5):
                 r = vf.psd_gram_check(pts, t, delta)
                 assert r.passed, (t, delta, r.notes)
+
+    def test_psd_gram_guards(self):
+        # the guards of the removed hypergroup.bk_gaussian_gram, now named for the check
+        for points in ([[0.3, 1.0]], []):
+            with pytest.raises(ValueError, match="^psd_gram_check requires a 1-d point list$"):
+                vf.psd_gram_check(points, 1.0, 2.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^psd_gram_check requires t > 0$"):
+                vf.psd_gram_check([0.3, 1.0], t, 2.0)
 
     def test_chapman_kolmogorov_wrapper(self):
         r = vf.chapman_kolmogorov_check(DiscretePoint(1.0, 3), 0.4, 0.6, 0.9, tol=1e-12)
