@@ -137,6 +137,8 @@ def bk_translate(f, x, xp, p: BesselKingmanParams, q: QuadratureSpec | None = No
     x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
     if np.any(x < 0.0) or np.any(xp < 0.0):
         raise ValueError("bk_translate requires x, xp >= 0")
+    if not (np.all(x < math.inf) and np.all(xp < math.inf)):  # NaN included
+        raise ValueError("bk_translate requires finite x, xp")
     a = p.alpha
     if a == 1.0:
         vals = f(np.stack([x + xp, abs(x - xp)], axis=-1))

@@ -19,6 +19,9 @@ in tail_mass, and normalization within 1e-12 is enforced as a constructor
 invariant rather than silently repaired. Rounded atom probabilities can sum to
 just under the mass target: once a geometric bound on the atoms still to come
 shows that, the law raises RuntimeError instead of walking on to the atom cap.
+Truncation sums 512-atom numpy chunks by np.cumsum, carrying Neumaier's sum
+and compensation exactly, with no per-atom Python loop. A law is summed
+exactly (fsum) once, and law_json fills its atom list in one % call.
 bes_density evaluates a whole y-grid in one call. The regime boundary u = 0
 triggers only on exact float equality s + t == 0: the kernel is genuinely
 singular there and no epsilon snapping is applied.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -95,11 +99,16 @@ class TransitionLaw:
             raise ValueError("atoms require a nonzero finite ray tau")
         if self.tail_mass < 0.0:
             raise ValueError("tail_mass must be >= 0")
-        if not all(p >= 0.0 for p in self.probs):  # NaN included
+        mass = sum(self.probs)  # NaN if any prob is; min may skip a NaN
+        if not (min(self.probs, default=0.0) >= 0.0 and mass == mass):
             raise ValueError("atom probabilities must be >= 0")
-        total = self.total_mass()
-        if abs(total - 1.0) > _NORM_SLACK:
-            raise ValueError(f"law mass {total!r} deviates from 1 beyond 1e-12")
+        # the plain sum errs by at most (n + 2) 2^-53 mass: accept it without
+        # the exact sum where that slop cannot decide the check
+        mass += self.tail_mass + (1.0 if self.gamma_ray is not None else 0.0)
+        if not abs(mass - 1.0) <= _NORM_SLACK - (len(self.probs) + 2) * 2.0 ** -52 * mass:
+            total = self.total_mass()
+            if abs(total - 1.0) > _NORM_SLACK:
+                raise ValueError(f"law mass {total!r} deviates from 1 beyond 1e-12")
 
     @property
     def atoms(self) -> tuple:  # (DiscretePoint, prob) pairs, rebuilt on each access
@@ -116,6 +125,11 @@ def _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case):
     The stop target keeps a small margin below trunc_eps so that the exact
     tail (1 - fsum) cannot exceed trunc_eps through summation slop.
 
+    The pmf comes in chunks of 512 atoms. np.cumsum adds in order, so it gives
+    Neumaier's running total and, over his per-atom corrections
+    (max(prev, p) - cur) + min(prev, p), his running compensation bit for bit;
+    the law stops at the first atom where their sum reaches the target.
+
     tail_ratio(m) bounds every later pmf ratio p_(j+1) / p_j, j >= m: the
     ratio at m or its limit (0 for the Poisson, q for the negative
     binomials). After a chunk ending at atom m, the atoms still to come hold
@@ -125,28 +139,23 @@ def _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case):
     short of the target, the law raises there instead of at _MAX_ATOMS.
     """
     target = 1.0 - 0.9375 * trunc_eps
-    probs: list[float] = []
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
+    chunks = []
+    total = comp = 0.0  # Neumaier's sum and compensation
     level = 0
-    chunk = 512
     done = False
     while not done:
-        ms = np.arange(level, level + chunk)
-        ps = np.exp(log_pmf(ms))
-        for p_val in ps:
-            p = float(p_val)
-            t_sum = total + p
-            if abs(total) >= abs(p):
-                comp += (total - t_sum) + p
-            else:
-                comp += (p - t_sum) + total
-            total = t_sum
-            probs.append(p)
-            if total + comp >= target:
-                done = True
-                break
-        level += chunk
+        ps = np.exp(log_pmf(np.arange(level, level + 512)))
+        totals = np.cumsum(np.concatenate(([total], ps)))
+        prev = totals[:-1]
+        comps = np.cumsum(np.concatenate(
+            ([comp], (np.maximum(prev, ps) - totals[1:]) + np.minimum(prev, ps))))
+        hit = np.flatnonzero(totals[1:] + comps[1:] >= target)  # NaN never hits
+        if hit.size:
+            done = True
+            ps = ps[:hit[0] + 1]
+        total, comp = float(totals[len(ps)]), float(comps[len(ps)])
+        chunks.append(ps)
+        level += 512
         ratio = tail_ratio(level - 1)
         out_of_reach = not done and ratio < 1.0 and (
             total + comp + 2.0 * float(ps[-1]) * ratio / (1.0 - ratio) + 1e-15 < target)
@@ -156,19 +165,21 @@ def _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case):
                 f"after {level} atoms); its rounded atom probabilities "
                 f"{'cannot' if out_of_reach else 'do not'} reach 1 - trunc_eps "
                 f"(trunc_eps = {trunc_eps:g}); use a larger trunc_eps (--trunc-eps)")
+    probs = tuple(np.concatenate(chunks).tolist())
     tail = max(0.0, 1.0 - math.fsum(probs))
     return TransitionLaw(case=case, tau=tau, levels=range(first_level, first_level + len(probs)),
-                         probs=tuple(probs), tail_mass=tail)
+                         probs=probs, tail_mass=tail)
 
 
 def _neg_binomial(r, lp, lq, trunc_eps, tau, first_level, case):
     """Negative binomial of real shape r, ln success lp and ln failure lq:
     Gamma(r + m) / (Gamma(r) m!) p^r q^m at levels first_level + m, m >= 0."""
     q = math.exp(lq)
+    log_gamma_r = log_gamma(r)
 
     def log_pmf(ms):
-        return (log_gamma(r + ms) - log_gamma(r) - log_gamma(ms + 1.0)
-                + r * lp + ms * lq)
+        lg = log_gamma(np.concatenate((r + ms, ms + 1.0)))  # one call: Gamma(r + m), m!
+        return lg[:len(ms)] - log_gamma_r - lg[len(ms):] + r * lp + ms * lq
 
     def tail_ratio(m):
         # sup over j >= m of (r + j) / (j + 1) q; the fraction falls to 1
@@ -353,11 +364,12 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
 
 def law_json(law: TransitionLaw) -> str:
     """The law as JSON {case, atoms: [{tau, k, y1, prob}], gamma, tail_mass},
-    from one % template: json formats the ray, the gamma ray and tail_mass
-    once; each atom adds its level and float.__repr__ of its prob, which is
-    how json writes a float (repr of a numpy float would not be)."""
+    from % templates: json formats the ray, the gamma ray and tail_mass once;
+    one % call fills every atom with its level and float.__repr__ of its prob,
+    which is how json writes a float (repr of a numpy float would not be)."""
     atom = '{"tau": %s, "k": %%d, "y1": null, "prob": %%s}' % json.dumps(law.tau)
-    atoms = ", ".join([atom % (l, float.__repr__(p)) for l, p in zip(law.levels, law.probs)])
+    atoms = ", ".join([atom] * len(law.probs)) % tuple(
+        chain.from_iterable(zip(law.levels, map(float.__repr__, law.probs))))
     g = law.gamma_ray
     gamma = None if g is None else {"shape": g.shape, "scale": g.scale}
     return '{"case": %d, "atoms": [%s], "gamma": %s, "tail_mass": %s}' % (

@@ -479,18 +479,22 @@ def psd_gram_check(points, t: float, delta: float,
     G_mn = E[exp(-t X^2 / 2)] for X drawn from delta_{x_m} * delta_{x_n}, the
     translation of x -> exp(-t x^2 / 2) on the half-line of order delta; all
     entries come from one bk_translate call on the grid of point pairs, so G
-    is exactly symmetric. points is a nonempty 1-d list and t > 0.
+    is exactly symmetric. points is a nonempty 1-d list of finite x >= 0 and
+    t > 0 is finite; a NaN eigenvalue fails (max_abs_err must be finite),
+    never passes.
     """
     q = q or QuadratureSpec()
     p = BesselKingmanParams(delta)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 1:
         raise ValueError("psd_gram_check requires a 1-d point list")
-    if t <= 0.0:
-        raise ValueError("psd_gram_check requires t > 0")
+    if not np.all((pts >= 0.0) & (pts < math.inf)):
+        raise ValueError("psd_gram_check requires finite points >= 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError("psd_gram_check requires finite t > 0")
     gram = bk_translate(lambda r: np.exp(-0.5 * t * r * r), pts[:, None], pts[None, :], p, q)
     min_eig = float(np.linalg.eigvalsh(gram)[0])
-    err = max(0.0, -min_eig)
+    err = 0.0 if min_eig >= 0.0 else -min_eig
     return _report("psd_gram",
                    {"n": len(points), "t": t, "delta": delta},
                    err, tol, notes=f"min_eig={min_eig:.3e}")

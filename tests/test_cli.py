@@ -1,5 +1,6 @@
 """CLI tests: flag parsing, output schemas, determinism, exit codes."""
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -41,6 +42,46 @@ class TestStateAndGridParsing:
 
 
 class TestQbesKernel:
+    # sha256 of stdout and stderr of the per-atom law code: the nine qbes-kernel
+    # laws of the tabulate benchmark at their design points, and the README law
+    @pytest.mark.parametrize("delta, state, t, code, out_sha, err_sha", [
+        ("1.3", "tau=-1,k=4", "0.996", 0,
+         "0a6997f7336fd1dfc95f56b8f62b1327eef532f12991942d1a8fdf64bc13db96",
+         ""),
+        ("2", "tau=-1,k=0", "0.992", 0,
+         "cab600a979f21721302bcf35cfc4aa9052f7a67802c14367d565765ed6841040",
+         ""),
+        ("0.9", "tau=-1.5,k=8", "1.496", 1,
+         "",
+         "04fe52608f74d28ca14b63c8b2ed32039d0406177b78f365a2d02c19d6ce9d80"),
+        ("2.5", "y1=2000", "1", 0,
+         "33cc0c8af78401ac6299907138123b0d75c30563069b2faa674a3c96721a384e",
+         ""),
+        ("2.5", "y1=2003.09", "1", 1,
+         "",
+         "d6ed1fa3bc786322586c23268336a436f4360ccd6346d443ef523e5551ebb921"),
+        ("1", "y1=700", "1", 0,
+         "67957fbd258ace81f92a0825cb5d495033fcae9d39b7b22bed176b56718b76b4",
+         ""),
+        ("1.5", "tau=-0.5,k=200", "1.5", 0,
+         "36cdcfde8eedc63adf2f72e3922c0bdb160927cc27f26d5a0a84e83c9ff3fa43",
+         ""),
+        ("3", "tau=2,k=300", "0.5", 0,
+         "31b025dd58946510f7f865920a37fc638c15f1b3ccf01c1854f0122cd128315d",
+         ""),
+        ("0.7", "tau=-2,k=5", "0.5", 0,
+         "d4524726085ed2242e19006f17136cd9dc97bb5fde8211eae25010d5b3961525",
+         ""),
+        ("1", "tau=-2,k=0", "1", 0,
+         "5f22e69129db9b71d2a3aa5db02e8e6497accbb6e6b334cd5dfae91acfc01b56",
+         ""),
+    ])
+    def test_golden_bytes(self, capsys, delta, state, t, code, out_sha, err_sha):
+        got, out, err = run_cli(["qbes-kernel", "--delta", delta, "--state", state, "--t", t],
+                                capsys)
+        digest = [hashlib.sha256(s.encode()).hexdigest() if s else "" for s in (out, err)]
+        assert (got, *digest) == (code, out_sha, err_sha)
+
     def test_case5_start_ray_past_1e16_t(self, capsys):
         # s / u rounds to 1.0 here; this exited 1 with "math domain error"
         code, out, err = run_cli(["qbes-kernel", "--delta", "1", "--state", "tau=1e16,k=2",

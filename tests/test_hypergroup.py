@@ -127,6 +127,18 @@ class TestBkTranslateArrays:
         with pytest.raises(ValueError, match="^bk_translate requires x, xp >= 0$"):
             hg.bk_translate(np.cos, np.array([0.5, -1.0]), 1.0, p, Q)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_point_that_is_not_finite_is_rejected(self, bad):
+        # NaN and inf passed the sign guard and returned nan after RuntimeWarnings
+        p = hg.BesselKingmanParams(2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, xp in ((bad, 1.0), (1.0, bad), (np.array([0.5, bad]), 1.0)):
+                with pytest.raises(ValueError, match="^bk_translate requires finite x, xp$"):
+                    hg.bk_translate(np.cos, x, xp, p, Q)
+            with pytest.raises(ValueError, match="^bk_translate requires x, xp >= 0$"):
+                hg.bk_translate(np.cos, -math.inf, 1.0, p, Q)
+
 
 def _parent_lag_translate(f, a, b, p, q):
     """lag_translate with its (theta, r) grid from np.meshgrid, verbatim."""

@@ -497,9 +497,23 @@ class TestGramAndKernels:
         for points in ([[0.3, 1.0]], []):
             with pytest.raises(ValueError, match="^psd_gram_check requires a 1-d point list$"):
                 vf.psd_gram_check(points, 1.0, 2.0)
-        for t in (0.0, -1.0):
-            with pytest.raises(ValueError, match="^psd_gram_check requires t > 0$"):
+        # a NaN t used to fail only through its NaN Gram matrix, and an infinite
+        # t passed with an all-zero one
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^psd_gram_check requires finite t > 0$"):
                 vf.psd_gram_check([0.3, 1.0], t, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_psd_gram_rejects_a_point_that_is_not_finite_and_nonnegative(self, bad):
+        # [0.3, nan] passed with max_abs_err 0.0, since max(0.0, -nan) is 0.0
+        with pytest.raises(ValueError, match="^psd_gram_check requires finite points >= 0$"):
+            vf.psd_gram_check([0.3, bad], 1.0, 2.5)
+
+    def test_psd_gram_nan_eigenvalue_fails(self, monkeypatch):
+        # a NaN Gram matrix passed with min_eig=nan, since max(0.0, -nan) is 0.0
+        monkeypatch.setattr(vf, "bk_translate", lambda f, x, xp, p, q: np.full((2, 2), math.nan))
+        with pytest.raises(ValueError, match="^max_abs_err must be finite and >= 0$"):
+            vf.psd_gram_check([0.3, 1.0], 1.0, 2.5)
 
     def test_chapman_kolmogorov_wrapper(self):
         r = vf.chapman_kolmogorov_check(DiscretePoint(1.0, 3), 0.4, 0.6, 0.9, tol=1e-12)
