@@ -9,11 +9,12 @@ that picks the kind of a fan point; bk_translate takes arrays of points.
 
 Convolution integrals carry endpoint-singular weights (sin^(alpha-2) theta on
 the half-line family, r (1-r^2)^(alpha-1) on the plane family), so they are
-evaluated with weight-matched Gauss-Jacobi nodes; the periodic theta axis of
-the Laguerre convolution uses equispaced midpoints, which are spectrally
-accurate there. Node counts come from QuadratureSpec.nodes, and every rule is
-normalized by its own weight sum so each translation is a probability average
-to machine precision.
+evaluated with weight-matched Gauss-Jacobi nodes (on the plane at alpha = 0,
+the one node r = 1); the periodic theta axis of the Laguerre convolution uses
+equispaced midpoints, which are spectrally accurate there. Node counts come
+from QuadratureSpec.nodes, and every rule is normalized by its own weight sum,
+summed with no BLAS product, so each translation is a probability average to
+machine precision.
 """
 from __future__ import annotations
 
@@ -156,28 +157,25 @@ def lag_translate(f, a: HeisPoint, b: HeisPoint, p: LaguerreParams,
                   q: QuadratureSpec | None = None) -> complex:
     """f evaluated at the convolution a * b of the plane hypergroup.
 
-    alpha = 0 averages over the circle; alpha > 0 adds the radial average
-    against r (1-r^2)^(alpha-1) dr. f must accept arrays (x, w) and may be
-    complex-valued.
+    The circle average of the radial average against r (1-r^2)^(alpha-1) dr,
+    which is the point mass at r = 1 when alpha = 0: one f call on the (theta,
+    r) grid for every order, weights summed with no BLAS product. f must
+    accept arrays (x, w) and may be complex-valued.
     """
     q = q or QuadratureSpec()
-    al = p.alpha
     n = q.nodes
     theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    xx = a.x * b.x
-    if al == 0.0:
-        radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * cos_t, 0.0))
-        ws = a.w + b.w + xx * sin_t
-        return complex(np.mean(f(radii, ws)))
-    # v = r^2 turns r (1-r^2)^(alpha-1) dr into the Jacobi weight (1-v)^(alpha-1)/2
-    uv, wv = gauss_jacobi(n, al - 1.0, 0.0)
-    r = np.sqrt(0.5 * (uv + 1.0))
+    if p.alpha == 0.0:
+        r = wv = np.ones(1)
+    else:
+        # v = r^2 turns r (1-r^2)^(alpha-1) dr into the Jacobi weight (1-v)^(alpha-1)/2
+        uv, wv = gauss_jacobi(n, p.alpha - 1.0, 0.0)
+        r = np.sqrt(0.5 * (uv + 1.0))
     # rows are theta, columns r
-    radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * r * cos_t[:, None], 0.0))
-    ws = a.w + b.w + xx * r * sin_t[:, None]
-    vals = f(radii, ws)
-    return complex(np.mean(vals @ wv) / np.sum(wv))
+    xx = a.x * b.x
+    radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * r * np.cos(theta)[:, None], 0.0))
+    ws = a.w + b.w + xx * r * np.sin(theta)[:, None]
+    return complex(np.mean(np.sum(wv * f(radii, ws), axis=-1)) / np.sum(wv))
 
 
 def bk_character(u, x, p: BesselKingmanParams):
@@ -193,7 +191,7 @@ def _first_kind_char(alpha: float, tau: float, k, x, w):
 
     Raises OverflowError at the first degree and point (row-major) where the
     product is not finite: for large k and |tau| x^2, L_k overflows the double
-    range while exp(-|tau| x^2 / 2) underflows.
+    range while exp(-|tau| x^2 / 2) underflows (at any k >= 1 if |tau| x^2 does).
     """
     ks = np.asarray(k)
     x, w = np.broadcast_arrays(x, w)
@@ -202,7 +200,10 @@ def _first_kind_char(alpha: float, tau: float, k, x, w):
     pref = np.array([math.exp(v) for v in log_pref]).reshape(ks.shape + (1,) * x.ndim)
     with np.errstate(over="ignore", invalid="ignore"):
         arg = abs(tau) * np.square(x)
-        out = pref * np.exp(1j * tau * w - 0.5 * arg) * laguerre_L_all(ks.max(), alpha, arg)[ks]
+        big = np.isinf(arg)  # past the double range, where L_k, k >= 1, is unbounded
+        table = laguerre_L_all(ks.max(), alpha, np.where(big, 0.0, arg))
+        table[1:, big] = np.inf
+        out = pref * np.exp(1j * tau * w - 0.5 * arg) * table[ks]
     bad = ~np.isfinite(out)
     if np.any(bad):
         i = np.unravel_index(np.argmax(bad), bad.shape)

@@ -97,7 +97,7 @@ class TransitionLaw:
             raise ValueError("levels must be a step-1 range of levels >= 0, one per prob")
         if self.levels and (self.tau is None or not math.isfinite(self.tau) or self.tau == 0.0):
             raise ValueError("atoms require a nonzero finite ray tau")
-        if self.tail_mass < 0.0:
+        if not self.tail_mass >= 0.0:  # NaN included: json would write it as NaN
             raise ValueError("tail_mass must be >= 0")
         mass = sum(self.probs)  # NaN if any prob is; min may skip a NaN
         if not (min(self.probs, default=0.0) >= 0.0 and mass == mass):
@@ -338,25 +338,21 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
         composed = _poisson_mixture_pmf(law1.gamma_ray, t2, levels, quad)
         return float(np.max(np.abs(composed - np.array(direct.probs + (0.0,) * 3))))
 
+    # discrete intermediate: one step law per atom, each on the branch of the direct law
+    steps = [qbes_transition(DiscretePoint(law1.tau, l), t2, delta) for l in law1.levels]
+    if any((step.gamma_ray is None) != (direct.gamma_ray is None) for step in steps):
+        raise AssertionError("an intermediate step law and the direct law differ in branch")
     if direct.gamma_ray is not None:
-        # discrete intermediate laws all hit the continuous branch exactly
         g = direct.gamma_ray
         grid = np.linspace(0.0, (g.shape + 10.0 * math.sqrt(g.shape) + 10.0) * g.scale, 257)[1:]
         mix = np.zeros_like(grid)
-        for l, p1 in zip(law1.levels, law1.probs):
-            step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta)
-            if step.gamma_ray is None:
-                raise AssertionError("intermediate atom missed the continuous branch")
+        for p1, step in zip(law1.probs, steps):
             mix += p1 * step.gamma_ray.pdf(grid)
         return float(np.max(np.abs(mix - g.pdf(grid))))
 
     # discrete -> discrete composition; each level sums p1 * p2 in law1's order
-    acc = np.zeros(direct.levels.stop)
-    for l, p1 in zip(law1.levels, law1.probs):
-        step = qbes_transition(DiscretePoint(law1.tau, l), t2, delta)
-        if step.gamma_ray is not None:
-            raise AssertionError("unexpected continuous branch in discrete composition")
-        acc = np.pad(acc, (0, max(0, step.levels.stop - len(acc))))
+    acc = np.zeros(max([direct.levels.stop] + [step.levels.stop for step in steps]))
+    for p1, step in zip(law1.probs, steps):
         acc[step.levels.start:step.levels.stop] += p1 * np.array(step.probs)
     acc[direct.levels.start:direct.levels.stop] -= direct.probs
     return float(np.max(np.abs(acc)))

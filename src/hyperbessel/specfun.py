@@ -88,12 +88,14 @@ def laguerre_L(k, a, x):
 
 
 def laguerre_L_all(k_max, a, x):
-    """All of L_0^{(a)}(x), ..., L_{k_max}^{(a)}(x) stacked on axis 0."""
+    """All of L_0^{(a)}(x), ..., L_{k_max}^{(a)}(x) stacked on axis 0, finite x."""
     if k_max != int(k_max) or k_max < 0:
         raise ValueError("laguerre degree must be a nonnegative integer")
     if not np.isfinite(a) or a <= -1.0:
         raise ValueError("laguerre order must satisfy a > -1")
     arr = _as_array(x, "x")
+    if np.any(np.isinf(arr)):  # inf - inf in the recurrence would give NaN
+        raise ValueError("laguerre argument x must be finite")
     k_max = int(k_max)
     out = np.empty((k_max + 1,) + arr.shape)
     prev = np.ones_like(arr)

@@ -162,7 +162,10 @@ def _parent_lag_translate(f, a, b, p, q):
 
 
 class TestLagTranslate:
-    def test_broadcast_grid_keeps_the_bits(self):
+    def test_one_path_matches_the_two_path_parent(self):
+        # alpha = 0 is the one-node radial table r = weight = 1, so every
+        # operation is exact and the bits stay; alpha > 0 sums the weights by
+        # np.sum instead of the BLAS product vals @ wv, which moves last bits
         for alpha in [0.0, 0.4, 1.0, 2.9]:
             p = hg.LaguerreParams(alpha)
             for c in [hg.DiscretePoint(-1.3, 3), hg.ContinuousPoint(1.9)]:
@@ -171,8 +174,23 @@ class TestLagTranslate:
                     for _ in range(3):
                         a = hg.HeisPoint(*RNG.uniform(0.0, 2.0, size=2))
                         b = hg.HeisPoint(*RNG.uniform(0.0, 2.0, size=2))
-                        assert (hg.lag_translate(f, a, b, p, q)
-                                == _parent_lag_translate(f, a, b, p, q))
+                        got = hg.lag_translate(f, a, b, p, q)
+                        want = _parent_lag_translate(f, a, b, p, q)
+                        if alpha == 0.0:
+                            assert got == want
+                        else:
+                            assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-9])
+    @pytest.mark.parametrize("c", [hg.DiscretePoint(-1.3, 3), hg.ContinuousPoint(1.9)])
+    def test_continuous_at_alpha_zero(self, alpha, c):
+        # the radial measure r (1-r^2)^(alpha-1) dr collapses onto r = 1 as
+        # alpha -> 0: the translation at small alpha approaches the circle average
+        a, b = hg.HeisPoint(0.9, 0.3), hg.HeisPoint(1.2, -0.7)
+        f = lambda x, w: hg._lag_char(c, 0.5, x, w)
+        near = hg.lag_translate(f, a, b, hg.LaguerreParams(alpha), Q)
+        at_zero = hg.lag_translate(f, a, b, hg.LaguerreParams(0.0), Q)
+        assert 0.0 < abs(near - at_zero) <= alpha
 
     def test_fractional_node_count_is_rejected(self):
         # 16.5 nodes were accepted at alpha 0: 17 midpoints spaced 2 pi / 16.5
@@ -355,6 +373,22 @@ class TestCharacters:
             with pytest.raises(OverflowError, match=r"x=40\.0, w=-0\.5 "):
                 hg.lag_character(c, hg.HeisPoint(xs, ws), p)
             assert math.isfinite(abs(hg.lag_character(c, hg.HeisPoint(1.0, 0.5), p)))
+
+    def test_argument_past_the_double_range(self):
+        # |tau| x^2 overflows to inf: degree 0 is exp(-inf) = 0, every higher
+        # degree raises as it did while laguerre_L_all ran its recurrence at inf
+        p = hg.LaguerreParams(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hg.lag_character(hg.DiscretePoint(1.0, 0), hg.HeisPoint(1e200, 0.0), p) == 0.0
+            for k in (1, 2, 3):
+                with pytest.raises(OverflowError, match=rf"x=1e\+200, w=0\.0 \(tau=1\.0, k={k}\)"):
+                    hg.lag_character(hg.DiscretePoint(1.0, k), hg.HeisPoint(1e200, 0.0), p)
+            xs = np.array([0.5, 1e200])
+            got = hg._first_kind_char(0.5, 1.0, 0, xs, 0.0)
+            assert got[1] == 0.0 and got[0] == hg._first_kind_char(0.5, 1.0, 0, 0.5, 0.0)
+            with pytest.raises(OverflowError, match=r"x=1e\+200, w=0\.0 \(tau=1\.0, k=1\)"):
+                hg._first_kind_char(0.5, 1.0, np.arange(3), xs, 0.0)
 
     def test_psi(self):
         assert hg.psi_heis(hg.HeisPoint(0.0, 0.0)) == 0.0

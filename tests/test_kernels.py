@@ -217,6 +217,12 @@ class TestTransitionLawInvariants:
         with pytest.raises(ValueError, match="must be >= 0"):
             kn.TransitionLaw(case=5, tau=1.0, levels=range(2), probs=(1.0, math.nan))
 
+    @pytest.mark.parametrize("tail", [math.nan, -1e-13])
+    def test_rejects_tail_mass_that_is_not_nonnegative(self, tail):
+        # a NaN tail_mass passed both checks, and law_json wrote "tail_mass": NaN
+        with pytest.raises(ValueError, match="^tail_mass must be >= 0$"):
+            kn.TransitionLaw(case=4, tau=1.0, levels=range(1), probs=(1.0,), tail_mass=tail)
+
     def test_serialization_round_trip(self):
         for law in [
             kn.qbes_transition(DiscretePoint(-2.0, 1), 1.0, 1.3),
@@ -377,6 +383,22 @@ class TestBesDensity:
 
 
 class TestChapmanKolmogorov:
+    @pytest.mark.parametrize("start,t1,t2,step_t", [
+        # the direct law is on the gamma ray; the step laws are moved off u = 0
+        (DiscretePoint(-2.0, 1), 1.2, 0.8, lambda s: 1.6),
+        # the direct law is discrete; the step laws are moved onto u = 0
+        (DiscretePoint(-1.0, 1), 0.4, 1.0, lambda s: -s.tau),
+    ])
+    def test_step_laws_on_another_branch_than_the_direct_law(self, monkeypatch, start,
+                                                             t1, t2, step_t):
+        # every step law must have a gamma ray exactly when the direct law has one
+        qbes_transition = kn.qbes_transition
+        monkeypatch.setattr(kn, "qbes_transition", lambda s, t, delta: qbes_transition(
+            s, step_t(s) if t == t2 else t, delta))
+        with pytest.raises(AssertionError, match="^an intermediate step law and the direct "
+                                                 "law differ in branch$"):
+            kn.chapman_kolmogorov_qbes(start, t1, t2, 1.5)
+
     def test_within_case_one(self):
         assert kn.chapman_kolmogorov_qbes(DiscretePoint(-2.0, 0), 0.5, 0.5, 1.7) <= 1e-10
 

@@ -7,6 +7,7 @@ scipy, Laguerre against the exact-rational 1F1 route. Large-order Bessel values
 are checked against 50-digit mpmath literals.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ _LG_MSG = "log_gamma requires finite x > 0"
     (lambda y: sf.log_bessel_i_norm(0.5, y), [-1.0, NAN], _I_MSG),
     (lambda y: sf.log_bessel_i_norm(0.5, y), -INF, _I_MSG),
     (lambda y: sf.log_bessel_i_norm(0.5, y), [1.0, INF], _I_MSG),
-    # laguerre_L_all rejects NaN only
+    # laguerre_L_all: a NaN anywhere names the error, before an infinite x
     (lambda x: sf.laguerre_L_all(3, 0.5, x), NAN, "x must not be NaN"),
     (lambda x: sf.laguerre_L_all(3, 0.5, x), [NAN, -1.0], "x must not be NaN"),
     (lambda x: sf.laguerre_L_all(3, 0.5, x), [-1.0, -INF, NAN], "x must not be NaN"),
@@ -408,8 +409,12 @@ def test_empty_arrays_pass_the_checks(fn, extra, shape):
         assert out.shape == extra + np.shape(x)
 
 
-def test_laguerre_accepts_infinite_x():
-    # only NaN is rejected; the recurrence runs at -inf and inf
-    with np.errstate(invalid="ignore"):
-        assert sf.laguerre_L_all(3, 0.5, -INF).shape == (4,)
-        assert sf.laguerre_L_all(3, 0.5, [2.0, INF]).shape == (4, 2)
+@pytest.mark.parametrize("fn", [lambda x: sf.laguerre_L_all(3, 0.5, x),
+                                lambda x: sf.laguerre_L(3, 0.5, x)])
+@pytest.mark.parametrize("x", [INF, -INF, [2.0, INF], [[1.0, -INF]]])
+def test_laguerre_rejects_infinite_x(fn, x):
+    # the recurrence returned [1, -inf, inf, nan] at inf, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^laguerre argument x must be finite$"):
+            fn(x)
