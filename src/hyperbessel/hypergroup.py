@@ -191,7 +191,7 @@ def _first_kind_char(alpha: float, tau: float, k, x, w):
 
     Raises OverflowError at the first degree and point (row-major) where the
     product is not finite: for large k and |tau| x^2, L_k overflows the double
-    range while exp(-|tau| x^2 / 2) underflows (at any k >= 1 if |tau| x^2 does).
+    range while exp(-|tau| x^2 / 2) underflows.
     """
     ks = np.asarray(k)
     x, w = np.broadcast_arrays(x, w)
@@ -200,9 +200,8 @@ def _first_kind_char(alpha: float, tau: float, k, x, w):
     pref = np.array([math.exp(v) for v in log_pref]).reshape(ks.shape + (1,) * x.ndim)
     with np.errstate(over="ignore", invalid="ignore"):
         arg = abs(tau) * np.square(x)
-        big = np.isinf(arg)  # past the double range, where L_k, k >= 1, is unbounded
-        table = laguerre_L_all(ks.max(), alpha, np.where(big, 0.0, arg))
-        table[1:, big] = np.inf
+        # past the double range exp(-inf) = 0 times a finite placeholder L_k(0)
+        table = laguerre_L_all(ks.max(), alpha, np.where(np.isinf(arg), 0.0, arg))
         out = pref * np.exp(1j * tau * w - 0.5 * arg) * table[ks]
     bad = ~np.isfinite(out)
     if np.any(bad):
@@ -272,8 +271,7 @@ def bk_fourier(f, u, p: BesselKingmanParams,
             "increase the cutoff", RuntimeWarning)
 
     def integrand(xs, rows):
-        weight = np.power(xs, a - 1.0) if a != 1.0 else np.ones_like(xs)
-        return f(xs) * bk_character(us[rows], xs, p) * weight
+        return f(xs) * bk_character(us[rows], xs, p) * np.power(xs, a - 1.0)
 
     values = integrate_rows(integrand, [(0.0, cutoff)] * n_ok, q)
     if n_ok < us.size:

@@ -22,9 +22,10 @@ shows that, the law raises RuntimeError instead of walking on to the atom cap.
 Truncation sums 512-atom numpy chunks by np.cumsum, carrying Neumaier's sum
 and compensation exactly, with no per-atom Python loop. A law is summed
 exactly (fsum) once, and law_json fills its atom list in one % call.
-bes_density evaluates a whole y-grid in one call. The regime boundary u = 0
-triggers only on exact float equality s + t == 0: the kernel is genuinely
-singular there and no epsilon snapping is applied.
+bes_density evaluates a whole y-grid in one call, y = 0 by the same formula
+as y > 0 (its y^(delta-1) factor gives 0 above delta = 1 and inf below it).
+The regime boundary u = 0 triggers only on exact float equality s + t == 0:
+the kernel is genuinely singular there and no epsilon snapping is applied.
 """
 from __future__ import annotations
 
@@ -269,34 +270,22 @@ def bes_density(d: BesDensity, y):
 
 def _bes_density_rows(densities, y, rows=0):
     """bes_density at each y under densities[r] (one delta for all), r the
-    node's entry of rows: a family of (x, t) rows in one array call."""
+    node's entry of rows: a family of (x, t) rows in one array call. y = 0
+    takes the same log-space formula as y > 0."""
     arr = np.asarray(y, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
-        raise ValueError("bes_density requires y >= 0")
+    if not np.all((arr >= 0.0) & (arr < math.inf)):
+        raise ValueError("bes_density requires finite y >= 0")
     delta = densities[0].delta
-    rows = np.broadcast_to(rows, arr.shape)
-    nu = delta / 2.0 - 1.0
-    out = np.empty_like(arr)
-    pos = arr > 0.0
-    if np.any(pos):
-        yp = arr[pos]
-        # ln (2t)^(delta/2) once per row, by math.log as a lone call takes it
-        x, t, log_norm = np.array([(d.x, d.t, 0.5 * delta * math.log(2.0 * d.t))
-                                   for d in densities])[rows[pos]].T
-        log_p = (math.log(2.0) + (delta - 1.0) * np.log(yp)
-                 - log_norm - log_gamma(delta / 2.0)
-                 + log_bessel_i_norm(nu, x * yp / t)
-                 - (x * x + yp * yp) / (2.0 * t))
-        out[pos] = np.exp(log_p)
-    if np.any(~pos):
-        if delta > 1.0:
-            edge = 0.0
-        elif delta == 1.0:
-            edge = [2.0 * math.exp(-d.x * d.x / (2.0 * d.t)) / math.sqrt(2.0 * math.pi * d.t)
-                    for d in (densities[r] for r in rows[~pos].tolist())]
-        else:
-            edge = math.inf
-        out[~pos] = edge
+    # ln (2t)^(delta/2) once per row, by math.log as a lone call takes it
+    x, t, log_norm = np.array([(d.x, d.t, 0.5 * delta * math.log(2.0 * d.t))
+                               for d in densities]).T[:, rows]
+    with np.errstate(divide="ignore"):
+        # delta 1 has no ln y term; 0 * ln 0 would be NaN at y = 0
+        power = (delta - 1.0) * np.log(arr) if delta != 1.0 else 0.0
+    log_p = (math.log(2.0) + power - log_norm - log_gamma(delta / 2.0)
+             + log_bessel_i_norm(delta / 2.0 - 1.0, x * arr / t)
+             - (x * x + arr * arr) / (2.0 * t))
+    out = np.exp(log_p)
     return float(out) if np.ndim(y) == 0 else out
 
 

@@ -16,7 +16,8 @@
   (real and >= 1). The all-positive series where y^2 <= 4 (nu + 1) or where
   ``scipy.special.ive`` underflows, elsewhere ln ive + y + the log prefactor.
   A series sum past the double range is summed again, scaled by exact
-  powers of two, so its log is finite wherever ln i is.
+  powers of two, so its log is finite wherever ln i is. Past y = 2^30, where
+  ive returns NaN, it raises OverflowError.
   ``bessel_i_norm`` is its exponential and raises OverflowError beyond the
   double range.
 - ``hyp1f1``: Kummer 1F1(a; b; z), summed in exact rationals when it
@@ -201,7 +202,8 @@ def log_bessel_i_norm(nu, y):
 
     Relative error below 1e-12 for nu <= 1000, y <= 4000. Where the series
     sum exceeds the double range (nu >~ 1900, where ive underflows too) it
-    is summed again in scaled form and its log taken from that.
+    is summed again in scaled form and its log taken from that. Raises
+    OverflowError past y = 2^30 - 1/2, where ive returns NaN.
     """
     from scipy import special
     arr = _bessel_args("log_bessel_i_norm", nu, y, "y")
@@ -220,8 +222,11 @@ def log_bessel_i_norm(nu, y):
     if np.any(~np.isfinite(log_i)):
         raise OverflowError(f"log_bessel_i_norm: series overflows at nu={nu!r}; "
                             "order too large")
-    big = arr[~series]
-    out[~series] = np.log(ive[~series]) + big + _log_prefactor(nu, big)
+    big, ive = arr[~series], ive[~series]
+    if np.any(np.isnan(ive)):
+        raise OverflowError(f"log_bessel_i_norm: y beyond 2^30 at nu={nu!r}; "
+                            "argument too large")
+    out[~series] = np.log(ive) + big + _log_prefactor(nu, big)
     return _shaped_like(out, y)
 
 

@@ -295,6 +295,13 @@ class TestTables:
             want = math.sqrt(math.pi / 2.0) * math.exp(-0.5 * float(u_str) ** 2)
             assert float(val_str) == pytest.approx(want, abs=1e-9)
 
+    def test_hankel_readme_example_bytes(self, capsys):
+        # sha256 of stdout when the alpha = 1 Haar weight was a separate np.ones_like
+        code, out, err = run_cli(["hankel", "--alpha", "1", "--function", "gaussian",
+                                  "--u-grid", "0:3:31", "--cutoff", "12"], capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (
+            0, "5d24093b89892d06693c2614ea093bed74ff4863c7e85b1a669bbb4cdde4c8d6", "")
+
     def test_hankel_indicator(self, capsys):
         # alpha = 1, f = 1_[0,1]: transform(u) = sin(u)/u
         code, out, _ = run_cli(["hankel", "--alpha", "1", "--function", "indicator",
@@ -469,6 +476,8 @@ class TestTablesMatchPointLoop:
         BK + ["--u-grid=nan,-1"],
         BK + ["--u-grid=1,inf"],
         ["bes-density", "--delta", "2", "--t", "1", "--x", "1", "--y-grid=1,-1,nan"],
+        ["bes-density", "--delta", "2", "--t", "1", "--x", "1", "--y-grid=1,inf"],
+        ["bes-density", "--delta", "2", "--t", "1", "--x", "0", "--y-grid=1,inf"],
     ])
     def test_invalid_points(self, argv, capsys, tmp_path):
         want = _loop_reference(argv, tmp_path / "ref")
@@ -621,13 +630,29 @@ def test_laguerre_overflow_is_one_line_error():
 
 
 def test_laguerre_overflowing_argument():
-    # |tau| x^2 overflows to inf: exp(-inf) L_0 is 0 with no numpy warning, L_2 an error
-    argv = ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--x-grid", "1e10",
-            "--w-grid", "0", "--state"]
-    assert run_cli_process(argv + ["tau=1e300,k=0"]) == (0, "x,w,re,im\n10000000000,0,0,0\n", "")
-    assert run_cli_process(argv + ["tau=1e300,k=2"]) == (
-        1, "", "hyperbessel: error: lag_character: L_k overflows at x=10000000000.0, w=0.0 "
-               "(tau=1e+300, k=2); degree too large\n")
+    # |tau| x^2 overflows to inf: exp(-inf) L_k is 0 at every degree, with no numpy warning
+    argv = ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--w-grid", "0", "--state"]
+    for k in (0, 2):
+        assert run_cli_process(argv + [f"tau=1e300,k={k}", "--x-grid", "1e10"]) == (
+            0, "x,w,re,im\n10000000000,0,0,0\n", "")
+    assert run_cli_process(argv + ["tau=1,k=1", "--x-grid", "1e200"]) == (
+        0, "x,w,re,im\n9.9999999999999997e+199,0,0,0\n", "")
+    # a finite but huge argument still overflows L_k
+    assert run_cli_process(argv + ["tau=1,k=3", "--x-grid", "1e153"]) == (
+        1, "", "hyperbessel: error: lag_character: L_k overflows at x=1e+153, w=0.0 "
+               "(tau=1.0, k=3); degree too large\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--delta", "3", "--t", "1", "--x", "1e5", "--y-grid", "1e5"],
+    ["--delta", "2", "--t", "1e-12", "--x", "1", "--y-grid", "1"],
+])
+def test_bes_density_past_the_bessel_range(argv):
+    # x y / t past 2^30, where scipy's ive is NaN: this printed nan with exit 0
+    code, out, err = run_cli_process(["bes-density"] + argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("hyperbessel: error: log_bessel_i_norm: y beyond 2^30 at nu=")
+    assert err.count("\n") == 1
 
 
 def test_warning_is_one_stable_line():

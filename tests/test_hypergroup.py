@@ -375,20 +375,23 @@ class TestCharacters:
             assert math.isfinite(abs(hg.lag_character(c, hg.HeisPoint(1.0, 0.5), p)))
 
     def test_argument_past_the_double_range(self):
-        # |tau| x^2 overflows to inf: degree 0 is exp(-inf) = 0, every higher
-        # degree raises as it did while laguerre_L_all ran its recurrence at inf
+        # |tau| x^2 overflows to inf: exp(-inf) = 0 times the finite L_k(0)
+        # placeholder is 0 at every degree, as the character is there
         p = hg.LaguerreParams(0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert hg.lag_character(hg.DiscretePoint(1.0, 0), hg.HeisPoint(1e200, 0.0), p) == 0.0
-            for k in (1, 2, 3):
-                with pytest.raises(OverflowError, match=rf"x=1e\+200, w=0\.0 \(tau=1\.0, k={k}\)"):
-                    hg.lag_character(hg.DiscretePoint(1.0, k), hg.HeisPoint(1e200, 0.0), p)
+            for k in (0, 1, 2, 3):
+                for w in (-1.0, 0.0, 1.0):
+                    got = hg.lag_character(hg.DiscretePoint(1.0, k), hg.HeisPoint(1e200, w), p)
+                    assert got == 0.0
             xs = np.array([0.5, 1e200])
-            got = hg._first_kind_char(0.5, 1.0, 0, xs, 0.0)
-            assert got[1] == 0.0 and got[0] == hg._first_kind_char(0.5, 1.0, 0, 0.5, 0.0)
-            with pytest.raises(OverflowError, match=r"x=1e\+200, w=0\.0 \(tau=1\.0, k=1\)"):
-                hg._first_kind_char(0.5, 1.0, np.arange(3), xs, 0.0)
+            got = hg._first_kind_char(0.5, 1.0, np.arange(3), xs, 0.0)
+            assert np.all(got[:, 1] == 0.0)
+            for k in range(3):
+                assert got[k, 0] == hg._first_kind_char(0.5, 1.0, k, 0.5, 0.0)
+            # a finite but huge argument still overflows L_k
+            with pytest.raises(OverflowError, match=r"x=1e\+153, w=0\.0 \(tau=1\.0, k=3\)"):
+                hg.lag_character(hg.DiscretePoint(1.0, 3), hg.HeisPoint(1e153, 0.0), p)
 
     def test_psi(self):
         assert hg.psi_heis(hg.HeisPoint(0.0, 0.0)) == 0.0

@@ -325,6 +325,15 @@ def _parent_bes_density(d, y):
     return out
 
 
+def _parent_bits(d, ys):
+    """The parent's values, but at delta = 1, y = 0, which now takes the y > 0
+    formula: there its value at the least positive y."""
+    want = _parent_bes_density(d, ys)
+    if d.delta == 1.0:
+        want[ys == 0.0] = _parent_bes_density(d, 5e-324)
+    return want
+
+
 class TestBesDensity:
     def test_dimension_one_reflected_gaussian(self):
         d = kn.BesDensity(1.0, 0.7, 1.3)
@@ -365,21 +374,34 @@ class TestBesDensity:
     def test_rows_helper_keeps_bits(self, delta, t, x, grid):
         ys = np.array(cli.parse_grid(grid))
         d = kn.BesDensity(delta, t, x)
-        want = _parent_bes_density(d, ys)
+        want = _parent_bits(d, ys)
         assert kn.bes_density(d, ys).tobytes() == want.tobytes()
         assert [kn.bes_density(d, y) for y in ys[:3].tolist()] == want[:3].tolist()
+        if delta == 1.0:
+            assert kn.bes_density(d, 0.0) == kn.bes_density(d, 5e-324)
         # the same density as row 1 of a family, its nodes interleaved with row 0's
         pair = [kn.BesDensity(delta, 2.0 * t, 0.5 * x), d]
         rows = np.arange(2 * ys.size) % 2
         got = kn._bes_density_rows(pair, np.repeat(ys, 2), rows)
         assert got[1::2].tobytes() == want.tobytes()
-        assert got[0::2].tobytes() == _parent_bes_density(pair[0], ys).tobytes()
+        assert got[0::2].tobytes() == _parent_bits(pair[0], ys).tobytes()
+
+    @pytest.mark.parametrize("x,t,want", [
+        # 2 exp(-x^2 / 2t) / sqrt(2 pi t) by 30-digit mpmath
+        (1.3, 0.7, 0.2851908317156703231559235),
+        (1.2, 0.5, 0.267344347003539174197204),
+        (5.0, 2.0, 0.001089142115176354860193339),
+        (30.0, 1.0, 2.947292269757095038098987e-196),
+    ])
+    def test_dimension_one_at_zero(self, x, t, want):
+        assert kn.bes_density(kn.BesDensity(1.0, t, x), 0.0) == pytest.approx(want, rel=3e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             kn.BesDensity(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            kn.bes_density(kn.BesDensity(1.0, 1.0, 0.0), -1.0)
+        for y in (-1.0, math.nan, math.inf, [1.0, math.inf]):
+            with pytest.raises(ValueError, match="^bes_density requires finite y >= 0$"):
+                kn.bes_density(kn.BesDensity(1.0, 1.0, 0.0), y)
 
 
 class TestChapmanKolmogorov:

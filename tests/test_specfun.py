@@ -195,6 +195,18 @@ class TestBesselINorm:
         for y in [650.0, 1000.0, 5000.0]:
             assert sf.log_bessel_i_norm(-0.5, y) == pytest.approx(y - math.log(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 10.0, 300.0])
+    def test_raises_past_two_to_the_thirty(self, nu):
+        # scipy's ive is NaN past y = 2^30 - 1/2 at every order; the NaN went out unflagged
+        edge = 2.0 ** 30 - 0.5
+        assert math.isfinite(sf.log_bessel_i_norm(nu, edge))
+        message = rf"^log_bessel_i_norm: y beyond 2\^30 at nu={nu!r}; argument too large$"
+        for y in (math.nextafter(edge, math.inf), 2.0 ** 30, 1e10, [1.0, 1e10]):
+            with pytest.raises(OverflowError, match=message):
+                sf.log_bessel_i_norm(nu, y)
+        with pytest.raises(OverflowError, match=r"^log_bessel_i_norm: y beyond 2\^30"):
+            sf.bessel_i_norm(nu, 1e10)
+
 
 class TestHyp1F1:
     def test_at_zero(self):

@@ -574,6 +574,21 @@ class TestReports:
         want = {1e-9} if suite == "weber-schafheitlin" else {1e-8, 1e-10, 1e-12}
         assert {r.tol for r in default} == want
 
+    def test_standard_suite_passes(self):
+        # the whole standard suite, as the verify command runs it: the
+        # multiplicativity, psd-gram and normalization suites run nowhere else here
+        reports = vf.run_suite()
+        assert len(reports) == 174
+        assert [r for r in reports if not r.passed] == []
+        counts = {}
+        for r in reports:
+            counts[r.check_name] = counts.get(r.check_name, 0) + 1
+        identities = {f"laguerre_identity_{i}": 4 for i in ("i", "ii", "iii", "iv", "v")}
+        assert counts == {"weber_schafheitlin": 12, "glowne3": 40, "bk_spectral": 12,
+                          **identities, "gegenbauer": 9, "watson": 18,
+                          "bk_multiplicativity": 25, "lag_multiplicativity": 25,
+                          "psd_gram": 6, "chapman_kolmogorov": 6, "normalization": 1}
+
     def test_coverage_contract(self):
         # every family of checks is reachable through the standard suite map
         assert set(vf.SUITE_NAMES) == set(vf._SUITES)
