@@ -249,10 +249,13 @@ def bk_fourier(f, u, p: BesselKingmanParams,
                q: QuadratureSpec | None = None, cutoff: float = 30.0):
     """Haar-weighted Hankel-type transform: int_0^cutoff f(x) eta_u(x) x^(alpha-1) dx.
 
-    u may be a 1-d array: one integral per u from one integrate_rows call,
-    each with the bits and the error of a loop of scalar calls. Warns when the
-    integrand envelope at the cutoff exceeds abs_tol, i.e. when the neglected
-    tail is not obviously below the quadrature tolerance.
+    The Haar weight is the endpoint power beta = alpha - 1 of integrate_rows:
+    the panel at 0 integrates f eta_u against it with Gauss-Jacobi nodes, so
+    a non-integer alpha costs no bisections toward 0. u may be a 1-d array:
+    one integral per u from one integrate_rows call, each with the bits and
+    the error of a loop of scalar calls. Warns when the integrand envelope at
+    the cutoff exceeds abs_tol, i.e. when the neglected tail is not obviously
+    below the quadrature tolerance.
     """
     q = q or QuadratureSpec()
     us = np.asarray(u, dtype=float).ravel()
@@ -271,9 +274,9 @@ def bk_fourier(f, u, p: BesselKingmanParams,
             "increase the cutoff", RuntimeWarning)
 
     def integrand(xs, rows):
-        return f(xs) * bk_character(us[rows], xs, p) * np.power(xs, a - 1.0)
+        return f(xs) * bk_character(us[rows], xs, p)
 
-    values = integrate_rows(integrand, [(0.0, cutoff)] * n_ok, q)
+    values = integrate_rows(integrand, [(0.0, cutoff)] * n_ok, q, [a - 1.0] * n_ok)
     if n_ok < us.size:
         if us[n_ok] < 0.0:
             raise ValueError("bk_fourier requires u >= 0")

@@ -3,7 +3,10 @@
 Gauss-Legendre nodes, weight-matched Gauss-Jacobi nodes (for the sin^a theta
 convolution weights; scipy's ``roots_jacobi``, imported on the first call),
 and an adaptive bisection scheme on Gauss-Legendre panels, for one integral
-(``integrate``) or a family of rows (``integrate_rows``). Integrands get a 1-d
+(``integrate``) or a family of rows (``integrate_rows``). A row may carry an
+algebraic weight (x - a)^beta at its left end (QUADPACK's QAWS weight,
+Piessens et al. 1983): the panel at a then uses the Gauss-Jacobi (0, beta)
+pair, so x^(alpha-1) at 0 costs no bisections. Integrands get a 1-d
 numpy array of nodes (and, for rows, each node's row index) and return an
 array (real or complex) of the same length whose every value depends only on
 its own node and row: one call evaluates a panel pair of every unfinished row.
@@ -75,7 +78,13 @@ def gauss_jacobi(n: int, a: float, b: float):
     return roots_jacobi(n, a, b)
 
 
-def integrate_rows(f, bounds, spec: QuadratureSpec | None = None) -> list:
+def _pair(rule, *args):
+    """(coarse and fine nodes, coarse weights, fine weights) of a Gauss pair."""
+    (x_coarse, w_coarse), (x_fine, w_fine) = rule(_ORDER, *args), rule(2 * _ORDER, *args)
+    return np.concatenate((x_coarse, x_fine)), w_coarse, w_fine
+
+
+def integrate_rows(f, bounds, spec: QuadratureSpec | None = None, beta=None) -> list:
     """Integrate row i over bounds[i] = (a, b), for every row at once.
 
     f(xs, rows) gets the nodes and, per node, its row index; each value may
@@ -85,27 +94,40 @@ def integrate_rows(f, bounds, spec: QuadratureSpec | None = None) -> list:
     bits of a lone call (a row with a == b is 0.0). The QuadratureError
     raised is that of the lowest row that exhausts, as a loop over the rows
     gives; rows after it are dropped at once.
+
+    beta, if given, holds one endpoint power per row: row i integrates
+    f(x) (x - a)^beta[i]. Its panel at a applies the Gauss-Jacobi (0, beta)
+    pair to f; every other panel multiplies f by np.power(xs - a, beta). A
+    row with beta 0 takes the path of a call without beta.
     """
     spec = spec or DEFAULT_SPEC
-    if any(b < a for a, b in bounds):
-        raise ValueError("integrate requires a <= b")
-    x_coarse, w_coarse = gauss_legendre(_ORDER)
-    x_fine, w_fine = gauss_legendre(2 * _ORDER)
-    x_pair = np.concatenate((x_coarse, x_fine))
+    if not all(-math.inf < a <= b < math.inf for a, b in bounds):
+        raise ValueError("integrate requires finite a <= b")
+    beta = [0.0] * len(bounds) if beta is None else [float(bt) for bt in beta]
+    if len(beta) != len(bounds) or not all(-1.0 < bt < math.inf for bt in beta):
+        raise ValueError("integrate requires one finite beta > -1 per row")
+    legendre = _pair(gauss_legendre)
+    jacobi = {bt: _pair(gauss_jacobi, 0.0, bt) for bt in set(beta) if bt}
 
     def panels(todo):
         # (error, fine value) of each (row, pa, pb) panel, from one call of f
         if not todo:
             return []
-        halves = [0.5 * (pb - pa) for _, pa, pb in todo]
-        vals = f(np.concatenate([0.5 * (pa + pb) + half * x_pair
-                                 for (_, pa, pb), half in zip(todo, halves)]),
-                 np.repeat([row for row, _, _ in todo], x_pair.size))
+        rules = [jacobi[beta[row]] if beta[row] and pa == bounds[row][0] else legendre
+                 for row, pa, _ in todo]
+        nodes = [0.5 * (pa + pb) + 0.5 * (pb - pa) * rule[0]
+                 for (_, pa, pb), rule in zip(todo, rules)]
+        vals = f(np.concatenate(nodes), np.repeat([row for row, _, _ in todo], 3 * _ORDER))
         out = []
-        for i, half in enumerate(halves):
-            v = vals[i * x_pair.size:(i + 1) * x_pair.size]
-            coarse = half * np.sum(w_coarse * v[:_ORDER])
-            fine = half * np.sum(w_fine * v[_ORDER:])
+        for i, ((row, pa, pb), rule, xs) in enumerate(zip(todo, rules, nodes)):
+            v = vals[i * 3 * _ORDER:(i + 1) * 3 * _ORDER]
+            scale = 0.5 * (pb - pa)
+            if rule is not legendre:  # the panel at a: its weights carry the power
+                scale **= beta[row] + 1.0
+            elif beta[row]:
+                v = v * np.power(xs - bounds[row][0], beta[row])
+            coarse = scale * np.sum(rule[1] * v[:_ORDER])
+            fine = scale * np.sum(rule[2] * v[_ORDER:])
             out.append((abs(fine - coarse), fine))
         return out
 
@@ -144,8 +166,8 @@ def integrate_rows(f, bounds, spec: QuadratureSpec | None = None) -> list:
     return values
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
-    """Integrate f over [a, b] by adaptive bisection: integrate_rows of one row.
+def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, beta: float = 0.0):
+    """Integrate f(x) (x - a)^beta over [a, b]: integrate_rows of one row.
 
     The scheme greedily bisects the panel with the largest error estimate
     (Gauss pair of order 16 and 32) until the summed estimate drops below
@@ -154,4 +176,4 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
     the 48 nodes of the first panel, then once per bisection on the 96 nodes
     of both halves, so it must be elementwise.
     """
-    return integrate_rows(lambda xs, rows: f(xs), [(a, b)], spec)[0]
+    return integrate_rows(lambda xs, rows: f(xs), [(a, b)], spec, [beta])[0]

@@ -1,9 +1,11 @@
 """Tests for the Gauss-Legendre / Gauss-Jacobi / adaptive quadrature layer."""
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from hyperbessel.quadrature import (
     QuadratureError,
@@ -299,3 +301,78 @@ def test_nan_row_stops_as_a_lone_call():
     nan_row, exp_row = integrate_rows(g, [(0.0, 1.0), (0.0, 1.0)], ROW_SPEC)
     assert math.isnan(nan_row) and exp_row == _reference_integrate(np.exp, 0.0, 1.0, ROW_SPEC)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("beta", [-0.5, 0.085, 0.5, 1.95, 3.1, 29.0])
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, 4.0), (0.5, 4.5)])
+def test_endpoint_power_matches_incomplete_gamma(beta, a, b):
+    # int_a^b (x - a)^beta e^-(x - a) dx = Gamma(beta + 1) P(beta + 1, b - a)
+    got = integrate(lambda x: np.exp(a - x), a, b, ROW_SPEC, beta)
+    want = special.gamma(beta + 1.0) * special.gammainc(beta + 1.0, b - a)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def test_endpoint_power_needs_no_bisection_toward_a():
+    # x^0.085 e^-x: the weighted rule takes one panel; the power left in f bisects toward 0
+    weighted, plain = _Counting(lambda x: np.exp(-x)), _Counting(lambda x: x ** 0.085 * np.exp(-x))
+    got = integrate(weighted, 0.0, 1.0, ROW_SPEC, 0.085)
+    assert len(weighted.calls) == 1
+    with pytest.raises(QuadratureError, match=r"exhausted on \[0, "):
+        integrate(plain, 0.0, 1.0, ROW_SPEC)
+    assert got == pytest.approx(math.gamma(1.085) * 0.5955852551197113, rel=1e-13)
+
+
+# (f, a, b, beta): a beta row that bisects 49 times, interior panels on either side of
+# a shifted left end, beta 0 rows of several depths, a degenerate row, a shared beta
+BETA_ROWS = [
+    (lambda x: np.exp(-x), 0.0, 4.0, 29.0),
+    (lambda x: np.cos(x) * np.exp(-0.1 * x), 0.0, 20.0, 0.5),
+    (lambda x: np.sin(x * x), 0.0, 12.0, 0.0),
+    (lambda x: np.exp(0.5 - x), 0.5, 4.5, -0.5),
+    (lambda x: x, 2.0, 2.0, 0.3),
+    (lambda x: np.sqrt(x), 0.0, 1.0, 0.0),
+    (lambda x: np.sin(3.0 * x), 1.0, 9.0, 0.5),
+]
+
+
+def test_integrate_rows_mixed_beta_rows_keep_lone_call_bits():
+    f, calls = _row_integrand([fi for fi, *_ in BETA_ROWS])
+    got = integrate_rows(f, [(a, b) for _, a, b, _ in BETA_ROWS], ROW_SPEC,
+                         [beta for *_, beta in BETA_ROWS])
+    rounds = []
+    for value, (fi, a, b, beta) in zip(got, BETA_ROWS):
+        counted = _Counting(fi)
+        assert value == integrate(counted, a, b, ROW_SPEC, beta)
+        rounds.append(len(counted.calls))
+        if beta == 0.0:
+            assert value == (_reference_integrate(fi, a, b, ROW_SPEC) if b != a else 0.0)
+    assert len(calls) == max(rounds) and rounds[0] == 50
+
+
+def test_endpoint_panel_uses_jacobi_nodes():
+    # the panel at a holds the Gauss-Jacobi (0, beta) nodes, the panel beyond it Legendre's
+    counted = _Counting(lambda x: np.cos(20.0 * x))
+    integrate(counted, 1.0, 3.0, ROW_SPEC, 0.5)
+    first, second = counted.calls[:2]
+    jac = np.concatenate([gauss_jacobi(n, 0.0, 0.5)[0] for n in (16, 32)])
+    leg = np.concatenate([gauss_legendre(n)[0] for n in (16, 32)])
+    assert np.array_equal(first, 2.0 + jac)
+    assert np.array_equal(second, np.concatenate((1.5 + 0.5 * jac, 2.5 + 0.5 * leg)))
+
+
+@pytest.mark.parametrize("a,b", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+                                 (math.nan, 1.0), (math.inf, math.inf)])
+def test_non_finite_bounds_raise(a, b):
+    # integrate(f, 0, nan) returned nan, and (0, inf) nan after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^integrate requires finite a <= b$"):
+            integrate(np.exp, a, b)
+        with pytest.raises(ValueError, match="^integrate requires finite a <= b$"):
+            integrate_rows(lambda xs, rows: xs, [(0.0, 1.0), (a, b)])
+
+
+@pytest.mark.parametrize("beta", [[math.nan], [math.inf], [-1.0], [-2.5], [0.5, 0.5], []])
+def test_bad_beta_raises(beta):
+    with pytest.raises(ValueError, match="^integrate requires one finite beta > -1 per row$"):
+        integrate_rows(lambda xs, rows: xs, [(0.0, 1.0)], ROW_SPEC, beta)
