@@ -14,7 +14,8 @@ A command builds only its own parser from the one table of subcommands;
 build_parser() assembles all of them, for --help and for an argv that names
 no subcommand. A transition law is written by kernels.law_json. Other output
 text comes from % templates: one per grid time for the CSV path rows, whose
-shared cells are formatted once, and one per table. Every other JSON output
+shared cells are formatted once (on a discrete step, the level cells once
+per distinct level), and one per table. Every other JSON output
 is written by json.dumps.
 """
 from __future__ import annotations
@@ -122,6 +123,7 @@ def cmd_qbes_kernel(args) -> int:
 
 _SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]
 _SIM_CELLS = ("%d", "%.17g", "%.17g", "%.17g", "%s", "%d")
+_LEVEL_CELLS = ",".join(_SIM_CELLS[3:])  # coord1, branch and k of a discrete row
 
 
 def _sim_rows(args, shared: tuple, *cols) -> list:
@@ -134,8 +136,13 @@ def _sim_rows(args, shared: tuple, *cols) -> list:
     if args.format == "json":
         own = iter(cols)
         return list(zip(*[next(own) if c is None else repeat(c) for c in shared]))
-    template = ",".join(spec if c is None else spec % c for spec, c in zip(_SIM_CELLS, shared))
+    template = _sim_template(shared)
     return [template % row for row in zip(*cols)]
+
+
+def _sim_template(shared: tuple) -> str:
+    """The % template of a CSV row whose leading cells are shared (None: per path)."""
+    return ",".join(spec if c is None else spec % c for spec, c in zip(_SIM_CELLS, shared))
 
 
 def _emit_sim(args, per_time: list[list]):
@@ -157,10 +164,15 @@ def cmd_qbes_sim(args) -> int:
         if u == 0.0:
             per_time.append(_sim_rows(args, (None, t, 0.0, None, "continuous", -1),
                                       ids, col.tolist()))
-        else:  # a discrete point embeds as (tau, k |tau|)
+        elif args.format == "json":  # a discrete point embeds as (tau, k |tau|)
             ks = col.tolist()
             per_time.append(_sim_rows(args, (None, t, u, None, "discrete", None),
                                       ids, [k * abs(u) for k in ks], ks))
+        else:  # paths share a few levels: each level's cells are formatted once
+            ks = col.tolist()
+            cells = {k: _LEVEL_CELLS % (k * abs(u), "discrete", k) for k in set(ks)}
+            template = _sim_template((None, t, u)) + ",%s"
+            per_time.append([template % (i, cells[k]) for i, k in zip(ids, ks)])
     _emit_sim(args, per_time)
     return 0
 

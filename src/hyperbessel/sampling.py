@@ -7,17 +7,45 @@ is bit-reproducible whatever the batch size or the order of the paths.
 
 Every sampler runs on lanes: an `RngState` holds one uint64 counter per
 stream, and a draw returns one variate per lane. The rejection loops
-(Marsaglia-Tsang gamma, PTRS Poisson, binomial inversion) are masked numpy
-loops that advance only the lanes still rejecting, so each lane consumes its
-stream exactly as a lone draw would and a path's values do not depend on the
-other lanes. An `RngState` built from one seed or one path id has one lane,
-and its draws are one-element arrays.
+(Marsaglia-Tsang gamma, PTRS Poisson) are masked numpy loops that advance
+only the lanes still rejecting, and the inversion walks (Poisson below rate
+10, binomial) are tables, so each lane consumes its stream exactly as a lone
+draw would and a path's values do not depend on the other lanes. An
+`RngState` built from one seed or one path id has one lane, and its draws
+are one-element arrays.
 
-log, exp, cos, pow and lgamma go through `math` element by element, since
-numpy's own versions differ from the C library in the last bit on a few
-percent of inputs and that flips accept/reject decisions; sqrt is exactly
-rounded either way. Levels are exact Python ints in object arrays: a step
-one ulp short of the crossing reaches levels above 2^63.
+The inversion walks draw no word per loop pass. A Poisson walk below rate
+10 draws _BLOCK words per lane at a time, folds the running product over
+them with np.multiply.accumulate (the same left fold as one multiplication
+per word), stops each lane at its first product <= exp(-rate) and gives the
+words it did not use back to the counter. A binomial walk (n <= 64) is two
+(max n + 1) x lanes tables, the pmf folded by np.multiply.accumulate and the
+uniform less the pmf by np.subtract.accumulate, and one argmin reads the
+counts; the tables take up to _TABLE_LANES lanes at a time, so their memory
+stays bounded at any path count.
+
+numpy's log differs from the C library's by an ulp on a fraction of inputs
+(0.35 % with numpy 2.4.6's AVX512 kernels, none without them), which would
+flip accept/reject decisions and so change the paths. Values that reach the
+output therefore go through `math` element by element: Box-Muller's log and
+cos, and the boost pow of a gamma below shape 1. So do the first pmf term
+of a binomial walk, whose rounding every later term inherits, the Poisson
+limit exp, one call per lane, and lgamma: numpy has none, and the sim
+commands do not import scipy. The decisions that only accept or reject
+are taken from ufunc values and filtered (Shewchuk 1997): the gamma
+squeeze with x^4 as (x^2)^2, the two logs of the gamma log test and the two
+per-draw logs of the PTRS test. If each transcendental term is off by k
+ulps and each of the few roundings after it by one, the two sides of a
+test move by at most (k + 4) 2^-52 S, where S is the sum of the magnitudes
+of the terms a side is built from (a side computed the same way on both
+paths is left out). A lane with |lhs - rhs| <= _BAND S, _BAND = 2^-44, is
+re-decided through `math`: that covers k up to 252, where the measured k
+is 1 for np.log and 2 for (x^2)^2. Outside the band the ufunc decision is
+libm's, on any CPU dispatch; uniform inputs fall inside it about once in
+10^13 decisions. sqrt is exactly rounded either way.
+
+Levels are exact Python ints in object arrays: a step one ulp short of the
+crossing reaches levels above 2^63.
 """
 from __future__ import annotations
 
@@ -49,6 +77,7 @@ def _libm(fn):
 
 _log, _exp, _cos, _pow, _lgamma = map(_libm, (math.log, math.exp, math.cos, math.pow,
                                               math.lgamma))
+_BAND = 2.0 ** -44  # relative width of the band re-decided through math (above)
 # overflow to inf is silent in Python float arithmetic; the range checks report it
 _float_semantics = np.errstate(over="ignore", invalid="ignore")
 
@@ -59,13 +88,26 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def _seed_word(seed: int) -> np.ndarray:
-    return _mix64(np.array([int(seed) & _MASK64], dtype=np.uint64))
+def _integer(value, name: str) -> int:
+    """value as an exact int: a Python or numpy integer, or a float with an
+    integral finite value; anything else raises, so no two seeds or ids that
+    differ share a stream."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed_word(seed) -> np.ndarray:
+    return _mix64(np.array([_integer(seed, "seed") & _MASK64], dtype=np.uint64))
 
 
 class RngState:
     """Seed-derived counter states, one per lane; identical seeds produce
-    identical streams. A state built from one seed has one lane."""
+    identical streams. A state built from one seed has one lane. Seeds and
+    path ids are integers (a float with an integral value counts as its int);
+    any other value raises ValueError."""
 
     __slots__ = ("_state",)
 
@@ -77,6 +119,8 @@ class RngState:
         """Streams for paths of a batch (an int, or a sequence of ints for one
         lane each); independent of scheduling order."""
         ids = np.asarray(path_id)
+        if ids.dtype.kind not in "biu":
+            ids = np.array([_integer(i, "path_id") for i in ids.ravel().tolist()], dtype=object)
         if ids.size and ids.min() < 0:
             raise ValueError("path_id must be >= 0")
         rng = cls.__new__(cls)
@@ -102,7 +146,9 @@ class RngState:
 # draw for; parameter arrays are aligned with idx. A state is a counter, so a
 # kernel may draw words ahead and give back the ones a lane did not use.
 
-_WEYL = np.arange(1, 4, dtype=np.uint64) * np.uint64(_GOLDEN)
+_BLOCK = 8  # words a Poisson inversion walk draws per lane and round
+_TABLE_LANES = 4096  # lanes per binomial inversion table: 65 rows of them take 2 MB
+_WEYL = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
 def _words(s, idx, m=1):
@@ -129,6 +175,38 @@ def _exact(counts: np.ndarray) -> np.ndarray:
     return np.fromiter(map(int, counts.tolist()), object, len(counts))
 
 
+def _decide(lhs, rhs, scale, exact):
+    """lhs < rhs from ufunc values; the lanes where |lhs - rhs| <= _BAND * scale
+    are re-decided by exact(lanes), which takes both sides through math."""
+    ok = lhs < rhs
+    near = np.flatnonzero(np.abs(lhs - rhs) <= _BAND * scale)
+    if near.size:
+        ok[near] = exact(near)
+    return ok
+
+
+def _squeeze(u, x):
+    """Marsaglia-Tsang's squeeze u < 1 - 0.0331 x^4."""
+    x4 = np.square(np.square(x))
+    return _decide(u, 1.0 - 0.0331 * x4, 1.0 + 0.0331 * x4,
+                   lambda i: u[i] < 1.0 - 0.0331 * _pow(x[i], np.full(i.size, 4.0)))
+
+
+def _log_test(u, x, v, d):
+    """Marsaglia-Tsang's log test log u < x^2 / 2 + d (1 - v + log v)."""
+    lu, lv = np.log(u), np.log(v)
+    return _decide(lu, 0.5 * x * x + d * (1.0 - v + lv),
+                   np.abs(lu) + 0.5 * x * x + d * (np.abs(1.0 - v) + np.abs(lv)),
+                   lambda i: _log(u[i]) < 0.5 * x[i] * x[i] + d[i] * (1.0 - v[i] + _log(v[i])))
+
+
+def _ptrs_test(v, w, log_alpha, rhs):
+    """PTRS acceptance log v + log alpha - log w <= rhs, where w = a / us^2 + b."""
+    lv, lw = np.log(v), np.log(w)
+    return _decide(lv + log_alpha - lw, rhs, np.abs(lv) + np.abs(log_alpha) + np.abs(lw),
+                   lambda i: _log(v[i]) + log_alpha[i] - _log(w[i]) <= rhs[i])
+
+
 @_float_semantics
 def _gamma(s, idx, shape, scale):
     """Gamma variates: Marsaglia-Tsang squeeze for shape >= 1; a shape below 1
@@ -153,10 +231,9 @@ def _gamma(s, idx, shape, scale):
             s[idx[retry]] -= _GOLDEN
         todo, x, v, u = todo[live], x[live], v[live], u[live]
         v = v * v * v
-        ok = u < 1.0 - 0.0331 * _pow(x, np.full(x.size, 4.0))
+        ok = _squeeze(u, x)
         sq = np.flatnonzero(~ok)
-        xs, dq = x[sq], d[todo[sq]]
-        ok[sq] = _log(u[sq]) < 0.5 * xs * xs + dq * (1.0 - v[sq] + _log(v[sq]))
+        ok[sq] = _log_test(u[sq], x[sq], v[sq], d[todo[sq]])
         done = todo[ok]
         out[done] = scale[done] * d[done] * v[ok]
         todo = np.concatenate((retry, todo[~ok]))
@@ -175,12 +252,21 @@ def _poisson(s, idx, rate):
     out = np.zeros(idx.size)
     j = np.flatnonzero((0.0 < rate) & (rate < 10.0))
     limit = _exp(-rate[j])
-    prod = _uniform(s, idx[j])
+    prod = np.ones(j.size)
+    walked = 0.0
     while j.size:
-        more = prod > limit
-        j, limit, prod = j[more], limit[more], prod[more]
-        out[j] += 1.0
-        prod *= _uniform(s, idx[j])
+        # the next _BLOCK factors of each lane's product, folded left to right
+        table = _uniforms(s, idx[j], _BLOCK)
+        table[0] *= prod
+        np.multiply.accumulate(table, out=table)
+        # products only fall, so a lane stops after its count of products above limit
+        above = np.count_nonzero(table > limit, axis=0)
+        stop = above < _BLOCK
+        done = j[stop]
+        out[done] = walked + above[stop]
+        s[idx[done]] -= (_BLOCK - 1 - above[stop]).astype(np.uint64) * np.uint64(_GOLDEN)
+        j, limit, prod = j[~stop], limit[~stop], table[-1, ~stop]
+        walked += _BLOCK
     j = np.flatnonzero(rate >= 10.0)
     if j.size:
         out[j] = _ptrs(s, idx[j], rate[j])
@@ -203,8 +289,8 @@ def _ptrs(s, idx, rate):
         ok = (us >= 0.07) & (v <= v_r[todo])
         t = np.flatnonzero(~ok & (k >= 0.0) & ((us >= 0.013) | (v <= us)))
         lane, kt, ust = todo[t], k[t], us[t]
-        ok[t] = (_log(v[t]) + log_alpha[lane] - _log(a[lane] / (ust * ust) + b[lane])
-                 <= -rate[lane] + kt * log_rate[lane] - _lgamma(kt + 1.0))
+        ok[t] = _ptrs_test(v[t], a[lane] / (ust * ust) + b[lane], log_alpha[lane],
+                           -rate[lane] + kt * log_rate[lane] - _lgamma(kt + 1.0))
         out[todo[ok]] = k[ok]
         todo = todo[~ok]
     return out
@@ -236,17 +322,30 @@ def _binomial(s, idx, n, p):
     flip = p > 0.5
     p[flip] = 1.0 - p[flip]
     nf = n.astype(float)
-    ratio = p / (1.0 - p)
-    prob = _pow(1.0 - p, nf)
     u = _uniform(s, idx)
-    hits = np.zeros(idx.size)
-    j = np.arange(idx.size)
-    while (j := j[(u[j] > prob[j]) & (hits[j] < nf[j])]).size:
-        u[j] -= prob[j]
-        prob[j] *= ratio[j] * (nf[j] - hits[j]) / (hits[j] + 1.0)
-        hits[j] += 1.0
-    hits = _exact(hits)
+    tables = [_inversion(u[c:c + _TABLE_LANES], p[c:c + _TABLE_LANES], nf[c:c + _TABLE_LANES])
+              for c in range(0, idx.size, _TABLE_LANES)]
+    hits = _exact(np.concatenate([np.zeros(0, int), *tables]))  # no lanes, no tables
     return below + np.where(flip, n - hits, hits)
+
+
+def _inversion(u, p, nf):
+    """Binomial(n, p) counts by inversion from uniforms u, for p <= 1/2 and
+    n <= 64. The walk is two tables over h = 0 .. max n: prob_h = P(X = h)
+    and u_h, the uniform less prob_0 .. prob_(h-1), each folded left to
+    right as the walk would; the count is the first h with u_h <= prob_h
+    or h = n."""
+    ratio = p / (1.0 - p)
+    h = np.arange(int(nf.max(initial=0.0)) + 1.0)[:, None]
+    prob = np.empty((h.size, u.size))
+    prob[0] = _pow(1.0 - p, nf)
+    prob[1:] = ratio * (nf - h[:-1]) / (h[:-1] + 1.0)
+    np.multiply.accumulate(prob, out=prob)
+    left = np.empty_like(prob)
+    left[0] = u
+    left[1:] = prob[:-1]
+    np.subtract.accumulate(left, out=left)
+    return np.argmin((left > prob) & (h < nf), axis=0)
 
 
 def sample_gamma(rng: RngState, shape, scale):
@@ -272,6 +371,18 @@ def _grid(time_grid) -> list[float]:
             or any(b <= a for a, b in zip(times, times[1:]))):
         raise ValueError("time grid must be finite, strictly increasing and start after 0")
     return times
+
+
+def _rate(rate, name: str, t=None):
+    """The Poisson rate of a path step, checked finite; name says what the rate
+    is and t is the grid time the step goes to (None for a lone step)."""
+    if not np.all(rate < math.inf):
+        at = "" if t is None else f" on the step to grid time {t!r}"
+        raise ValueError(f"{name} overflows{at}; it must be finite")
+    return rate
+
+
+_MIXED_RATE = "the negative-binomial rate Gamma(delta + k) (1-p)/p"
 
 
 @_float_semantics
@@ -302,7 +413,7 @@ def sample_qbes_lanes(start: FanPoint, time_grid, delta: float, rng: RngState) -
     for t in times:
         u = anchor + t
         if tau == 0.0:  # case 4
-            col = _exact(_poisson(s, idx, col / u))
+            col = _exact(_poisson(s, idx, _rate(col / u, "y1/t", t)))
         elif tau > 0.0:  # case 5
             col = _binomial(s, idx, col, tau / u)
         else:
@@ -312,9 +423,11 @@ def sample_qbes_lanes(start: FanPoint, time_grid, delta: float, rng: RngState) -
                 if not np.all(np.isfinite(col)):
                     raise ValueError("ContinuousPoint requires y1 >= 0")
             elif u < 0.0:  # case 1: p = u/s, (1-p)/p = (s-u)/u
-                col = col + _exact(_poisson(s, idx, _gamma(s, idx, r, 1.0) * (tau - u) / u))
+                rate = _gamma(s, idx, r, 1.0) * (tau - u) / u
+                col = col + _exact(_poisson(s, idx, _rate(rate, _MIXED_RATE, t)))
             else:  # case 3: p = u/t, (1-p)/p = -s/u
-                col = _exact(_poisson(s, idx, _gamma(s, idx, r, 1.0) * -tau / u))
+                rate = _gamma(s, idx, r, 1.0) * -tau / u
+                col = _exact(_poisson(s, idx, _rate(rate, _MIXED_RATE, t)))
         if u != 0.0 and not math.isfinite(u):
             raise ValueError("DiscretePoint requires nonzero finite tau")
         tau = u
@@ -323,12 +436,12 @@ def sample_qbes_lanes(start: FanPoint, time_grid, delta: float, rng: RngState) -
 
 
 @_float_semantics
-def _bes(s, idx, x0, t, delta):
+def _bes(s, idx, x0, t, delta, grid_time=None):
     if not np.all((0.0 <= x0) & (x0 < math.inf)):
         raise ValueError("sample_bes requires finite x0 >= 0")
     if not (t > 0.0 and 0.0 < delta < math.inf):
         raise ValueError("sample_bes requires t > 0 and delta > 0")
-    n = _poisson(s, idx, x0 * x0 / (2.0 * t))
+    n = _poisson(s, idx, _rate(x0 * x0 / (2.0 * t), "x0^2/(2t)", grid_time))
     return np.sqrt(_gamma(s, idx, 0.5 * delta + n, 2.0 * t))
 
 
@@ -337,6 +450,9 @@ def sample_bes(x0, t: float, delta: float, rng: RngState):
 
     Y^2 ~ t * noncentral chi-square(delta, x0^2/t), realized through the
     Poisson mixture: N ~ Poisson(x0^2 / 2t), Y^2 ~ Gamma(delta/2 + N, 2t).
+    The rate x0^2/(2t) must be finite: x0 = 1e200, or t = 1e-320 at x0 = 1,
+    overflows it and raises ValueError. sample_bes_lanes applies the same
+    limit to each step, with t the step length.
     """
     idx = rng._lanes()
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), idx.shape)
@@ -352,7 +468,7 @@ def sample_bes_lanes(x0: float, time_grid, delta: float, rng: RngState) -> list:
     t_prev = 0.0
     steps = []
     for t_next in times:
-        x = _bes(s, idx, x, t_next - t_prev, delta)
+        x = _bes(s, idx, x, t_next - t_prev, delta, t_next)
         steps.append(x)
         t_prev = t_next
     return steps

@@ -254,6 +254,27 @@ class TestSim:
         code, out, err = run_cli(argv + ["--t-grid", "0.5"], capsys)
         assert (code, out, err) == (1, "", f"hyperbessel: error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bes-sim", "--delta", "2", "--x0", "1e200", "--t-grid", "1"],
+         "x0^2/(2t) overflows on the step to grid time 1.0"),
+        (["bes-sim", "--delta", "2", "--x0", "1", "--t-grid", "1e-320,1"],
+         "x0^2/(2t) overflows on the step to grid time 1e-320"),
+        # the first step's rate is 5e299; the second step is 1e-116 long
+        (["bes-sim", "--delta", "2", "--x0", "1e100",
+          "--t-grid", "1e-100,1.0000000000000001e-100"],
+         "x0^2/(2t) overflows on the step to grid time 1.0000000000000001e-100"),
+        (["qbes-sim", "--delta", "2", "--start", "y1=1e300", "--t-grid", "1e-10"],
+         "y1/t overflows on the step to grid time 1e-10"),
+        (["qbes-sim", "--delta", "1", "--start", f"tau=-1,k={10 ** 300}",
+          "--t-grid", "1.0000000000000002"],
+         "the negative-binomial rate Gamma(delta + k) (1-p)/p overflows on the step to "
+         "grid time 1.0000000000000002"),
+    ])
+    def test_step_rate_overflow_names_its_input_and_grid_time(self, argv, message, capsys):
+        # these once reported "sample_poisson requires a finite rate >= 0"
+        code, out, err = run_cli(argv + ["--paths", "3"], capsys)
+        assert (code, out, err) == (1, "", f"hyperbessel: error: {message}; it must be finite\n")
+
 
 class TestTables:
     def test_bes_density_csv(self, capsys):
@@ -731,15 +752,31 @@ def test_round_trip_17_digits(capsys):
 
 
 def test_sim_commands_never_import_scipy():
-    # a fresh interpreter: the test modules import scipy themselves
+    # a fresh interpreter: the test modules import scipy themselves. The runs
+    # reach every decision the libm band filters: the gamma squeeze and log
+    # test, case-5 median splitting from k = 10^6, and the PTRS test with its
+    # lgamma (x0^2/(2t) = 1156), which stays on math.lgamma for this reason
     code = ("import sys, io, contextlib\n"
+            "from collections import Counter\n"
             "import hyperbessel\n"
-            "from hyperbessel import cli\n"
+            "from hyperbessel import cli, sampling as sp\n"
+            "calls = Counter()\n"
+            "def count(name, fn):\n"
+            "    def counted(*args):\n"
+            "        calls[name] += 1\n"
+            "        return fn(*args)\n"
+            "    return counted\n"
+            "for name in ('_squeeze', '_log_test', '_ptrs_test', '_binomial', '_lgamma'):\n"
+            "    setattr(sp, name, count(name, getattr(sp, name)))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['qbes-sim', '--delta', '1.5', '--start', 'tau=-1,k=3',\n"
-            "                     '--t-grid', '0.5,1.0,1.5', '--paths', '4']) == 0\n"
-            "    assert cli.main(['bes-sim', '--delta', '2.5', '--x0', '1',\n"
-            "                     '--t-grid', '0.5,1.0', '--paths', '4']) == 0\n"
+            "                     '--t-grid', '0.5,1.0,1.5', '--paths', '200']) == 0\n"
+            "    assert cli.main(['qbes-sim', '--delta', '1.2', '--start', 'tau=2,k=1000000',\n"
+            "                     '--t-grid', '0.5,1', '--paths', '4']) == 0\n"
+            "    assert cli.main(['bes-sim', '--delta', '2.5', '--x0', '34',\n"
+            "                     '--t-grid', '0.5,1.0', '--paths', '200']) == 0\n"
+            "assert sorted(calls) == ['_binomial', '_lgamma', '_log_test', '_ptrs_test',\n"
+            "                         '_squeeze'], calls\n"
             "print('scipy' in sys.modules)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)

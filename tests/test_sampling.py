@@ -5,6 +5,7 @@ bands so they are deterministic, not flaky.
 """
 import math
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -57,6 +58,32 @@ class TestRngState:
 
     def test_distinct_paths_differ(self):
         assert sp.RngState.for_path(7, 0).uniform() != sp.RngState.for_path(7, 1).uniform()
+
+    @pytest.mark.parametrize("make", [
+        lambda: sp.RngState.for_path(1, 1.5),    # was path 1's stream
+        lambda: sp.RngState.for_path(1, [0, 2.5]),
+        lambda: sp.RngState.for_path(1, math.nan),
+        lambda: sp.RngState.for_path(1, [math.inf]),
+        lambda: sp.RngState.for_path(1.5, 0),
+        lambda: sp.RngState(2.9),                # was RngState(2)
+        lambda: sp.RngState(math.nan),
+        lambda: sp.RngState(-math.inf),
+        lambda: sp.RngState(np.float32(0.5)),
+        lambda: sp.RngState("3"),
+    ])
+    def test_non_integral_seeds_and_ids_raise(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN id once warned on its cast and went on
+            with pytest.raises(ValueError, match="must be an integer"):
+                make()
+
+    def test_integral_seeds_and_ids(self):
+        assert sp.RngState(2.0).next_u64() == sp.RngState(2).next_u64()
+        assert sp.RngState(np.int8(-2)).next_u64() == sp.RngState(-2).next_u64()
+        want = sp.RngState.for_path(4, [0, 1, 2]).next_u64().tolist()
+        assert sp.RngState.for_path(4.0, [0.0, 1.0, 2.0]).next_u64().tolist() == want
+        assert sp.RngState.for_path(np.uint16(4), np.arange(3)).next_u64().tolist() == want
+        assert sp.RngState.for_path(4, []).next_u64().tolist() == []
 
     def test_uniform_open_interval(self):
         us = sp.RngState.for_path(3, range(10000)).uniform()

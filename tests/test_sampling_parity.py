@@ -409,3 +409,127 @@ def test_sim_output_matches_reference_loop(argv, fmt, tmp_path):
     out = tmp_path / "paths"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == _reference_sim_output(argv, fmt)
+
+
+# ---- table walks: block edges and the libm band ----------------------------
+
+@pytest.mark.parametrize("block", [sp._BLOCK, 3, 1])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_poisson_walks_across_block_edges(seed, block, monkeypatch):
+    # near rate 10 the inversion walk takes more words than a block holds
+    monkeypatch.setattr(sp, "_BLOCK", block)
+    rates = _cycle([9.5, 9.7, 9.9, 9.99, 1e-9])
+    lanes, refs = _lanes(seed), _refs(seed)
+    got = sp.sample_poisson(lanes, rates).tolist()
+    assert got == [sample_poisson(r, rate) for r, rate in zip(refs, rates)]
+    _same_position(lanes, refs)
+    words = [k + 1 for k, rate in zip(got, rates) if rate > 1.0]
+    assert max(words) > block
+    assert any(w % block == 0 for w in words)  # the walk stops on a block's last word
+    assert not any(k for k, rate in zip(got, rates) if rate < 1.0)
+
+
+@pytest.mark.parametrize("table_lanes", [sp._TABLE_LANES, 7])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_binomial_inversion_table_edges(seed, table_lanes, monkeypatch):
+    monkeypatch.setattr(sp, "_TABLE_LANES", table_lanes)  # 7: many tables per call
+    HITS.clear()
+    edges = [(n, p) for n in (0, 1, 64, 10 ** 20) for p in (0.0, 0.5, 1.0)]
+    ns, ps = zip(*_cycle(edges))
+    lanes, refs = _lanes(seed), _refs(seed)
+    got = sp.sample_binomial(lanes, np.array(ns, dtype=object), ps).tolist()
+    assert got == [sample_binomial(r, n, p) for r, n, p in zip(refs, ns, ps)]
+    _same_position(lanes, refs)
+    assert {"binomial n > 64", "binomial p > 0.5"} <= set(HITS)
+
+
+def _unshift(y, k):
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def _state_before(word):
+    """The counter state whose next word is word: _mix64 run backwards."""
+    z = _unshift(word, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64
+    return (_unshift(z, 30) - _GOLDEN) & _MASK64
+
+
+def test_binomial_walk_stops_at_n_with_the_uniform_left_over():
+    # u = 1 - 2^-52 exceeds the rounded sum of the pmf: the walk ends on h = n
+    state = _state_before((2 ** 53 - 2) << 11)
+    ns, ps = zip(*[(n, p) for n in (0, 1, 10, 20, 40, 64) for p in (0.01, 0.3, 0.5, 0.9)])
+    lanes = sp.RngState.for_path(0, range(len(ns)))
+    lanes._state[:] = state
+    refs = [RngState(0) for _ in ns]
+    for r in refs:
+        r._state = state
+    got = sp.sample_binomial(lanes, np.array(ns, dtype=object), ps).tolist()
+    assert got == [sample_binomial(r, n, p) for r, n, p in zip(refs, ns, ps)]
+    assert got[ns.index(64) + 1] == 64  # (64, 0.3)
+    _same_position(lanes, refs)
+
+
+def _log_ulp_gap(below: bool, low: float, high: float):
+    """Inputs in [low, high) where numpy's log lies one ulp below (or above)
+    the C library's; skips where the two never differ."""
+    xs = np.random.default_rng(5).uniform(low, high, 200_000)
+    ours, libm = np.log(xs), np.array([math.log(x) for x in xs.tolist()])
+    pick = (ours < libm) if below else (ours > libm)
+    if not pick.any():
+        pytest.skip("numpy's log equals the C library's on every probed input "
+                    "under this numpy build and CPU dispatch")
+    assert np.all(np.abs(ours - libm)[pick] <= np.spacing(np.abs(libm))[pick])
+    return xs[pick]
+
+
+def test_planted_band_flips_the_squeeze(monkeypatch):
+    # (x^2)^2 and libm's pow(x, 4) differ by an ulp on about half of all x
+    xs = np.linspace(1.5, 2.3, 2001)
+    libm = np.array([1.0 - 0.0331 * math.pow(x, 4.0) for x in xs.tolist()])
+    pick = 1.0 - 0.0331 * np.square(np.square(xs)) > libm
+    x, u = xs[pick], libm[pick]  # libm rejects every one: u < u is false
+    assert x.size and not sp._squeeze(u, x).any()
+    monkeypatch.setattr(sp, "_BAND", 0.0)
+    assert sp._squeeze(u, x).all()
+
+
+def test_planted_band_flips_the_gamma_log_test(monkeypatch):
+    # with v = 1 the right side is x^2 / 2; pick x with x^2 / 2 = libm's log u exactly
+    planted = []
+    for u in _log_ulp_gap(True, 1.5, 6.0)[:200]:
+        x = math.sqrt(2.0 * math.log(u))
+        for _ in range(4):
+            if 0.5 * x * x == math.log(u):
+                planted.append((u, x))
+            x = math.nextafter(x, math.inf)
+    assert planted
+    u, x = map(np.array, zip(*planted))
+    v, d = np.ones(u.size), np.ones(u.size)
+    assert not sp._log_test(u, x, v, d).any()
+    monkeypatch.setattr(sp, "_BAND", 0.0)
+    assert sp._log_test(u, x, v, d).all()
+
+
+def test_planted_band_flips_the_ptrs_test(monkeypatch):
+    v = _log_ulp_gap(False, 0.0, 1.0)
+    w, log_alpha = np.ones(v.size), np.zeros(v.size)
+    rhs = np.array([math.log(x) for x in v.tolist()])  # libm accepts: log v <= log v
+    assert sp._ptrs_test(v, w, log_alpha, rhs).all()
+    monkeypatch.setattr(sp, "_BAND", 0.0)
+    assert not sp._ptrs_test(v, w, log_alpha, rhs).any()
+
+
+@pytest.mark.parametrize("seed, ids", [
+    (np.int64(7), np.arange(5, dtype=np.int32)),
+    (np.uint64(2 ** 63 + 9), np.array([3, 0, 2 ** 40], dtype=np.uint64)),
+    (-3, [np.int16(4), 1, True]),
+    (2 ** 64 + 3, range(4)),
+])
+def test_numpy_integer_seeds_keep_their_streams(seed, ids):
+    lanes = sp.RngState.for_path(seed, ids)
+    refs = [RngState.for_path(int(seed), int(i)) for i in np.asarray(ids).tolist()]
+    assert lanes.next_u64().tolist() == [r.next_u64() for r in refs]
+    assert sp.RngState(seed).next_u64().tolist() == [RngState(int(seed)).next_u64()]
