@@ -28,7 +28,6 @@ from .kernels import (
 from .quadrature import QuadratureSpec
 from .sampling import RngState, sample_bes, sample_bes_lanes, sample_qbes_lanes
 from .specfun import (
-    bessel_i_norm,
     bessel_j_norm,
     hyp1f1,
     laguerre_L,
@@ -68,7 +67,6 @@ __all__ = [
     "log_gamma",
     "laguerre_L",
     "bessel_j_norm",
-    "bessel_i_norm",
     "log_bessel_i_norm",
     "hyp1f1",
     "VerificationReport",

@@ -290,7 +290,8 @@ def _bes_density_rows(densities, y, rows=0):
 
 
 def _poisson_mixture_pmf(gamma_ray: GammaRay, t2: float, levels, quad) -> np.ndarray:
-    """P(level = l) of Poisson(Y/t2) with Y ~ gamma_ray, one quadrature row per level."""
+    """P(level = l) of Poisson(Y/t2) with Y ~ gamma_ray, one quadrature row per level;
+    the density's y^(shape-1) is each row's endpoint power, so 0 costs no bisections."""
     shape, scale = gamma_ray.shape, gamma_ray.scale
     rate_scale = 1.0 / scale + 1.0 / t2
     ls = np.array(levels, dtype=float)
@@ -298,15 +299,15 @@ def _poisson_mixture_pmf(gamma_ray: GammaRay, t2: float, levels, quad) -> np.nda
 
     def integrand(ys, rows):
         with np.errstate(divide="ignore"):
-            log_f = ((shape - 1.0) * np.log(ys) - ys / scale
-                     - log_gamma(shape) - shape * math.log(scale)
+            log_f = (-ys / scale - log_gamma(shape) - shape * math.log(scale)
                      + ls[rows] * (np.log(ys) - math.log(t2)) - ys / t2
                      - log_fact[rows])
         return np.exp(log_f)
 
     cutoffs = [(shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / rate_scale
                for l in levels]
-    return np.array(integrate_rows(integrand, [(0.0, c) for c in cutoffs], quad))
+    return np.array(integrate_rows(integrand, [(0.0, c) for c in cutoffs], quad,
+                                   [shape - 1.0] * len(cutoffs)))
 
 
 def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,

@@ -135,7 +135,7 @@ class RngState:
         return _words(self._state, self._lanes())[0]
 
     def uniform(self) -> np.ndarray:
-        """Uniform on the open interval (0, 1)."""
+        """Uniform on (0, 1]: each of the top 2^11 words gives exactly 1.0."""
         return _uniform(self._state, self._lanes())
 
     def normal(self) -> np.ndarray:
@@ -285,7 +285,8 @@ def _ptrs(s, idx, rate):
         u, v = _uniforms(s, idx[todo], 2)
         u = u - 0.5
         us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a[todo] / us + b[todo]) * u + rate[todo] + 0.43)
+        with np.errstate(divide="ignore"):  # u = 1 gives us = 0, k = inf: rejected below
+            k = np.floor((2.0 * a[todo] / us + b[todo]) * u + rate[todo] + 0.43)
         ok = (us >= 0.07) & (v <= v_r[todo])
         t = np.flatnonzero(~ok & (k >= 0.0) & ((us >= 0.013) | (v <= us)))
         lane, kt, ust = todo[t], k[t], us[t]
@@ -439,8 +440,8 @@ def sample_qbes_lanes(start: FanPoint, time_grid, delta: float, rng: RngState) -
 def _bes(s, idx, x0, t, delta, grid_time=None):
     if not np.all((0.0 <= x0) & (x0 < math.inf)):
         raise ValueError("sample_bes requires finite x0 >= 0")
-    if not (t > 0.0 and 0.0 < delta < math.inf):
-        raise ValueError("sample_bes requires t > 0 and delta > 0")
+    if not (0.0 < t < math.inf and 0.0 < delta < math.inf):
+        raise ValueError("sample_bes requires finite t > 0 and delta > 0")
     n = _poisson(s, idx, _rate(x0 * x0 / (2.0 * t), "x0^2/(2t)", grid_time))
     return np.sqrt(_gamma(s, idx, 0.5 * delta + n, 2.0 * t))
 

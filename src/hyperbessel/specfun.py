@@ -2,7 +2,7 @@
 
 - ``log_gamma``: ``scipy.special.gammaln`` for finite x > 0.
 - ``laguerre_L`` / ``laguerre_L_all``: upward three-term recurrence in the
-  degree.
+  degree, written once as ``_laguerre_run``, which a series reads as far as it sums.
 - ``bessel_j_norm``: the normalized spherical Bessel function
 
       j_nu(z) = Gamma(nu + 1) (z/2)^(-nu) J_nu(z),
@@ -17,9 +17,8 @@
   ``scipy.special.ive`` underflows, elsewhere ln ive + y + the log prefactor.
   A series sum past the double range is summed again, scaled by exact
   powers of two, so its log is finite wherever ln i is. Past y = 2^30, where
-  ive returns NaN, it raises OverflowError.
-  ``bessel_i_norm`` is its exponential and raises OverflowError beyond the
-  double range.
+  ive returns NaN, it raises OverflowError. Callers combine it with other
+  exponents in log space, so i_nu itself is never formed.
 - ``hyp1f1``: Kummer 1F1(a; b; z), summed in exact rationals when it
   terminates (the Laguerre oracle), else ``scipy.special.hyp1f1``.
 
@@ -31,6 +30,7 @@ not load scipy.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "laguerre_L",
     "laguerre_L_all",
     "bessel_j_norm",
-    "bessel_i_norm",
     "log_bessel_i_norm",
     "hyp1f1",
 ]
@@ -97,18 +96,20 @@ def laguerre_L_all(k_max, a, x):
     arr = _as_array(x, "x")
     if np.any(np.isinf(arr)):  # inf - inf in the recurrence would give NaN
         raise ValueError("laguerre argument x must be finite")
-    k_max = int(k_max)
-    out = np.empty((k_max + 1,) + arr.shape)
-    prev = np.ones_like(arr)
-    out[0] = prev
-    if k_max == 0:
-        return out
-    cur = a + 1.0 - arr
-    out[1] = cur
-    for n in range(1, k_max):
-        prev, cur = cur, ((2.0 * n + a + 1.0 - arr) * cur - (n + a) * prev) / (n + 1.0)
-        out[n + 1] = cur
+    out = np.empty((int(k_max) + 1,) + arr.shape)
+    for n, value in zip(range(len(out)), _laguerre_run(a, arr)):
+        out[n] = value
     return out
+
+
+def _laguerre_run(a, x):
+    """L_0^{(a)}(x), L_1^{(a)}(x), ... without end, unchecked. L_0 is the float 1.0,
+    so a float x stays in Python floats, with the bits of an array holding x."""
+    yield 1.0
+    prev, cur = 1.0, a + 1.0 - x
+    for n in count(1):
+        yield cur
+        prev, cur = cur, ((2.0 * n + a + 1.0 - x) * cur - (n + a) * prev) / (n + 1.0)
 
 
 def _bessel_args(name, nu, z, arg):
@@ -183,22 +184,8 @@ def bessel_j_norm(nu, z):
     return _shaped_like(out, z)
 
 
-def bessel_i_norm(nu, y):
-    """j_nu at the imaginary argument iy: sum_m (y^2/4)^m / (m! (nu+1)_m).
-
-    Real, >= 1, and strictly increasing in y. Raises OverflowError when the
-    value exceeds the double range; callers that need exp(-c) * i_nu products
-    must combine exponents via log_bessel_i_norm instead.
-    """
-    with np.errstate(over="ignore"):
-        out = np.exp(log_bessel_i_norm(nu, y))
-    if np.any(~np.isfinite(out)):
-        raise OverflowError("bessel_i_norm overflow; use log_bessel_i_norm")
-    return _shaped_like(out, y)
-
-
 def log_bessel_i_norm(nu, y):
-    """ln of bessel_i_norm, safe for arguments far beyond the double range.
+    """ln i_nu(y), i_nu(y) = j_nu(iy) = sum_m (y^2/4)^m / (m! (nu+1)_m) >= 1, increasing in y.
 
     Relative error below 1e-12 for nu <= 1000, y <= 4000. Where the series
     sum exceeds the double range (nu >~ 1900, where ive underflows too) it

@@ -16,6 +16,7 @@ Checks are certified by rows: the Weber, generator and spectral checks are
 one-row calls of a family per order, which the suites call once per order;
 a family takes its integrals from one integrate_rows call and its closed
 forms from array calls, which return the bits of the lone check's scalar calls.
+Each Laguerre series identity reads its own run of the recurrence, as far as it sums.
 
 Validity guards are hard: the Gegenbauer and Watson product formulas are
 rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -48,11 +51,12 @@ from .hypergroup import (
 )
 from .quadrature import QuadratureSpec, gauss_jacobi, integrate_rows
 from .specfun import (
-    bessel_i_norm,
+    _laguerre_run,
     bessel_j_norm,
     hyp1f1,
     laguerre_L,
     laguerre_L_all,
+    log_bessel_i_norm,
     log_gamma,
 )
 
@@ -149,9 +153,9 @@ def _weber_rows(nu, rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
     def integrand(vs, r):
         with np.errstate(divide="ignore"):
             log_env = -alphas[r] * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref
-        # at beta = 0, i_nu(0) = 1 adds exactly 0 to the exponent
-        i_part = np.exp(log_env + np.log(bessel_i_norm(nu, betas[r] * vs)))
-        return i_part * bessel_j_norm(nu, gammas[r] * vs)
+        # at beta = 0, ln i_nu(0) = 0 adds exactly 0 to the exponent
+        return (np.exp(log_env + log_bessel_i_norm(nu, betas[r] * vs))
+                * bessel_j_norm(nu, gammas[r] * vs))
 
     cuts = []  # grow each cutoff until the exponential envelope is 1e-16 of its peak
     for alpha, beta, _ in rows:
@@ -264,22 +268,20 @@ def _bk_spectral_rows(delta, rows, q, tol=1e-8) -> list[VerificationReport]:
 # Laguerre-side identities used in the QBES identification
 
 
-# terms summed by the series identities (i), (iii) and (iv); the suite builds
-# its table to k_max + _LAG_SHORT, and to k_max + _LAG_TERMS if a series runs past
+# terms summed at most by the series identities (i), (iii) and (iv)
 _LAG_TERMS = 420
-_LAG_SHORT = 128
 
 
 def _lag_series(lag, tau, ratio, divide=False):
-    """sum_n c_n lag[n] tau^n with c_0 = 1 and c_{n+1} = c_n ratio(n); with
-    divide, the terms are lag[n] tau^n / c_n instead. Stops after the first
-    term past n = 8 below 1e-18 of the sum, or after _LAG_TERMS terms; raises
-    IndexError if lag ends first."""
+    """sum_n c_n L_n tau^n over the run lag of L_0, L_1, ..., with c_0 = 1 and
+    c_{n+1} = c_n ratio(n); with divide, the terms are L_n tau^n / c_n instead.
+    Stops after the first term past n = 8 below 1e-18 of the sum, or after
+    _LAG_TERMS terms."""
     coef = 1.0
     total = 0.0
     tp = 1.0
-    for n in range(_LAG_TERMS):
-        term = lag[n] * tp / coef if divide else coef * lag[n] * tp
+    for n, lag_n in zip(range(_LAG_TERMS), lag):
+        term = lag_n * tp / coef if divide else coef * lag_n * tp
         total += term
         if abs(term) <= 1e-18 * max(1.0, abs(total)) and n > 8:
             break
@@ -344,37 +346,30 @@ def laguerre_identity_suite(alpha: float, k_max: int = 10,
     k_max = int(k_max)
     q = q or QuadratureSpec(abs_tol=1e-12)
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
-    # one table over every point read by (i) to (v); entry n of the upward
-    # recurrence at a point does not depend on the other points or the degree
-    points = [0.5, 2.1, *(v / (1.0 - tau) for v in (0.5, 2.1) for tau in (0.3, -0.4)),
-              2.0, 1.2, 0.8, 3.0, *(c * 1.7 for c in (1.0, 0.35, 1.4))]
+    # (ii), (v) and the closed forms read one table; each series reads its own
+    # run as far as it sums (entry n of a run has the bits of table row n)
+    points = [0.5, 2.0, *(v / (1.0 - tau) for v in (0.5, 2.1) for tau in (0.3, -0.4)),
+              *(c * 1.7 for c in (1.0, 0.35, 1.4))]
+    lag = dict(zip(points, laguerre_L_all(max(k_max, 1), alpha, points).T.tolist()))
+    run = partial(_laguerre_run, alpha)
     iv_rows = [(v, tau) for v in (0.8, 3.0) for tau in (0.4, 2.5)]
     iv_js = bessel_j_norm(alpha, np.array([2.0 * math.sqrt(v * tau)
                                            for v, tau in iv_rows])).tolist()
-
-    def series_errors(degree):
-        lag = dict(zip(points, laguerre_L_all(degree, alpha, points).T.tolist()))
-        # (i) generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
-        err_i = max(abs(_lag_series(lag[v][j:], tau, lambda i: (i + j + 1.0) / (i + 1.0))
-                        - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
-                        * lag[v / (1.0 - tau)][j])
-                    for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
-        # (iii) Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
-        err_iii = max(abs(_lag_series(lag[v], tau, lambda l: (c + l) / (alpha + 1.0 + l))
-                          - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
-                          * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
-                      for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
-                      for v in (1.2, 2.1) for tau in (0.35,))
-        # (iv) sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
-        err_iv = max(abs(_lag_series(lag[v], tau, lambda l: alpha + 1.0 + l, divide=True)
-                         - math.exp(tau) * j)
-                     for (v, tau), j in zip(iv_rows, iv_js))
-        return lag, err_i, err_iii, err_iv
-
-    try:
-        lag, err_i, err_iii, err_iv = series_errors(k_max + _LAG_SHORT)
-    except IndexError:  # a series ran past the short table
-        lag, err_i, err_iii, err_iv = series_errors(k_max + _LAG_TERMS)
+    # (i) generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
+    err_i = max(abs(_lag_series(islice(run(v), j, None), tau, lambda i: (i + j + 1.0) / (i + 1.0))
+                    - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
+                    * lag[v / (1.0 - tau)][j])
+                for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+    # (iii) Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
+    err_iii = max(abs(_lag_series(run(v), tau, lambda l: (c + l) / (alpha + 1.0 + l))
+                      - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
+                      * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
+                  for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
+                  for v in (1.2, 2.1) for tau in (0.35,))
+    # (iv) sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
+    err_iv = max(abs(_lag_series(run(v), tau, lambda l: alpha + 1.0 + l, divide=True)
+                     - math.exp(tau) * j)
+                 for (v, tau), j in zip(iv_rows, iv_js))
     err_ii = max(_identity_ii(alpha, [(k, u) for k in ks for u in (0.5, 2.0)], lag, q))
     err_v = max(_identity_v(alpha, k, c, lag[1.7], lag[c * 1.7])
                 for k in ks for c in (1.0, 0.35, 1.4))

@@ -241,11 +241,11 @@ class TestSim:
         (["qbes-sim", "--delta", "inf", "--start", "y1=1"],
          "qbes_transition requires delta > 0"),
         (["bes-sim", "--delta", "nan", "--x0", "1"],
-         "sample_bes requires t > 0 and delta > 0"),
+         "sample_bes requires finite t > 0 and delta > 0"),
         (["bes-sim", "--delta", "inf", "--x0", "1"],
-         "sample_bes requires t > 0 and delta > 0"),
+         "sample_bes requires finite t > 0 and delta > 0"),
         (["bes-sim", "--delta", "-1", "--x0", "0"],
-         "sample_bes requires t > 0 and delta > 0"),
+         "sample_bes requires finite t > 0 and delta > 0"),
         (["bes-sim", "--delta", "2", "--x0", "inf"], "--x0 must be finite and >= 0"),
         (["bes-sim", "--delta", "2", "--x0", "nan"], "--x0 must be finite and >= 0"),
         (["bes-sim", "--delta", "2", "--x0=-1"], "--x0 must be finite and >= 0"),

@@ -287,7 +287,7 @@ class TestLawLayout:
         scenarios = [
             (DiscretePoint(-2.0, 0), 0.5, 0.5, 1.7, 2.712053462546436e-13),
             (DiscretePoint(-1.0, 1), 0.4, 1.0, 2.3, 2.3250239070369417e-13),
-            (DiscretePoint(-1.0, 1), 1.0, 1.0, 2.3, 2.9268765841051877e-13),
+            (DiscretePoint(-1.0, 1), 1.0, 1.0, 2.3, 2.9268764424150547e-13),
             (DiscretePoint(-2.0, 1), 1.2, 0.8, 1.5, 3.895669382064031e-14),
             (DiscretePoint(1.0, 3), 0.4, 0.6, 0.9, 5.551115123125783e-17),
             (ContinuousPoint(0.7), 0.6, 0.9, 2.0, 1.388569873546468e-13),
@@ -439,6 +439,17 @@ class TestChapmanKolmogorov:
     def test_poisson_thinning(self):
         assert kn.chapman_kolmogorov_qbes(ContinuousPoint(0.7), 0.6, 0.9, 2.0) <= 1e-12
 
+    @pytest.mark.parametrize("delta,start,t1,t2", [
+        (delta, start, t1, t2) for delta in (0.2, 0.5)
+        for start, t1, t2 in ((DiscretePoint(-1.0, 0), 1.0, 1.0),
+                              (DiscretePoint(-1.0, 1), 1.0, 1.0),
+                              (DiscretePoint(-2.0, 0), 2.0, 0.5))
+    ] + [(0.9, DiscretePoint(-1.0, 0), 1.0, 1.0), (0.9, DiscretePoint(-2.0, 0), 2.0, 0.5)])
+    def test_gamma_intermediate_below_shape_three_halves(self, delta, start, t1, t2):
+        # y^(shape-1) at 0 exhausted the bisection depth on [0, 3e-5] until it
+        # became the endpoint weight of the quadrature
+        assert kn.chapman_kolmogorov_qbes(start, t1, t2, delta) <= 1e-12
+
     def test_case5_start_ray_past_1e16_t(self):
         # raised "math domain error" while s / u rounded to 1.0
         err = kn.chapman_kolmogorov_qbes(DiscretePoint(1e16, 2), 1, 1, 1)
@@ -446,7 +457,9 @@ class TestChapmanKolmogorov:
 
 
 def _parent_poisson_mixture_pmf(gamma_ray, t2, levels, quad):
-    """The per-level loop that _poisson_mixture_pmf replaced, verbatim."""
+    """The per-level loop that _poisson_mixture_pmf replaced, verbatim except
+    that y^(shape-1) is the endpoint weight of integrate instead of a term of
+    the integrand's log."""
     shape, scale = gamma_ray.shape, gamma_ray.scale
     rate_scale = 1.0 / scale + 1.0 / t2
     out = np.empty(len(levels))
@@ -455,13 +468,13 @@ def _parent_poisson_mixture_pmf(gamma_ray, t2, levels, quad):
 
         def integrand(ys):
             with np.errstate(divide="ignore"):
-                log_f = ((shape - 1.0) * np.log(ys) - ys / scale
+                log_f = (-ys / scale
                          - log_gamma(shape) - shape * math.log(scale)
                          + l * (np.log(ys) - math.log(t2)) - ys / t2
                          - log_gamma(l + 1.0))
             return np.exp(log_f)
 
-        out[i] = integrate(integrand, 0.0, cutoff, quad)
+        out[i] = integrate(integrand, 0.0, cutoff, quad, shape - 1.0)
     return out
 
 

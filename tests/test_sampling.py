@@ -327,6 +327,11 @@ class TestSampleBes:
             with pytest.raises(ValueError):
                 sp.sample_bes(x0, t, delta, sp.RngState(0))
 
+    def test_rejects_infinite_t(self):
+        # t = inf passed the check and failed in sample_gamma, naming neither t nor sample_bes
+        with pytest.raises(ValueError, match="^sample_bes requires finite t > 0 and delta > 0$"):
+            sp.sample_bes(1.0, math.inf, 2.0, sp.RngState(1))
+
     def test_exponential_case(self):
         # x0 = 0, delta = 2: Y^2 ~ Exponential(mean 2t)
         t = 0.7

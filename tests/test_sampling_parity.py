@@ -7,6 +7,7 @@ its stream at the same position.
 """
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -470,6 +471,24 @@ def test_binomial_walk_stops_at_n_with_the_uniform_left_over():
     assert got == [sample_binomial(r, n, p) for r, n, p in zip(refs, ns, ps)]
     assert got[ns.index(64) + 1] == 64  # (64, 0.3)
     _same_position(lanes, refs)
+
+
+def test_ptrs_rejects_a_uniform_of_one():
+    # each of the top 2^11 words gives u = 1.0; PTRS divided 2a by us = 0 with
+    # a RuntimeWarning. The pair is rejected, so the draw is that of the state
+    # two words on
+    state = _state_before(_MASK64)
+    rng = sp.RngState(0)
+    rng._state[:] = state
+    assert rng.uniform().tolist() == [1.0]
+    rng._state[:] = state
+    later = sp.RngState(0)
+    later._state[:] = (state + 2 * _GOLDEN) & _MASK64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sp.sample_poisson(rng, 40.0)
+    assert got.tolist() == sp.sample_poisson(later, 40.0).tolist()
+    assert rng._state.tolist() == later._state.tolist()
 
 
 def _log_ulp_gap(below: bool, low: float, high: float):

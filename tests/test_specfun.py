@@ -8,6 +8,7 @@ are checked against 50-digit mpmath literals.
 """
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -162,33 +163,28 @@ class TestBesselJNorm:
             sf.bessel_j_norm(0.5, float("nan"))
 
 
+def _i_norm(nu, y):
+    """i_nu(y) as exp(ln i_nu(y)), the only way the package forms it."""
+    return np.exp(sf.log_bessel_i_norm(nu, y))
+
+
 class TestBesselINorm:
     def test_at_zero(self):
         for nu in [-0.5, 0.0, 3.2]:
-            assert sf.bessel_i_norm(nu, 0.0) == 1.0
+            assert _i_norm(nu, 0.0) == 1.0
 
     def test_cosh_and_sinh_forms(self):
-        assert sf.bessel_i_norm(-0.5, 1.0) == pytest.approx(math.cosh(1.0), rel=1e-13)
-        assert sf.bessel_i_norm(0.5, 2.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-13)
+        assert _i_norm(-0.5, 1.0) == pytest.approx(math.cosh(1.0), rel=1e-13)
+        assert _i_norm(0.5, 2.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-13)
         for y in np.linspace(0.1, 25.0, 40):
-            assert sf.bessel_i_norm(-0.5, y) == pytest.approx(math.cosh(y), rel=1e-13)
+            assert _i_norm(-0.5, y) == pytest.approx(math.cosh(y), rel=1e-13)
 
     def test_monotone_and_bounded_below(self):
         for nu in [-0.7, 0.0, 2.0]:
             ys = np.linspace(0.0, 12.0, 40)
-            vals = sf.bessel_i_norm(nu, ys)
+            vals = _i_norm(nu, ys)
             assert np.all(vals >= 1.0)
             assert np.all(np.diff(vals) > 0.0)
-
-    def test_overflow_signalled(self):
-        with pytest.raises(OverflowError):
-            sf.bessel_i_norm(0.0, 5000.0)
-
-    def test_log_version_consistency(self):
-        for nu in [-0.5, 0.4, 2.0]:
-            for y in [0.5, 10.0, 300.0]:
-                ref = math.log(sf.bessel_i_norm(nu, y))
-                assert sf.log_bessel_i_norm(nu, y) == pytest.approx(ref, rel=1e-12)
 
     def test_log_version_large_argument(self):
         # ln i_{-1/2}(y) = y + ln((1 + e^{-2y})/2)
@@ -204,8 +200,6 @@ class TestBesselINorm:
         for y in (math.nextafter(edge, math.inf), 2.0 ** 30, 1e10, [1.0, 1e10]):
             with pytest.raises(OverflowError, match=message):
                 sf.log_bessel_i_norm(nu, y)
-        with pytest.raises(OverflowError, match=r"^log_bessel_i_norm: y beyond 2\^30"):
-            sf.bessel_i_norm(nu, 1e10)
 
 
 class TestHyp1F1:
@@ -355,6 +349,21 @@ class TestBatchInvariance:
                 for k in (0, 1, 10, 420):
                     assert _bits_equal(table[:k + 1, c], sf.laguerre_L_all(k, a, float(x))), \
                         (a, x, k)
+
+    def test_laguerre_run_yields_the_table_rows(self):
+        # the Laguerre series identities read runs where every other caller
+        # reads tables: entry n of a run, at a float x or at an array of
+        # points, holds the bits of row n of laguerre_L_all
+        xs = np.array([0.0, 0.5, 1.7, 0.35 * 1.7, 2.1 / 1.4, 7.5, 30.0])
+        for a in (-0.9, -0.3, 0.0, 0.5, 10.0):
+            table = sf.laguerre_L_all(440, a, xs)
+            run = islice(sf._laguerre_run(a, xs), 441)
+            assert all(_bits_equal(np.broadcast_to(row, xs.shape), table[n])
+                       for n, row in enumerate(run)), a
+            for c, x in enumerate(xs.tolist()):
+                run = list(islice(sf._laguerre_run(a, x), 441))
+                assert all(type(value) is float for value in run), (a, x)
+                assert _bits_equal(run, table[:, c]), (a, x)
 
     def test_bes_density(self):
         # x y / t runs past y^2 = 4 (nu + 1) and to ~2400

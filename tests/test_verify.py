@@ -15,7 +15,7 @@ from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, Discre
                                     _second_kind_char, bk_character, bk_translate,
                                     lag_character, lag_translate, psi_heis)
 from hyperbessel.quadrature import QuadratureSpec, gauss_jacobi, integrate
-from hyperbessel.specfun import (bessel_i_norm, bessel_j_norm, laguerre_L, laguerre_L_all,
+from hyperbessel.specfun import (bessel_j_norm, laguerre_L, laguerre_L_all, log_bessel_i_norm,
                                  log_gamma)
 
 
@@ -49,13 +49,14 @@ class TestWeberSchafheitlin:
 
 def _parent_weber_lhs(nu, alpha, beta, gamma_, q):
     """The integral of the per-check weber_schafheitlin_check that the batched
-    rows replaced, verbatim."""
+    rows replaced, verbatim except that ln i_nu comes from log_bessel_i_norm
+    instead of the log of its exponential."""
     log_pref = -nu * math.log(2.0) - log_gamma(nu + 1.0)
 
     def integrand(vs):
         with np.errstate(divide="ignore"):
             log_env = -alpha * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref
-        i_part = np.exp(log_env + (np.log(bessel_i_norm(nu, beta * vs))
+        i_part = np.exp(log_env + (log_bessel_i_norm(nu, beta * vs)
                                    if beta > 0.0 else 0.0))
         return i_part * bessel_j_norm(nu, gamma_ * vs)
 
@@ -83,6 +84,13 @@ def test_weber_rows_match_per_check_loop(nu, q):
         rhs = ((2.0 * al) ** -(nu + 1.0) * math.exp((be * be - ga * ga) / (4.0 * al))
                * bessel_j_norm(nu, be * ga / (2.0 * al)))
         assert report.max_abs_err == float(abs(_parent_weber_lhs(nu, al, be, ga, q) - rhs))
+
+
+def test_weber_suite_takes_ln_i_as_computed():
+    # with exp(ln i) rounded and its log taken again, this report read 0x1.4p-55
+    report, = [r for r in vf.run_suite("weber-schafheitlin")
+               if dict(r.params) == {"nu": 1.5, "alpha": 2.0, "beta": 1.2, "gamma": 0.3}]
+    assert report.max_abs_err.hex() == "0x1.0000000000000p-55"
 
 
 class TestGlowne3:
@@ -352,36 +360,43 @@ def test_laguerre_suite_errors_unchanged(alpha, k_max, q, want):
     assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max, q)] == want
 
 
+@pytest.fixture
+def table_degrees(monkeypatch):
+    """The degree of every laguerre_L_all table the verify module builds."""
+    degrees = []
+
+    def spy(k, a, x):
+        degrees.append(k)
+        return laguerre_L_all(k, a, x)
+
+    monkeypatch.setattr(vf, "laguerre_L_all", spy)
+    return degrees
+
+
 @pytest.mark.parametrize("alpha,k_max,want", [
     (2.1, 30, [1.979060471057892e-08, 2.744471316873387e-13, 1.0550138540565968e-10,
                1.7763568394002505e-15, 1.574607111365367e-08]),
     (0.0, 60, [5.675360069935924e-05, 7.93809462606987e-15, 0.0001373291015625,
                3.6914915568786455e-15, 0.001258119953449266]),
 ])
-def test_laguerre_fallback_to_full_table(alpha, k_max, want, monkeypatch):
-    # a series runs past the short table: the suite rebuilds the full-degree
-    # one and reports the errors of a suite that read only the full table
-    degrees = []
-
-    def spy(k, a, x):
-        degrees.append(k)
-        return laguerre_L_all(k, a, x)
-
-    monkeypatch.setattr(vf, "laguerre_L_all", spy)
+def test_laguerre_fallback_to_full_table(alpha, k_max, want, table_degrees):
+    # these series run more than 128 terms past k_max: each reads its own run
+    # that far, and the errors are those of a table of degree k_max + 420
     assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max)] == want
-    assert degrees == [k_max + vf._LAG_SHORT, k_max + vf._LAG_TERMS]
+    assert table_degrees == [max(k_max, 1)]
 
 
-def test_laguerre_standard_suite_reads_short_table(monkeypatch):
-    degrees = []
-
-    def spy(k, a, x):
-        degrees.append(k)
-        return laguerre_L_all(k, a, x)
-
-    monkeypatch.setattr(vf, "laguerre_L_all", spy)
+def test_laguerre_standard_suite_reads_short_table(table_degrees):
+    # every alpha of the suite builds one table of degree max(k_max, 1)
     vf.run_suite("laguerre-identities")
-    assert degrees == [10 + vf._LAG_SHORT] * 4
+    assert table_degrees == [10] * 4
+
+
+@pytest.mark.parametrize("k_max", [0, 1])
+def test_laguerre_table_degree_one_at_least(k_max, table_degrees):
+    # ks always holds 1, so (ii) reads L_1 even at k_max = 0
+    assert all(r.passed for r in vf.laguerre_identity_suite(0.5, k_max))
+    assert table_degrees == [1]
 
 
 def test_laguerre_table_columns_match_scalar_calls():
