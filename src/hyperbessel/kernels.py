@@ -290,24 +290,25 @@ def _bes_density_rows(densities, y, rows=0):
 
 
 def _poisson_mixture_pmf(gamma_ray: GammaRay, t2: float, levels, quad) -> np.ndarray:
-    """P(level = l) of Poisson(Y/t2) with Y ~ gamma_ray, one quadrature row per level;
-    the density's y^(shape-1) is each row's endpoint power, so 0 costs no bisections."""
-    shape, scale = gamma_ray.shape, gamma_ray.scale
-    rate_scale = 1.0 / scale + 1.0 / t2
+    """P(level = l) of Poisson(Y/t2) with Y ~ gamma_ray, one quadrature row per level, over
+    u = Y/scale, so no term sees the size of the scale. A power u^(shape-1) below u^1 is each
+    row's endpoint weight, so 0 costs no bisections; a larger one stays in the log."""
+    shape, ratio = gamma_ray.shape, gamma_ray.scale / t2
+    weight = shape - 1.0 if shape < 2.0 else 0.0
+    log_ratio = math.log(gamma_ray.scale) - math.log(t2)
     ls = np.array(levels, dtype=float)
     log_fact = log_gamma(ls + 1.0)
 
-    def integrand(ys, rows):
-        with np.errstate(divide="ignore"):
-            log_f = (-ys / scale - log_gamma(shape) - shape * math.log(scale)
-                     + ls[rows] * (np.log(ys) - math.log(t2)) - ys / t2
-                     - log_fact[rows])
+    def integrand(us, rows):  # Gauss nodes are interior: u > 0
+        log_u = np.log(us)
+        log_f = ((shape - 1.0 - weight) * log_u - us - log_gamma(shape)
+                 + ls[rows] * (log_u + log_ratio) - us * ratio - log_fact[rows])
         return np.exp(log_f)
 
-    cutoffs = [(shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / rate_scale
+    cutoffs = [(shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / (1.0 + ratio)
                for l in levels]
     return np.array(integrate_rows(integrand, [(0.0, c) for c in cutoffs], quad,
-                                   [shape - 1.0] * len(cutoffs)))
+                                   [weight] * len(cutoffs)))
 
 
 def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,

@@ -287,7 +287,7 @@ class TestLawLayout:
         scenarios = [
             (DiscretePoint(-2.0, 0), 0.5, 0.5, 1.7, 2.712053462546436e-13),
             (DiscretePoint(-1.0, 1), 0.4, 1.0, 2.3, 2.3250239070369417e-13),
-            (DiscretePoint(-1.0, 1), 1.0, 1.0, 2.3, 2.9268764424150547e-13),
+            (DiscretePoint(-1.0, 1), 1.0, 1.0, 2.3, 2.9268765841051877e-13),
             (DiscretePoint(-2.0, 1), 1.2, 0.8, 1.5, 3.895669382064031e-14),
             (DiscretePoint(1.0, 3), 0.4, 0.6, 0.9, 5.551115123125783e-17),
             (ContinuousPoint(0.7), 0.6, 0.9, 2.0, 1.388569873546468e-13),
@@ -444,11 +444,22 @@ class TestChapmanKolmogorov:
         for start, t1, t2 in ((DiscretePoint(-1.0, 0), 1.0, 1.0),
                               (DiscretePoint(-1.0, 1), 1.0, 1.0),
                               (DiscretePoint(-2.0, 0), 2.0, 0.5))
-    ] + [(0.9, DiscretePoint(-1.0, 0), 1.0, 1.0), (0.9, DiscretePoint(-2.0, 0), 2.0, 0.5)])
-    def test_gamma_intermediate_below_shape_three_halves(self, delta, start, t1, t2):
-        # y^(shape-1) at 0 exhausted the bisection depth on [0, 3e-5] until it
-        # became the endpoint weight of the quadrature
+    ] + [(0.9, DiscretePoint(-1.0, 0), 1.0, 1.0), (0.9, DiscretePoint(-2.0, 0), 2.0, 0.5),
+         (2.0, DiscretePoint(-1.0, 150), 1.0, 1.0),          # shape 152
+         (2.0, DiscretePoint(-1.0, 300), 1.0, 1.0),          # shape 302
+         (1.4, DiscretePoint(-1e-200, 1), 1e-200, 1e-200)])  # scale 1e-200
+    def test_gamma_intermediate_returns(self, delta, start, t1, t2):
+        # shapes below 1.5 exhausted the bisection depth at 0 while y^(shape-1)
+        # was a term of the integrand; as an endpoint weight in absolute y it
+        # overflowed at a large shape (cutoff^shape) or a small scale (scale^-shape)
         assert kn.chapman_kolmogorov_qbes(start, t1, t2, delta) <= 1e-12
+
+    def test_gamma_intermediate_does_not_see_the_time_unit(self):
+        # in u = Y/scale every term is a ratio of times, so rescaling the
+        # start and both times by c gives the same error
+        errs = {kn.chapman_kolmogorov_qbes(DiscretePoint(-c, 0), c, c, 1.4)
+                for c in (1.0, 1e-100, 1e-300)}
+        assert len(errs) == 1 and errs.pop() <= 1e-12
 
     def test_case5_start_ray_past_1e16_t(self):
         # raised "math domain error" while s / u rounded to 1.0
@@ -458,23 +469,22 @@ class TestChapmanKolmogorov:
 
 def _parent_poisson_mixture_pmf(gamma_ray, t2, levels, quad):
     """The per-level loop that _poisson_mixture_pmf replaced, verbatim except
-    that y^(shape-1) is the endpoint weight of integrate instead of a term of
-    the integrand's log."""
+    that it integrates over u = Y/scale and a power u^(shape-1) below u^1 is
+    the endpoint weight of integrate instead of a term of the integrand's log."""
     shape, scale = gamma_ray.shape, gamma_ray.scale
-    rate_scale = 1.0 / scale + 1.0 / t2
+    weight = shape - 1.0 if shape < 2.0 else 0.0
     out = np.empty(len(levels))
     for i, l in enumerate(levels):
-        cutoff = (shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / rate_scale
+        cutoff = (shape + l + 45.0 + 12.0 * math.sqrt(shape + l + 1.0)) / (1.0 + scale / t2)
 
-        def integrand(ys):
-            with np.errstate(divide="ignore"):
-                log_f = (-ys / scale
-                         - log_gamma(shape) - shape * math.log(scale)
-                         + l * (np.log(ys) - math.log(t2)) - ys / t2
-                         - log_gamma(l + 1.0))
+        def integrand(us):
+            log_u = np.log(us)
+            log_f = ((shape - 1.0 - weight) * log_u - us - log_gamma(shape)
+                     + l * (log_u + (math.log(scale) - math.log(t2))) - us * (scale / t2)
+                     - log_gamma(l + 1.0))
             return np.exp(log_f)
 
-        out[i] = integrate(integrand, 0.0, cutoff, quad, shape - 1.0)
+        out[i] = integrate(integrand, 0.0, cutoff, quad, weight)
     return out
 
 

@@ -379,14 +379,13 @@ def table_degrees(monkeypatch):
     (0.0, 60, [5.675360069935924e-05, 7.93809462606987e-15, 0.0001373291015625,
                3.6914915568786455e-15, 0.001258119953449266]),
 ])
-def test_laguerre_fallback_to_full_table(alpha, k_max, want, table_degrees):
-    # these series run more than 128 terms past k_max: each reads its own run
-    # that far, and the errors are those of a table of degree k_max + 420
+def test_laguerre_long_series_read_their_own_runs(alpha, k_max, want, table_degrees):
+    # these series run more than 128 terms past k_max; each reads its own run that far
     assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max)] == want
     assert table_degrees == [max(k_max, 1)]
 
 
-def test_laguerre_standard_suite_reads_short_table(table_degrees):
+def test_laguerre_suite_builds_one_table_per_alpha(table_degrees):
     # every alpha of the suite builds one table of degree max(k_max, 1)
     vf.run_suite("laguerre-identities")
     assert table_degrees == [10] * 4
