@@ -5,7 +5,8 @@ function), characters of both families, the dual-fan parametrization and the
 Haar-weighted Hankel-type Fourier transform on the half-line. Each Laguerre
 character is written once, in _first_kind_char (a whole table of degrees from
 one laguerre_L_all call) and _second_kind_char, and _lag_char is the one place
-that picks the kind of a fan point; bk_translate takes arrays of points.
+that picks the kind of a fan point; bk_translate takes arrays of points, and
+is the one-order call of _bk_translate_rows, whose points carry their order.
 
 Convolution integrals carry endpoint-singular weights (sin^(alpha-2) theta on
 the half-line family, r (1-r^2)^(alpha-1) on the plane family), so they are
@@ -131,26 +132,57 @@ def bk_translate(f, x, xp, p: BesselKingmanParams, q: QuadratureSpec | None = No
     alpha > 1 averages f(sqrt(x^2 + xp^2 - 2 x xp cos theta)) against the
     normalized sin^(alpha-2) theta weight. x and xp may be arrays that
     broadcast together: one value per pair, each with the bits of a scalar
-    call, from one call of f on the nodes of every pair (on a trailing axis).
-    f must accept an array of radii of any shape. A float for scalar x, xp.
+    call, from one call of f on the nodes of every pair (a 1-d array). A
+    float for scalar x, xp. This is the one-order call of _bk_translate_rows.
     """
-    q = q or QuadratureSpec()
-    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+    radii, _, mean = _bk_translate_rows(x, xp, p.alpha, q or QuadratureSpec())
+    out = mean(f(radii))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _bk_translate_rows(x, xp, alpha, q: QuadratureSpec):
+    """The translation x * xp at each element of the broadcast of x, xp and
+    alpha (orders >= 1), each at its own order, as (radii, spread, mean): the
+    nodes of every element in one 1-d array; spread, which takes an array
+    over the elements to its value at each node; and mean, which takes f at
+    the radii to the translations, shaped like the broadcast. Elements of one
+    order share one rule, and a scalar alpha takes the elements unflattened."""
+    x, xp, alpha = (np.asarray(v, dtype=float) for v in (x, xp, alpha))
     if np.any(x < 0.0) or np.any(xp < 0.0):
         raise ValueError("bk_translate requires x, xp >= 0")
     if not (np.all(x < math.inf) and np.all(xp < math.inf)):  # NaN included
         raise ValueError("bk_translate requires finite x, xp")
-    a = p.alpha
-    if a == 1.0:
-        vals = f(np.stack([x + xp, abs(x - xp)], axis=-1))
-        out = 0.5 * (vals[..., 0] + vals[..., 1])
+    shape = np.broadcast(x, xp, alpha).shape
+    if alpha.ndim == 0:
+        orders = [(..., float(alpha))]
     else:
-        # u = cos theta turns the weight into the Jacobi weight (1-u^2)^((a-3)/2)
-        u, w = gauss_jacobi(q.nodes, (a - 3.0) / 2.0, (a - 3.0) / 2.0)
-        x, xp = x[..., None], xp[..., None]
-        radii = np.sqrt(np.maximum(x * x + xp * xp - 2.0 * x * xp * u, 0.0))
-        out = np.sum(w * f(radii), axis=-1) / np.sum(w)
-    return float(out) if np.ndim(out) == 0 else out
+        x, xp, alphas = (np.broadcast_to(v, shape) for v in (x, xp, alpha))
+        orders = [(alphas == a, a) for a in np.unique(alpha)]
+    groups = []  # (elements, radii on a trailing node axis, weights) per order
+    for at, a in orders:
+        xa, xpa = x[at][..., None], xp[at][..., None]
+        if a == 1.0:  # weights 1 and 1 over their sum 2: the two-point mean, bit for bit
+            radii, w = np.concatenate((xa + xpa, abs(xa - xpa)), axis=-1), np.ones(2)
+        else:
+            # u = cos theta turns the weight into the Jacobi weight (1-u^2)^((a-3)/2)
+            u, w = gauss_jacobi(q.nodes, (a - 3.0) / 2.0, (a - 3.0) / 2.0)
+            radii = np.sqrt(np.maximum(xa * xa + xpa * xpa - 2.0 * xa * xpa * u, 0.0))
+        groups.append((at, radii, w))
+
+    def spread(v):
+        v = np.broadcast_to(v, shape)
+        return np.concatenate([np.repeat(v[at], radii.shape[-1]) for at, radii, _ in groups])
+
+    def mean(values):
+        out = np.empty(shape, dtype=values.dtype)
+        start = 0
+        for at, radii, w in groups:
+            vals = values[start:start + radii.size].reshape(radii.shape)
+            out[at] = np.sum(w * vals, axis=-1) / np.sum(w)
+            start += radii.size
+        return out
+
+    return np.concatenate([radii.ravel() for _, radii, _ in groups]), spread, mean
 
 
 def lag_translate(f, a: HeisPoint, b: HeisPoint, p: LaguerreParams,
@@ -213,7 +245,8 @@ def _first_kind_char(alpha: float, tau: float, k, x, w):
 
 
 def _second_kind_char(alpha: float, y1: float, x):
-    """Second-kind character at order alpha (real, independent of w)."""
+    """Second-kind character at order alpha (real, independent of w); alpha may
+    be an array of orders that broadcasts with x."""
     return bessel_j_norm(alpha, 2.0 * np.asarray(x, dtype=float) * math.sqrt(y1))
 
 

@@ -233,9 +233,11 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
 
     r = delta + k
     if u < 0.0:
-        # case 1: negative binomial with success u/s, atoms at levels l >= k
+        # case 1: negative binomial with success u/s, atoms at levels l >= k;
+        # ln q = ln(t/-s) where u/s rounds to 1
         p = u / s
-        return _neg_binomial(r, math.log(p), math.log1p(-p), trunc_eps, u, k, case=1)
+        lq = math.log1p(-p) if p < 1.0 else math.log(t / -s)
+        return _neg_binomial(r, math.log(p), lq, trunc_eps, u, k, case=1)
     # case 3: u > 0, shifted negative binomial with success u/t on levels l >= 0
     return _neg_binomial(r, math.log(u / t), math.log(-s / t), trunc_eps, u, 0, case=3)
 
@@ -269,20 +271,20 @@ def bes_density(d: BesDensity, y):
 
 
 def _bes_density_rows(densities, y, rows=0):
-    """bes_density at each y under densities[r] (one delta for all), r the
-    node's entry of rows: a family of (x, t) rows in one array call. y = 0
-    takes the same log-space formula as y > 0."""
+    """bes_density at each y under densities[r], r the node's entry of rows:
+    a family of (delta, x, t) rows in one array call. y = 0 takes the same
+    log-space formula as y > 0."""
     arr = np.asarray(y, dtype=float)
     if not np.all((arr >= 0.0) & (arr < math.inf)):
         raise ValueError("bes_density requires finite y >= 0")
-    delta = densities[0].delta
-    # ln (2t)^(delta/2) once per row, by math.log as a lone call takes it
-    x, t, log_norm = np.array([(d.x, d.t, 0.5 * delta * math.log(2.0 * d.t))
-                               for d in densities]).T[:, rows]
-    with np.errstate(divide="ignore"):
+    # ln (2t)^(delta/2) and ln Gamma(delta/2) once per row, as a lone call takes them
+    delta, x, t, log_norm, log_gamma_half = np.array([
+        (d.delta, d.x, d.t, 0.5 * d.delta * math.log(2.0 * d.t), log_gamma(d.delta / 2.0))
+        for d in densities]).T[:, rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
         # delta 1 has no ln y term; 0 * ln 0 would be NaN at y = 0
-        power = (delta - 1.0) * np.log(arr) if delta != 1.0 else 0.0
-    log_p = (math.log(2.0) + power - log_norm - log_gamma(delta / 2.0)
+        power = np.where(delta != 1.0, (delta - 1.0) * np.log(arr), 0.0)
+    log_p = (math.log(2.0) + power - log_norm - log_gamma_half
              + log_bessel_i_norm(delta / 2.0 - 1.0, x * arr / t)
              - (x * x + arr * arr) / (2.0 * t))
     out = np.exp(log_p)

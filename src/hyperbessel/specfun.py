@@ -23,9 +23,13 @@
   terminates (the Laguerre oracle), else ``scipy.special.hyp1f1``.
 
 All functions are pure, reject NaN and out-of-domain inputs, and accept
-scalars or numpy arrays (scalar in, Python float out). ``scipy.special`` is
-imported inside the functions that call it, so importing this module does
-not load scipy.
+scalars or numpy arrays (scalar in, Python float out). The two Bessel
+functions also take an array of orders nu that broadcasts with the argument:
+each element has the bits of a scalar-order call (the series recurrence,
+jv/ive and the log prefactor are elementwise in nu), an error names the
+order of the first failing element, and a scalar order takes the scalar
+path at the cost it had. ``scipy.special`` is imported inside the functions
+that call it, so importing this module does not load scipy.
 """
 from __future__ import annotations
 
@@ -113,20 +117,43 @@ def _laguerre_run(a, x):
 
 
 def _bessel_args(name, nu, z, arg):
-    if not np.isfinite(nu) or nu <= -1.0:
-        raise ValueError(f"{name} requires nu > -1")
-    arr = np.asarray(z, dtype=float)
-    if arr.size and not 0.0 <= arr.min() <= arr.max() < np.inf:
+    """(nu, z) as checked arrays. A scalar order comes back a scalar, so a
+    scalar-order call pays no broadcasting; an array nu is broadcast with z."""
+    scalar = isinstance(nu, float) or np.ndim(nu) == 0
+    if scalar:
+        if not np.isfinite(nu) or nu <= -1.0:
+            raise ValueError(f"{name} requires nu > -1")
+        nu = nu[()] if isinstance(nu, np.ndarray) else nu
+        arr = np.asarray(z, dtype=float)
+    else:
+        nu, arr = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(z, dtype=float))
+    if not scalar or (arr.size and not 0.0 <= arr.min() <= arr.max() < np.inf):
         # the first bad element names the error, as a scalar call on it would
         bad = ~(np.isfinite(arr) & (arr >= 0.0))
-        if np.isnan(np.ravel(arr)[np.argmax(bad)]):
-            raise ValueError(f"{arg} must not be NaN")
-        raise ValueError(f"{name} requires finite {arg} >= 0")
-    return arr
+        bad_nu = np.zeros_like(bad) if scalar else ~(np.isfinite(nu) & (nu > -1.0))
+        i = np.argmax(bad | bad_nu)
+        if np.ravel(bad_nu)[i]:
+            raise ValueError(f"{name} requires nu > -1")
+        if np.ravel(bad)[i]:
+            if np.isnan(np.ravel(arr)[i]):
+                raise ValueError(f"{arg} must not be NaN")
+            raise ValueError(f"{name} requires finite {arg} >= 0")
+    return nu, arr
+
+
+def _at(nu, mask):
+    """The orders of the elements of mask: a scalar order is every element's."""
+    return nu[mask] if isinstance(nu, np.ndarray) else nu
+
+
+def _first(nu, bad):
+    """The order of the first element where bad holds, as an error names it."""
+    return float(nu[bad][0] if isinstance(nu, np.ndarray) else nu)
 
 
 def _series_tail(nu, q, scaled=False):
-    """sum_{m>=1} q^m / (m! (nu+1)_m) in float64: q = -z^2/4 for j, y^2/4 for i.
+    """sum_{m>=1} q^m / (m! (nu+1)_m) in float64: q = -z^2/4 for j, y^2/4 for i;
+    nu is a scalar or an array of orders aligned with q.
 
     Returns (tail, e), the sum being tail * 2^e. Each element stops at its own
     last term (later terms are zeroed), so an array call gives the bits of
@@ -169,19 +196,24 @@ def bessel_j_norm(nu, z):
     j_nu(0) = 1. Closed forms: j_{-1/2}(z) = cos z and j_{1/2}(z) = sin(z)/z.
     Absolute error below 1e-12 for nu <= 500; raises OverflowError where
     J_nu(z) underflows the double range (only for nu >~ 600, z < nu/2).
+    nu may be an array that broadcasts with z: each element has the bits
+    of a scalar-order call, and an error names the first failing order.
     """
     from scipy import special
-    arr = _bessel_args("bessel_j_norm", nu, z, "z")
+    nu, arr = _bessel_args("bessel_j_norm", nu, z, "z")
     out = np.empty_like(arr)
     small = arr * arr <= 4.0 * _J_SERIES_K * (nu + 1.0)
-    tail, _ = _series_tail(nu, -0.25 * np.square(arr[small]))
+    tail, _ = _series_tail(_at(nu, small), -0.25 * np.square(arr[small]))
     out[small] = 1.0 + tail
-    big = arr[~small]
-    jv = special.jv(nu, big)
-    if np.any(np.abs(jv) < _TINY):
-        raise OverflowError(f"bessel_j_norm: J_nu underflows at nu={nu!r}; order too large")
-    out[~small] = np.sign(jv) * np.exp(_log_prefactor(nu, big) + np.log(np.abs(jv)))
-    return _shaped_like(out, z)
+    big = ~small
+    nu, z = _at(nu, big), arr[big]
+    jv = special.jv(nu, z)
+    under = np.abs(jv) < _TINY
+    if np.any(under):
+        raise OverflowError(f"bessel_j_norm: J_nu underflows at nu={_first(nu, under)!r}; "
+                            "order too large")
+    out[big] = np.sign(jv) * np.exp(_log_prefactor(nu, z) + np.log(np.abs(jv)))
+    return _shaped_like(out, arr)
 
 
 def log_bessel_i_norm(nu, y):
@@ -190,31 +222,35 @@ def log_bessel_i_norm(nu, y):
     Relative error below 1e-12 for nu <= 1000, y <= 4000. Where the series
     sum exceeds the double range (nu >~ 1900, where ive underflows too) it
     is summed again in scaled form and its log taken from that. Raises
-    OverflowError past y = 2^30 - 1/2, where ive returns NaN.
+    OverflowError past y = 2^30 - 1/2, where ive returns NaN. nu may be an
+    array, as in bessel_j_norm.
     """
     from scipy import special
-    arr = _bessel_args("log_bessel_i_norm", nu, y, "y")
+    nu, arr = _bessel_args("log_bessel_i_norm", nu, y, "y")
     out = np.empty_like(arr)
     ive = special.ive(nu, arr)
     series = (arr * arr <= 4.0 * (nu + 1.0)) | (ive < _TINY)
-    q = 0.25 * np.square(arr[series])
-    tail, _ = _series_tail(nu, q)
+    nu_s, q = _at(nu, series), 0.25 * np.square(arr[series])
+    tail, _ = _series_tail(nu_s, q)
     log_i = np.log1p(tail)
     over = np.isinf(tail)
     if np.any(over):
         # sum past the double range again in scaled form; 1 + sum is the sum there
-        tail, e = _series_tail(nu, q[over], scaled=True)
+        tail, e = _series_tail(_at(nu_s, over), q[over], scaled=True)
         log_i[over] = np.log(tail) + e * _LN2
     out[series] = log_i
-    if np.any(~np.isfinite(log_i)):
-        raise OverflowError(f"log_bessel_i_norm: series overflows at nu={nu!r}; "
+    bad = ~np.isfinite(log_i)
+    if np.any(bad):
+        raise OverflowError(f"log_bessel_i_norm: series overflows at nu={_first(nu_s, bad)!r}; "
                             "order too large")
-    big, ive = arr[~series], ive[~series]
-    if np.any(np.isnan(ive)):
-        raise OverflowError(f"log_bessel_i_norm: y beyond 2^30 at nu={nu!r}; "
+    big = ~series
+    nu, y, ive = _at(nu, big), arr[big], ive[big]
+    bad = np.isnan(ive)
+    if np.any(bad):
+        raise OverflowError(f"log_bessel_i_norm: y beyond 2^30 at nu={_first(nu, bad)!r}; "
                             "argument too large")
-    out[~series] = np.log(ive) + big + _log_prefactor(nu, big)
-    return _shaped_like(out, y)
+    out[big] = np.log(ive) + y + _log_prefactor(nu, y)
+    return _shaped_like(out, arr)
 
 
 def hyp1f1(a, b, z):

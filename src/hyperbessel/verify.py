@@ -12,11 +12,13 @@ given a QuadratureSpec. The standard suite (run_suite, ``hyperbessel verify``)
 runs every check under one spec, QuadratureSpec() unless one is given:
 64 Gauss-Jacobi nodes and adaptive abs_tol 1e-10.
 
-Checks are certified by rows: the Weber, generator and spectral checks are
-one-row calls of a family per order, which the suites call once per order;
-a family takes its integrals from one integrate_rows call and its closed
-forms from array calls, which return the bits of the lone check's scalar calls.
-Each Laguerre series identity reads its own run of the recurrence, as far as it sums.
+Checks are certified by suite: the Weber, generator, spectral, Laguerre and
+half-line multiplicativity checks are one-row calls of a family whose rows
+carry their own order (nu, delta or alpha), and each of those suites is one
+call of its family. A family takes its integrals from one integrate_rows
+call and its Bessel values from array calls over an array of orders, which
+return the bits of the lone check's scalar-order calls. Each Laguerre series
+identity reads its own run of the recurrence, as far as it sums.
 
 Validity guards are hard: the Gegenbauer and Watson product formulas are
 rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
@@ -40,10 +42,10 @@ from .hypergroup import (
     FanPoint,
     HeisPoint,
     LaguerreParams,
+    _bk_translate_rows,
     _first_kind_char,
     _lag_char,
     _second_kind_char,
-    bk_character,
     bk_translate,
     lag_character,
     lag_translate,
@@ -139,26 +141,27 @@ def weber_schafheitlin_check(nu: float, alpha: float, beta: float, gamma_: float
         raise ValueError("weber_schafheitlin_check requires alpha > 0")
     if beta < 0.0 or gamma_ < 0.0:
         raise ValueError("weber_schafheitlin_check requires beta, gamma >= 0")
-    return _weber_rows(nu, [(alpha, beta, gamma_)], q, tol)[0]
+    return _weber_rows([(nu, alpha, beta, gamma_)], q, tol)[0]
 
 
-def _weber_rows(nu, rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
-    """weber_schafheitlin_check of each (alpha, beta, gamma) row at one nu, the
-    integrals from one integrate_rows call and the closed forms' j_nu from one
-    bessel_j_norm call."""
+def _weber_rows(rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
+    """weber_schafheitlin_check of each (nu, alpha, beta, gamma) row, each at its
+    own order: the integrals from one integrate_rows call and the closed forms'
+    j_nu from one bessel_j_norm call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
-    alphas, betas, gammas = (np.array(col, dtype=float) for col in zip(*rows))
-    log_pref = -nu * math.log(2.0) - log_gamma(nu + 1.0)
+    nus, alphas, betas, gammas = (np.array(col, dtype=float) for col in zip(*rows))
+    log_pref = -nus * math.log(2.0) - log_gamma(nus + 1.0)
 
     def integrand(vs, r):
+        nu = nus[r]
         with np.errstate(divide="ignore"):
-            log_env = -alphas[r] * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref
+            log_env = -alphas[r] * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref[r]
         # at beta = 0, ln i_nu(0) = 0 adds exactly 0 to the exponent
         return (np.exp(log_env + log_bessel_i_norm(nu, betas[r] * vs))
                 * bessel_j_norm(nu, gammas[r] * vs))
 
     cuts = []  # grow each cutoff until the exponential envelope is 1e-16 of its peak
-    for alpha, beta, _ in rows:
+    for nu, alpha, beta, _ in rows:
         peak_v = max((beta + math.sqrt(beta * beta + 4.0 * alpha * (2.0 * nu + 1.0 + 1.0)))
                      / (2.0 * alpha), 1.0)
         cut = peak_v + math.sqrt(50.0 / alpha) + beta / alpha
@@ -168,11 +171,11 @@ def _weber_rows(nu, rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
         cuts.append(cut)
 
     lhs = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
-    js = bessel_j_norm(nu, np.array([be * ga / (2.0 * al) for al, be, ga in rows])).tolist()
+    js = bessel_j_norm(nus, betas * gammas / (2.0 * alphas)).tolist()
     return [_report("weber_schafheitlin", {"nu": nu, "alpha": al, "beta": be, "gamma": ga},
                     abs(value - (2.0 * al) ** -(nu + 1.0)
                         * math.exp((be * be - ga * ga) / (4.0 * al)) * j), tol)
-            for (al, be, ga), value, j in zip(rows, lhs, js)]
+            for (nu, al, be, ga), value, j in zip(rows, lhs, js)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +192,20 @@ def glowne3_check(start: FanPoint, a: HeisPoint, t: float, delta: float,
     """
     if not delta > 0.0:
         raise ValueError("glowne3_check requires delta > 0")
-    return _glowne3_rows(delta, [(start, t)], [a], q, tol)[0]
+    return _glowne3_rows([(start, t, delta)], [a], q, tol)[0]
 
 
-def _glowne3_rows(delta, laws, points, q, tol=1e-8) -> list[VerificationReport]:
-    """glowne3_check of each (start, t) law at each Heisenberg point, at one delta:
-    each law built once, the gamma-ray integrals of all of them from one
-    integrate_rows call."""
+def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
+    """glowne3_check of each (start, t, delta) law at each Heisenberg point:
+    each law built once, the gamma-ray integrals of all of them, each at its
+    own order, from one integrate_rows call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
-    al = delta - 1.0
     xs = np.array([a.x for a in points], dtype=float)
     ws = -np.array([a.w for a in points], dtype=float)  # the identity reads chi at (x, -w)
     params, lhs, rhs = [], [], []  # per law and point; rhs first holds the atom sum
-    gamma_rows = []  # (check index, gamma ray, x) per gamma-ray integral
-    for start, t in laws:
+    gamma_rows = []  # (check index, gamma ray, x, order) per gamma-ray integral
+    for start, t, delta in laws:
+        al = delta - 1.0
         chis_start = _lag_char(start, al, xs, ws)
         law = kn.qbes_transition(start, t, delta)
         if law.levels:
@@ -214,24 +217,25 @@ def _glowne3_rows(delta, laws, points, q, tol=1e-8) -> list[VerificationReport]:
             if law.levels:
                 atom_sum += np.sum(probs * chis[:, i])
             if law.gamma_ray is not None:
-                gamma_rows.append((len(rhs), law.gamma_ray, a.x))
+                gamma_rows.append((len(rhs), law.gamma_ray, a.x, al))
             params.append({"start": _fan_label(start), "x": a.x, "w": a.w, "t": t, "delta": delta})
             lhs.append(np.exp(t * psi_heis(a)) * chis_start[i])
             rhs.append(atom_sum)
 
-    rays = [g for _, g, _ in gamma_rows]
-    xs = np.array([x for *_, x in gamma_rows])
+    rays = [g for _, g, _, _ in gamma_rows]
+    xs = np.array([x for _, _, x, _ in gamma_rows])
+    als = np.array([al for *_, al in gamma_rows])
 
     def integrand(ys, rows):
         pdf = np.empty_like(ys)
         for row, g in enumerate(rays):
             pdf[rows == row] = g.pdf(ys[rows == row])
         # chi_(0,y)(x, .) = j_al(2 x sqrt(y)); reuse the y1=1 form scaled
-        return pdf * _second_kind_char(al, 1.0, xs[rows] * np.sqrt(ys))
+        return pdf * _second_kind_char(als[rows], 1.0, xs[rows] * np.sqrt(ys))
 
     cuts = [g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0)) for g in rays]
     values = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
-    for (n, _, _), value in zip(gamma_rows, values):
+    for (n, *_), value in zip(gamma_rows, values):
         rhs[n] += value
     return [_report("glowne3", p, abs(l - r), tol) for p, l, r in zip(params, lhs, rhs)]
 
@@ -242,26 +246,27 @@ def bk_spectral_check(u: float, x: float, t: float, delta: float,
     """BES spectral identity: e^{-t x^2/2} eta_u(x) = int eta_v(x) p_t(u, dv)."""
     if u < 0.0 or x < 0.0 or t <= 0.0:
         raise ValueError("bk_spectral_check requires u, x >= 0 and t > 0")
-    return _bk_spectral_rows(delta, [(u, x, t)], q, tol)[0]
+    return _bk_spectral_rows([(u, x, t, delta)], q, tol)[0]
 
 
-def _bk_spectral_rows(delta, rows, q, tol=1e-8) -> list[VerificationReport]:
-    """bk_spectral_check of each (u, x, t) row at one delta: the characters
-    eta_u(x) from one bk_character call, the integrals from one integrate_rows
-    call."""
+def _bk_spectral_rows(rows, q, tol=1e-8) -> list[VerificationReport]:
+    """bk_spectral_check of each (u, x, t, delta) row, each at its own order
+    delta/2 - 1: the characters eta_u(x) = j_(delta/2-1)(u x) from one
+    bessel_j_norm call, the integrals from one integrate_rows call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
-    p = BesselKingmanParams(delta)
-    us, xs, _ = (np.array(col, dtype=float) for col in zip(*rows))
-    chars = bk_character(us, xs, p).tolist()
-    densities = [kn.BesDensity(delta, t, u) for u, _, t in rows]
+    nus = np.array([BesselKingmanParams(delta).alpha for *_, delta in rows]) / 2.0 - 1.0
+    us, xs, _, _ = (np.array(col, dtype=float) for col in zip(*rows))
+    chars = bessel_j_norm(nus, us * xs).tolist()
+    densities = [kn.BesDensity(delta, t, u) for u, _, t, delta in rows]
 
     def integrand(vs, r):
-        return bk_character(vs, xs[r], p) * kn._bes_density_rows(densities, vs, r)
+        return bessel_j_norm(nus[r], vs * xs[r]) * kn._bes_density_rows(densities, vs, r)
 
-    rhs = integrate_rows(integrand, [(0.0, u + 12.0 * math.sqrt(t) + 1.0) for u, _, t in rows], q)
+    rhs = integrate_rows(integrand, [(0.0, u + 12.0 * math.sqrt(t) + 1.0) for u, _, t, _ in rows],
+                         q)
     return [_report("bk_spectral", {"u": u, "x": x, "t": t, "delta": delta},
                     abs(math.exp(-0.5 * t * x * x) * char - value), tol)
-            for (u, x, t), char, value in zip(rows, chars, rhs)]
+            for (u, x, t, delta), char, value in zip(rows, chars, rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +295,28 @@ def _lag_series(lag, tau, ratio, divide=False):
     return total
 
 
-def _identity_ii(alpha, rows, lag, q):
+def _identity_ii(rows, lag, q):
     """Integral form: k! L_k(u) = u^{-alpha/2} int e^{u-v} v^{k+alpha/2} J_alpha(2 sqrt(uv)) dv.
 
     Compared as L_k(u) vs e^u / (k! Gamma(alpha+1)) int e^{-v} v^{k+alpha}
     j_alpha(2 sqrt(uv)) dv, integrated under v = w^4 so the v^alpha endpoint
     stays differentiable even at k = 0, alpha < 0. Returns the error of each
-    (k, u) row, the integrals from one integrate_rows call; lag[u] holds L_n(u).
+    (alpha, k, u) row, each at its own order, the integrals from one
+    integrate_rows call; lag[alpha][u] holds L_n(u).
     """
-    ks, us = (np.array(col, dtype=float) for col in zip(*rows))
-    log_norm = us - log_gamma(ks + 1.0) - log_gamma(alpha + 1.0)
+    alphas, ks, us = (np.array(col, dtype=float) for col in zip(*rows))
+    log_norm = us - log_gamma(ks + 1.0) - log_gamma(alphas + 1.0)
 
     def integrand(ws, r):
         vs = ws ** 4
         with np.errstate(divide="ignore"):
-            log_f = -vs + (ks[r] + alpha) * np.log(vs) + np.log(4.0 * ws ** 3)
-        return np.exp(log_f + log_norm[r]) * bessel_j_norm(alpha, 2.0 * np.sqrt(us[r] * vs))
+            log_f = -vs + (ks[r] + alphas[r]) * np.log(vs) + np.log(4.0 * ws ** 3)
+        return (np.exp(log_f + log_norm[r])
+                * bessel_j_norm(alphas[r], 2.0 * np.sqrt(us[r] * vs)))
 
-    cuts = [(k + alpha + 50.0 + 12.0 * math.sqrt(k + alpha + 1.0)) ** 0.25 for k, _ in rows]
+    cuts = [(k + alpha + 50.0 + 12.0 * math.sqrt(k + alpha + 1.0)) ** 0.25 for alpha, k, _ in rows]
     rhs = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
-    return [abs(lag[u][k] - value) for (k, u), value in zip(rows, rhs)]
+    return [abs(lag[alpha][u][k] - value) for (alpha, k, u), value in zip(rows, rhs)]
 
 
 def _identity_v(alpha, k, c, lag, lag_c):
@@ -339,45 +346,59 @@ def laguerre_identity_suite(alpha: float, k_max: int = 10,
     (1.02e-10 at 4). (v) cancels as k_max grows: at alpha 0.5, k_max 15
     passes and 20 fails (v) with 4.51e-12; at alpha 2 it fails from 15.
     """
-    if not alpha > -1.0:
+    return _laguerre_rows([alpha], k_max, q, tol)
+
+
+def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
+    """laguerre_identity_suite at each alpha: the (ii) integrals of every alpha
+    from one integrate_rows call, (iv)'s j_alpha of every alpha from one
+    bessel_j_norm call."""
+    if not all(alpha > -1.0 for alpha in alphas):
         raise ValueError("laguerre_identity_suite requires alpha > -1")
     if not (k_max >= 0 and float(k_max).is_integer()):
         raise ValueError("laguerre_identity_suite requires an integer k_max >= 0")
     k_max = int(k_max)
     q = q or QuadratureSpec(abs_tol=1e-12)
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
-    # (ii), (v) and the closed forms read one table; each series reads its own
-    # run as far as it sums (entry n of a run has the bits of table row n)
+    # (ii), (v) and the closed forms read one table per alpha; each series reads
+    # its own run as far as it sums (entry n of a run has the bits of table row n)
     points = [0.5, 2.0, *(v / (1.0 - tau) for v in (0.5, 2.1) for tau in (0.3, -0.4)),
               *(c * 1.7 for c in (1.0, 0.35, 1.4))]
-    lag = dict(zip(points, laguerre_L_all(max(k_max, 1), alpha, points).T.tolist()))
-    run = partial(_laguerre_run, alpha)
+    lags = {alpha: dict(zip(points, laguerre_L_all(max(k_max, 1), alpha, points).T.tolist()))
+            for alpha in alphas}
+    errs_ii = np.reshape(_identity_ii([(alpha, k, u) for alpha in alphas for k in ks
+                                       for u in (0.5, 2.0)], lags, q), (len(alphas), -1)).tolist()
     iv_rows = [(v, tau) for v in (0.8, 3.0) for tau in (0.4, 2.5)]
-    iv_js = bessel_j_norm(alpha, np.array([2.0 * math.sqrt(v * tau)
-                                           for v, tau in iv_rows])).tolist()
-    # (i) generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
-    err_i = max(abs(_lag_series(islice(run(v), j, None), tau, lambda i: (i + j + 1.0) / (i + 1.0))
-                    - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
-                    * lag[v / (1.0 - tau)][j])
-                for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
-    # (iii) Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
-    err_iii = max(abs(_lag_series(run(v), tau, lambda l: (c + l) / (alpha + 1.0 + l))
-                      - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
-                      * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
-                  for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
-                  for v in (1.2, 2.1) for tau in (0.35,))
-    # (iv) sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
-    err_iv = max(abs(_lag_series(run(v), tau, lambda l: alpha + 1.0 + l, divide=True)
-                     - math.exp(tau) * j)
-                 for (v, tau), j in zip(iv_rows, iv_js))
-    err_ii = max(_identity_ii(alpha, [(k, u) for k in ks for u in (0.5, 2.0)], lag, q))
-    err_v = max(_identity_v(alpha, k, c, lag[1.7], lag[c * 1.7])
-                for k in ks for c in (1.0, 0.35, 1.4))
-    return [_report(f"laguerre_identity_{name}", {"alpha": alpha}, err,
-                    default_tol if tol is None else tol)
-            for name, err, default_tol in (("i", err_i, 1e-10), ("ii", err_ii, 1e-8),
-                                           ("iii", err_iii, 1e-10), ("iv", err_iv, 1e-10),
-                                           ("v", err_v, 1e-12))]
+    iv_js = bessel_j_norm(np.repeat(np.array(alphas, dtype=float), len(iv_rows)),
+                          np.array([2.0 * math.sqrt(v * tau) for v, tau in iv_rows]
+                                   * len(alphas))).reshape(len(alphas), -1).tolist()
+    reports = []
+    for alpha, err_ii, js in zip(alphas, errs_ii, iv_js):
+        lag, run = lags[alpha], partial(_laguerre_run, alpha)
+        # (i) generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
+        err_i = max(abs(_lag_series(islice(run(v), j, None), tau,
+                                    lambda i: (i + j + 1.0) / (i + 1.0))
+                        - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
+                        * lag[v / (1.0 - tau)][j])
+                    for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+        # (iii) Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
+        err_iii = max(abs(_lag_series(run(v), tau, lambda l: (c + l) / (alpha + 1.0 + l))
+                          - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
+                          * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
+                      for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
+                      for v in (1.2, 2.1) for tau in (0.35,))
+        # (iv) sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
+        err_iv = max(abs(_lag_series(run(v), tau, lambda l: alpha + 1.0 + l, divide=True)
+                         - math.exp(tau) * j)
+                     for (v, tau), j in zip(iv_rows, js))
+        err_v = max(_identity_v(alpha, k, c, lag[1.7], lag[c * 1.7])
+                    for k in ks for c in (1.0, 0.35, 1.4))
+        reports += [_report(f"laguerre_identity_{name}", {"alpha": alpha}, err,
+                            default_tol if tol is None else tol)
+                    for name, err, default_tol in (("i", err_i, 1e-10), ("ii", max(err_ii), 1e-8),
+                                                   ("iii", err_iii, 1e-10),
+                                                   ("iv", err_iv, 1e-10), ("v", err_v, 1e-12))]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +465,23 @@ def bk_multiplicativity_check(u: float, x: float, xp: float, alpha: float,
                               q: QuadratureSpec | None = None,
                               tol: float = 1e-6) -> VerificationReport:
     """Translation of a character equals the product of its values."""
-    p = BesselKingmanParams(alpha)
-    q = q or QuadratureSpec()
-    lhs = bk_translate(lambda r: bk_character(u, r, p), x, xp, p, q)
-    eta_x, eta_xp = bk_character(u, np.array([x, xp]), p).tolist()
-    return _report("bk_multiplicativity", {"u": u, "x": x, "xp": xp, "alpha": alpha},
-                   abs(lhs - eta_x * eta_xp), tol)
+    return _bk_multiplicativity_rows([(u, x, xp, alpha)], q or QuadratureSpec(), tol)[0]
+
+
+def _bk_multiplicativity_rows(rows, q, tol=1e-6) -> list[VerificationReport]:
+    """bk_multiplicativity_check of each (u, x, xp, alpha) row, each at its own
+    order: eta_u = j_(alpha/2-1)(u .) at every translation node and at both
+    product points from one bessel_j_norm call."""
+    nus = np.array([BesselKingmanParams(alpha).alpha for *_, alpha in rows]) / 2.0 - 1.0
+    us, xs, xps, alphas = (np.array(col, dtype=float) for col in zip(*rows))
+    radii, spread, mean = _bk_translate_rows(xs, xps, alphas, q)
+    etas = bessel_j_norm(np.concatenate((spread(nus), nus, nus)),
+                         np.concatenate((spread(us) * radii, us * xs, us * xps)))
+    lhs = mean(etas[:radii.size]).tolist()
+    eta_x, eta_xp = etas[radii.size:].reshape(2, -1).tolist()
+    return [_report("bk_multiplicativity", {"u": u, "x": x, "xp": xp, "alpha": alpha},
+                    abs(l - ex * exp), tol)
+            for (u, x, xp, alpha), l, ex, exp in zip(rows, lhs, eta_x, eta_xp)]
 
 
 def lag_multiplicativity_check(c: FanPoint, a: HeisPoint, b: HeisPoint, alpha: float,
@@ -552,7 +584,7 @@ def _tol(tol, default=None) -> dict:
 
 def _suite_weber(q, tol):
     rows = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3))
-    return [r for nu in (-0.5, 0.5, 1.5) for r in _weber_rows(nu, rows, q, **_tol(tol))]
+    return _weber_rows([(nu, *row) for nu in (-0.5, 0.5, 1.5) for row in rows], q, **_tol(tol))
 
 
 def _suite_glowne3(q, tol):
@@ -564,19 +596,18 @@ def _suite_glowne3(q, tol):
         (DiscretePoint(1.0, 3), 0.7),    # case 5
     )
     heis = (HeisPoint(0.8, 0.3), HeisPoint(2.0, -1.1))
-    return [r for delta in (1.0, 1.5, 2.0, 3.7)
-            for r in _glowne3_rows(delta, laws, heis, q, **_tol(tol))]
+    return _glowne3_rows([(start, t, delta) for delta in (1.0, 1.5, 2.0, 3.7)
+                          for start, t in laws], heis, q, **_tol(tol))
 
 
 def _suite_bk_spectral(q, tol):
     rows = ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))
-    return [r for delta in (1.0, 2.0, 2.5, 4.0)
-            for r in _bk_spectral_rows(delta, rows, q, **_tol(tol))]
+    return _bk_spectral_rows([(*row, delta) for delta in (1.0, 2.0, 2.5, 4.0) for row in rows],
+                             q, **_tol(tol))
 
 
 def _suite_laguerre(q, tol):
-    return [r for alpha in (-0.3, 0.0, 0.5, 2.1)
-            for r in laguerre_identity_suite(alpha, 10, q, **_tol(tol))]
+    return _laguerre_rows((-0.3, 0.0, 0.5, 2.1), 10, q, tol)
 
 
 def _suite_gegenbauer(q, tol):
@@ -594,11 +625,11 @@ def _suite_watson(q, tol):
 
 def _suite_multiplicativity(q, tol):
     rng = np.random.default_rng(777)
-    reports = []
+    bk_rows = []
     for _ in range(25):
         alpha = float(rng.uniform(1.0, 4.0))
-        u, x, xp = (float(v) for v in rng.uniform(0.1, 2.5, size=3))
-        reports.append(bk_multiplicativity_check(u, x, xp, alpha, q, **_tol(tol)))
+        bk_rows.append((*(float(v) for v in rng.uniform(0.1, 2.5, size=3)), alpha))
+    reports = _bk_multiplicativity_rows(bk_rows, q, **_tol(tol))
     for i in range(25):
         alpha = float(rng.uniform(0.0, 3.0))
         a = HeisPoint(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2.0, 2.0)))

@@ -95,6 +95,14 @@ class TestQbesKernel:
         assert [a["prob"] for a in law["atoms"]] == pytest.approx([1e-32, 2e-16, 1.0],
                                                                   rel=1e-12)
 
+    def test_case1_time_below_1e16_of_the_start_ray(self, capsys):
+        # u / s rounds to 1.0 here; this exited 1 with "math domain error"
+        code, out, err = run_cli(["qbes-kernel", "--delta", "1.4", "--state", "tau=-1,k=0",
+                                  "--t", "1e-17"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"case": 1, "gamma": None, "tail_mass": 0.0, "atoms": [
+            {"tau": -1.0, "k": 0, "y1": None, "prob": 1.0}]}
+
     def test_geometric_example(self, capsys):
         code, out, _ = run_cli(["qbes-kernel", "--delta", "1",
                                 "--state", "tau=-2,k=0", "--t", "1"], capsys)

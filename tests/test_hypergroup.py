@@ -122,6 +122,17 @@ class TestBkTranslateArrays:
         one = hg.bk_translate(f, xs[0], xps[0], p, Q)
         assert type(one) is float and one == got[0, 0]
 
+    def test_rows_at_mixed_orders_keep_the_bits_of_one_order_calls(self):
+        # each element at its own order, the two-point mean of alpha = 1 among them
+        xs, xps = RNG.uniform(0.0, 3.0, size=(2, 9))
+        alphas = np.array([1.0, 2.5, 1.0, 3.7, 2.5, 6.2, 1.0, 1.4, 3.7])
+        radii, spread, mean = hg._bk_translate_rows(xs, xps, alphas, Q)
+        got = mean(np.cos(spread(alphas) * radii))
+        for g, x, xp, a in zip(got, xs, xps, alphas):
+            want = hg.bk_translate(lambda r: np.cos(a * r), x, xp, hg.BesselKingmanParams(a), Q)
+            assert g == want == _parent_bk_translate(lambda r: np.cos(a * r), x, xp,
+                                                     hg.BesselKingmanParams(a), Q)
+
     def test_negative_point_in_an_array(self):
         p = hg.BesselKingmanParams(2.0)
         with pytest.raises(ValueError, match="^bk_translate requires x, xp >= 0$"):

@@ -59,6 +59,13 @@ class TestQbesTransition:
         far = kn.qbes_transition(DiscretePoint(1e300, 3), 1.0, 2.0)
         assert far.probs == pytest.approx((0.0, 0.0, 3e-300, 1.0), rel=1e-12)
 
+    def test_case1_time_below_1e16_of_the_start_ray(self):
+        # u / s rounds to 1.0 here; ln(1 - p) is taken as ln(t / -s)
+        law = kn.qbes_transition(DiscretePoint(-1.0, 0), 1e-17, 1.4)
+        assert (law.case, law.tau, law.levels, law.probs) == (1, -1.0, range(0, 1), (1.0,))
+        far = kn.qbes_transition(DiscretePoint(-1.0, 3), 1e-17, 1.4)
+        assert (far.levels, far.probs) == (range(3, 4), (1.0,))
+
     def test_case4_zero_rate(self):
         law = kn.qbes_transition(ContinuousPoint(0.0), 2.0, 1.0)
         assert law.case == 4
@@ -386,6 +393,16 @@ class TestBesDensity:
         assert got[1::2].tobytes() == want.tobytes()
         assert got[0::2].tobytes() == _parent_bits(pair[0], ys).tobytes()
 
+    def test_rows_of_mixed_deltas_keep_lone_bits(self):
+        # each row carries its own delta; delta 1 keeps its "no ln y" case per row
+        ys = np.array(cli.parse_grid("0:4:81"))
+        family = [kn.BesDensity(delta, t, x) for delta, t, x in
+                  ((2.5, 0.7, 1.3), (1.0, 0.7, 1.3), (0.7, 0.5, 1.2), (60.0, 1.0, 30.0))]
+        rows = np.arange(len(family) * ys.size) % len(family)
+        got = kn._bes_density_rows(family, np.repeat(ys, len(family)), rows)
+        for r, d in enumerate(family):
+            assert got[r::len(family)].tobytes() == kn.bes_density(d, ys).tobytes()
+
     @pytest.mark.parametrize("x,t,want", [
         # 2 exp(-x^2 / 2t) / sqrt(2 pi t) by 30-digit mpmath
         (1.3, 0.7, 0.2851908317156703231559235),
@@ -460,6 +477,10 @@ class TestChapmanKolmogorov:
         errs = {kn.chapman_kolmogorov_qbes(DiscretePoint(-c, 0), c, c, 1.4)
                 for c in (1.0, 1e-100, 1e-300)}
         assert len(errs) == 1 and errs.pop() <= 1e-12
+
+    def test_case1_time_below_1e16_of_the_start_ray(self):
+        # raised "math domain error" while u / s rounded to 1.0
+        assert kn.chapman_kolmogorov_qbes(DiscretePoint(-1, 0), 1e-100, 1e-100, 1.4) == 0.0
 
     def test_case5_start_ray_past_1e16_t(self):
         # raised "math domain error" while s / u rounded to 1.0

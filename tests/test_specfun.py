@@ -381,6 +381,83 @@ _I_MSG = "log_bessel_i_norm requires finite y >= 0"
 _LG_MSG = "log_gamma requires finite x > 0"
 
 
+class TestArrayOrders:
+    """An array of orders gives, bit for bit, per-element scalar-order calls."""
+
+    NUS = [-0.9, -0.5, 0.0, 0.5, 2.5, 10.0, 40.0, 150.0, 500.0, 1000.0, 1900.0]
+
+    @staticmethod
+    def _mixed(pairs):
+        """The (nu, arg) pairs shuffled, so neighbouring elements differ in order."""
+        order = np.random.default_rng(7).permutation(len(pairs))
+        nus, args = np.array(pairs, dtype=float)[order].T
+        return nus, args
+
+    def test_bessel_j_norm(self):
+        pairs = []
+        for nu in self.NUS:
+            edge = math.sqrt(36.0 * (nu + 1.0))  # series / jv boundary
+            # zero, the series branch, both sides of the switch, and jv past the turning
+            # point; at the switch J_nu underflows from nu ~ 600 (tested below)
+            switch = edge * np.array([1 - 1e-9, 1.0, 1 + 1e-9] if nu <= 500.0 else [1 - 1e-9])
+            pairs += [(nu, z) for z in (0.0, 0.4 * edge, *switch,
+                                        nu + 10.0 * (nu + 1.0) ** (1 / 3) + 30.0)]
+        nus, zs = self._mixed(pairs)
+        assert _bits_equal(sf.bessel_j_norm(nus, zs),
+                           [sf.bessel_j_norm(float(nu), float(z)) for nu, z in zip(nus, zs)])
+
+    def test_log_bessel_i_norm(self):
+        pairs = []
+        for nu in self.NUS:
+            edge = math.sqrt(4.0 * (nu + 1.0))  # series / ive boundary
+            pairs += [(nu, y) for y in (0.0, 1e-6, 0.5 * edge, edge * (1 - 1e-9), edge,
+                                        edge * (1 + 1e-9), 4.0 * nu + 60.0, 4000.0)]
+        # ive underflows and the plain series overflows: the scaled series
+        pairs += [(2000.0, y) for y in LOG_I_OVERFLOW_BAND]
+        nus, ys = self._mixed(pairs)
+        got = sf.log_bessel_i_norm(nus, ys)
+        assert _bits_equal(got, [sf.log_bessel_i_norm(float(nu), float(y))
+                                 for nu, y in zip(nus, ys)])
+        assert np.all(got[nus == 2000.0] > 700.0)  # past ln of the double range
+
+    @pytest.mark.parametrize("fn", [sf.bessel_j_norm, sf.log_bessel_i_norm])
+    def test_orders_broadcast_with_the_argument(self, fn):
+        nus, args = np.array([[-0.5], [2.5], [40.0]]), np.array([0.0, 1.3, 30.0, 80.0])
+        got = fn(nus, args)
+        assert got.shape == (3, 4)
+        assert _bits_equal(got, [[fn(float(nu), float(a)) for a in args] for nu in nus[:, 0]])
+        one = fn(nus[:, 0], 1.3)  # a scalar argument at an array of orders is an array
+        assert isinstance(one, np.ndarray) and _bits_equal(one, got[:, 1])
+        assert isinstance(fn(2.5, 1.3), float)
+
+    @pytest.mark.parametrize("fn,arg", [(sf.bessel_j_norm, "z"), (sf.log_bessel_i_norm, "y")])
+    @pytest.mark.parametrize("nus,args,message", [
+        ([0.5, -1.0], 1.0, "{name} requires nu > -1"),
+        ([0.5, NAN], [1.0, 2.0], "{name} requires nu > -1"),
+        ([[0.5], [INF]], [1.0, 2.0], "{name} requires nu > -1"),
+        # the first failing element names the error, as a scalar call on it would
+        ([0.5, -2.0], [NAN, 1.0], "{arg} must not be NaN"),
+        ([-2.0, 0.5], [NAN, 1.0], "{name} requires nu > -1"),
+        ([0.5, -2.0], [-1.0, 1.0], "{name} requires finite {arg} >= 0"),
+    ])
+    def test_bad_elements(self, fn, arg, nus, args, message):
+        with pytest.raises(ValueError, match=f"^{message.format(name=fn.__name__, arg=arg)}$"):
+            fn(np.array(nus), args)
+
+    def test_j_underflow_names_the_first_failing_order(self):
+        with pytest.raises(OverflowError) as lone:
+            sf.bessel_j_norm(800.0, 175.0)
+        nus = np.array([1.0, 700.0, 800.0, 700.0])
+        zs = np.array([175.0, 150.0, 175.0, 175.0])
+        with pytest.raises(OverflowError, match=f"^{lone.value}$"):
+            sf.bessel_j_norm(nus, zs)
+
+    def test_log_i_past_two_to_the_thirty_names_the_first_failing_order(self):
+        message = r"^log_bessel_i_norm: y beyond 2\^30 at nu=3\.0; argument too large$"
+        with pytest.raises(OverflowError, match=message):
+            sf.log_bessel_i_norm(np.array([0.5, 3.0, 10.0]), np.array([1.0, 2e9, 2e9]))
+
+
 @pytest.mark.parametrize("fn,x,message", [
     # log_gamma: a NaN anywhere names the error, before any other bad value
     (lambda x: sf.log_gamma(x), NAN, "x must not be NaN"),

@@ -78,7 +78,7 @@ WEBER_ROWS = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3)
 @pytest.mark.parametrize("nu", [-0.5, 0.5, 1.5, 0.7])
 @pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
 def test_weber_rows_match_per_check_loop(nu, q):
-    batched = vf._weber_rows(nu, WEBER_ROWS, q, 1e-9)
+    batched = vf._weber_rows([(nu, *row) for row in WEBER_ROWS], q, 1e-9)
     for report, (al, be, ga) in zip(batched, WEBER_ROWS):
         assert report == vf.weber_schafheitlin_check(nu, al, be, ga, q)
         rhs = ((2.0 * al) ** -(nu + 1.0) * math.exp((be * be - ga * ga) / (4.0 * al))
@@ -187,7 +187,7 @@ def _parent_glowne3(start, a, t, delta, q, atom_chars=None):
 @pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
 def test_glowne3_rows_match_per_check_code(delta, q):
     # all five kernel cases at both suite points, each law built once
-    reports = vf._glowne3_rows(delta, GLOWNE3_LAWS, GLOWNE3_POINTS, q)
+    reports = vf._glowne3_rows([(start, t, delta) for start, t in GLOWNE3_LAWS], GLOWNE3_POINTS, q)
     pairs = [(start, t, a) for start, t in GLOWNE3_LAWS for a in GLOWNE3_POINTS]
     assert len(reports) == len(pairs)
     for report, (start, t, a) in zip(reports, pairs):
@@ -199,7 +199,7 @@ def test_glowne3_rows_with_two_gamma_rays():
     # two case-2 laws of one delta share one integrate_rows call
     laws = ((DiscretePoint(-1.0, 2), 1.0), (DiscretePoint(-2.0, 0), 2.0))
     q = QuadratureSpec()
-    reports = vf._glowne3_rows(1.5, laws, GLOWNE3_POINTS, q)
+    reports = vf._glowne3_rows([(start, t, 1.5) for start, t in laws], GLOWNE3_POINTS, q)
     pairs = [(start, t, a) for start, t in laws for a in GLOWNE3_POINTS]
     assert [r.max_abs_err for r in reports] == [
         float(_parent_glowne3(start, a, t, 1.5, q)) for start, t, a in pairs]
@@ -221,7 +221,8 @@ GLOWNE3_MOVED = {
 def test_glowne3_inline_atom_characters_differ_only_where_declared(q):
     moved = set()
     for delta in (1.0, 1.5, 2.0, 3.7, 0.6):
-        reports = vf._glowne3_rows(delta, GLOWNE3_LAWS, GLOWNE3_POINTS, q)
+        reports = vf._glowne3_rows([(start, t, delta) for start, t in GLOWNE3_LAWS],
+                                   GLOWNE3_POINTS, q)
         pairs = [(start, t, a) for start, t in GLOWNE3_LAWS for a in GLOWNE3_POINTS]
         for report, (start, t, a) in zip(reports, pairs):
             old = float(_parent_glowne3(start, a, t, delta, q, _inline_atom_chars))
@@ -263,7 +264,7 @@ def _parent_bk_spectral(u, x, t, delta, q):
 @pytest.mark.parametrize("delta", [1.0, 2.0, 2.5, 4.0])
 @pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
 def test_bk_spectral_rows_match_per_check_code(delta, q):
-    reports = vf._bk_spectral_rows(delta, BK_SPECTRAL_ROWS, q)
+    reports = vf._bk_spectral_rows([(*row, delta) for row in BK_SPECTRAL_ROWS], q)
     for report, (u, x, t) in zip(reports, BK_SPECTRAL_ROWS):
         assert report.max_abs_err == float(_parent_bk_spectral(u, x, t, delta, q))
         assert report == vf.bk_spectral_check(u, x, t, delta, q)
@@ -341,7 +342,7 @@ def _parent_identity_ii(alpha, k, u, q):
 def test_identity_ii_rows_match_per_integral_loop(alpha, q):
     rows = [(k, u) for k in (0, 1, 3, 7, 10) for u in (0.5, 2.0)]
     lag = {u: laguerre_L_all(10, alpha, u) for u in (0.5, 2.0)}
-    got = vf._identity_ii(alpha, rows, lag, q)
+    got = vf._identity_ii([(alpha, k, u) for k, u in rows], {alpha: lag}, q)
     assert got == [_parent_identity_ii(alpha, k, u, q) for k, u in rows]
 
 
@@ -496,6 +497,58 @@ def test_multiplicativity_checks_match_per_check_code():
         lhs = lag_translate(fn, a, b, p, q)
         rhs = lag_character(c, a, p) * lag_character(c, b, p)
         assert vf.lag_multiplicativity_check(c, a, b, alpha, q).max_abs_err == abs(lhs - rhs)
+
+
+PSD_POINTS = np.linspace(0.3, 2.7, 10)  # the psd-gram suite's points; its params hold only n
+
+
+def _fan_point(label):
+    """The fan point of a suite label (the suites' fan points print exactly under :g)."""
+    if label.startswith("y1="):
+        return ContinuousPoint(float(label[3:]))
+    tau, k = (part.split("=")[1] for part in label.split(","))
+    return DiscretePoint(float(tau), int(k))
+
+
+def _lag_point(p):
+    """The fan point of a lag_multiplicativity report, drawn as the suite draws it
+    (its label rounds tau to 6 digits)."""
+    c, = [c for c, a, b, alpha in _multiplicativity_rows()[1]
+          if (a.x, a.w, b.x, b.w, alpha) == (p["ax"], p["aw"], p["bx"], p["bw"], p["alpha"])]
+    return c
+
+
+LONE_CHECKS = {
+    "weber_schafheitlin": lambda p, q: vf.weber_schafheitlin_check(
+        p["nu"], p["alpha"], p["beta"], p["gamma"], q),
+    "glowne3": lambda p, q: vf.glowne3_check(
+        _fan_point(p["start"]), HeisPoint(p["x"], p["w"]), p["t"], p["delta"], q),
+    "bk_spectral": lambda p, q: vf.bk_spectral_check(p["u"], p["x"], p["t"], p["delta"], q),
+    **{f"laguerre_identity_{i}": (lambda p, q, n=n: vf.laguerre_identity_suite(
+        p["alpha"], 10, q)[n]) for n, i in enumerate(("i", "ii", "iii", "iv", "v"))},
+    "gegenbauer": lambda p, q: vf.gegenbauer_check(p["nu"], p["x"], p["y"], q),
+    "watson": lambda p, q: vf.watson_check(p["nu"], p["x"], p["y"], p["k"], q),
+    "bk_multiplicativity": lambda p, q: vf.bk_multiplicativity_check(
+        p["u"], p["x"], p["xp"], p["alpha"], q),
+    "lag_multiplicativity": lambda p, q: vf.lag_multiplicativity_check(
+        _lag_point(p), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]), p["alpha"], q),
+    "psd_gram": lambda p, q: vf.psd_gram_check(PSD_POINTS[:p["n"]], p["t"], p["delta"], q),
+    "chapman_kolmogorov": lambda p, q: vf.chapman_kolmogorov_check(
+        _fan_point(p["start"]), p["t1"], p["t2"], p["delta"], q),
+    "normalization": lambda p, q: vf.normalization_check(p["n"]),
+}
+
+
+def test_suite_reports_equal_their_lone_checks():
+    # each suite certifies as one family over its orders; every report keeps
+    # the bits of its public check called alone with the same params and spec
+    q = QuadratureSpec()
+    reports = vf.run_suite(q=q)
+    assert len(reports) == 174
+    for report in reports:
+        lone = LONE_CHECKS[report.check_name](dict(report.params), q)
+        assert (lone.check_name, lone.params) == (report.check_name, report.params)
+        assert lone.max_abs_err.hex() == report.max_abs_err.hex(), report
 
 
 class TestGramAndKernels:
