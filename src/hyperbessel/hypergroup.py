@@ -215,15 +215,17 @@ def bk_character(u, x, p: BesselKingmanParams):
     return bessel_j_norm(p.alpha / 2.0 - 1.0, np.multiply(u, x))
 
 
-def _first_kind_char(alpha: float, tau: float, k, x, w):
+def _first_kind_char(alpha: float, tau: float, k, x, w, name: str = "lag_character",
+                     minus_w: bool = False):
     """First-kind character at order alpha, vectorized over (x, w) and the
     degrees k (a degree axis first when k is an array), every degree from one
     laguerre_L_all table and its prefactor from math.exp, so each value has
-    the bits of a scalar-degree call.
+    the bits of a scalar-degree call. With minus_w it is read at (x, -w).
 
-    Raises OverflowError at the first degree and point (row-major) where the
-    product is not finite: for large k and |tau| x^2, L_k overflows the double
-    range while exp(-|tau| x^2 / 2) underflows.
+    Raises OverflowError, prefixed by name and naming the w given, at the
+    first degree and point (row-major) where the product is not finite: for
+    large k and |tau| x^2, L_k overflows the double range while
+    exp(-|tau| x^2 / 2) underflows.
     """
     ks = np.asarray(k)
     x, w = np.broadcast_arrays(x, w)
@@ -234,12 +236,12 @@ def _first_kind_char(alpha: float, tau: float, k, x, w):
         arg = abs(tau) * np.square(x)
         # past the double range exp(-inf) = 0 times a finite placeholder L_k(0)
         table = laguerre_L_all(ks.max(), alpha, np.where(np.isinf(arg), 0.0, arg))
-        out = pref * np.exp(1j * tau * w - 0.5 * arg) * table[ks]
+        out = pref * np.exp(1j * tau * (-w if minus_w else w) - 0.5 * arg) * table[ks]
     bad = ~np.isfinite(out)
     if np.any(bad):
         i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise OverflowError(f"lag_character: L_k overflows at x={float(x[i[ks.ndim:]])!r}, "
-                            f"w={float(w[i[ks.ndim:]])!r} (tau={tau!r}, "
+        raise OverflowError(f"{name}: L_k overflows at x={float(x[i[ks.ndim:]])!r}, "
+                            f"w={float(w[i[ks.ndim:]])!r} (tau={float(tau)!r}, "
                             f"k={int(ks[i[:ks.ndim]])}); degree too large")
     return out
 
@@ -250,11 +252,13 @@ def _second_kind_char(alpha: float, y1: float, x):
     return bessel_j_norm(alpha, 2.0 * np.asarray(x, dtype=float) * math.sqrt(y1))
 
 
-def _lag_char(c: FanPoint, alpha: float, x, w):
-    """chi_c(x, w) at order alpha > -1, complex, shaped like the broadcast of
-    x and w: the one place that picks the character kind of a fan point."""
+def _lag_char(c: FanPoint, alpha: float, x, w, name: str = "lag_character",
+              minus_w: bool = False):
+    """chi_c(x, w) at order alpha > -1 (at (x, -w) with minus_w), complex,
+    shaped like the broadcast of x and w: the one place that picks the
+    character kind of a fan point."""
     if isinstance(c, DiscretePoint):
-        return _first_kind_char(alpha, c.tau, c.k, x, w)
+        return _first_kind_char(alpha, c.tau, c.k, x, w, name, minus_w)
     if isinstance(c, ContinuousPoint):
         return _second_kind_char(alpha, c.y1, x) + 0.0j * w
     raise TypeError(f"not a fan point: {c!r}")

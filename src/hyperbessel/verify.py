@@ -20,6 +20,15 @@ call and its Bessel values from array calls over an array of orders, which
 return the bits of the lone check's scalar-order calls. Each Laguerre series
 identity reads its own run of the recurrence, as far as it sums.
 
+A whole run of run_suite forks one child for _CHILD_SUITES (about half the
+CPU time) and reads their outcomes back through a pipe while it runs the
+rest. Each suite seeds its own generator and builds its own laws and rules,
+so the reports are bit for bit those of one process, as are the error
+raised (that of the first failing suite in SUITE_NAMES order) and the
+warnings (re-issued in suite order). The child is used only where os.fork
+exists, os.sched_getaffinity holds at least 2 CPUs and no other thread
+runs; a CPU quota below 2 under a wider affinity gains nothing.
+
 Validity guards are hard: the Gegenbauer and Watson product formulas are
 rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
 infinite integrals are cut where the integrand envelope drops below 1e-16 of
@@ -27,7 +36,12 @@ its peak.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -201,17 +215,18 @@ def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
     own order, from one integrate_rows call."""
     q = q or QuadratureSpec(abs_tol=1e-12)
     xs = np.array([a.x for a in points], dtype=float)
-    ws = -np.array([a.w for a in points], dtype=float)  # the identity reads chi at (x, -w)
+    ws = np.array([a.w for a in points], dtype=float)
     params, lhs, rhs = [], [], []  # per law and point; rhs first holds the atom sum
     gamma_rows = []  # (check index, gamma ray, x, order) per gamma-ray integral
     for start, t, delta in laws:
         al = delta - 1.0
-        chis_start = _lag_char(start, al, xs, ws)
+        # the identity reads chi at (x, -w); an overflow names the w given
+        chis_start = _lag_char(start, al, xs, ws, "glowne3", minus_w=True)
         law = kn.qbes_transition(start, t, delta)
         if law.levels:
             probs = np.array(law.probs)
             chis = _first_kind_char(al, law.tau, np.arange(law.levels.start, law.levels.stop),
-                                    xs, ws)
+                                    xs, ws, "glowne3", minus_w=True)
         for i, a in enumerate(points):
             atom_sum = 0.0 + 0.0j
             if law.levels:
@@ -679,20 +694,90 @@ _SUITES = {
     "normalization": _suite_normalization,
 }
 SUITE_NAMES = tuple(_SUITES)
+# the suites a whole run hands to its second process: about half its CPU time
+_CHILD_SUITES = ("weber-schafheitlin", "glowne3", "bk-spectral", "multiplicativity", "psd-gram")
+
+
+def _two_processes() -> bool:
+    """Whether a whole run may fork a child: a second CPU to run on, and no other
+    thread whose locks the child could inherit held."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _run_suites(names, q, tol, record=False) -> dict:
+    """{suite: (reports, warnings, error)} of names, run in order up to the
+    first that raises. With record, each suite's warnings are kept as
+    (message, category, filename, lineno) for run_suite to re-issue, not shown."""
+    outcomes = {}
+    for name in names:
+        with warnings.catch_warnings(record=True) if record else contextlib.nullcontext([]) \
+                as caught:
+            try:
+                reports, error = _SUITES[name](q, tol), None
+            except Exception as exc:  # run_suite raises it in suite order
+                reports, error = None, exc
+        caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        outcomes[name] = (reports, caught, error)
+        if error is not None:
+            break
+    return outcomes
+
+
+def _forked_suites(q, tol) -> dict:
+    """_run_suites of every suite: _CHILD_SUITES in one forked child, which
+    pickles its outcomes down a pipe, and the rest here meanwhile. The child is
+    reaped on every path; unless its pipe was read to the end it is killed
+    first, so the wait cannot block."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_run_suites(_CHILD_SUITES, q, tol, record=True), pipe)
+            status = 0
+        finally:  # leave without exit handlers or a flush of the parent's buffers
+            os._exit(status)
+    os.close(write_fd)
+    data = None
+    with open(read_fd, "rb") as pipe:
+        try:
+            outcomes = _run_suites([n for n in SUITE_NAMES if n not in _CHILD_SUITES], q, tol,
+                                   record=True)
+            data = pipe.read()
+        finally:
+            if data is None:
+                import signal  # only here: nothing else in the package needs it
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise RuntimeError(f"verify: the process running {', '.join(_CHILD_SUITES)} exited "
+                           f"with status {os.waitstatus_to_exitcode(status)} without a result")
+    return {**outcomes, **pickle.loads(data)}
 
 
 def run_suite(suite: str | None = None, q: QuadratureSpec | None = None,
               tol: float | None = None) -> list[VerificationReport]:
     """Run one named suite or all of them; reports come back in canonical
-    order (check name, then parameters)."""
+    order (check name, then parameters). A whole run forks one child for
+    _CHILD_SUITES where _two_processes allows, with the outcome of one process."""
     if suite is not None and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     q = q or QuadratureSpec()
     names = (suite,) if suite is not None else SUITE_NAMES
+    outcomes = _forked_suites(q, tol) if len(names) > 1 and _two_processes() else \
+        _run_suites(names, q, tol)
     reports = []
     for name in names:
-        reports.extend(_SUITES[name](q, tol))
+        suite_reports, caught, error = outcomes[name]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+        reports.extend(suite_reports)
     reports.sort(key=lambda r: (r.check_name, repr(r.params)))
     return reports

@@ -1,6 +1,9 @@
 """Tests for the identity verification suite."""
 import json
 import math
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -14,7 +17,7 @@ from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, Discre
                                     HeisPoint, LaguerreParams, _first_kind_char,
                                     _second_kind_char, bk_character, bk_translate,
                                     lag_character, lag_translate, psi_heis)
-from hyperbessel.quadrature import QuadratureSpec, gauss_jacobi, integrate
+from hyperbessel.quadrature import QuadratureError, QuadratureSpec, gauss_jacobi, integrate
 from hyperbessel.specfun import (bessel_j_norm, laguerre_L, laguerre_L_all, log_bessel_i_norm,
                                  log_gamma)
 
@@ -235,12 +238,20 @@ def test_glowne3_inline_atom_characters_differ_only_where_declared(q):
 
 def test_glowne3_overflowing_atom_character_raises():
     # the case-5 law's atom L_k(1875) overflows from degree 247 while exp(-937.5)
-    # underflows; the report was nan, with three numpy warnings before the error
+    # underflows; the report was nan, with three numpy warnings before the error.
+    # The message named lag_character, the reflected w=-0.3 and tau=3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match=r"^lag_character: L_k overflows at x=25\.0, "
-                                                r"w=-0\.3 \(tau=3, k=247\); degree too large$"):
+        with pytest.raises(OverflowError, match=r"^glowne3: L_k overflows at x=25\.0, "
+                                                r"w=0\.3 \(tau=3\.0, k=247\); degree too large$"):
             vf.glowne3_check(DiscretePoint(2, 300), HeisPoint(25, 0.3), 1, 2)
+
+
+def test_glowne3_overflowing_start_character_raises():
+    # the start's own character overflows first, named the same way
+    with pytest.raises(OverflowError, match=r"^glowne3: L_k overflows at x=60\.0, "
+                                            r"w=-0\.5 \(tau=1\.0, k=2000\); degree too large$"):
+        vf.glowne3_check(DiscretePoint(1, 2000), HeisPoint(60, -0.5), 1, 2)
 
 
 BK_SPECTRAL_ROWS = ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))
@@ -362,8 +373,23 @@ def test_laguerre_suite_errors_unchanged(alpha, k_max, q, want):
 
 
 @pytest.fixture
-def table_degrees(monkeypatch):
-    """The degree of every laguerre_L_all table the verify module builds."""
+def one_cpu(monkeypatch):
+    """run_suite as on a machine with one CPU: every suite in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """run_suite as on a machine with two CPUs: a whole run forks one child."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def table_degrees(monkeypatch, one_cpu):
+    """The degree of every laguerre_L_all table the verify module builds (a
+    forked child's calls would not be seen, so run_suite keeps to one CPU)."""
     degrees = []
 
     def spy(k, a, x):
@@ -659,3 +685,117 @@ class TestReports:
     def test_coverage_contract(self):
         # every family of checks is reachable through the standard suite map
         assert set(vf.SUITE_NAMES) == set(vf._SUITES)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _reports_bits(reports):
+    return [(r.check_name, r.params, r.max_abs_err.hex(), r.tol, r.notes) for r in reports]
+
+
+class TestTwoProcesses:
+    def test_child_suites_are_a_proper_subset(self):
+        assert set() < set(vf._CHILD_SUITES) < set(vf.SUITE_NAMES)
+
+    def test_whole_run_equals_the_one_cpu_run(self, two_cpus, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        two = vf.run_suite()
+        assert forks == [os.getpid()]
+        _no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = vf.run_suite()
+        assert forks == [os.getpid()]
+        assert len(two) == 174
+        assert _reports_bits(two) == _reports_bits(one)
+        vf.run_suite("psd-gram")  # one suite never forks
+        assert forks == [os.getpid()]
+
+    def test_no_fork_beside_another_thread(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(vf.threading, "active_count", lambda: 2)
+        assert not vf._two_processes()
+        monkeypatch.setattr(vf.threading, "active_count", lambda: 1)
+        assert vf._two_processes()
+
+    @staticmethod
+    def _plant(monkeypatch, names):
+        def raising(name):
+            def suite(q, tol):
+                raise QuadratureError(f"planted in {name}")
+            return suite
+
+        for name in names:
+            monkeypatch.setitem(vf._SUITES, name, raising(name))
+
+    @pytest.mark.parametrize("planted", [
+        ("glowne3",),                                # in the child
+        ("chapman-kolmogorov",),                     # in this process
+        ("glowne3", "laguerre-identities"),          # both; the child's is earlier
+        ("laguerre-identities", "multiplicativity"),  # both; this process's is earlier
+    ])
+    def test_first_failing_suite_raises_as_in_one_process(self, planted, two_cpus,
+                                                          monkeypatch):
+        self._plant(monkeypatch, planted)
+        first = min(planted, key=vf.SUITE_NAMES.index)
+        with pytest.raises(QuadratureError, match=f"^planted in {first}$"):
+            vf.run_suite()
+        _no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(QuadratureError, match=f"^planted in {first}$"):
+            vf.run_suite()
+
+    @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), 3),
+                                             (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                              -signal.SIGKILL)])
+    def test_child_without_a_result_raises_its_status(self, end, status, two_cpus,
+                                                      monkeypatch, capsys):
+        monkeypatch.setitem(vf._SUITES, "psd-gram", lambda q, tol: end())
+        with pytest.raises(RuntimeError, match=f"exited with status {status} without a result$"):
+            vf.run_suite()
+        _no_child_left()
+        assert cli.main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("hyperbessel: error: verify: the process running ")
+        _no_child_left()
+
+    def test_interrupt_here_kills_and_reaps_the_child(self, two_cpus, monkeypatch):
+        # the child would sleep a minute; this process does not wait for it
+        monkeypatch.setitem(vf._SUITES, "glowne3", lambda q, tol: time.sleep(60))
+
+        def interrupt(q, tol):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(vf._SUITES, "gegenbauer", interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            vf.run_suite()
+        assert time.monotonic() - start < 30.0
+        _no_child_left()
+
+    def test_warnings_are_reissued_in_suite_order(self, two_cpus, monkeypatch):
+        def warning(name):
+            def suite(q, tol):
+                warnings.warn(name, UserWarning)
+                return []
+            return suite
+
+        for name in vf.SUITE_NAMES:
+            monkeypatch.setitem(vf._SUITES, name, warning(name))
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert vf.run_suite() == []
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (UserWarning, name) for name in vf.SUITE_NAMES]
+        _no_child_left()
