@@ -130,10 +130,16 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
+def _short(value: float) -> str:
+    """value under :g where that reads back exactly, else its repr."""
+    label = f"{value:g}"
+    return label if float(label) == value else repr(value)
+
+
 def _fan_label(point: FanPoint) -> str:
     if isinstance(point, DiscretePoint):
-        return f"tau={point.tau:g},k={point.k}"
-    return f"y1={point.y1:g}"
+        return f"tau={_short(point.tau)},k={point.k}"
+    return f"y1={_short(point.y1)}"
 
 
 # ---------------------------------------------------------------------------

@@ -529,19 +529,11 @@ PSD_POINTS = np.linspace(0.3, 2.7, 10)  # the psd-gram suite's points; its param
 
 
 def _fan_point(label):
-    """The fan point of a suite label (the suites' fan points print exactly under :g)."""
+    """The fan point of a report label, which reads back exactly."""
     if label.startswith("y1="):
         return ContinuousPoint(float(label[3:]))
     tau, k = (part.split("=")[1] for part in label.split(","))
     return DiscretePoint(float(tau), int(k))
-
-
-def _lag_point(p):
-    """The fan point of a lag_multiplicativity report, drawn as the suite draws it
-    (its label rounds tau to 6 digits)."""
-    c, = [c for c, a, b, alpha in _multiplicativity_rows()[1]
-          if (a.x, a.w, b.x, b.w, alpha) == (p["ax"], p["aw"], p["bx"], p["bw"], p["alpha"])]
-    return c
 
 
 LONE_CHECKS = {
@@ -557,12 +549,26 @@ LONE_CHECKS = {
     "bk_multiplicativity": lambda p, q: vf.bk_multiplicativity_check(
         p["u"], p["x"], p["xp"], p["alpha"], q),
     "lag_multiplicativity": lambda p, q: vf.lag_multiplicativity_check(
-        _lag_point(p), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]), p["alpha"], q),
+        _fan_point(p["chi"]), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]),
+        p["alpha"], q),
     "psd_gram": lambda p, q: vf.psd_gram_check(PSD_POINTS[:p["n"]], p["t"], p["delta"], q),
     "chapman_kolmogorov": lambda p, q: vf.chapman_kolmogorov_check(
         _fan_point(p["start"]), p["t1"], p["t2"], p["delta"], q),
     "normalization": lambda p, q: vf.normalization_check(p["n"]),
 }
+
+
+@pytest.mark.parametrize("point, label", [
+    (DiscretePoint(-1.0, 2), "tau=-1,k=2"),
+    (ContinuousPoint(0.7), "y1=0.7"),
+    (DiscretePoint(1e-20, 0), "tau=1e-20,k=0"),
+    # :g printed tau=1.63964 and y1=0.834816, which did not read back
+    (DiscretePoint(1.6396387176220262, 0), "tau=1.6396387176220262,k=0"),
+    (ContinuousPoint(0.8348158685302378), "y1=0.8348158685302378"),
+])
+def test_fan_label_reads_back_exactly(point, label):
+    assert vf._fan_label(point) == label
+    assert _fan_point(label) == point
 
 
 def test_suite_reports_equal_their_lone_checks():
