@@ -705,8 +705,8 @@ _CHILD_SUITES = ("weber-schafheitlin", "glowne3", "bk-spectral", "multiplicativi
 
 
 def _two_processes() -> bool:
-    """Whether a whole run may fork a child: a second CPU to run on, and no other
-    thread whose locks the child could inherit held."""
+    """Whether a whole run may fork a child: a second CPU to run on, and no
+    other thread whose locks the child could inherit held."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
@@ -717,8 +717,8 @@ def _run_suites(names, q, tol, record=False) -> dict:
     (message, category, filename, lineno) for run_suite to re-issue, not shown."""
     outcomes = {}
     for name in names:
-        with warnings.catch_warnings(record=True) if record else contextlib.nullcontext([]) \
-                as caught:
+        recorder = warnings.catch_warnings(record=True) if record else contextlib.nullcontext([])
+        with recorder as caught:
             try:
                 reports, error = _SUITES[name](q, tol), None
             except Exception as exc:  # run_suite raises it in suite order
@@ -757,10 +757,10 @@ def _forked_suites(q, tol) -> dict:
             if data is None:
                 import signal  # only here: nothing else in the package needs it
                 os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-    if not data:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not data:  # the child exits 0 only once its pickle is written whole
         raise RuntimeError(f"verify: the process running {', '.join(_CHILD_SUITES)} exited "
-                           f"with status {os.waitstatus_to_exitcode(status)} without a result")
+                           f"with status {status} without a result")
     return {**outcomes, **pickle.loads(data)}
 
 
@@ -775,8 +775,10 @@ def run_suite(suite: str | None = None, q: QuadratureSpec | None = None,
         raise ValueError("tol must be finite and positive")
     q = q or QuadratureSpec()
     names = (suite,) if suite is not None else SUITE_NAMES
-    outcomes = _forked_suites(q, tol) if len(names) > 1 and _two_processes() else \
-        _run_suites(names, q, tol)
+    if len(names) > 1 and _two_processes():
+        outcomes = _forked_suites(q, tol)
+    else:
+        outcomes = _run_suites(names, q, tol)
     reports = []
     for name in names:
         suite_reports, caught, error = outcomes[name]

@@ -759,7 +759,7 @@ class TestTwoProcesses:
         with pytest.raises(QuadratureError, match=f"^planted in {first}$"):
             vf.run_suite()
 
-    @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), 3),
+    @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), 3), (lambda: os._exit(0), 0),
                                              (lambda: os.kill(os.getpid(), signal.SIGKILL),
                                               -signal.SIGKILL)])
     def test_child_without_a_result_raises_its_status(self, end, status, two_cpus,
