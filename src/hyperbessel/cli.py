@@ -12,11 +12,12 @@ seeded stream, so its rows do not depend on --paths.
 
 A command builds only its own parser from the one table of subcommands;
 build_parser() assembles all of them, for --help and for an argv that names
-no subcommand. A transition law is written by kernels.law_json. Other output
-text comes from % templates: one per grid time for the CSV path rows, whose
+no subcommand. A transition law is written by kernels.law_json. Other CSV
+text comes from % templates: one per grid time for the path rows, whose
 shared cells are formatted once (on a discrete step, the level cells once
-per distinct level), and one per table. Every other JSON output
-is written by json.dumps.
+per distinct level), and one per table, in which each grid coordinate is
+formatted once and one % call fills every value cell. Every other JSON
+output is written by json.dumps. An empty grid gives a table of no rows.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import json
 import math
 import sys
 import warnings
-from itertools import repeat
+from itertools import chain, product, repeat
 
 import numpy as np
 
@@ -102,15 +103,25 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _emit_table(args, header: list[str], rows: list[tuple], template: str):
-    """Rows as JSON objects, or as CSV lines formatted by the % template."""
+def _emit_json(args, header: list[str], rows):
+    """Rows (tuples in header order) as a JSON list of objects."""
+    payload = [dict(zip(header, row)) for row in rows]
+    _emit(args, json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
+
+
+def _emit_table(args, header: list[str], axes: list[list], cols: list[list]):
+    """A table over the grid of axes (outer axis first), one row per grid
+    point in row-major order, its values from cols (one list per value
+    column, each in row order). In CSV each axis value is formatted once and
+    its cells are joined into the leading cells of every row; one % call
+    fills every value cell."""
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(args, json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
+        _emit_json(args, header, (lead + vals for lead, vals in zip(product(*axes), zip(*cols))))
         return
-    lines = [",".join(header)]
-    lines.extend(template % row for row in rows)
-    _emit(args, "\n".join(lines) + "\n")
+    leads = [",".join(cells) for cells in product(*[["%.17g" % v for v in a] for a in axes])]
+    row = "%s" + ",%.17g" * len(cols) + "\n"
+    _emit(args, ",".join(header) + "\n"
+          + "".join([row] * len(leads)) % tuple(chain.from_iterable(zip(leads, *cols))))
 
 
 def cmd_qbes_kernel(args) -> int:
@@ -132,7 +143,7 @@ def _sim_rows(args, shared: tuple, *cols) -> list:
     shared holds the cells every path shares, and None where each path has its
     own; cols fill those, path ids first. A CSV row comes from one % template
     in which the shared cells are formatted once; a JSON row is a tuple for
-    _emit_table."""
+    _emit_json."""
     if args.format == "json":
         own = iter(cols)
         return list(zip(*[next(own) if c is None else repeat(c) for c in shared]))
@@ -149,7 +160,7 @@ def _emit_sim(args, per_time: list[list]):
     """Rows path by path, from the rows over the paths per grid time."""
     rows = [row for path in zip(*per_time) for row in path]
     if args.format == "json":
-        _emit_table(args, _SIM_HEADER, rows, None)
+        _emit_json(args, _SIM_HEADER, rows)
     else:
         _emit(args, "\n".join([",".join(_SIM_HEADER)] + rows) + "\n")
 
@@ -193,7 +204,7 @@ def cmd_bes_density(args) -> int:
     density = kn.BesDensity(args.delta, args.t, args.x)
     ys = parse_grid(args.y_grid)
     values = kn.bes_density(density, np.array(ys)).tolist()
-    _emit_table(args, ["y", "density"], list(zip(ys, values)), "%.17g,%.17g")
+    _emit_table(args, ["y", "density"], [ys], [values])
     return 0
 
 
@@ -201,20 +212,15 @@ def cmd_char_eval(args) -> int:
     # one array call over the whole grid; rows run through the second grid fastest
     if args.family == "bk":
         p = BesselKingmanParams(args.alpha)
-        us, xs = np.meshgrid(parse_grid(args.u_grid), parse_grid(args.x_grid), indexing="ij")
-        vals = bk_character(us, xs, p)
-        _emit_table(args, ["u", "x", "value"],
-                    list(zip(us.ravel().tolist(), xs.ravel().tolist(), vals.ravel().tolist())),
-                    "%.17g,%.17g,%.17g")
+        axes = [parse_grid(args.u_grid), parse_grid(args.x_grid)]
+        vals = bk_character(*np.meshgrid(*axes, indexing="ij"), p)
+        _emit_table(args, ["u", "x", "value"], axes, [vals.ravel().tolist()])
         return 0
     p = LaguerreParams(args.alpha)
     c = parse_state(args.state)
-    xs, ws = np.meshgrid(parse_grid(args.x_grid), parse_grid(args.w_grid), indexing="ij")
-    vals = lag_character(c, HeisPoint(xs, ws), p).ravel()
-    _emit_table(args, ["x", "w", "re", "im"],
-                list(zip(xs.ravel().tolist(), ws.ravel().tolist(),
-                         vals.real.tolist(), vals.imag.tolist())),
-                "%.17g,%.17g,%.17g,%.17g")
+    axes = [parse_grid(args.x_grid), parse_grid(args.w_grid)]
+    vals = lag_character(c, HeisPoint(*np.meshgrid(*axes, indexing="ij")), p).ravel()
+    _emit_table(args, ["x", "w", "re", "im"], axes, [vals.real.tolist(), vals.imag.tolist()])
     return 0
 
 
@@ -233,7 +239,7 @@ def cmd_hankel(args) -> int:
         else args.cutoff
     us = parse_grid(args.u_grid)
     values = bk_fourier(f, np.array(us), p, spec, cutoff=cutoff)
-    _emit_table(args, ["u", "value"], list(zip(us, values.tolist())), "%.17g,%.17g")
+    _emit_table(args, ["u", "value"], [us], [values.tolist()])
     return 0
 
 
@@ -326,9 +332,10 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args.command == "char-eval":
-            if args.family == "bk" and not args.u_grid:
+            # an empty grid is a table of no rows; only a missing option errors
+            if args.family == "bk" and args.u_grid is None:
                 raise CliError("char-eval --family bk requires --u-grid")
-            if args.family == "laguerre" and not (args.state and args.w_grid):
+            if args.family == "laguerre" and (args.state is None or args.w_grid is None):
                 raise CliError("char-eval --family laguerre requires --state and --w-grid")
         if args.command in ("qbes-sim", "bes-sim") and args.paths < 0:
             raise CliError("--paths must be >= 0")

@@ -211,8 +211,22 @@ def lag_translate(f, a: HeisPoint, b: HeisPoint, p: LaguerreParams,
 
 
 def bk_character(u, x, p: BesselKingmanParams):
-    """Character eta_u(x) = j_{alpha/2 - 1}(u x); symmetric in (u, x)."""
-    return bessel_j_norm(p.alpha / 2.0 - 1.0, np.multiply(u, x))
+    """Character eta_u(x) = j_{alpha/2 - 1}(u x); symmetric in (u, x).
+
+    Where the first point (row-major) that bessel_j_norm rejects is a finite
+    u and x whose product overflows, the ValueError names u and x instead.
+    """
+    with np.errstate(over="ignore"):
+        z = np.multiply(u, x)
+    try:
+        return bessel_j_norm(p.alpha / 2.0 - 1.0, z)
+    except ValueError:
+        u, x = np.broadcast_arrays(u, x)
+        i = np.argmax(~np.isfinite(z) | (z < 0.0))
+        if np.isinf(z.flat[i]) and np.isfinite(u.flat[i]) and np.isfinite(x.flat[i]):
+            raise ValueError(f"bk_character: u*x overflows at u={float(u.flat[i])!r}, "
+                             f"x={float(x.flat[i])!r}") from None
+        raise
 
 
 def _first_kind_char(alpha: float, tau: float, k, x, w, name: str = "lag_character",

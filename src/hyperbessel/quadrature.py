@@ -1,15 +1,18 @@
 """Quadrature engines shared by the hypergroup and verification modules.
 
-Gauss-Legendre nodes, weight-matched Gauss-Jacobi nodes (for the sin^a theta
-convolution weights; scipy's ``roots_jacobi``, imported on the first call),
-and an adaptive bisection scheme on Gauss-Legendre panels, for one integral
-(``integrate``) or a family of rows (``integrate_rows``). A row may carry an
-algebraic weight (x - a)^beta at its left end (QUADPACK's QAWS weight,
-Piessens et al. 1983): the panel at a then uses the Gauss-Jacobi (0, beta)
-pair, so x^(alpha-1) at 0 costs no bisections. Integrands get a 1-d
-numpy array of nodes (and, for rows, each node's row index) and return an
-array (real or complex) of the same length whose every value depends only on
-its own node and row: one call evaluates a panel pair of every unfinished row.
+Gauss-Legendre nodes (the order-16 and order-32 rules of the adaptive scheme
+stored as constants, as QUADPACK stores its Gauss tables; numpy's
+``leggauss``, imported on the first call, for any other order),
+weight-matched Gauss-Jacobi nodes (for the sin^a theta convolution weights;
+scipy's ``roots_jacobi``, imported on the first call), and an adaptive
+bisection scheme on Gauss-Legendre panels, for one integral (``integrate``)
+or a family of rows (``integrate_rows``). A row may carry an algebraic
+weight (x - a)^beta at its left end (QUADPACK's QAWS weight, Piessens et al.
+1983): the panel at a then uses the Gauss-Jacobi (0, beta) pair, so
+x^(alpha-1) at 0 costs no bisections. Integrands get a 1-d numpy array of
+nodes (and, for rows, each node's row index) and return an array (real or
+complex) of the same length whose every value depends only on its own node
+and row: one call evaluates a panel pair of every unfinished row.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureSpec",
@@ -65,9 +67,44 @@ DEFAULT_SPEC = QuadratureSpec()
 _ORDER = 16
 
 
-@lru_cache(maxsize=64)
+# the positive nodes and their weights of leggauss(16) and leggauss(32), which
+# leggauss makes exactly antisymmetric and exactly symmetric about 0
+_LEGENDRE_HALVES = {
+    16: ((0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+          0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499),
+         (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+          0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+          0.027152459411754176)),
+    32: ((0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+          0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+          0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+          0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+         (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+          0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+          0.06582222277636168, 0.058684093478535565, 0.05099805926237609,
+          0.042835898022226836, 0.034273862913021765, 0.025392065309262024,
+          0.016274394730905743, 0.007018610009470506)),
+}
+
+
+def _mirrored(nodes, weights):
+    """The read-only rule on [-1, 1] whose positive half is (nodes, weights)."""
+    x, w = np.array(nodes), np.array(weights)
+    rule = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+_LEGENDRE = {n: _mirrored(*half) for n, half in _LEGENDRE_HALVES.items()}
+
+
 def gauss_legendre(n: int):
-    """Nodes and weights on [-1, 1]."""
+    """Nodes and weights on [-1, 1]: those of numpy's leggauss(n), which also
+    raises the errors of a bad n. Orders 16 and 32 come back read-only."""
+    if isinstance(n, (int, np.integer)) and n in _LEGENDRE:
+        return _LEGENDRE[n]
+    from numpy.polynomial.legendre import leggauss
     return leggauss(n)
 
 

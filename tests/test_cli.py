@@ -16,7 +16,9 @@ from scipy import special
 from hyperbessel import cli
 from hyperbessel import kernels as kn
 from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, DiscretePoint,
-                                    HeisPoint, LaguerreParams, bk_character, lag_character)
+                                    HeisPoint, LaguerreParams, bk_character, bk_fourier,
+                                    lag_character)
+from hyperbessel.quadrature import QuadratureSpec
 
 
 def run_cli(args, capsys):
@@ -316,6 +318,30 @@ class TestTables:
                                 "--x-grid", "1.0"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv,header", [
+        (["--family", "bk", "--alpha", "2", "--u-grid=", "--x-grid", "0:2:5"], "u,x,value"),
+        (["--family", "bk", "--alpha", "2", "--u-grid", "0:1:0", "--x-grid", "1"], "u,x,value"),
+        (["--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2",
+          "--x-grid", "1", "--w-grid="], "x,w,re,im"),
+        (["--family", "laguerre", "--alpha", "0.5", "--state", "y1=1",
+          "--x-grid", "1", "--w-grid", "0:1:0"], "x,w,re,im"),
+    ])
+    def test_char_eval_empty_grid_is_a_header(self, argv, header, capsys):
+        # an empty --u-grid or --w-grid exited 1 as if the option were missing
+        assert run_cli(["char-eval"] + argv, capsys) == (0, header + "\n", "")
+        assert run_cli(["char-eval"] + argv + ["--format", "json"], capsys) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "bk", "--alpha", "2", "--x-grid", "1"],
+         "char-eval --family bk requires --u-grid"),
+        (["--family", "laguerre", "--alpha", "0.5", "--x-grid", "1", "--w-grid", "0"],
+         "char-eval --family laguerre requires --state and --w-grid"),
+        (["--family", "laguerre", "--alpha", "0.5", "--x-grid", "1", "--state", "y1=1"],
+         "char-eval --family laguerre requires --state and --w-grid"),
+    ])
+    def test_char_eval_missing_option(self, argv, message, capsys):
+        assert run_cli(["char-eval"] + argv, capsys) == (1, "", f"hyperbessel: error: {message}\n")
+
     def test_hankel_gaussian(self, capsys):
         code, out, _ = run_cli(["hankel", "--alpha", "1", "--function", "gaussian",
                                 "--u-grid", "0.0,1.0", "--cutoff", "12"], capsys)
@@ -460,6 +486,15 @@ def _loop_reference(argv, path):
             density = kn.BesDensity(args.delta, args.t, args.x)
             rows = [[y, kn.bes_density(density, y)] for y in cli.parse_grid(args.y_grid)]
             header = ["y", "density"]
+        elif args.command == "hankel":
+            p = BesselKingmanParams(args.alpha)
+            spec = QuadratureSpec(abs_tol=args.tol)
+            cutoff = min(args.cutoff, math.nextafter(1.0, 2.0)) \
+                if args.function == "indicator" else args.cutoff
+            f = cli._HANKEL_FUNCTIONS[args.function]
+            rows = [[u, bk_fourier(f, u, p, spec, cutoff=cutoff)]
+                    for u in cli.parse_grid(args.u_grid)]
+            header = ["u", "value"]
         elif args.family == "bk":
             p = BesselKingmanParams(args.alpha)
             for u in cli.parse_grid(args.u_grid):
@@ -502,6 +537,35 @@ class TestTablesMatchPointLoop:
         ["bes-density", "--delta", "2.5", "--t", "0.7", "--x", "1.3", "--y-grid", "0:4:81"],
         ["bes-density", "--delta", "0.7", "--t", "0.7", "--x", "1.3", "--y-grid", "0:4:81"],
         ["bes-density", "--delta", "60.4", "--t", "1", "--x", "30.1", "--y-grid", "0:40:200"],
+        # repeated values and -0 coordinates: each value's cell is formatted once
+        ["char-eval", "--family", "bk", "--alpha", "2.5", "--u-grid=-0,1.5,0,1.5,-0",
+         "--x-grid=2,-0,2,0.1,0.1"],
+        ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--state", "tau=-1.2,k=3",
+         "--x-grid=-0,0.7,0.7,0", "--w-grid=-0,1,-1,1,0"],
+        ["char-eval", "--family", "laguerre", "--alpha", "1.5", "--state", "y1=2",
+         "--x-grid=0.3,0.3,-0", "--w-grid=-0,0,-0"],
+        ["bes-density", "--delta", "2.5", "--t", "0.7", "--x", "1.3", "--y-grid=-0,1,1,0,-0"],
+        # single points and empty grids, on either axis
+        ["char-eval", "--family", "bk", "--alpha", "2", "--u-grid", "0.5", "--x-grid", "3"],
+        ["char-eval", "--family", "bk", "--alpha", "2", "--u-grid=", "--x-grid", "0:2:5"],
+        ["char-eval", "--family", "bk", "--alpha", "2", "--u-grid", "0:2:5", "--x-grid="],
+        ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2",
+         "--x-grid", "0.5", "--w-grid=-1"],
+        ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2",
+         "--x-grid", "0:2:5", "--w-grid="],
+        ["char-eval", "--family", "laguerre", "--alpha", "0.5", "--state", "y1=1",
+         "--x-grid=", "--w-grid=-1:1:5"],
+        ["bes-density", "--delta", "2.5", "--t", "0.7", "--x", "1.3", "--y-grid", "1.1"],
+        ["bes-density", "--delta", "2.5", "--t", "0.7", "--x", "1.3", "--y-grid="],
+        # transforms, each row against a lone scalar bk_fourier call
+        ["hankel", "--alpha", "2.5", "--function", "gaussian", "--u-grid", "0:6:7",
+         "--cutoff", "12"],
+        ["hankel", "--alpha", "1.1", "--function", "gaussian", "--u-grid=-0,2,2,0",
+         "--cutoff", "12"],
+        ["hankel", "--alpha", "4.1", "--function", "indicator", "--u-grid", "0:25:6"],
+        ["hankel", "--alpha", "3", "--function", "gaussian", "--u-grid", "1.5",
+         "--cutoff", "12"],
+        ["hankel", "--alpha", "3", "--function", "gaussian", "--u-grid=", "--cutoff", "12"],
     ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -525,6 +589,11 @@ class TestTablesMatchPointLoop:
         BK + ["--u-grid=-1,nan"],
         BK + ["--u-grid=nan,-1"],
         BK + ["--u-grid=1,inf"],
+        # u x overflows: the first point that fails names the error
+        BK[:-1] + ["10", "--u-grid=1,1e308,nan"],
+        BK[:-1] + ["10", "--u-grid=1,nan,1e308"],
+        BK[:-1] + ["10", "--u-grid=-1,-1e308"],
+        BK[:-1] + ["0,10", "--u-grid=-1e308,1"],
         ["bes-density", "--delta", "2", "--t", "1", "--x", "1", "--y-grid=1,-1,nan"],
         ["bes-density", "--delta", "2", "--t", "1", "--x", "1", "--y-grid=1,inf"],
         ["bes-density", "--delta", "2", "--t", "1", "--x", "0", "--y-grid=1,inf"],
@@ -662,12 +731,31 @@ def test_sim_json_is_json_dumps_of_csv_rows(argv, capsys):
     assert json_out == json.dumps(rows, separators=(",", ":")) + "\n"
 
 
-def run_cli_process(argv):
-    """The CLI in a fresh interpreter: its warnings reach stderr as users see them."""
+def run_cli_process(argv, flags=()):
+    """The CLI in a fresh interpreter (with the interpreter flags given): its
+    warnings reach stderr as users see them."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    result = subprocess.run([sys.executable, "-m", "hyperbessel.cli"] + argv, capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    result = subprocess.run([sys.executable, *flags, "-m", "hyperbessel.cli"] + argv,
+                            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                            timeout=60)
     return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-W", "error::RuntimeWarning")])
+@pytest.mark.parametrize("argv,message", [
+    (["char-eval", "--family", "bk", "--alpha", "2", "--u-grid", "1e308", "--x-grid", "10"],
+     "u*x overflows at u=1e+308, x=10.0\n"),
+    (["char-eval", "--family", "bk", "--alpha", "2", "--u-grid=1,-1e308", "--x-grid", "0,10"],
+     "u*x overflows at u=-1e+308, x=10.0\n"),
+    (["hankel", "--alpha", "2", "--function", "gaussian", "--u-grid", "1e308",
+      "--cutoff", "12"], "u*x overflows at u=1e+308, x="),
+])
+def test_character_argument_overflow_is_one_error(argv, message, flags):
+    # a numpy overflow warning came first, then an error that blamed bessel_j_norm's z;
+    # under -W error::RuntimeWarning the run ended in a traceback
+    code, out, err = run_cli_process(argv, flags)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("hyperbessel: error: bk_character: " + message)
 
 
 def test_laguerre_overflow_is_one_line_error():

@@ -4,6 +4,7 @@ Product-formula oracles are evaluated by independent high-order quadrature;
 the Gram matrix's eigenvalues come from numpy's LAPACK wrapper.
 """
 import math
+import re
 import warnings
 
 import numpy as np
@@ -347,6 +348,21 @@ class TestCharacters:
         p = hg.BesselKingmanParams(2.0)
         for u, x in RNG.uniform(0.1, 3.0, size=(8, 2)):
             assert hg.bk_character(u, x, p) == hg.bk_character(x, u, p)
+
+    @pytest.mark.parametrize("u,x,message", [
+        (1e308, 10.0, "bk_character: u*x overflows at u=1e+308, x=10.0"),
+        ([1.0, -1e308, 1e308], 10.0, "bk_character: u*x overflows at u=-1e+308, x=10.0"),
+        ([[1e308], [math.nan]], [0.5, 2.0], "bk_character: u*x overflows at u=1e+308, x=2.0"),
+        ([[math.nan], [1e308]], [0.5, 2.0], "z must not be NaN"),
+        ([-1.0, 1e308], 10.0, "bessel_j_norm requires finite z >= 0"),
+        ([1.0, math.inf], 10.0, "bessel_j_norm requires finite z >= 0"),
+    ])
+    def test_bk_overflowing_argument_is_one_error(self, u, x, message):
+        # the first rejected point names the error, with no numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                hg.bk_character(np.array(u), np.array(x), hg.BesselKingmanParams(2.0))
 
     def test_lag_character_neutral(self):
         p = hg.LaguerreParams(1.3)

@@ -203,6 +203,38 @@ class TestUnreachableTarget:
         assert law.tail_mass <= 1e-12
 
 
+def _exact_sum_laws():
+    """Laws of every kernel case: random ones, Poisson rates from 0.5 to 5000,
+    the near-crossing negative binomials that reach their target, and laws
+    holding zero-probability atoms."""
+    rng = np.random.default_rng(2511)
+    laws = [kn.qbes_transition(*random_scenario(rng, case)) for case in range(1, 6)
+            for _ in range(4)]
+    laws += [kn.qbes_transition(ContinuousPoint(rate), 1.0, 2.5)
+             for rate in (0.5, 3.0, 30.0, 300.0, 700.0, 2000.0, 5000.0)]
+    for k in range(0, 11, 2):
+        for t in (0.999, 0.9999):
+            try:
+                laws.append(kn.qbes_transition(DiscretePoint(-1.0, k), t, 1.3))
+            except RuntimeError:  # a target its rounded atoms cannot reach
+                pass
+    laws += [kn.qbes_transition(DiscretePoint(1e300, 3), 1.0, 2.0),
+             kn.TransitionLaw(case=5, tau=1.0, levels=range(4), probs=(0.0, 0.5, 0.0, 0.5))]
+    return laws
+
+
+def test_exact_sum_is_fsum_in_natural_order():
+    # fsum is correctly rounded, so largest-first changes no bit of a law's sum
+    laws = _exact_sum_laws()
+    assert {law.case for law in laws} == {1, 2, 3, 4, 5}
+    assert sum(0.0 in law.probs for law in laws) >= 3
+    assert max(len(law.probs) for law in laws) > 20_000
+    for law in laws:
+        assert kn._exact_sum(law.probs).hex() == math.fsum(law.probs).hex()
+        want = math.fsum(law.probs) + law.tail_mass + (law.gamma_ray is not None)
+        assert law.total_mass().hex() == want.hex()
+
+
 def test_truncation_overshoot_is_rejected():
     # two atoms of 0.5 + 1e-11: the rounded atoms sum above 1 + 1e-12
     log_pmf = lambda ms: np.where(ms < 2, math.log(0.5 + 1e-11), -np.inf)  # noqa: E731

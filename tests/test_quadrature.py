@@ -1,6 +1,10 @@
 """Tests for the Gauss-Legendre / Gauss-Jacobi / adaptive quadrature layer."""
 import heapq
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -44,6 +48,43 @@ def test_gauss_legendre_polynomial_exactness():
         got = np.sum(w * x ** deg)
         want = 0.0 if deg % 2 else 2.0 / (deg + 1)
         assert got == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 32, np.int64(16), np.int32(32)])
+def test_stored_legendre_rules_are_leggauss(n):
+    # the stored orders keep every bit of numpy's rule and its exact symmetry
+    x, w = gauss_legendre(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    assert x.dtype == w.dtype == np.float64 and x.shape == w.shape == (int(n),)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(x[int(n) // 2:] > 0.0)
+    with pytest.raises(ValueError):  # shared constants are read-only
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 15, 17, 64])
+def test_other_legendre_orders_are_leggauss(n):
+    x, w = gauss_legendre(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -1, 16.0, 32.0, 2.5, "16", None])
+def test_legendre_order_errors_are_leggauss(n):
+    with pytest.raises((TypeError, ValueError)) as want:
+        np.polynomial.legendre.leggauss(n)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        gauss_legendre(n)
+
+
+def test_import_loads_no_numpy_polynomial():
+    # the stored rules serve every command; only other orders import numpy.polynomial
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, hyperbessel.cli; print('numpy.polynomial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_gauss_jacobi_weight_mass():
