@@ -12,8 +12,12 @@ seeded stream, so its rows do not depend on --paths.
 
 A command builds only its own parser from the one table of subcommands;
 build_parser() assembles all of them, for --help and for an argv that names
-no subcommand. A transition law is written by kernels.law_json. Other CSV
-text comes from % templates: one per grid time for the path rows, whose
+no subcommand. Each handler imports the modules it runs: qbes-kernel and
+bes-density import kernels, verify imports verify (its parser reads the
+suite names from it), and json loads only for JSON tables; so qbes-sim and
+bes-sim load neither kernels nor verify. A transition law is written by
+kernels.law_json, and the verification reports by verify.reports_json. Other
+CSV text comes from % templates: one per grid time for the path rows, whose
 shared cells are formatted once (on a discrete step, the level cells once
 per distinct level), and one per table, in which each grid coordinate is
 formatted once and one % call fills every value cell. Every other JSON
@@ -22,7 +26,6 @@ output is written by json.dumps. An empty grid gives a table of no rows.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -30,9 +33,7 @@ from itertools import chain, product, repeat
 
 import numpy as np
 
-from . import kernels as kn
 from . import sampling as sp
-from . import verify as vf
 from .hypergroup import (
     BesselKingmanParams,
     ContinuousPoint,
@@ -105,6 +106,7 @@ def _emit(args, text: str):
 
 def _emit_json(args, header: list[str], rows):
     """Rows (tuples in header order) as a JSON list of objects."""
+    import json
     payload = [dict(zip(header, row)) for row in rows]
     _emit(args, json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
 
@@ -127,6 +129,7 @@ def _emit_table(args, header: list[str], axes: list[list], cols: list[list]):
 def cmd_qbes_kernel(args) -> int:
     if args.format == "csv":
         raise CliError("qbes-kernel emits a structured law; use --format json")
+    from . import kernels as kn
     law = kn.qbes_transition(parse_state(args.state), args.t, args.delta, args.trunc_eps)
     _emit(args, kn.law_json(law) + "\n")
     return 0
@@ -201,6 +204,7 @@ def cmd_bes_sim(args) -> int:
 
 
 def cmd_bes_density(args) -> int:
+    from . import kernels as kn
     density = kn.BesDensity(args.delta, args.t, args.x)
     ys = parse_grid(args.y_grid)
     values = kn.bes_density(density, np.array(ys)).tolist()
@@ -246,10 +250,11 @@ def cmd_hankel(args) -> int:
 def cmd_verify(args) -> int:
     if args.format == "csv":
         raise CliError("verify emits structured reports; use --format json")
+    from . import verify as vf
     spec = QuadratureSpec(nodes=args.nodes)
     reports = vf.run_suite(args.suite, spec, args.tol)
     if args.out:  # the JSON goes only to --out; stdout carries the summary
-        _emit(args, json.dumps([vf.report_to_dict(r) for r in reports], indent=2) + "\n")
+        _emit(args, vf.reports_json(reports) + "\n")
     n_failed = sum(not r.passed for r in reports)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -260,13 +265,20 @@ def cmd_verify(args) -> int:
     return 2 if n_failed else 0
 
 
+def _suite_keywords() -> dict:
+    """--suite's keywords, read from verify only when the verify parser is built."""
+    from . import verify as vf
+    return dict(choices=vf.SUITE_NAMES)
+
+
 _STATE_HELP = "tau=<real>,k=<int> or y1=<real>"
 _REAL = dict(type=float, required=True)
 _SIM_ARGS = [("--t-grid", dict(required=True, dest="t_grid")),
              ("--paths", dict(type=int, default=1)), ("--seed", dict(type=int, default=0))]
 
 #: each subcommand once: name -> (help, handler, default --format, the
-#: (flag, add_argument keywords) of its options before --out and --format)
+#: (flag, add_argument keywords, or a function returning them) of its options
+#: before --out and --format)
 _COMMANDS = {
     "qbes-kernel": ("serialize a one-step QBES transition law", cmd_qbes_kernel, "json", [
         ("--delta", _REAL), ("--state", dict(required=True, help=_STATE_HELP)), ("--t", _REAL),
@@ -289,7 +301,7 @@ _COMMANDS = {
         ("--u-grid", dict(required=True, dest="u_grid")),
         ("--cutoff", dict(type=float, default=30.0)), ("--tol", dict(type=float, default=1e-10))]),
     "verify": ("run the identity verification suite", cmd_verify, "json", [
-        ("--suite", dict(choices=vf.SUITE_NAMES)), ("--tol", dict(type=float)),
+        ("--suite", _suite_keywords), ("--tol", dict(type=float)),
         ("--nodes", dict(type=int, default=64))]),
 }
 
@@ -298,7 +310,7 @@ def _command(parser: _Parser, name: str) -> _Parser:
     """parser with the options and handler of the subcommand name."""
     _, handler, fmt, options = _COMMANDS[name]
     for flag, keywords in options:
-        parser.add_argument(flag, **keywords)
+        parser.add_argument(flag, **(keywords() if callable(keywords) else keywords))
     parser.add_argument("--out", help="output file (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=fmt)
     parser.set_defaults(command=name, func=handler)

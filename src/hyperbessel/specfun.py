@@ -29,11 +29,12 @@ each element has the bits of a scalar-order call (the series recurrence,
 jv/ive and the log prefactor are elementwise in nu), an error names the
 order of the first failing element, and a scalar order takes the scalar
 path at the cost it had. ``scipy.special`` is imported inside the functions
-that call it, so importing this module does not load scipy.
+that call it, so importing this module does not load scipy, and
+bessel_j_norm imports it only when some point is past the series; likewise
+``fractions`` loads only for a terminating hyp1f1.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 
 import numpy as np
@@ -199,13 +200,15 @@ def bessel_j_norm(nu, z):
     nu may be an array that broadcasts with z: each element has the bits
     of a scalar-order call, and an error names the first failing order.
     """
-    from scipy import special
     nu, arr = _bessel_args("bessel_j_norm", nu, z, "z")
     out = np.empty_like(arr)
     small = arr * arr <= 4.0 * _J_SERIES_K * (nu + 1.0)
     tail, _ = _series_tail(_at(nu, small), -0.25 * np.square(arr[small]))
     out[small] = 1.0 + tail
     big = ~small
+    if not np.any(big):  # scipy loads only for a point past the series
+        return _shaped_like(out, arr)
+    from scipy import special
     nu, z = _at(nu, big), arr[big]
     jv = special.jv(nu, z)
     under = np.abs(jv) < _TINY
@@ -276,6 +279,7 @@ def hyp1f1(a, b, z):
 
 def _hyp1f1_exact(k, b, z):
     """Terminating 1F1(-k; b; z) summed exactly over rationals."""
+    from fractions import Fraction
     term = Fraction(1)
     total = Fraction(1)
     bf = Fraction(b)

@@ -37,6 +37,7 @@ its peak.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import pickle
@@ -44,7 +45,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -92,6 +93,7 @@ __all__ = [
     "run_suite",
     "SUITE_NAMES",
     "report_to_dict",
+    "reports_json",
 ]
 
 
@@ -128,6 +130,27 @@ def report_to_dict(report: VerificationReport) -> dict:
         "tol": report.tol,
         "pass": report.passed,
     }
+
+
+def reports_json(reports) -> str:
+    """json.dumps([report_to_dict(r) for r in reports], indent=2), without
+    json's pure-Python indenting encoder: one json.dumps call formats every
+    scalar, so escapes, NaN and Infinity read as there, with a newline
+    between two (no formatted scalar holds one), and one % call fills the
+    fixed layout of every report."""
+    if not reports:
+        return "[]"
+    params = [dict(r.params) for r in reports]
+    scalars = [v for r, p in zip(reports, params) for v in
+               (r.check_name, *chain.from_iterable(p.items()), r.max_abs_err, r.tol, r.passed)]
+    cells = json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n")
+    return ("[\n" + ",\n".join([_report_template(len(p)) for p in params]) + "\n]") % tuple(cells)
+
+
+def _report_template(n_params: int) -> str:
+    params = "{\n" + ",\n".join(["      %s: %s"] * n_params) + "\n    }" if n_params else "{}"
+    return ('  {\n    "check": %s,\n    "params": ' + params
+            + ',\n    "max_abs_err": %s,\n    "tol": %s,\n    "pass": %s\n  }')
 
 
 def _short(value: float) -> str:

@@ -873,10 +873,29 @@ def test_sim_commands_never_import_scipy():
             "                     '--t-grid', '0.5,1.0', '--paths', '200']) == 0\n"
             "assert sorted(calls) == ['_binomial', '_lgamma', '_log_test', '_ptrs_test',\n"
             "                         '_squeeze'], calls\n"
-            "print('scipy' in sys.modules)\n")
+            "print('scipy' in sys.modules)\n"
+            "print([m for m in ('hyperbessel.kernels', 'hyperbessel.verify')\n"
+            "       if m in sys.modules])\n")
+    assert _fresh(code) == "False\n[]\n"
+
+
+def test_bk_character_example_never_imports_scipy():
+    # every point of the README example takes the j_nu series, which needs no scipy
+    code = ("import sys, io, contextlib\n"
+            "from hyperbessel import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    assert cli.main(['char-eval', '--family', 'bk', '--alpha', '2',\n"
+            "                     '--u-grid', '0:2:5', '--x-grid', '0:2:5']) == 0\n"
+            "print(len(out.getvalue().splitlines()), 'scipy' in sys.modules)\n")
+    assert _fresh(code) == "26 False\n"
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter (the test modules import
+    scipy themselves) on this source tree."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    return result.stdout

@@ -5,6 +5,7 @@ import os
 import signal
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -691,6 +692,42 @@ class TestReports:
     def test_coverage_contract(self):
         # every family of checks is reachable through the standard suite map
         assert set(vf.SUITE_NAMES) == set(vf._SUITES)
+
+
+def _hand_built(name, params, err, tol):
+    """A report as reports_json reads one, which may hold what VerificationReport
+    rejects (a NaN or infinite error)."""
+    return SimpleNamespace(check_name=name, params=tuple(params), max_abs_err=err, tol=tol,
+                           passed=err <= tol)
+
+
+class TestReportsJson:
+    """verify --out writes the bytes of json.dumps(reports, indent=2) + newline."""
+
+    def test_full_suite(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        capsys.readouterr()
+        want = json.dumps([vf.report_to_dict(r) for r in vf.run_suite()], indent=2) + "\n"
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("reports", [
+        [],
+        [vf.VerificationReport("normalization", (), 0.0, 1e-12)],  # empty params
+        # a quote, a backslash, non-ASCII, a % and control characters
+        [_hand_built("quoted", [("label", 'say "hi" \\ to \u00fc\u221e, 100%\n\tend')],
+                     1e-3, 1e-2)],
+        [_hand_built("nan error", [("nu", 0.5)], math.nan, 1e-8),
+         _hand_built("inf error", [("nu", math.inf), ("x", -math.inf), ("y", math.nan)],
+                     math.inf, 1e-8)],
+        [vf.VerificationReport("failing", (("k", 3), ("nu", -0.5), ("on", True)), 2e-6, 1e-8)],
+        [vf.VerificationReport("a", (("x", 1.0),), 5e-324, 1e-300),
+         vf.VerificationReport("b", (), 0.25, 1.0),
+         _hand_built("c", [("s", ""), ("t", "%s"), ("u", 1e300)], 1e-17, 0.1)],
+    ], ids=["none", "empty-params", "string", "nan-inf", "failing", "mixed"])
+    def test_hand_built(self, reports):
+        want = json.dumps([vf.report_to_dict(r) for r in reports], indent=2)
+        assert vf.reports_json(reports) == want
 
 
 def _no_child_left():
