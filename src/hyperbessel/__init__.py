@@ -24,7 +24,7 @@ from .hypergroup import (
     psi_heis,
 )
 from .quadrature import QuadratureSpec
-from .sampling import RngState, sample_bes, sample_bes_lanes, sample_qbes_lanes
+from .sampling import RngState, sample_bes_lanes, sample_qbes_lanes
 from .specfun import (
     bessel_j_norm,
     hyp1f1,
@@ -66,7 +66,6 @@ __all__ = [
     "QuadratureSpec",
     "RngState",
     "sample_qbes_lanes",
-    "sample_bes",
     "sample_bes_lanes",
     "log_gamma",
     "laguerre_L",

@@ -114,6 +114,7 @@ class TransitionLaw:
             if abs(total - 1.0) > _NORM_SLACK:
                 raise ValueError(f"law mass {total!r} deviates from 1 beyond 1e-12")
 
+    # no command reads these pairs; bench/tracing.py counts them in traced runs
     @property
     def atoms(self) -> tuple:  # (DiscretePoint, prob) pairs, rebuilt on each access
         return tuple((DiscretePoint(self.tau, l), p) for l, p in zip(self.levels, self.probs))
@@ -227,6 +228,8 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
 
     s, k = start.tau, start.k
     u = s + t
+    if u == math.inf:
+        raise ValueError(f"the ray coordinate tau + t overflows at t = {t!r}; it must be finite")
     if s > 0.0:
         # case 5: binomial(k, s/u) on levels 0..k, exact; ln q = ln(t/u) where s/u rounds to 1
         p = s / u

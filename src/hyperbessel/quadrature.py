@@ -1,18 +1,17 @@
 """Quadrature engines shared by the hypergroup and verification modules.
 
-Gauss-Legendre nodes (the order-16 and order-32 rules of the adaptive scheme
-stored as constants, as QUADPACK stores its Gauss tables; numpy's
-``leggauss``, imported on the first call, for any other order),
-weight-matched Gauss-Jacobi nodes (for the sin^a theta convolution weights;
-scipy's ``roots_jacobi``, imported on the first call), and an adaptive
-bisection scheme on Gauss-Legendre panels, for one integral (``integrate``)
-or a family of rows (``integrate_rows``). A row may carry an algebraic
-weight (x - a)^beta at its left end (QUADPACK's QAWS weight, Piessens et al.
+Gauss-Legendre nodes (the order-16 and order-32 rules of the adaptive scheme,
+stored as constants, as QUADPACK stores its Gauss tables), weight-matched
+Gauss-Jacobi nodes (for the sin^a theta convolution weights; scipy's
+``roots_jacobi``, imported on the first call), and an adaptive bisection
+scheme on Gauss-Legendre panels for a family of rows (``integrate_rows``;
+one integral is a family of one). A row may carry an algebraic weight
+(x - a)^beta at its left end (QUADPACK's QAWS weight, Piessens et al.
 1983): the panel at a then uses the Gauss-Jacobi (0, beta) pair, so
 x^(alpha-1) at 0 costs no bisections. Integrands get a 1-d numpy array of
-nodes (and, for rows, each node's row index) and return an array (real or
-complex) of the same length whose every value depends only on its own node
-and row: one call evaluates a panel pair of every unfinished row.
+nodes and each node's row index, and return an array (real or complex) of
+the same length whose every value depends only on its own node and row:
+one call evaluates a panel pair of every unfinished row.
 """
 from __future__ import annotations
 
@@ -26,9 +25,8 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "gauss_legendre",
     "gauss_jacobi",
-    "integrate",
+    "integrate_rows",
 ]
 
 
@@ -63,7 +61,7 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
-# order of integrate's coarse Gauss-Legendre rule; the fine rule has twice as many nodes
+# order of the coarse Gauss rule of a panel; the fine rule has twice as many nodes
 _ORDER = 16
 
 
@@ -87,27 +85,6 @@ _LEGENDRE_HALVES = {
 }
 
 
-def _mirrored(nodes, weights):
-    """The read-only rule on [-1, 1] whose positive half is (nodes, weights)."""
-    x, w = np.array(nodes), np.array(weights)
-    rule = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-_LEGENDRE = {n: _mirrored(*half) for n, half in _LEGENDRE_HALVES.items()}
-
-
-def gauss_legendre(n: int):
-    """Nodes and weights on [-1, 1]: those of numpy's leggauss(n), which also
-    raises the errors of a bad n. Orders 16 and 32 come back read-only."""
-    if isinstance(n, (int, np.integer)) and n in _LEGENDRE:
-        return _LEGENDRE[n]
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(n)
-
-
 @lru_cache(maxsize=256)
 def gauss_jacobi(n: int, a: float, b: float):
     """Nodes and weights for the weight (1-x)^a (1+x)^b on [-1, 1]."""
@@ -121,14 +98,26 @@ def _pair(rule, *args):
     return np.concatenate((x_coarse, x_fine)), w_coarse, w_fine
 
 
+def _legendre(n):
+    """The stored order-n rule on [-1, 1], mirrored as leggauss symmetrizes it."""
+    x, w = map(np.array, _LEGENDRE_HALVES[n])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+# the Gauss-Legendre pair of every panel but a weighted one; each call shares it
+_LEGENDRE = _pair(_legendre)
+for _array in _LEGENDRE:
+    _array.flags.writeable = False
+
+
 def integrate_rows(f, bounds, spec: QuadratureSpec | None = None, beta=None) -> list:
     """Integrate row i over bounds[i] = (a, b), for every row at once.
 
     f(xs, rows) gets the nodes and, per node, its row index; each value may
     depend only on its own node and row. Each row keeps the heap, stop rule
-    and budget of a lone integrate call, and each round bisects the worst
+    and budget it would have alone, and each round bisects the worst
     panel of every unfinished row in one call of f, so every value has the
-    bits of a lone call (a row with a == b is 0.0). The QuadratureError
+    bits of a one-row call (a row with a == b is 0.0). The QuadratureError
     raised is that of the lowest row that exhausts, as a loop over the rows
     gives; rows after it are dropped at once.
 
@@ -139,18 +128,17 @@ def integrate_rows(f, bounds, spec: QuadratureSpec | None = None, beta=None) -> 
     """
     spec = spec or DEFAULT_SPEC
     if not all(-math.inf < a <= b < math.inf for a, b in bounds):
-        raise ValueError("integrate requires finite a <= b")
+        raise ValueError("integrate_rows requires finite a <= b")
     beta = [0.0] * len(bounds) if beta is None else [float(bt) for bt in beta]
     if len(beta) != len(bounds) or not all(-1.0 < bt < math.inf for bt in beta):
-        raise ValueError("integrate requires one finite beta > -1 per row")
-    legendre = _pair(gauss_legendre)
+        raise ValueError("integrate_rows requires one finite beta > -1 per row")
     jacobi = {bt: _pair(gauss_jacobi, 0.0, bt) for bt in set(beta) if bt}
 
     def panels(todo):
         # (error, fine value) of each (row, pa, pb) panel, from one call of f
         if not todo:
             return []
-        rules = [jacobi[beta[row]] if beta[row] and pa == bounds[row][0] else legendre
+        rules = [jacobi[beta[row]] if beta[row] and pa == bounds[row][0] else _LEGENDRE
                  for row, pa, _ in todo]
         nodes = [0.5 * (pa + pb) + 0.5 * (pb - pa) * rule[0]
                  for (_, pa, pb), rule in zip(todo, rules)]
@@ -159,7 +147,7 @@ def integrate_rows(f, bounds, spec: QuadratureSpec | None = None, beta=None) -> 
         for i, ((row, pa, pb), rule, xs) in enumerate(zip(todo, rules, nodes)):
             v = vals[i * 3 * _ORDER:(i + 1) * 3 * _ORDER]
             scale = 0.5 * (pb - pa)
-            if rule is not legendre:  # the panel at a: its weights carry the power
+            if rule is not _LEGENDRE:  # the panel at a: its weights carry the power
                 scale **= beta[row] + 1.0
             elif beta[row]:
                 v = v * np.power(xs - bounds[row][0], beta[row])
@@ -201,16 +189,3 @@ def integrate_rows(f, bounds, spec: QuadratureSpec | None = None, beta=None) -> 
     if failure is not None:
         raise failure
     return values
-
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, beta: float = 0.0):
-    """Integrate f(x) (x - a)^beta over [a, b]: integrate_rows of one row.
-
-    The scheme greedily bisects the panel with the largest error estimate
-    (Gauss pair of order 16 and 32) until the summed estimate drops below
-    abs_tol; it raises QuadratureError once a panel would be split beyond
-    max_depth (or past 16384 panels) with the budget unmet. f(xs) is called on
-    the 48 nodes of the first panel, then once per bisection on the 96 nodes
-    of both halves, so it must be elementwise.
-    """
-    return integrate_rows(lambda xs, rows: f(xs), [(a, b)], spec, [beta])[0]

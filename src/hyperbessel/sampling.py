@@ -5,14 +5,15 @@ avalanche over a Weyl sequence). Per-path streams are derived from
 (master_seed, path_id) through the same mixing function, so a batch of paths
 is bit-reproducible whatever the batch size or the order of the paths.
 
-Every sampler runs on lanes: an `RngState` holds one uint64 counter per
-stream, and a draw returns one variate per lane. The rejection loops
+The samplers run on lanes: an `RngState` holds one uint64 counter per
+stream, and the lane kernels (_gamma, _poisson, _binomial, _bes) draw one
+variate per lane; the entry points, sample_qbes_lanes and sample_bes_lanes,
+draw every lane's path at once. The rejection loops
 (Marsaglia-Tsang gamma, PTRS Poisson) are masked numpy loops that advance
 only the lanes still rejecting, and the inversion walks (Poisson below rate
 10, binomial) are tables, so each lane consumes its stream exactly as a lone
 draw would and a path's values do not depend on the other lanes. An
-`RngState` built from one seed or one path id has one lane, and its draws
-are one-element arrays.
+`RngState` built from one seed or one path id has one lane.
 
 The inversion walks draw no word per loop pass. A Poisson walk below rate
 10 draws _BLOCK words per lane at a time, folds the running product over
@@ -55,15 +56,7 @@ import numpy as np
 
 from .hypergroup import DiscretePoint, FanPoint
 
-__all__ = [
-    "RngState",
-    "sample_gamma",
-    "sample_poisson",
-    "sample_binomial",
-    "sample_qbes_lanes",
-    "sample_bes",
-    "sample_bes_lanes",
-]
+__all__ = ["RngState", "sample_qbes_lanes", "sample_bes_lanes"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -131,16 +124,6 @@ class RngState:
     def _lanes(self) -> np.ndarray:
         return np.arange(self._state.size)
 
-    def next_u64(self) -> np.ndarray:
-        return _words(self._state, self._lanes())[0]
-
-    def uniform(self) -> np.ndarray:
-        """Uniform on (0, 1]: each of the top 2^11 words gives exactly 1.0."""
-        return _uniform(self._state, self._lanes())
-
-    def normal(self) -> np.ndarray:
-        return _gauss(*_uniforms(self._state, self._lanes(), 2))
-
 
 # Lane kernels: `s` is the state array of an RngState and `idx` the lanes to
 # draw for; parameter arrays are aligned with idx. A state is a counter, so a
@@ -159,6 +142,7 @@ def _words(s, idx, m=1):
 
 
 def _uniforms(s, idx, m=1):
+    """Uniforms on (0, 1] from _words: each of the top 2^11 words gives exactly 1.0."""
     return ((_words(s, idx, m) >> 11) + 0.5) * 2.0 ** -53
 
 
@@ -214,7 +198,7 @@ def _gamma(s, idx, shape, scale):
     shape = np.broadcast_to(np.asarray(shape, dtype=float), idx.shape)
     scale = np.broadcast_to(np.asarray(scale, dtype=float), idx.shape)
     if not np.all((0.0 < shape) & (shape < math.inf) & (0.0 < scale) & (scale < math.inf)):
-        raise ValueError("sample_gamma requires finite positive shape and scale")
+        raise ValueError("a gamma variate requires finite positive shape and scale")
     small = np.flatnonzero(shape < 1.0)
     boost = _uniform(s, idx[small])
     d = np.where(shape < 1.0, shape + 1.0, shape) - 1.0 / 3.0
@@ -248,7 +232,7 @@ def _poisson(s, idx, rate):
     log-pmf acceptance test has a rounding error that grows like rate * 2^-53."""
     rate = np.broadcast_to(np.asarray(rate, dtype=float), idx.shape)
     if not np.all((0.0 <= rate) & (rate < math.inf)):
-        raise ValueError("sample_poisson requires a finite rate >= 0")
+        raise ValueError("a Poisson variate requires a finite rate >= 0")
     out = np.zeros(idx.size)
     j = np.flatnonzero((0.0 < rate) & (rate < 10.0))
     limit = _exp(-rate[j])
@@ -307,7 +291,7 @@ def _binomial(s, idx, n, p):
     n = np.array(np.broadcast_to(n, idx.shape), dtype=object)
     p = np.array(np.broadcast_to(p, idx.shape), dtype=float)
     if np.any(n < 0) or not np.all((0.0 <= p) & (p <= 1.0)):
-        raise ValueError("sample_binomial requires n >= 0 and 0 <= p <= 1")
+        raise ValueError("a binomial variate requires n >= 0 and 0 <= p <= 1")
     below = np.zeros(idx.size, dtype=object)
     while (j := np.flatnonzero(n > 64)).size:
         m = n[j]
@@ -349,22 +333,6 @@ def _inversion(u, p, nf):
     return np.argmin((left > prob) & (h < nf), axis=0)
 
 
-def sample_gamma(rng: RngState, shape, scale):
-    """Gamma(shape, scale) variate per lane (Marsaglia-Tsang; boosted below shape 1)."""
-    return _gamma(rng._state, rng._lanes(), shape, scale)
-
-
-def sample_poisson(rng: RngState, rate):
-    """Poisson(rate) variate per lane, an exact int at any rate: product
-    inversion below rate 10, PTRS above."""
-    return _exact(_poisson(rng._state, rng._lanes(), rate))
-
-
-def sample_binomial(rng: RngState, n, p):
-    """Binomial(n, p) variate per lane: median splitting down to n <= 64, then inversion."""
-    return _binomial(rng._state, rng._lanes(), n, p)
-
-
 def _grid(time_grid) -> list[float]:
     """A path time grid: finite, strictly increasing and starting after 0."""
     times = [float(t) for t in time_grid]
@@ -374,13 +342,12 @@ def _grid(time_grid) -> list[float]:
     return times
 
 
-def _rate(rate, name: str, t=None):
-    """The Poisson rate of a path step, checked finite; name says what the rate
-    is and t is the grid time the step goes to (None for a lone step)."""
-    if not np.all(rate < math.inf):
-        at = "" if t is None else f" on the step to grid time {t!r}"
-        raise ValueError(f"{name} overflows{at}; it must be finite")
-    return rate
+def _finite(value, name: str, t):
+    """A quantity of a path step, checked finite before the step draws; name
+    says what it is and t is the grid time the step goes to."""
+    if not np.all(value < math.inf):
+        raise ValueError(f"{name} overflows on the step to grid time {t!r}; it must be finite")
+    return value
 
 
 _MIXED_RATE = "the negative-binomial rate Gamma(delta + k) (1-p)/p"
@@ -412,52 +379,40 @@ def sample_qbes_lanes(start: FanPoint, time_grid, delta: float, rng: RngState) -
     tau = anchor
     steps = []
     for t in times:
-        u = anchor + t
+        u = _finite(anchor + t, "the ray coordinate tau + t", t)
         if tau == 0.0:  # case 4
-            col = _exact(_poisson(s, idx, _rate(col / u, "y1/t", t)))
+            col = _exact(_poisson(s, idx, _finite(col / u, "y1/t", t)))
         elif tau > 0.0:  # case 5
             col = _binomial(s, idx, col, tau / u)
         else:
             r = (delta + col).astype(float)
             if u == 0.0:  # case 2
-                col = _gamma(s, idx, r, -tau)
-                if not np.all(np.isfinite(col)):
-                    raise ValueError("ContinuousPoint requires y1 >= 0")
+                col = _finite(_gamma(s, idx, r, -tau), "the continuous coordinate y1", t)
             elif u < 0.0:  # case 1: p = u/s, (1-p)/p = (s-u)/u
                 rate = _gamma(s, idx, r, 1.0) * (tau - u) / u
-                col = col + _exact(_poisson(s, idx, _rate(rate, _MIXED_RATE, t)))
+                col = col + _exact(_poisson(s, idx, _finite(rate, _MIXED_RATE, t)))
             else:  # case 3: p = u/t, (1-p)/p = -s/u
                 rate = _gamma(s, idx, r, 1.0) * -tau / u
-                col = _exact(_poisson(s, idx, _rate(rate, _MIXED_RATE, t)))
-        if u != 0.0 and not math.isfinite(u):
-            raise ValueError("DiscretePoint requires nonzero finite tau")
+                col = _exact(_poisson(s, idx, _finite(rate, _MIXED_RATE, t)))
         tau = u
         steps.append((u, col))
     return steps
 
 
 @_float_semantics
-def _bes(s, idx, x0, t, delta, grid_time=None):
+def _bes(s, idx, x0, t, delta, grid_time):
+    """Exact BES(delta) transition draw per lane from x0 over a step of length t
+    to grid_time. Y^2 ~ t * noncentral chi-square(delta, x0^2/t), realized
+    through the Poisson mixture: N ~ Poisson(x0^2 / 2t), Y^2 ~ Gamma(delta/2 +
+    N, 2t). The scale 2t and the rate x0^2/(2t) must be finite: x0 = 1e200, or
+    t = 1e-320 at x0 = 1, overflows the rate and raises ValueError."""
     if not np.all((0.0 <= x0) & (x0 < math.inf)):
-        raise ValueError("sample_bes requires finite x0 >= 0")
+        raise ValueError("sample_bes_lanes requires finite x0 >= 0")
     if not (0.0 < t < math.inf and 0.0 < delta < math.inf):
-        raise ValueError("sample_bes requires finite t > 0 and delta > 0")
-    n = _poisson(s, idx, _rate(x0 * x0 / (2.0 * t), "x0^2/(2t)", grid_time))
-    return np.sqrt(_gamma(s, idx, 0.5 * delta + n, 2.0 * t))
-
-
-def sample_bes(x0, t: float, delta: float, rng: RngState):
-    """Exact BES(delta) transition draw per lane from x0 over time t.
-
-    Y^2 ~ t * noncentral chi-square(delta, x0^2/t), realized through the
-    Poisson mixture: N ~ Poisson(x0^2 / 2t), Y^2 ~ Gamma(delta/2 + N, 2t).
-    The rate x0^2/(2t) must be finite: x0 = 1e200, or t = 1e-320 at x0 = 1,
-    overflows it and raises ValueError. sample_bes_lanes applies the same
-    limit to each step, with t the step length.
-    """
-    idx = rng._lanes()
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), idx.shape)
-    return _bes(rng._state, idx, x0, t, delta)
+        raise ValueError("sample_bes_lanes requires finite t > 0 and delta > 0")
+    scale = _finite(2.0 * t, "the gamma scale 2t", grid_time)
+    n = _poisson(s, idx, _finite(x0 * x0 / scale, "x0^2/(2t)", grid_time))
+    return np.sqrt(_gamma(s, idx, 0.5 * delta + n, scale))
 
 
 def sample_bes_lanes(x0: float, time_grid, delta: float, rng: RngState) -> list:

@@ -17,7 +17,7 @@ from hyperbessel import kernels as kn
 from hyperbessel import sampling as sp
 from hyperbessel import verify as vf
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint, HeisPoint
-from hyperbessel.quadrature import QuadratureSpec, integrate
+from hyperbessel.quadrature import QuadratureSpec, integrate_rows
 from hyperbessel.specfun import laguerre_L_all
 
 
@@ -134,11 +134,13 @@ def test_criterion_5_bes_density_sanity():
     for delta, t, x in tuples:
         d = kn.BesDensity(delta, t, x)
         hi = math.sqrt(x + 12.0 * math.sqrt(t) + 6.0)
-        mass = integrate(lambda ws: 2.0 * ws * kn.bes_density(d, ws * ws), 0.0, hi, spec)
+        [mass] = integrate_rows(lambda ws, rows: 2.0 * ws * kn.bes_density(d, ws * ws),
+                                [(0.0, hi)], spec)
         worst_mass = max(worst_mass, abs(mass - 1.0))
     # exact-sampler second moment at N = 1e5
     x0, t, delta = 1.3, 0.7, 2.5
-    draws = sp.sample_bes(x0, t, delta, sp.RngState.for_path(5005, range(100000))) ** 2
+    [draws] = sp.sample_bes_lanes(x0, [t], delta, sp.RngState.for_path(5005, range(100000)))
+    draws = draws ** 2
     want = x0 * x0 + delta * t
     sigma = draws.std() / math.sqrt(draws.size)
     moment_dev = abs(draws.mean() - want)

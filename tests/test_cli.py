@@ -105,6 +105,13 @@ class TestQbesKernel:
         assert json.loads(out) == {"case": 1, "gamma": None, "tail_mass": 0.0, "atoms": [
             {"tau": -1.0, "k": 0, "y1": None, "prob": 1.0}]}
 
+    def test_ray_coordinate_overflow_names_it_and_t(self, capsys):
+        # u = tau + t = inf; this exited 1 with "math domain error"
+        code, out, err = run_cli(["qbes-kernel", "--delta", "1", "--state", "tau=1e308,k=2",
+                                  "--t", "1e308"], capsys)
+        assert (code, out, err) == (1, "", "hyperbessel: error: the ray coordinate tau + t "
+                                           "overflows at t = 1e+308; it must be finite\n")
+
     def test_geometric_example(self, capsys):
         code, out, _ = run_cli(["qbes-kernel", "--delta", "1",
                                 "--state", "tau=-2,k=0", "--t", "1"], capsys)
@@ -251,11 +258,11 @@ class TestSim:
         (["qbes-sim", "--delta", "inf", "--start", "y1=1"],
          "qbes_transition requires delta > 0"),
         (["bes-sim", "--delta", "nan", "--x0", "1"],
-         "sample_bes requires finite t > 0 and delta > 0"),
+         "sample_bes_lanes requires finite t > 0 and delta > 0"),
         (["bes-sim", "--delta", "inf", "--x0", "1"],
-         "sample_bes requires finite t > 0 and delta > 0"),
+         "sample_bes_lanes requires finite t > 0 and delta > 0"),
         (["bes-sim", "--delta", "-1", "--x0", "0"],
-         "sample_bes requires finite t > 0 and delta > 0"),
+         "sample_bes_lanes requires finite t > 0 and delta > 0"),
         (["bes-sim", "--delta", "2", "--x0", "inf"], "--x0 must be finite and >= 0"),
         (["bes-sim", "--delta", "2", "--x0", "nan"], "--x0 must be finite and >= 0"),
         (["bes-sim", "--delta", "2", "--x0=-1"], "--x0 must be finite and >= 0"),
@@ -279,9 +286,17 @@ class TestSim:
           "--t-grid", "1.0000000000000002"],
          "the negative-binomial rate Gamma(delta + k) (1-p)/p overflows on the step to "
          "grid time 1.0000000000000002"),
+        # the last three reported "sample_gamma requires finite positive shape and scale",
+        # "DiscretePoint requires nonzero finite tau" and "ContinuousPoint requires y1 >= 0"
+        (["bes-sim", "--delta", "2", "--x0", "1", "--t-grid", "1e-300,1.7e308"],
+         "the gamma scale 2t overflows on the step to grid time 1.7e+308"),
+        (["qbes-sim", "--delta", "1", "--start", "tau=1e308,k=1", "--t-grid", "1e308"],
+         "the ray coordinate tau + t overflows on the step to grid time 1e+308"),
+        (["qbes-sim", "--delta", "2", "--start", "tau=-1e308,k=0", "--t-grid", "1e308"],
+         "the continuous coordinate y1 overflows on the step to grid time 1e+308"),
     ])
     def test_step_rate_overflow_names_its_input_and_grid_time(self, argv, message, capsys):
-        # these once reported "sample_poisson requires a finite rate >= 0"
+        # the rates once reported "sample_poisson requires a finite rate >= 0"
         code, out, err = run_cli(argv + ["--paths", "3"], capsys)
         assert (code, out, err) == (1, "", f"hyperbessel: error: {message}; it must be finite\n")
 

@@ -16,7 +16,7 @@ import pytest
 from hyperbessel import cli
 from hyperbessel import kernels as kn
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint
-from hyperbessel.quadrature import QuadratureError, QuadratureSpec, integrate
+from hyperbessel.quadrature import QuadratureError, QuadratureSpec, integrate_rows
 from hyperbessel.specfun import log_bessel_i_norm, log_gamma
 
 RNG = np.random.default_rng(905)
@@ -169,6 +169,14 @@ class TestQbesTransition:
             kn.qbes_transition(DiscretePoint(1.0, 0), 1.0, 1.0, trunc_eps=1e-3)
         with pytest.raises(ValueError):
             kn.qbes_transition(DiscretePoint(1.0, 0), -1.0, 1.0)
+
+    @pytest.mark.parametrize("tau, k, t", [(1e308, 2, 1e308), (1.5e308, 0, 5e307)])
+    def test_ray_coordinate_overflow_names_it_and_t(self, tau, k, t):
+        # u = tau + t = inf raised "math domain error"
+        with pytest.raises(ValueError) as exc:
+            kn.qbes_transition(DiscretePoint(tau, k), t, 1.0)
+        assert str(exc.value) == (f"the ray coordinate tau + t overflows at t = {t!r}; "
+                                  "it must be finite")
 
 
 class TestUnreachableTarget:
@@ -394,7 +402,8 @@ class TestBesDensity:
         for (delta, t, x) in [(2.5, 0.7, 1.3), (1.0, 1.0, 0.5), (4.0, 0.3, 2.0), (0.7, 1.1, 0.4)]:
             d = kn.BesDensity(delta, t, x)
             hi = math.sqrt(x + 12.0 * math.sqrt(t) + 5.0)
-            mass = integrate(lambda ws: 2.0 * ws * kn.bes_density(d, ws * ws), 0.0, hi, spec)
+            [mass] = integrate_rows(lambda ws, rows: 2.0 * ws * kn.bes_density(d, ws * ws),
+                                    [(0.0, hi)], spec)
             assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_no_overflow_at_large_drift(self):
@@ -523,7 +532,7 @@ class TestChapmanKolmogorov:
 def _parent_poisson_mixture_pmf(gamma_ray, t2, levels, quad):
     """The per-level loop that _poisson_mixture_pmf replaced, verbatim except
     that it integrates over u = Y/scale and a power u^(shape-1) below u^1 is
-    the endpoint weight of integrate instead of a term of the integrand's log."""
+    the endpoint weight of integrate_rows instead of a term of the integrand's log."""
     shape, scale = gamma_ray.shape, gamma_ray.scale
     weight = shape - 1.0 if shape < 2.0 else 0.0
     out = np.empty(len(levels))
@@ -537,7 +546,8 @@ def _parent_poisson_mixture_pmf(gamma_ray, t2, levels, quad):
                      - log_gamma(l + 1.0))
             return np.exp(log_f)
 
-        out[i] = integrate(integrand, 0.0, cutoff, quad, weight)
+        [out[i]] = integrate_rows(lambda us, rows: integrand(us), [(0.0, cutoff)], quad,
+                                  [weight])
     return out
 
 

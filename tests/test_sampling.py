@@ -24,6 +24,16 @@ def lanes(seed, n):
     return sp.RngState.for_path(seed, range(n))
 
 
+def draw(kernel, rng, *params):
+    """The next variate of every lane of rng from a lane kernel of sampling."""
+    return kernel(rng._state, rng._lanes(), *params)
+
+
+def next_words(rng):
+    """The next 64-bit word of every lane of rng."""
+    return draw(sp._words, rng)[0]
+
+
 def chi2_against_law(law, counts, n):
     """Chi-square of level counts over the 20 heaviest atoms plus one rest cell."""
     ranked = sorted(law.atoms, key=lambda ap: -ap[1])[:20]
@@ -47,17 +57,18 @@ class TestRngState:
     def test_reproducible_streams(self):
         a = sp.RngState(12345)
         b = sp.RngState(12345)
-        assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+        assert [next_words(a) for _ in range(10)] == [next_words(b) for _ in range(10)]
 
     def test_path_streams_independent_of_order(self):
-        first = sp.RngState.for_path(7, 2).uniform()
+        first = draw(sp._uniform, sp.RngState.for_path(7, 2))
         # interleave other streams; stream 2 must be unaffected
-        sp.RngState.for_path(7, 0).uniform()
-        sp.RngState.for_path(7, 9).uniform()
-        assert sp.RngState.for_path(7, 2).uniform() == first
+        draw(sp._uniform, sp.RngState.for_path(7, 0))
+        draw(sp._uniform, sp.RngState.for_path(7, 9))
+        assert draw(sp._uniform, sp.RngState.for_path(7, 2)) == first
 
     def test_distinct_paths_differ(self):
-        assert sp.RngState.for_path(7, 0).uniform() != sp.RngState.for_path(7, 1).uniform()
+        assert (draw(sp._uniform, sp.RngState.for_path(7, 0))
+                != draw(sp._uniform, sp.RngState.for_path(7, 1)))
 
     @pytest.mark.parametrize("make", [
         lambda: sp.RngState.for_path(1, 1.5),    # was path 1's stream
@@ -78,15 +89,15 @@ class TestRngState:
                 make()
 
     def test_integral_seeds_and_ids(self):
-        assert sp.RngState(2.0).next_u64() == sp.RngState(2).next_u64()
-        assert sp.RngState(np.int8(-2)).next_u64() == sp.RngState(-2).next_u64()
-        want = sp.RngState.for_path(4, [0, 1, 2]).next_u64().tolist()
-        assert sp.RngState.for_path(4.0, [0.0, 1.0, 2.0]).next_u64().tolist() == want
-        assert sp.RngState.for_path(np.uint16(4), np.arange(3)).next_u64().tolist() == want
-        assert sp.RngState.for_path(4, []).next_u64().tolist() == []
+        assert next_words(sp.RngState(2.0)) == next_words(sp.RngState(2))
+        assert next_words(sp.RngState(np.int8(-2))) == next_words(sp.RngState(-2))
+        want = next_words(sp.RngState.for_path(4, [0, 1, 2])).tolist()
+        assert next_words(sp.RngState.for_path(4.0, [0.0, 1.0, 2.0])).tolist() == want
+        assert next_words(sp.RngState.for_path(np.uint16(4), np.arange(3))).tolist() == want
+        assert next_words(sp.RngState.for_path(4, [])).tolist() == []
 
     def test_uniform_open_interval(self):
-        us = sp.RngState.for_path(3, range(10000)).uniform()
+        us = draw(sp._uniform, sp.RngState.for_path(3, range(10000)))
         assert np.all((0.0 < us) & (us < 1.0))
         assert np.mean(us) == pytest.approx(0.5, abs=0.02)
 
@@ -95,32 +106,32 @@ class TestLanes:
     def test_lane_draws_do_not_depend_on_other_lanes(self):
         # shapes below and above 1 in one call; lane 7 rejects on its own stream
         shapes = np.array([0.3, 2.5] * 5)
-        every = sp.sample_gamma(sp.RngState.for_path(3, range(10)), shapes, 1.0)
-        some = sp.sample_gamma(sp.RngState.for_path(3, [7, 2]), shapes[[7, 2]], 1.0)
+        every = draw(sp._gamma, sp.RngState.for_path(3, range(10)), shapes, 1.0)
+        some = draw(sp._gamma, sp.RngState.for_path(3, [7, 2]), shapes[[7, 2]], 1.0)
         assert some.tolist() == every[[7, 2]].tolist()
-        assert sp.sample_gamma(sp.RngState.for_path(3, 7), 2.5, 1.0) == every[7]
+        assert draw(sp._gamma, sp.RngState.for_path(3, 7), 2.5, 1.0) == every[7]
 
     def test_lane_checks(self):
         with pytest.raises(ValueError):
             sp.RngState.for_path(1, [0, -1])
         with pytest.raises(ValueError):
-            sp.sample_poisson(sp.RngState.for_path(1, range(3)), [1.0, math.inf, 2.0])
-        assert sp.sample_gamma(sp.RngState.for_path(1, []), 2.0, 1.0).size == 0
+            draw(sp._poisson, sp.RngState.for_path(1, range(3)), [1.0, math.inf, 2.0])
+        assert draw(sp._gamma, sp.RngState.for_path(1, []), 2.0, 1.0).size == 0
 
 
 class TestDistributions:
     def test_gamma_moments(self):
-        draws = sp.sample_gamma(lanes(11, 100000), 2.5, 1.7)
+        draws = draw(sp._gamma, lanes(11, 100000), 2.5, 1.7)
         mean, var = 2.5 * 1.7, 2.5 * 1.7 ** 2
         assert draws.mean() == pytest.approx(mean, abs=3.0 * draws.std() / math.sqrt(draws.size))
         assert draws.var() == pytest.approx(var, rel=0.05)
 
     def test_gamma_small_shape(self):
-        draws = sp.sample_gamma(lanes(12, 100000), 0.4, 2.0)
+        draws = draw(sp._gamma, lanes(12, 100000), 0.4, 2.0)
         assert draws.mean() == pytest.approx(0.8, abs=3.0 * draws.std() / math.sqrt(draws.size))
 
     def test_poisson_moments(self):
-        draws = sp.sample_poisson(lanes(13, 100000), 3.7).astype(float)
+        draws = draw(sp._poisson, lanes(13, 100000), 3.7)
         assert draws.mean() == pytest.approx(3.7, abs=3.0 * draws.std() / math.sqrt(draws.size))
 
     def test_small_rates_keep_product_inversion(self):
@@ -130,17 +141,17 @@ class TestDistributions:
             for _ in range(200):
                 want = 0
                 if rate > 0.0:
-                    prod = ref.uniform()
+                    prod = draw(sp._uniform, ref)
                     while prod > math.exp(-rate):
                         want += 1
-                        prod *= ref.uniform()
-                assert sp.sample_poisson(rng, rate) == want
-            assert rng.next_u64() == ref.next_u64()
+                        prod *= draw(sp._uniform, ref)
+                assert draw(sp._poisson, rng, rate) == want
+            assert next_words(rng) == next_words(ref)
 
     def test_poisson_ptrs_moments(self):
         rng = lanes(14, 30000)
         for rate in (900.0, 1e6):
-            draws = sp.sample_poisson(rng, rate).astype(float)
+            draws = draw(sp._poisson, rng, rate)
             assert draws.mean() == pytest.approx(rate, abs=3.0 * math.sqrt(rate / draws.size))
             assert draws.var() == pytest.approx(rate, rel=0.05)
 
@@ -148,33 +159,40 @@ class TestDistributions:
         # a step one ulp off the crossing asks for rates like this
         rng = sp.RngState(15)
         t0 = time.perf_counter()
-        draw = sp.sample_poisson(rng, 1e12)
+        k = draw(sp._poisson, rng, 1e12)
         assert time.perf_counter() - t0 < 0.01
-        assert abs(draw - 1e12) < 10.0 * 1e6
+        assert abs(k - 1e12) < 10.0 * 1e6
 
     def test_gamma_rejects_bad_parameters(self):
         for shape, scale in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
                              (2.0, math.nan), (0.5, math.inf)):
-            with pytest.raises(ValueError):
-                sp.sample_gamma(sp.RngState(0), shape, scale)
+            with pytest.raises(ValueError, match="^a gamma variate requires finite positive "):
+                draw(sp._gamma, sp.RngState(0), shape, scale)
 
     def test_poisson_rejects_bad_rates(self):
         for rate in (-1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                sp.sample_poisson(sp.RngState(0), rate)
+            with pytest.raises(ValueError, match="^a Poisson variate requires a finite rate "):
+                draw(sp._poisson, sp.RngState(0), rate)
+
+    @pytest.mark.parametrize("n, p", [(-1, 0.5), (5, -0.1), (5, 1.5), (5, math.nan),
+                                      (5, math.inf)])
+    def test_binomial_rejects_bad_parameters(self, n, p):
+        with pytest.raises(ValueError,
+                           match="^a binomial variate requires n >= 0 and 0 <= p <= 1$"):
+            draw(sp._binomial, sp.RngState(0), n, p)
 
     def test_binomial_moments(self):
         # n = 1000 goes through median splitting, the others through inversion
         rng = lanes(16, 30000)
         for n, p in ((1000, 0.3), (40, 0.8), (5, 0.5)):
-            draws = sp.sample_binomial(rng, n, p).astype(float)
+            draws = draw(sp._binomial, rng, n, p).astype(float)
             var = n * p * (1.0 - p)
             assert draws.mean() == pytest.approx(n * p, abs=3.0 * math.sqrt(var / draws.size))
             assert draws.var() == pytest.approx(var, rel=0.05)
             assert draws.min() >= 0 and draws.max() <= n
         rng = sp.RngState(16)
-        assert sp.sample_binomial(rng, 10**15, 1.0) == 10**15
-        assert sp.sample_binomial(rng, 7, 0.0) == 0
+        assert draw(sp._binomial, rng, 10**15, 1.0) == 10**15
+        assert draw(sp._binomial, rng, 7, 0.0) == 0
 
 
 class TestDirectSteps:
@@ -319,44 +337,83 @@ class TestPaths:
                                              "increasing and start after 0$"):
             sample(grid, lanes(3, 4))
 
+    @pytest.mark.parametrize("sample, name", [
+        (lambda rng: sp.sample_qbes_lanes(DiscretePoint(1e308, 1), [1e308], 1.0, rng),
+         "the ray coordinate tau \\+ t"),
+        (lambda rng: sp.sample_bes_lanes(1.0, [1.7e308], 2.0, rng), "the gamma scale 2t"),
+        (lambda rng: sp.sample_qbes_lanes(ContinuousPoint(1e300), [1e-10], 2.0, rng), "y1/t"),
+        (lambda rng: sp.sample_bes_lanes(1e200, [1.0], 2.0, rng), "x0\\^2/\\(2t\\)"),
+    ], ids=["qbes", "bes", "qbes-rate", "bes-rate"])
+    def test_overflowing_step_draws_nothing(self, sample, name):
+        rng = lanes(3, 4)
+        with pytest.raises(ValueError, match=f"^{name} overflows on the step to grid time "):
+            sample(rng)
+        assert rng._state.tolist() == lanes(3, 4)._state.tolist()
+
+    def test_overflowing_continuous_coordinate_names_it(self):
+        # Gamma(delta + k, -tau) at -tau = 1e308 overflows only once drawn
+        with pytest.raises(ValueError, match="^the continuous coordinate y1 overflows on the "
+                                             "step to grid time 1e\\+308; it must be finite$"):
+            sp.sample_qbes_lanes(DiscretePoint(-1e308, 0), [1e308], 2.0, lanes(3, 4))
+
+    @pytest.mark.parametrize("sample, kernel, params", [
+        (lambda rng: sp.sample_qbes_lanes(DiscretePoint(-0.8, 3), [0.8], 1.7, rng),
+         sp._gamma, (4.7, 0.8)),  # case 2: Gamma(delta + k, -tau)
+        (lambda rng: sp.sample_qbes_lanes(ContinuousPoint(2.5), [0.5], 1.7, rng),
+         sp._poisson, (5.0,)),  # case 4: Poisson(y1/t)
+        (lambda rng: sp.sample_qbes_lanes(DiscretePoint(0.6, 9), [0.4], 1.7, rng),
+         sp._binomial, (9, 0.6)),  # case 5: Binomial(k, tau/(tau + t))
+        (lambda rng: [(None, x) for x in sp.sample_bes_lanes(1.3, [0.7], 2.5, rng)],
+         sp._bes, (1.3, 0.7, 2.5, 0.7)),
+    ], ids=["case2", "case4", "case5", "bes"])
+    def test_one_step_draws_its_variate(self, sample, kernel, params):
+        # the moment and KS tests of each variate may drive these one-step grids
+        [(_, got)] = sample(lanes(21, 50))
+        want = draw(kernel, lanes(21, 50), *params)
+        assert got.tolist() == want.tolist()
+
 
 class TestSampleBes:
     def test_rejects_bad_parameters(self):
         for x0, t, delta in ((-1.0, 1.0, 2.0), (math.inf, 1.0, 2.0), (math.nan, 1.0, 2.0),
                              (1.0, math.nan, 2.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)):
-            with pytest.raises(ValueError):
-                sp.sample_bes(x0, t, delta, sp.RngState(0))
+            with pytest.raises(ValueError, match="^sample_bes_lanes requires finite "):
+                draw(sp._bes, sp.RngState(0), x0, t, delta, t)
 
     def test_rejects_infinite_t(self):
-        # t = inf passed the check and failed in sample_gamma, naming neither t nor sample_bes
-        with pytest.raises(ValueError, match="^sample_bes requires finite t > 0 and delta > 0$"):
-            sp.sample_bes(1.0, math.inf, 2.0, sp.RngState(1))
+        # t = inf passed the check and failed in the gamma draw, naming neither t nor the sampler
+        with pytest.raises(ValueError,
+                           match="^sample_bes_lanes requires finite t > 0 and delta > 0$"):
+            draw(sp._bes, sp.RngState(1), 1.0, math.inf, 2.0, math.inf)
 
     def test_exponential_case(self):
         # x0 = 0, delta = 2: Y^2 ~ Exponential(mean 2t)
         t = 0.7
-        ys = sp.sample_bes(0.0, t, 2.0, lanes(17, 100000)) ** 2
+        [ys] = sp.sample_bes_lanes(0.0, [t], 2.0, lanes(17, 100000))
+        ys = ys ** 2
         assert ys.mean() == pytest.approx(2.0 * t, abs=3.0 * ys.std() / math.sqrt(ys.size))
 
     def test_second_moment_identity(self):
         rng = lanes(18, 100000)
         for (x0, t, delta) in [(1.0, 0.05, 2.0), (1.3, 0.7, 3.5), (0.5, 1.0, 0.8)]:
-            ys = sp.sample_bes(x0, t, delta, rng) ** 2
+            [ys] = sp.sample_bes_lanes(x0, [t], delta, rng)
+            ys = ys ** 2
             want = x0 * x0 + delta * t
             assert ys.mean() == pytest.approx(want, abs=3.0 * ys.std() / math.sqrt(ys.size))
 
     def test_histogram_matches_density(self):
         delta, t, x0 = 2.5, 0.7, 1.3
         n = 100000
-        ys = sp.sample_bes(x0, t, delta, lanes(19, n))
+        [ys] = sp.sample_bes_lanes(x0, [t], delta, lanes(19, n))
         d = kn.BesDensity(delta, t, x0)
         edges = np.linspace(0.0, ys.max() + 0.5, 21)
         counts, _ = np.histogram(ys, bins=edges)
-        from hyperbessel.quadrature import QuadratureSpec, integrate
+        from hyperbessel.quadrature import QuadratureSpec, integrate_rows
         spec = QuadratureSpec(abs_tol=1e-10)
         sup = 0.0
         for i in range(len(edges) - 1):
-            prob = integrate(lambda v: kn.bes_density(d, v), edges[i], edges[i + 1], spec)
+            [prob] = integrate_rows(lambda v, rows: kn.bes_density(d, v),
+                                    [(edges[i], edges[i + 1])], spec)
             sup = max(sup, abs(counts[i] / n - prob))
         assert sup <= 4.0 / math.sqrt(n)
 

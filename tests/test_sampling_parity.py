@@ -286,8 +286,26 @@ def _cycle(values):
     return [values[i % len(values)] for i in range(N_LANES)]
 
 
+def draw(kernel, rng, *params):
+    """The next variate of every lane of rng from a lane kernel of sampling."""
+    return kernel(rng._state, rng._lanes(), *params)
+
+
+def next_words(rng):
+    return draw(sp._words, rng)[0]
+
+
+def normals(rng):
+    return sp._gauss(draw(sp._uniform, rng), draw(sp._uniform, rng))
+
+
+def poisson(rng, rate):
+    """Poisson counts as exact ints, as the sim commands take them."""
+    return sp._exact(draw(sp._poisson, rng, rate))
+
+
 def _same_position(lanes, refs):
-    assert lanes.next_u64().tolist() == [r.next_u64() for r in refs]
+    assert next_words(lanes).tolist() == [r.next_u64() for r in refs]
 
 
 def _bits(values):
@@ -297,13 +315,13 @@ def _bits(values):
 @pytest.mark.parametrize("seed", SEEDS + (-5, 2 ** 64 + 3))
 def test_words_uniforms_normals(seed):
     lanes, refs = _lanes(seed), _refs(seed)
-    assert lanes.next_u64().tolist() == [r.next_u64() for r in refs]
-    assert _bits(lanes.uniform().tolist()) == _bits([r.uniform() for r in refs])
-    assert _bits(lanes.normal().tolist()) == _bits([r.normal() for r in refs])
+    assert next_words(lanes).tolist() == [r.next_u64() for r in refs]
+    assert _bits(draw(sp._uniform, lanes).tolist()) == _bits([r.uniform() for r in refs])
+    assert _bits(normals(lanes).tolist()) == _bits([r.normal() for r in refs])
     _same_position(lanes, refs)
     one, ref = sp.RngState(seed), RngState(seed)
-    assert [one.next_u64().tolist(), one.uniform().tolist(), one.normal().tolist()] == \
-        [[ref.next_u64()], [ref.uniform()], [ref.normal()]]
+    assert [next_words(one).tolist(), draw(sp._uniform, one).tolist(),
+            normals(one).tolist()] == [[ref.next_u64()], [ref.uniform()], [ref.normal()]]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -312,13 +330,13 @@ def test_gamma(seed):
     shapes = _cycle([0.05, 0.3, 0.999, 1.0, 1.3, 2.5, 7.0, 40.0, 1e6])
     scales = _cycle([1.0, 0.37, 2.0, 5.5])
     lanes, refs = _lanes(seed), _refs(seed)
-    got = sp.sample_gamma(lanes, shapes, scales)
+    got = draw(sp._gamma, lanes, shapes, scales)
     want = [sample_gamma(r, a, b) for r, a, b in zip(refs, shapes, scales)]
     assert _bits(got.tolist()) == _bits(want)
     _same_position(lanes, refs)
     assert {"gamma shape < 1", "gamma v <= 0", "gamma log squeeze"} <= set(HITS)
     one, ref = sp.RngState(seed), RngState(seed)
-    assert [sp.sample_gamma(one, a, 1.5).tolist() for a in (0.4, 2.5)] == \
+    assert [draw(sp._gamma, one, a, 1.5).tolist() for a in (0.4, 2.5)] == \
         [[sample_gamma(ref, a, 1.5)] for a in (0.4, 2.5)]
 
 
@@ -327,14 +345,14 @@ def test_poisson(seed):
     HITS.clear()
     rates = _cycle([0.0, 1e-9, 0.3, 3.7, 9.99, 10.0, 25.5, 900.0, 1e6, 1e12, 4.4e19])
     lanes, refs = _lanes(seed), _refs(seed)
-    got = sp.sample_poisson(lanes, rates).tolist()
+    got = poisson(lanes, rates).tolist()
     want = [sample_poisson(r, rate) for r, rate in zip(refs, rates)]
     assert got == want and all(type(k) is int for k in got)
     _same_position(lanes, refs)
     assert {"poisson rate 0", "poisson rate < 10", "poisson PTRS",
             "poisson PTRS lgamma test"} <= set(HITS)
     one, ref = sp.RngState(seed), RngState(seed)
-    got = [k for rate in (0.0, 2.5, 40.0, 4.4e19) for k in sp.sample_poisson(one, rate).tolist()]
+    got = [k for rate in (0.0, 2.5, 40.0, 4.4e19) for k in poisson(one, rate).tolist()]
     assert got == [sample_poisson(ref, rate) for rate in (0.0, 2.5, 40.0, 4.4e19)]
     assert all(type(k) is int for k in got)
 
@@ -345,7 +363,7 @@ def test_binomial(seed):
     ns = _cycle([0, 1, 5, 64, 65, 300, 1000, 10 ** 6, 10 ** 15, 10 ** 20, 43967979657398109856])
     ps = _cycle([0.0, 0.2, 0.5, 0.7, 0.999, 1.0, 0.3])
     lanes, refs = _lanes(seed), _refs(seed)
-    got = sp.sample_binomial(lanes, np.array(ns, dtype=object), ps).tolist()
+    got = draw(sp._binomial, lanes, np.array(ns, dtype=object), ps).tolist()
     want = [sample_binomial(r, n, p) for r, n, p in zip(refs, ns, ps)]
     assert got == want and all(type(k) is int for k in got)
     _same_position(lanes, refs)
@@ -358,7 +376,7 @@ def test_bes(seed):
     ts = (0.7, 1e-3)
     lanes, refs = _lanes(seed), _refs(seed)
     for t in ts:
-        got = sp.sample_bes(x0s, t, 1.7, lanes)
+        got = draw(sp._bes, lanes, np.array(x0s), t, 1.7, t)
         want = [sample_bes(x0, t, 1.7, r) for x0, r in zip(x0s, refs)]
         assert _bits(got.tolist()) == _bits(want)
     _same_position(lanes, refs)
@@ -421,7 +439,7 @@ def test_poisson_walks_across_block_edges(seed, block, monkeypatch):
     monkeypatch.setattr(sp, "_BLOCK", block)
     rates = _cycle([9.5, 9.7, 9.9, 9.99, 1e-9])
     lanes, refs = _lanes(seed), _refs(seed)
-    got = sp.sample_poisson(lanes, rates).tolist()
+    got = poisson(lanes, rates).tolist()
     assert got == [sample_poisson(r, rate) for r, rate in zip(refs, rates)]
     _same_position(lanes, refs)
     words = [k + 1 for k, rate in zip(got, rates) if rate > 1.0]
@@ -438,7 +456,7 @@ def test_binomial_inversion_table_edges(seed, table_lanes, monkeypatch):
     edges = [(n, p) for n in (0, 1, 64, 10 ** 20) for p in (0.0, 0.5, 1.0)]
     ns, ps = zip(*_cycle(edges))
     lanes, refs = _lanes(seed), _refs(seed)
-    got = sp.sample_binomial(lanes, np.array(ns, dtype=object), ps).tolist()
+    got = draw(sp._binomial, lanes, np.array(ns, dtype=object), ps).tolist()
     assert got == [sample_binomial(r, n, p) for r, n, p in zip(refs, ns, ps)]
     _same_position(lanes, refs)
     assert {"binomial n > 64", "binomial p > 0.5"} <= set(HITS)
@@ -467,7 +485,7 @@ def test_binomial_walk_stops_at_n_with_the_uniform_left_over():
     refs = [RngState(0) for _ in ns]
     for r in refs:
         r._state = state
-    got = sp.sample_binomial(lanes, np.array(ns, dtype=object), ps).tolist()
+    got = draw(sp._binomial, lanes, np.array(ns, dtype=object), ps).tolist()
     assert got == [sample_binomial(r, n, p) for r, n, p in zip(refs, ns, ps)]
     assert got[ns.index(64) + 1] == 64  # (64, 0.3)
     _same_position(lanes, refs)
@@ -480,14 +498,14 @@ def test_ptrs_rejects_a_uniform_of_one():
     state = _state_before(_MASK64)
     rng = sp.RngState(0)
     rng._state[:] = state
-    assert rng.uniform().tolist() == [1.0]
+    assert draw(sp._uniform, rng).tolist() == [1.0]
     rng._state[:] = state
     later = sp.RngState(0)
     later._state[:] = (state + 2 * _GOLDEN) & _MASK64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sp.sample_poisson(rng, 40.0)
-    assert got.tolist() == sp.sample_poisson(later, 40.0).tolist()
+        got = poisson(rng, 40.0)
+    assert got.tolist() == poisson(later, 40.0).tolist()
     assert rng._state.tolist() == later._state.tolist()
 
 
@@ -550,5 +568,5 @@ def test_planted_band_flips_the_ptrs_test(monkeypatch):
 def test_numpy_integer_seeds_keep_their_streams(seed, ids):
     lanes = sp.RngState.for_path(seed, ids)
     refs = [RngState.for_path(int(seed), int(i)) for i in np.asarray(ids).tolist()]
-    assert lanes.next_u64().tolist() == [r.next_u64() for r in refs]
-    assert sp.RngState(seed).next_u64().tolist() == [RngState(int(seed)).next_u64()]
+    assert next_words(lanes).tolist() == [r.next_u64() for r in refs]
+    assert next_words(sp.RngState(seed)).tolist() == [RngState(int(seed)).next_u64()]

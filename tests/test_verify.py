@@ -18,7 +18,8 @@ from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, Discre
                                     HeisPoint, LaguerreParams, _first_kind_char,
                                     _second_kind_char, bk_character, bk_translate,
                                     lag_character, lag_translate, psi_heis)
-from hyperbessel.quadrature import QuadratureError, QuadratureSpec, gauss_jacobi, integrate
+from hyperbessel.quadrature import (QuadratureError, QuadratureSpec, gauss_jacobi,
+                                    integrate_rows)
 from hyperbessel.specfun import (bessel_j_norm, laguerre_L, laguerre_L_all, log_bessel_i_norm,
                                  log_gamma)
 
@@ -72,7 +73,7 @@ def _parent_weber_lhs(nu, alpha, beta, gamma_, q):
            ) > (-alpha * peak_v * peak_v + beta * peak_v - 37.0 * math.log(10.0)):
         cut *= 1.25
 
-    return integrate(integrand, 0.0, cut, q)
+    return integrate_rows(lambda vs, rows: integrand(vs), [(0.0, cut)], q)[0]
 
 
 WEBER_ROWS = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3),
@@ -183,7 +184,7 @@ def _parent_glowne3(start, a, t, delta, q, atom_chars=None):
         def integrand(ys):
             return g.pdf(ys) * _second_kind_char(al, 1.0, x * np.sqrt(ys))
 
-        rhs += integrate(integrand, 0.0, cut, q)
+        rhs += integrate_rows(lambda ys, rows: integrand(ys), [(0.0, cut)], q)[0]
     return abs(lhs - rhs)
 
 
@@ -269,7 +270,7 @@ def _parent_bk_spectral(u, x, t, delta, q):
     def integrand(vs):
         return bk_character(vs, x, p) * kn.bes_density(density, vs)
 
-    rhs = integrate(integrand, 0.0, cut, q)
+    [rhs] = integrate_rows(lambda xs, rows: integrand(xs), [(0.0, cut)], q)
     return abs(lhs - rhs)
 
 
@@ -345,7 +346,7 @@ def _parent_identity_ii(alpha, k, u, q):
             log_f = -vs + (k + alpha) * np.log(vs) + np.log(4.0 * ws ** 3)
         return np.exp(log_f + log_norm) * bessel_j_norm(alpha, 2.0 * np.sqrt(u * vs))
 
-    rhs = integrate(integrand, 0.0, cut, q)
+    [rhs] = integrate_rows(lambda xs, rows: integrand(xs), [(0.0, cut)], q)
     return abs(lhs - rhs)
 
 
