@@ -64,8 +64,10 @@ def parse_state(text: str):
     for part in text.split(","):
         if "=" not in part:
             raise CliError(f"bad state component {part!r}")
-        key, _, val = part.partition("=")
-        fields[key.strip()] = val.strip()
+        key, _, val = (side.strip() for side in part.partition("="))
+        if key in fields:
+            raise CliError(f"repeated state component {key!r} in {text!r}")
+        fields[key] = val
     try:
         if set(fields) == {"tau", "k"}:
             return DiscretePoint(float(fields["tau"]), int(fields["k"]))

@@ -97,7 +97,7 @@ class DiscretePoint:
     def __post_init__(self):
         if not math.isfinite(self.tau) or self.tau == 0.0:
             raise ValueError("DiscretePoint requires nonzero finite tau")
-        if self.k != int(self.k) or self.k < 0:
+        if not (0 <= self.k < math.inf and self.k % 1 == 0):
             raise ValueError("DiscretePoint requires integer k >= 0")
         object.__setattr__(self, "k", int(self.k))
 

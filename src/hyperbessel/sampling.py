@@ -369,7 +369,7 @@ def sample_qbes_lanes(start: FanPoint, time_grid, delta: float, rng: RngState) -
     1986), so a step that rounds to zero length has rate 0.
     """
     if not 0.0 < delta < math.inf:
-        raise ValueError("qbes_transition requires delta > 0")
+        raise ValueError("sample_qbes_lanes requires delta > 0")
     times = _grid(time_grid)
     s, idx = rng._state, rng._lanes()
     if isinstance(start, DiscretePoint):

@@ -94,7 +94,7 @@ def laguerre_L(k, a, x):
 
 def laguerre_L_all(k_max, a, x):
     """All of L_0^{(a)}(x), ..., L_{k_max}^{(a)}(x) stacked on axis 0, finite x."""
-    if k_max != int(k_max) or k_max < 0:
+    if not (0 <= k_max < np.inf and k_max % 1 == 0):
         raise ValueError("laguerre degree must be a nonnegative integer")
     if not np.isfinite(a) or a <= -1.0:
         raise ValueError("laguerre order must satisfy a > -1")

@@ -7,27 +7,30 @@ tolerance. Default tolerances: 1e-8 for quadrature-backed checks, 1e-9 for
 Weber's integral, 1e-6 for the multiplicativity checks, 1e-10 for series-only
 checks, 1e-12 for algebraically exact reductions.
 
-A check called on its own integrates adaptively to abs_tol 1e-12 unless
-given a QuadratureSpec. The standard suite (run_suite, ``hyperbessel verify``)
-runs every check under one spec, QuadratureSpec() unless one is given:
-64 Gauss-Jacobi nodes and adaptive abs_tol 1e-10.
+The standard suite (run_suite, ``hyperbessel verify``) runs every check
+under one spec, QuadratureSpec() unless one is given: 64 Gauss-Jacobi nodes
+and adaptive abs_tol 1e-10. chapman_kolmogorov_check called on its own
+integrates to abs_tol 1e-12 unless given a QuadratureSpec.
 
 Checks are certified by suite: the Weber, generator, spectral, Laguerre and
-half-line multiplicativity checks are one-row calls of a family whose rows
-carry their own order (nu, delta or alpha), and each of those suites is one
-call of its family. A family takes its integrals from one integrate_rows
-call and its Bessel values from array calls over an array of orders, which
-return the bits of the lone check's scalar-order calls. Each Laguerre series
-identity reads its own run of the recurrence, as far as it sums.
+half-line multiplicativity checks are row families (_weber_rows,
+_glowne3_rows, _bk_spectral_rows, _laguerre_rows, _bk_multiplicativity_rows)
+whose rows carry their own order (nu, delta or alpha), each suite one call
+of its family under the suite's spec. A family takes its integrals from one
+integrate_rows call and its Bessel values from array calls over an array of
+orders, which return the bits of scalar-order calls, so each report has the
+bits of its family called with that one row. Each Laguerre series identity
+reads its own run of the recurrence, as far as it sums.
 
 A whole run of run_suite forks one child for _CHILD_SUITES (about half the
 CPU time) and reads their outcomes back through a pipe while it runs the
 rest. Each suite seeds its own generator and builds its own laws and rules,
 so the reports are bit for bit those of one process, as are the error
 raised (that of the first failing suite in SUITE_NAMES order) and the
-warnings (re-issued in suite order). The child is used only where os.fork
-exists, os.sched_getaffinity holds at least 2 CPUs and no other thread
-runs; a CPU quota below 2 under a wider affinity gains nothing.
+warnings (recorded per suite and re-issued in suite order, in one process
+too). The child is used only where os.fork exists, os.sched_getaffinity
+holds at least 2 CPUs and no other thread runs; a CPU quota below 2 under
+a wider affinity gains nothing.
 
 Validity guards are hard: the Gegenbauer and Watson product formulas are
 rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
@@ -36,7 +39,6 @@ its peak.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -79,13 +81,8 @@ from .specfun import (
 
 __all__ = [
     "VerificationReport",
-    "weber_schafheitlin_check",
-    "glowne3_check",
-    "bk_spectral_check",
-    "laguerre_identity_suite",
     "gegenbauer_check",
     "watson_check",
-    "bk_multiplicativity_check",
     "lag_multiplicativity_check",
     "psd_gram_check",
     "chapman_kolmogorov_check",
@@ -172,26 +169,14 @@ def _fan_label(point: FanPoint) -> str:
 _WEBER_TOL = 1e-9
 
 
-def weber_schafheitlin_check(nu: float, alpha: float, beta: float, gamma_: float,
-                             q: QuadratureSpec | None = None,
-                             tol: float = _WEBER_TOL) -> VerificationReport:
-    """int_0^inf e^{-alpha v^2} i_nu(beta v) j_nu(gamma v) v^(2nu+1) / (2^nu Gamma(nu+1)) dv
-    against the closed form (2 alpha)^-(nu+1) e^{(beta^2-gamma^2)/(4 alpha)} j_nu(beta gamma / (2 alpha)).
-    """
-    if not nu > -1.0:
-        raise ValueError("weber_schafheitlin_check requires nu > -1")
-    if not alpha > 0.0:
-        raise ValueError("weber_schafheitlin_check requires alpha > 0")
-    if beta < 0.0 or gamma_ < 0.0:
-        raise ValueError("weber_schafheitlin_check requires beta, gamma >= 0")
-    return _weber_rows([(nu, alpha, beta, gamma_)], q, tol)[0]
-
-
 def _weber_rows(rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
-    """weber_schafheitlin_check of each (nu, alpha, beta, gamma) row, each at its
-    own order: the integrals from one integrate_rows call and the closed forms'
-    j_nu from one bessel_j_norm call."""
-    q = q or QuadratureSpec(abs_tol=1e-12)
+    """Weber's integral at each (nu, alpha, beta, gamma) row, each at its own order:
+
+        int_0^inf e^{-alpha v^2} i_nu(beta v) j_nu(gamma v) v^(2nu+1) / (2^nu Gamma(nu+1)) dv
+        = (2 alpha)^-(nu+1) e^{(beta^2-gamma^2)/(4 alpha)} j_nu(beta gamma / (2 alpha))
+
+    for nu > -1, alpha > 0 and beta, gamma >= 0; the integrals from one
+    integrate_rows call and the closed forms' j_nu from one bessel_j_norm call."""
     nus, alphas, betas, gammas = (np.array(col, dtype=float) for col in zip(*rows))
     log_pref = -nus * math.log(2.0) - log_gamma(nus + 1.0)
 
@@ -225,24 +210,15 @@ def _weber_rows(rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
 # the QBES spectral identity: exp(t psi) chi_x(x, -w) = sum chi_y q_t(x, dy)
 
 
-def glowne3_check(start: FanPoint, a: HeisPoint, t: float, delta: float,
-                  q: QuadratureSpec | None = None,
-                  tol: float = 1e-8) -> VerificationReport:
-    """QBES generator identity at order alpha = delta - 1.
+def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
+    """QBES generator identity at order alpha = delta - 1 of each (start, t,
+    delta) law at each Heisenberg point: each law built once, the gamma-ray
+    integrals of all of them, each at its own order, from one integrate_rows
+    call.
 
     Certified for delta >= 1 (the hypergroup regime); smaller delta > 0 is
     accepted for informative runs since the kernel itself extends there.
     """
-    if not delta > 0.0:
-        raise ValueError("glowne3_check requires delta > 0")
-    return _glowne3_rows([(start, t, delta)], [a], q, tol)[0]
-
-
-def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
-    """glowne3_check of each (start, t, delta) law at each Heisenberg point:
-    each law built once, the gamma-ray integrals of all of them, each at its
-    own order, from one integrate_rows call."""
-    q = q or QuadratureSpec(abs_tol=1e-12)
     xs = np.array([a.x for a in points], dtype=float)
     ws = np.array([a.w for a in points], dtype=float)
     params, lhs, rhs = [], [], []  # per law and point; rhs first holds the atom sum
@@ -284,20 +260,11 @@ def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
     return [_report("glowne3", p, abs(l - r), tol) for p, l, r in zip(params, lhs, rhs)]
 
 
-def bk_spectral_check(u: float, x: float, t: float, delta: float,
-                      q: QuadratureSpec | None = None,
-                      tol: float = 1e-8) -> VerificationReport:
-    """BES spectral identity: e^{-t x^2/2} eta_u(x) = int eta_v(x) p_t(u, dv)."""
-    if u < 0.0 or x < 0.0 or t <= 0.0:
-        raise ValueError("bk_spectral_check requires u, x >= 0 and t > 0")
-    return _bk_spectral_rows([(u, x, t, delta)], q, tol)[0]
-
-
 def _bk_spectral_rows(rows, q, tol=1e-8) -> list[VerificationReport]:
-    """bk_spectral_check of each (u, x, t, delta) row, each at its own order
+    """BES spectral identity e^{-t x^2/2} eta_u(x) = int eta_v(x) p_t(u, dv) at
+    each (u, x, t, delta) row (u, x >= 0, t > 0), each at its own order
     delta/2 - 1: the characters eta_u(x) = j_(delta/2-1)(u x) from one
     bessel_j_norm call, the integrals from one integrate_rows call."""
-    q = q or QuadratureSpec(abs_tol=1e-12)
     nus = np.array([BesselKingmanParams(delta).alpha for *_, delta in rows]) / 2.0 - 1.0
     us, xs, _, _ = (np.array(col, dtype=float) for col in zip(*rows))
     chars = bessel_j_norm(nus, us * xs).tolist()
@@ -375,34 +342,28 @@ def _identity_v(alpha, k, c, lag, lag_c):
     return abs(lag_c[k] - poch * total)
 
 
-def laguerre_identity_suite(alpha: float, k_max: int = 10,
-                            q: QuadratureSpec | None = None,
-                            tol: float | None = None) -> list[VerificationReport]:
-    """The five Laguerre/Bessel identities behind the kernel identification.
+def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
+    """The five Laguerre/Bessel identities behind the kernel identification,
+    five reports per alpha: the (ii) integrals of every alpha from one
+    integrate_rows call, (iv)'s j_alpha of every alpha from one bessel_j_norm
+    call.
 
-    A given tol applies to all five; otherwise each has its own default:
+    A given tol applies to all five; with None each has its own default:
     (i) 1e-10, (ii) 1e-8 (quadrature), (iii) 1e-10, (iv) 1e-10, (v) 1e-12
     (finite, exact in exact arithmetic).
 
     The defaults hold at k_max = 10 at each alpha probed in [-0.6, 3.8],
-    under either spec. (ii) raises QuadratureError from alpha -0.7 down, and
-    from 3.9 up under the default spec; QuadratureSpec() there fails (i)
-    (1.02e-10 at 4). (v) cancels as k_max grows: at alpha 0.5, k_max 15
-    passes and 20 fails (v) with 4.51e-12; at alpha 2 it fails from 15.
+    under QuadratureSpec() and QuadratureSpec(abs_tol=1e-12). (ii) raises
+    QuadratureError from alpha -0.7 down, and from 3.9 up under abs_tol
+    1e-12; QuadratureSpec() there fails (i) (1.02e-10 at 4). (v) cancels as
+    k_max grows: at alpha 0.5, k_max 15 passes and 20 fails (v) with
+    4.51e-12; at alpha 2 it fails from 15.
     """
-    return _laguerre_rows([alpha], k_max, q, tol)
-
-
-def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
-    """laguerre_identity_suite at each alpha: the (ii) integrals of every alpha
-    from one integrate_rows call, (iv)'s j_alpha of every alpha from one
-    bessel_j_norm call."""
     if not all(alpha > -1.0 for alpha in alphas):
-        raise ValueError("laguerre_identity_suite requires alpha > -1")
+        raise ValueError("the Laguerre identities require alpha > -1")
     if not (k_max >= 0 and float(k_max).is_integer()):
-        raise ValueError("laguerre_identity_suite requires an integer k_max >= 0")
+        raise ValueError("the Laguerre identities require an integer k_max >= 0")
     k_max = int(k_max)
-    q = q or QuadratureSpec(abs_tol=1e-12)
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
     # (ii), (v) and the closed forms read one table per alpha; each series reads
     # its own run as far as it sums (entry n of a run has the bits of table row n)
@@ -488,7 +449,7 @@ def watson_check(nu: float, x: float, y: float, k: int,
     """
     if not nu > -0.5:
         raise ValueError("Watson product formula requires nu > -1/2")
-    if k != int(k) or k < 0:
+    if not (0 <= k < math.inf and k % 1 == 0):
         raise ValueError("watson_check requires integer k >= 0")
     q = q or QuadratureSpec()
     k = int(k)
@@ -505,17 +466,11 @@ def watson_check(nu: float, x: float, y: float, k: int,
     return _report("watson", {"nu": nu, "x": x, "y": y, "k": k}, abs(lhs - rhs), tol)
 
 
-def bk_multiplicativity_check(u: float, x: float, xp: float, alpha: float,
-                              q: QuadratureSpec | None = None,
-                              tol: float = 1e-6) -> VerificationReport:
-    """Translation of a character equals the product of its values."""
-    return _bk_multiplicativity_rows([(u, x, xp, alpha)], q or QuadratureSpec(), tol)[0]
-
-
 def _bk_multiplicativity_rows(rows, q, tol=1e-6) -> list[VerificationReport]:
-    """bk_multiplicativity_check of each (u, x, xp, alpha) row, each at its own
-    order: eta_u = j_(alpha/2-1)(u .) at every translation node and at both
-    product points from one bessel_j_norm call."""
+    """Translation of a half-line character equals the product of its values,
+    at each (u, x, xp, alpha) row, each at its own order: eta_u =
+    j_(alpha/2-1)(u .) at every translation node and at both product points
+    from one bessel_j_norm call."""
     nus = np.array([BesselKingmanParams(alpha).alpha for *_, alpha in rows]) / 2.0 - 1.0
     us, xs, xps, alphas = (np.array(col, dtype=float) for col in zip(*rows))
     radii, spread, mean = _bk_translate_rows(xs, xps, alphas, q)
@@ -734,14 +689,13 @@ def _two_processes() -> bool:
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-def _run_suites(names, q, tol, record=False) -> dict:
+def _run_suites(names, q, tol) -> dict:
     """{suite: (reports, warnings, error)} of names, run in order up to the
-    first that raises. With record, each suite's warnings are kept as
-    (message, category, filename, lineno) for run_suite to re-issue, not shown."""
+    first that raises. Each suite's warnings are kept as (message, category,
+    filename, lineno) for run_suite to re-issue, not shown."""
     outcomes = {}
     for name in names:
-        recorder = warnings.catch_warnings(record=True) if record else contextlib.nullcontext([])
-        with recorder as caught:
+        with warnings.catch_warnings(record=True) as caught:
             try:
                 reports, error = _SUITES[name](q, tol), None
             except Exception as exc:  # run_suite raises it in suite order
@@ -765,7 +719,7 @@ def _forked_suites(q, tol) -> dict:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_run_suites(_CHILD_SUITES, q, tol, record=True), pipe)
+                pickle.dump(_run_suites(_CHILD_SUITES, q, tol), pipe)
             status = 0
         finally:  # leave without exit handlers or a flush of the parent's buffers
             os._exit(status)
@@ -773,8 +727,7 @@ def _forked_suites(q, tol) -> dict:
     data = None
     with open(read_fd, "rb") as pipe:
         try:
-            outcomes = _run_suites([n for n in SUITE_NAMES if n not in _CHILD_SUITES], q, tol,
-                                   record=True)
+            outcomes = _run_suites([n for n in SUITE_NAMES if n not in _CHILD_SUITES], q, tol)
             data = pipe.read()
         finally:
             if data is None:

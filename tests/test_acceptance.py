@@ -20,6 +20,9 @@ from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint, HeisPoint
 from hyperbessel.quadrature import QuadratureSpec, integrate_rows
 from hyperbessel.specfun import laguerre_L_all
 
+# the spec each check called on its own used to default to
+Q12 = QuadratureSpec(abs_tol=1e-12)
+
 
 def report(number: int, description: str, ok: bool, detail: str):
     status = "PASS" if ok else "FAIL"
@@ -88,7 +91,7 @@ def test_criterion_3_qbes_spectral_identity():
     for delta in (1.0, 1.5, 2.0, 3.7):
         for a in (HeisPoint(0.8, 0.3), HeisPoint(2.0, -1.1)):
             for start, t in starts:
-                r = vf.glowne3_check(start, a, t, delta)
+                r = vf._glowne3_rows([(start, t, delta)], [a], Q12)[0]
                 worst = max(worst, r.max_abs_err)
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 20.0
@@ -101,7 +104,8 @@ def test_criterion_4_bes_spectral_and_integral_identity():
     worst_spec = 0.0
     for delta in (1.0, 2.0, 2.5, 4.0):
         for (u, x, t) in ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4)):
-            worst_spec = max(worst_spec, vf.bk_spectral_check(u, x, t, delta).max_abs_err)
+            worst_spec = max(worst_spec,
+                             vf._bk_spectral_rows([(u, x, t, delta)], Q12)[0].max_abs_err)
     worst_ws = 0.0
     grid = [(nu, al, be, ga)
             for nu in (-0.5, 0.5, 1.5)
@@ -109,7 +113,7 @@ def test_criterion_4_bes_spectral_and_integral_identity():
                                  (0.7, 0.5, 1.5), (2.0, 1.2, 0.3))]
     assert len(grid) == 12
     for nu, al, be, ga in grid:
-        worst_ws = max(worst_ws, vf.weber_schafheitlin_check(nu, al, be, ga).max_abs_err)
+        worst_ws = max(worst_ws, vf._weber_rows([(nu, al, be, ga)], Q12)[0].max_abs_err)
     elapsed = time.time() - t0
     ok = worst_spec <= 1e-8 and worst_ws <= 1e-9 and elapsed < 10.0
     report(4, "BES spectral identity and its integral identity", ok,
@@ -165,7 +169,8 @@ def test_criterion_6_product_formulas():
     for _ in range(50):
         alpha = float(rng.uniform(1.0, 4.5))
         u, x, xp = (float(v) for v in rng.uniform(0.1, 2.5, size=3))
-        worst_bk = max(worst_bk, vf.bk_multiplicativity_check(u, x, xp, alpha).max_abs_err)
+        worst_bk = max(worst_bk, vf._bk_multiplicativity_rows([(u, x, xp, alpha)],
+                                                              QuadratureSpec())[0].max_abs_err)
     worst_lag = 0.0
     for i in range(50):
         alpha = float(rng.uniform(0.0, 3.0))
@@ -189,7 +194,7 @@ def test_criterion_7_laguerre_identity_suite():
     t0 = time.time()
     worst = {}
     for alpha in (-0.3, 0.0, 0.5, 2.1):
-        for r in vf.laguerre_identity_suite(alpha, k_max=10):
+        for r in vf._laguerre_rows([alpha], 10, Q12, None):
             key = r.check_name.rsplit("_", 1)[-1]
             worst[key] = max(worst.get(key, 0.0), r.max_abs_err / r.tol)
     # the dilation identity collapses exactly at c = 1

@@ -39,6 +39,20 @@ class TestStateAndGridParsing:
             with pytest.raises(cli.CliError):
                 cli.parse_state(bad)
 
+    @pytest.mark.parametrize("argv, state, key", [
+        # ran from tau = -5, its atoms at tau = -4
+        (["qbes-kernel", "--delta", "1", "--t", "1", "--state"], "tau=-2,k=0,tau=-5", "tau"),
+        (["qbes-sim", "--delta", "2", "--t-grid", "1", "--start"], "tau=1,k=0,k=3", "k"),
+        # evaluated at y1 = 4
+        (["char-eval", "--family", "laguerre", "--alpha", "1", "--x-grid", "1", "--w-grid", "0",
+          "--state"], "y1=1,y1=4", "y1"),
+    ])
+    def test_repeated_state_component(self, argv, state, key, capsys):
+        # the last repeated component won, with exit 0
+        code, out, err = run_cli(argv + [state], capsys)
+        assert (code, out, err) == (
+            1, "", f"hyperbessel: error: repeated state component {key!r} in {state!r}\n")
+
     def test_grids(self):
         assert cli.parse_grid("0.5,1.0") == [0.5, 1.0]
         assert cli.parse_grid("0:1:3") == [0.0, 0.5, 1.0]
@@ -251,12 +265,13 @@ class TestSim:
         assert (code, out) == (0, "path_id,time,coord0,coord1,branch,k\n")
 
     @pytest.mark.parametrize("argv, message", [
+        # the three qbes-sim cases named qbes_transition, which the command never calls
         (["qbes-sim", "--delta", "-1", "--start", "tau=-1,k=2"],
-         "qbes_transition requires delta > 0"),
+         "sample_qbes_lanes requires delta > 0"),
         (["qbes-sim", "--delta", "nan", "--start", "tau=1,k=2"],
-         "qbes_transition requires delta > 0"),
+         "sample_qbes_lanes requires delta > 0"),
         (["qbes-sim", "--delta", "inf", "--start", "y1=1"],
-         "qbes_transition requires delta > 0"),
+         "sample_qbes_lanes requires delta > 0"),
         (["bes-sim", "--delta", "nan", "--x0", "1"],
          "sample_bes_lanes requires finite t > 0 and delta > 0"),
         (["bes-sim", "--delta", "inf", "--x0", "1"],

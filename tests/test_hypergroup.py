@@ -40,6 +40,17 @@ class TestParams:
         assert hg.fan_coords(hg.DiscretePoint(-2.0, 3)) == (-2.0, 6.0)
         assert hg.fan_coords(hg.ContinuousPoint(1.7)) == (0.0, 1.7)
 
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level(self, k):
+        # inf raised OverflowError and nan "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="^DiscretePoint requires integer k >= 0$"):
+            hg.DiscretePoint(1.0, k)
+
+    def test_integral_levels(self):
+        assert hg.DiscretePoint(1.0, 3.0).k == 3
+        assert hg.DiscretePoint(1.0, 2 ** 64 + 1).k == 2 ** 64 + 1
+        assert hg.DiscretePoint(1.0, 2.0 ** 70).k == 2 ** 70
+
     def test_heis_point(self):
         with pytest.raises(ValueError):
             hg.HeisPoint(-1.0, 0.0)

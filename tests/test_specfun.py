@@ -493,6 +493,13 @@ def test_input_error_messages(fn, x, message):
         fn(np.array(x))
 
 
+@pytest.mark.parametrize("k_max", [math.inf, -math.inf, math.nan])
+def test_laguerre_degree_not_finite(k_max):
+    # inf raised OverflowError and nan "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="^laguerre degree must be a nonnegative integer$"):
+        sf.laguerre_L_all(k_max, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("fn,extra", [
     (lambda x: sf.log_gamma(x), ()),
     (lambda z: sf.bessel_j_norm(0.5, z), ()),

@@ -24,6 +24,10 @@ from hyperbessel.specfun import (bessel_j_norm, laguerre_L, laguerre_L_all, log_
                                  log_gamma)
 
 
+# the spec each check called on its own used to default to
+Q12 = QuadratureSpec(abs_tol=1e-12)
+
+
 def pochhammer(a, k):
     """specfun.pochhammer, the direct product (a)_k, verbatim."""
     if k != int(k) or k < 0:
@@ -37,23 +41,17 @@ def pochhammer(a, k):
 
 class TestWeberSchafheitlin:
     def test_quadrature_grid(self):
-        assert vf.weber_schafheitlin_check(0.5, 0.5, 0.0, 1.0).max_abs_err <= 1e-9
-        assert vf.weber_schafheitlin_check(-0.5, 1.0, 1.0, 1.0).max_abs_err <= 1e-9
+        assert vf._weber_rows([(0.5, 0.5, 0.0, 1.0)], Q12)[0].max_abs_err <= 1e-9
+        assert vf._weber_rows([(-0.5, 1.0, 1.0, 1.0)], Q12)[0].max_abs_err <= 1e-9
 
     def test_degenerate_moments(self):
         # beta = gamma = 0 reduces to a Gaussian moment equal to (2 alpha)^-(nu+1)
-        r = vf.weber_schafheitlin_check(0.7, 1.0, 0.0, 0.0)
+        r = vf._weber_rows([(0.7, 1.0, 0.0, 0.0)], Q12)[0]
         assert r.max_abs_err <= 1e-12
-
-    def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            vf.weber_schafheitlin_check(-1.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            vf.weber_schafheitlin_check(0.5, 0.0, 0.0, 1.0)
 
 
 def _parent_weber_lhs(nu, alpha, beta, gamma_, q):
-    """The integral of the per-check weber_schafheitlin_check that the batched
+    """The integral of the per-check Weber check that the batched
     rows replaced, verbatim except that ln i_nu comes from log_bessel_i_norm
     instead of the log of its exponential."""
     log_pref = -nu * math.log(2.0) - log_gamma(nu + 1.0)
@@ -85,7 +83,7 @@ WEBER_ROWS = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3)
 def test_weber_rows_match_per_check_loop(nu, q):
     batched = vf._weber_rows([(nu, *row) for row in WEBER_ROWS], q, 1e-9)
     for report, (al, be, ga) in zip(batched, WEBER_ROWS):
-        assert report == vf.weber_schafheitlin_check(nu, al, be, ga, q)
+        assert report == vf._weber_rows([(nu, al, be, ga)], q)[0]
         rhs = ((2.0 * al) ** -(nu + 1.0) * math.exp((be * be - ga * ga) / (4.0 * al))
                * bessel_j_norm(nu, be * ga / (2.0 * al)))
         assert report.max_abs_err == float(abs(_parent_weber_lhs(nu, al, be, ga, q) - rhs))
@@ -98,9 +96,14 @@ def test_weber_suite_takes_ln_i_as_computed():
     assert report.max_abs_err.hex() == "0x1.0000000000000p-55"
 
 
+def _glowne3(start, a, t, delta, q=Q12):
+    """The generator identity's family called with one law at one point."""
+    return vf._glowne3_rows([(start, t, delta)], [a], q)[0]
+
+
 class TestGlowne3:
     def test_case5_k0_algebraic(self):
-        r = vf.glowne3_check(DiscretePoint(1.0, 0), HeisPoint(0.8, 0.3), 0.5, 1.5)
+        r = _glowne3(DiscretePoint(1.0, 0), HeisPoint(0.8, 0.3), 0.5, 1.5)
         assert r.max_abs_err <= 1e-12
 
     def test_all_cases(self):
@@ -113,30 +116,30 @@ class TestGlowne3:
             (DiscretePoint(1.0, 3), 0.7),
         ]:
             for delta in (1.0, 1.5, 3.7):
-                r = vf.glowne3_check(start, a, t, delta)
+                r = _glowne3(start, a, t, delta)
                 assert r.passed, (start, t, delta, r.max_abs_err)
 
     def test_poisson_series_case(self):
-        r = vf.glowne3_check(ContinuousPoint(0.7), HeisPoint(1.1, -0.4), 0.9, 2.0)
+        r = _glowne3(ContinuousPoint(0.7), HeisPoint(1.1, -0.4), 0.9, 2.0)
         assert r.max_abs_err <= 1e-10
 
     def test_informative_below_one(self):
         # the kernel extends to delta in (0, 1); the identity still holds there
-        r = vf.glowne3_check(DiscretePoint(-1.0, 1), HeisPoint(0.8, 0.3), 0.4, 0.6)
+        r = _glowne3(DiscretePoint(-1.0, 1), HeisPoint(0.8, 0.3), 0.4, 0.6)
         assert r.passed
 
 
 class TestBkSpectral:
     def test_trivial_x_zero(self):
-        r = vf.bk_spectral_check(1.0, 0.0, 0.7, 2.0)
+        r = vf._bk_spectral_rows([(1.0, 0.0, 0.7, 2.0)], Q12)[0]
         assert r.max_abs_err <= 1e-10
 
     def test_reference_point(self):
-        r = vf.bk_spectral_check(1.0, 1.3, 0.7, 2.5)
+        r = vf._bk_spectral_rows([(1.0, 1.3, 0.7, 2.5)], Q12)[0]
         assert r.max_abs_err <= 1e-8
 
     def test_gaussian_dimension_one(self):
-        r = vf.bk_spectral_check(0.7, 1.1, 0.9, 1.0)
+        r = vf._bk_spectral_rows([(0.7, 1.1, 0.9, 1.0)], Q12)[0]
         assert r.max_abs_err <= 1e-10
 
 
@@ -155,7 +158,7 @@ def _inline_atom_chars(law, al, levels, x, w_inv):
 
 
 def _parent_glowne3(start, a, t, delta, q, atom_chars=None):
-    """The error of the per-check glowne3_check that the per-delta family
+    """The error of the per-check generator identity that the per-delta family
     replaced, verbatim, except that the atom characters come from
     _first_kind_char unless atom_chars gives another form."""
     al = delta - 1.0
@@ -197,7 +200,7 @@ def test_glowne3_rows_match_per_check_code(delta, q):
     assert len(reports) == len(pairs)
     for report, (start, t, a) in zip(reports, pairs):
         assert report.max_abs_err == float(_parent_glowne3(start, a, t, delta, q))
-        assert report == vf.glowne3_check(start, a, t, delta, q)
+        assert report == _glowne3(start, a, t, delta, q)
 
 
 def test_glowne3_rows_with_two_gamma_rays():
@@ -246,21 +249,21 @@ def test_glowne3_overflowing_atom_character_raises():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=r"^glowne3: L_k overflows at x=25\.0, "
                                                 r"w=0\.3 \(tau=3\.0, k=247\); degree too large$"):
-            vf.glowne3_check(DiscretePoint(2, 300), HeisPoint(25, 0.3), 1, 2)
+            _glowne3(DiscretePoint(2, 300), HeisPoint(25, 0.3), 1, 2)
 
 
 def test_glowne3_overflowing_start_character_raises():
     # the start's own character overflows first, named the same way
     with pytest.raises(OverflowError, match=r"^glowne3: L_k overflows at x=60\.0, "
                                             r"w=-0\.5 \(tau=1\.0, k=2000\); degree too large$"):
-        vf.glowne3_check(DiscretePoint(1, 2000), HeisPoint(60, -0.5), 1, 2)
+        _glowne3(DiscretePoint(1, 2000), HeisPoint(60, -0.5), 1, 2)
 
 
 BK_SPECTRAL_ROWS = ((1.0, 1.3, 0.7), (0.0, 0.9, 1.2), (2.0, 0.5, 0.4))
 
 
 def _parent_bk_spectral(u, x, t, delta, q):
-    """The error of the per-check bk_spectral_check that the per-delta family
+    """The error of the per-check BES spectral identity that the per-delta family
     replaced, verbatim."""
     p = BesselKingmanParams(delta)
     lhs = math.exp(-0.5 * t * x * x) * bk_character(u, x, p)
@@ -280,13 +283,13 @@ def test_bk_spectral_rows_match_per_check_code(delta, q):
     reports = vf._bk_spectral_rows([(*row, delta) for row in BK_SPECTRAL_ROWS], q)
     for report, (u, x, t) in zip(reports, BK_SPECTRAL_ROWS):
         assert report.max_abs_err == float(_parent_bk_spectral(u, x, t, delta, q))
-        assert report == vf.bk_spectral_check(u, x, t, delta, q)
+        assert report == vf._bk_spectral_rows([(u, x, t, delta)], q)[0]
 
 
 class TestLaguerreIdentities:
     @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.5, 2.1])
     def test_suite_passes(self, alpha):
-        for r in vf.laguerre_identity_suite(alpha):
+        for r in vf._laguerre_rows([alpha], 10, Q12, None):
             assert r.passed, (alpha, r.check_name, r.max_abs_err)
 
     def test_dilation_trivial_at_c_one(self):
@@ -295,19 +298,19 @@ class TestLaguerreIdentities:
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
-            vf.laguerre_identity_suite(-1.0)
+            vf._laguerre_rows([-1.0], 10, Q12, None)
 
     @pytest.mark.parametrize("k_max", [-1, -5, 2.5, math.nan, math.inf])
     def test_count_guard(self, k_max):
         # k_max = -1 escaped the short-table fallback as a bare IndexError
         with pytest.raises(ValueError, match="integer k_max >= 0"):
-            vf.laguerre_identity_suite(0.5, k_max)
+            vf._laguerre_rows([0.5], k_max, Q12, None)
 
     def test_documented_k_max_edge(self):
         # the docstring's edge: at alpha 0.5 under QuadratureSpec(), k_max 15
         # passes all five and 20 fails the dilation sum (v)
-        assert all(r.passed for r in vf.laguerre_identity_suite(0.5, 15, QuadratureSpec()))
-        failed = [r for r in vf.laguerre_identity_suite(0.5, 20, QuadratureSpec())
+        assert all(r.passed for r in vf._laguerre_rows([0.5], 15, QuadratureSpec(), None))
+        failed = [r for r in vf._laguerre_rows([0.5], 20, QuadratureSpec(), None)
                   if not r.passed]
         assert [r.check_name for r in failed] == ["laguerre_identity_v"]
         assert failed[0].max_abs_err == pytest.approx(4.51e-12, rel=1e-2)
@@ -329,7 +332,7 @@ class TestLaguerreIdentities:
             assert vf._identity_v(alpha, k, c, lag, lag_c) == parent(alpha, k, c, lag, lag_c)
 
     def test_one_tol_for_all_five(self):
-        reports = vf.laguerre_identity_suite(0.5, tol=3e-7)
+        reports = vf._laguerre_rows([0.5], 10, Q12, 3e-7)
         assert len(reports) == 5
         assert all(r.tol == 3e-7 for r in reports)
 
@@ -366,12 +369,12 @@ def test_identity_ii_rows_match_per_integral_loop(alpha, q):
     (2.1, 10, QuadratureSpec(), [2.8421709430404007e-13, 4.3165471197426086e-13,
                                  3.419486915845482e-14, 1.7763568394002505e-15,
                                  3.108624468950438e-14]),
-    (0.5, 4, None, [3.9968028886505635e-15, 1.4432899320127035e-15, 6.661338147750939e-16,
+    (0.5, 4, Q12, [3.9968028886505635e-15, 1.4432899320127035e-15, 6.661338147750939e-16,
                     2.220446049250313e-15, 1.6653345369377348e-16]),
 ])
 def test_laguerre_suite_errors_unchanged(alpha, k_max, q, want):
     # (i) to (v) as the per-identity loops over per-point tables computed them
-    assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max, q)] == want
+    assert [r.max_abs_err for r in vf._laguerre_rows([alpha], k_max, q, None)] == want
 
 
 @pytest.fixture
@@ -410,7 +413,7 @@ def table_degrees(monkeypatch, one_cpu):
 ])
 def test_laguerre_long_series_read_their_own_runs(alpha, k_max, want, table_degrees):
     # these series run more than 128 terms past k_max; each reads its own run that far
-    assert [r.max_abs_err for r in vf.laguerre_identity_suite(alpha, k_max)] == want
+    assert [r.max_abs_err for r in vf._laguerre_rows([alpha], k_max, Q12, None)] == want
     assert table_degrees == [max(k_max, 1)]
 
 
@@ -423,7 +426,7 @@ def test_laguerre_suite_builds_one_table_per_alpha(table_degrees):
 @pytest.mark.parametrize("k_max", [0, 1])
 def test_laguerre_table_degree_one_at_least(k_max, table_degrees):
     # ks always holds 1, so (ii) reads L_1 even at k_max = 0
-    assert all(r.passed for r in vf.laguerre_identity_suite(0.5, k_max))
+    assert all(r.passed for r in vf._laguerre_rows([0.5], k_max, Q12, None))
     assert table_degrees == [1]
 
 
@@ -461,8 +464,17 @@ class TestProductFormulas:
         with pytest.raises(ValueError):
             vf.watson_check(-0.5, 1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_watson_rejects_a_non_finite_degree(self, k):
+        # inf raised OverflowError and nan "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="^watson_check requires integer k >= 0$"):
+            vf.watson_check(0.5, 1.0, 1.0, k)
+
+    def test_watson_integral_float_degree(self):
+        assert vf.watson_check(0.5, 1.0, 1.0, 2.0) == vf.watson_check(0.5, 1.0, 1.0, 2)
+
     def test_multiplicativity_checks(self):
-        assert vf.bk_multiplicativity_check(1.0, 0.7, 1.1, 2.0).passed
+        assert vf._bk_multiplicativity_rows([(1.0, 0.7, 1.1, 2.0)], QuadratureSpec())[0].passed
         c = DiscretePoint(-0.7, 2)
         r = vf.lag_multiplicativity_check(c, HeisPoint(1.0, 0.3), HeisPoint(0.8, -0.5), 0.5)
         assert r.passed
@@ -515,7 +527,8 @@ def test_multiplicativity_checks_match_per_check_code():
         p = BesselKingmanParams(alpha)
         lhs = bk_translate(lambda r: bk_character(u, r, p), x, xp, p, q)
         rhs = bk_character(u, x, p) * bk_character(u, xp, p)
-        assert vf.bk_multiplicativity_check(u, x, xp, alpha, q).max_abs_err == abs(lhs - rhs)
+        assert (vf._bk_multiplicativity_rows([(u, x, xp, alpha)], q)[0].max_abs_err
+                == abs(lhs - rhs))
     for c, a, b, alpha in lag_rows:
         p = LaguerreParams(alpha)
         if isinstance(c, DiscretePoint):
@@ -538,18 +551,19 @@ def _fan_point(label):
     return DiscretePoint(float(tau), int(k))
 
 
-LONE_CHECKS = {
-    "weber_schafheitlin": lambda p, q: vf.weber_schafheitlin_check(
-        p["nu"], p["alpha"], p["beta"], p["gamma"], q),
-    "glowne3": lambda p, q: vf.glowne3_check(
+# each report's family called with its one row, or its scalar check
+ONE_ROW_CHECKS = {
+    "weber_schafheitlin": lambda p, q: vf._weber_rows(
+        [(p["nu"], p["alpha"], p["beta"], p["gamma"])], q)[0],
+    "glowne3": lambda p, q: _glowne3(
         _fan_point(p["start"]), HeisPoint(p["x"], p["w"]), p["t"], p["delta"], q),
-    "bk_spectral": lambda p, q: vf.bk_spectral_check(p["u"], p["x"], p["t"], p["delta"], q),
-    **{f"laguerre_identity_{i}": (lambda p, q, n=n: vf.laguerre_identity_suite(
-        p["alpha"], 10, q)[n]) for n, i in enumerate(("i", "ii", "iii", "iv", "v"))},
+    "bk_spectral": lambda p, q: vf._bk_spectral_rows([(p["u"], p["x"], p["t"], p["delta"])], q)[0],
+    **{f"laguerre_identity_{i}": (lambda p, q, n=n: vf._laguerre_rows(
+        [p["alpha"]], 10, q, None)[n]) for n, i in enumerate(("i", "ii", "iii", "iv", "v"))},
     "gegenbauer": lambda p, q: vf.gegenbauer_check(p["nu"], p["x"], p["y"], q),
     "watson": lambda p, q: vf.watson_check(p["nu"], p["x"], p["y"], p["k"], q),
-    "bk_multiplicativity": lambda p, q: vf.bk_multiplicativity_check(
-        p["u"], p["x"], p["xp"], p["alpha"], q),
+    "bk_multiplicativity": lambda p, q: vf._bk_multiplicativity_rows(
+        [(p["u"], p["x"], p["xp"], p["alpha"])], q)[0],
     "lag_multiplicativity": lambda p, q: vf.lag_multiplicativity_check(
         _fan_point(p["chi"]), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]),
         p["alpha"], q),
@@ -573,16 +587,36 @@ def test_fan_label_reads_back_exactly(point, label):
     assert _fan_point(label) == point
 
 
-def test_suite_reports_equal_their_lone_checks():
+def test_suite_reports_equal_their_one_row_checks():
     # each suite certifies as one family over its orders; every report keeps
-    # the bits of its public check called alone with the same params and spec
+    # the bits of its family (or its scalar check) called with that one row
+    # and the same spec
     q = QuadratureSpec()
     reports = vf.run_suite(q=q)
     assert len(reports) == 174
     for report in reports:
-        lone = LONE_CHECKS[report.check_name](dict(report.params), q)
+        lone = ONE_ROW_CHECKS[report.check_name](dict(report.params), q)
         assert (lone.check_name, lone.params) == (report.check_name, report.params)
         assert lone.max_abs_err.hex() == report.max_abs_err.hex(), report
+
+
+def test_every_exported_check_is_called_by_a_suite(one_cpu, monkeypatch):
+    # a check is public only while a suite calls it: the one-row wrappers of
+    # the five families were called by tests alone
+    names = [n for n in vf.__all__ if n.endswith(("_check", "_suite")) and n != "run_suite"]
+    assert names
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, check):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(vf, name, counting(name, getattr(vf, name)))
+    assert len(vf.run_suite()) == 174
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 class TestGramAndKernels:
