@@ -351,6 +351,11 @@ def main(argv=None) -> int:
                 raise CliError("char-eval --family bk requires --u-grid")
             if args.family == "laguerre" and (args.state is None or args.w_grid is None):
                 raise CliError("char-eval --family laguerre requires --state and --w-grid")
+            # nor is the other family's option ignored, even empty
+            if args.family == "bk" and (args.state is not None or args.w_grid is not None):
+                raise CliError("char-eval --family bk takes no --state or --w-grid")
+            if args.family == "laguerre" and args.u_grid is not None:
+                raise CliError("char-eval --family laguerre takes no --u-grid")
         if args.command in ("qbes-sim", "bes-sim") and args.paths < 0:
             raise CliError("--paths must be >= 0")
         return args.func(args)

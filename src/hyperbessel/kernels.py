@@ -19,8 +19,13 @@ in tail_mass, and normalization within 1e-12 is enforced as a constructor
 invariant rather than silently repaired. Rounded atom probabilities can sum to
 just under the mass target: once a geometric bound on the atoms still to come
 shows that, the law raises RuntimeError instead of walking on to the atom cap.
-Truncation sums 512-atom numpy chunks by np.cumsum, carrying Neumaier's sum
-and compensation exactly, with no per-atom Python loop. Truncation takes the
+Laws are built as a row family (_transition_rows; qbes_transition is its
+one-row call, and the normalization and Chapman-Kolmogorov checks each build
+their laws in one call). Truncation walks every unfinished law of the family
+at once: a round takes one exp and one log_gamma over a 2-D chunk of atoms,
+sums each row by np.cumsum, carrying Neumaier's sum and compensation exactly,
+with no per-atom Python loop, and drops the laws that stop. Rounds are 512
+atoms; a round of many laws may first end at atom 32 or 128. Truncation takes the
 exact sum of its atoms (fsum, largest first, which keeps fsum's partials few);
 the constructor takes it again only where the error bound of the plain sum
 cannot decide the mass check, past about 4,500 atoms. law_json fills its atom
@@ -131,79 +136,135 @@ def _exact_sum(probs) -> float:
     return math.fsum(sorted(probs, reverse=True))
 
 
-def _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case):
-    """Accumulate atoms (tau, first_level + m) until the compensated mass reaches 1 - trunc_eps.
+# a round of many rows may end early, at atom 32 or 128, where it still holds
+# _MIN_ROUND atoms: short laws then pay no 512-atom chunk, and a lone law pays
+# no extra round. Every other round ends at a multiple of 512, where the reach
+# check falls.
+_FIRST_STOPS = (32, 128)
+_MIN_ROUND = 2048
+_ROUND = 512
+
+
+def _truncate_rows(log_pmf, tail_ratio, trunc_eps, heads) -> list:
+    """The law (tau, first_level, case) of each head with atoms (tau, first_level + m)
+    until its compensated mass reaches 1 - trunc_eps, or the error it raises
+    there: one outcome per row.
+
+    log_pmf(rows, ms) gives the ln pmf of each row of rows (an index array)
+    at each m of ms, as a (len(rows), len(ms)) array; every row of a round
+    is at the same ms, so one array call walks all the unfinished rows, and
+    a row leaves at its last atom.
 
     The stop target keeps a small margin below trunc_eps so that the exact
     tail (1 - fsum) cannot exceed trunc_eps through summation slop.
 
-    The pmf comes in chunks of 512 atoms. np.cumsum adds in order, so it gives
-    Neumaier's running total and, over his per-atom corrections
-    (max(prev, p) - cur) + min(prev, p), his running compensation bit for bit;
-    the law stops at the first atom where their sum reaches the target.
+    np.cumsum along a row adds in order, so it gives Neumaier's running total
+    and, over his per-atom corrections (max(prev, p) - cur) + min(prev, p),
+    his running compensation bit for bit; a row stops at the first atom
+    where their sum reaches the target.
 
-    tail_ratio(m) bounds every later pmf ratio p_(j+1) / p_j, j >= m: the
-    ratio at m or its limit (0 for the Poisson, q for the negative
-    binomials). After a chunk ending at atom m, the atoms still to come hold
-    at most p_m R / (1 - R), R = tail_ratio(m) < 1. Doubling that covers
-    relative pmf rounding up to 1/3 (gammaln's is ~1e-9 even at level 5e5)
-    and 1e-15 the rounding of the compensated sum; if the mass still falls
-    short of the target, the law raises there instead of at _MAX_ATOMS.
+    tail_ratio(row, m) bounds every later pmf ratio p_(j+1) / p_j, j >= m, of
+    the row: the ratio at m or its limit (0 for the Poisson, q for the
+    negative binomials). After a round ending at atom m, a multiple of 512,
+    the atoms still to come hold at most p_m R / (1 - R), R = tail_ratio(m)
+    < 1. Doubling that covers relative pmf rounding up to 1/3 (gammaln's is
+    ~1e-9 even at level 5e5) and 1e-15 the rounding of the compensated sum;
+    if the mass still falls short of the target, the row raises there
+    instead of at _MAX_ATOMS.
     """
     target = 1.0 - 0.9375 * trunc_eps
-    chunks = []
-    total = comp = 0.0  # Neumaier's sum and compensation
+    outcomes = [None] * len(heads)
+    probs = [[] for _ in heads]
+    active = np.arange(len(heads))
+    total = comp = np.zeros(len(heads))  # Neumaier's sum and compensation per active row
     level = 0
-    done = False
-    while not done:
-        ps = np.exp(log_pmf(np.arange(level, level + 512)))
-        totals = np.cumsum(np.concatenate(([total], ps)))
-        prev = totals[:-1]
-        comps = np.cumsum(np.concatenate(
-            ([comp], (np.maximum(prev, ps) - totals[1:]) + np.minimum(prev, ps))))
-        hit = np.flatnonzero(totals[1:] + comps[1:] >= target)  # NaN never hits
-        if hit.size:
-            done = True
-            ps = ps[:hit[0] + 1]
-        total, comp = float(totals[len(ps)]), float(comps[len(ps)])
-        chunks.append(ps)
-        level += 512
-        ratio = tail_ratio(level - 1)
-        out_of_reach = not done and ratio < 1.0 and (
-            total + comp + 2.0 * float(ps[-1]) * ratio / (1.0 - ratio) + 1e-15 < target)
-        if out_of_reach or level > _MAX_ATOMS:
-            raise RuntimeError(
-                f"transition law support too large to truncate (mass {total + comp:.6f} "
-                f"after {level} atoms); its rounded atom probabilities "
-                f"{'cannot' if out_of_reach else 'do not'} reach 1 - trunc_eps "
-                f"(trunc_eps = {trunc_eps:g}); use a larger trunc_eps (--trunc-eps)")
-    probs = tuple(np.concatenate(chunks).tolist())
-    tail = max(0.0, 1.0 - _exact_sum(probs))
-    return TransitionLaw(case=case, tau=tau, levels=range(first_level, first_level + len(probs)),
-                         probs=probs, tail_mass=tail)
+    while active.size:
+        width = next((stop for stop in _FIRST_STOPS
+                      if stop > level and active.size * (stop - level) >= _MIN_ROUND),
+                     level - level % _ROUND + _ROUND) - level
+        ps = np.exp(log_pmf(active, np.arange(level, level + width)))
+        totals = np.concatenate((total[:, None], ps), axis=1).cumsum(axis=1)
+        prev = totals[:, :-1]
+        comps = np.concatenate(
+            (comp[:, None], (np.maximum(prev, ps) - totals[:, 1:]) + np.minimum(prev, ps)),
+            axis=1).cumsum(axis=1)
+        hit = totals[:, 1:] + comps[:, 1:] >= target  # NaN never hits
+        total, comp = totals[:, -1], comps[:, -1]  # carried by the rows that go on
+        # a row stops at its first hit; width + 1 marks a row that goes on
+        stops = (np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, width + 1).tolist()
+                 if hit.any() else [width + 1] * active.size)
+        level += width
+        reach, leaving = level % _ROUND == 0, False
+        for j, (i, row, stop) in enumerate(zip(active.tolist(), ps.tolist(), stops)):
+            finished = stop <= width
+            probs[i] += row[:stop] if finished else row
+            out_of_reach = False
+            if reach and not finished:
+                ratio = tail_ratio(i, level - 1)
+                out_of_reach = ratio < 1.0 and (
+                    total[j] + comp[j] + 2.0 * row[-1] * ratio / (1.0 - ratio) + 1e-15 < target)
+            leaving |= finished or out_of_reach or level > _MAX_ATOMS
+            if out_of_reach or level > _MAX_ATOMS:
+                mass = totals[j, min(stop, width)] + comps[j, min(stop, width)]
+                outcomes[i] = RuntimeError(
+                    f"transition law support too large to truncate (mass {mass:.6f} "
+                    f"after {level} atoms); its rounded atom probabilities "
+                    f"{'cannot' if out_of_reach else 'do not'} reach 1 - trunc_eps "
+                    f"(trunc_eps = {trunc_eps:g}); use a larger trunc_eps (--trunc-eps)")
+            elif finished:
+                tau, first_level, case = heads[i]
+                law_probs = tuple(probs[i])
+                tail = max(0.0, 1.0 - _exact_sum(law_probs))
+                try:
+                    outcomes[i] = TransitionLaw(
+                        case=case, tau=tau, probs=law_probs, tail_mass=tail,
+                        levels=range(first_level, first_level + len(law_probs)))
+                except ValueError as exc:
+                    outcomes[i] = exc
+        if leaving:
+            keep = np.array([outcomes[i] is None for i in active.tolist()], dtype=bool)
+            active, total, comp = active[keep], total[keep], comp[keep]
+    return outcomes
 
 
-def _neg_binomial(r, lp, lq, trunc_eps, tau, first_level, case):
-    """Negative binomial of real shape r, ln success lp and ln failure lq:
-    Gamma(r + m) / (Gamma(r) m!) p^r q^m at levels first_level + m, m >= 0."""
-    q = math.exp(lq)
-    log_gamma_r = log_gamma(r)
+def _neg_binomial(series):
+    """(log_pmf, tail_ratio) of _truncate_rows for rows of (r, ln p, ln q): the
+    negative binomial of real shape r, Gamma(r + m) / (Gamma(r) m!) p^r q^m."""
+    cols = np.array(series)[:, :, None]  # rows, (r, ln p, ln q), m
+    cols = np.concatenate((cols, log_gamma(cols[:, :1]), cols[:, :1] * cols[:, 1:2]), axis=1)
 
-    def log_pmf(ms):
-        lg = log_gamma(np.concatenate((r + ms, ms + 1.0)))  # one call: Gamma(r + m), m!
-        return lg[:len(ms)] - log_gamma_r - lg[len(ms):] + r * lp + ms * lq
+    def log_pmf(rows, ms):
+        at = cols if rows.size == len(cols) else cols[rows]
+        r, _, lq, log_gamma_r, r_lp = at.transpose(1, 0, 2)
+        lg = log_gamma(np.concatenate(((r + ms).ravel(), ms + 1.0)))  # one call: Gamma(r + m), m!
+        return (lg[:-ms.size].reshape(r.size, -1) - log_gamma_r - lg[-ms.size:]
+                + r_lp + ms * lq)
 
-    def tail_ratio(m):
+    def tail_ratio(row, m):
         # sup over j >= m of (r + j) / (j + 1) q; the fraction falls to 1
         # when r >= 1 and rises to 1 when r < 1
-        return q * max((r + m) / (m + 1.0), 1.0)
+        r, _, lq = series[row]
+        return math.exp(lq) * max((r + m) / (m + 1.0), 1.0)
 
-    return _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case)
+    return log_pmf, tail_ratio
 
 
-def qbes_transition(start: FanPoint, t: float, delta: float,
-                    trunc_eps: float = 1e-12) -> TransitionLaw:
-    """One-step QBES(delta) transition law from a fan point over time t > 0."""
+def _poisson(series):
+    """(log_pmf, tail_ratio) of _truncate_rows for rows of (rate, ln rate)."""
+    cols = np.array(series)[:, :, None]
+
+    def log_pmf(rows, ms):
+        at = cols if rows.size == len(cols) else cols[rows]
+        rate, log_rate = at.transpose(1, 0, 2)
+        return ms * log_rate - rate - log_gamma(ms + 1.0)
+
+    return log_pmf, lambda row, m: series[row][0] / (m + 1.0)
+
+
+def _row_law(start, t, delta, trunc_eps):
+    """The law of one qbes_transition row, or where its support is infinite
+    the series that _truncate_rows walks: (_neg_binomial or _poisson, its
+    row, (tau, first_level, case))."""
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError("qbes_transition requires delta > 0")
     if not (np.isfinite(t) and t > 0.0):
@@ -216,12 +277,7 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         rate = start.y1 / t
         if rate == 0.0:
             return TransitionLaw(case=4, tau=t, levels=range(1), probs=(1.0,))
-        log_rate = math.log(rate)
-
-        def log_pmf(ls):
-            return ls * log_rate - rate - log_gamma(ls + 1.0)
-
-        return _truncate_series(log_pmf, lambda m: rate / (m + 1.0), trunc_eps, t, 0, case=4)
+        return _poisson, (rate, math.log(rate)), (t, 0, 4)
 
     if not isinstance(start, DiscretePoint):
         raise TypeError(f"not a fan point: {start!r}")
@@ -250,9 +306,43 @@ def qbes_transition(start: FanPoint, t: float, delta: float,
         # ln q = ln(t/-s) where u/s rounds to 1
         p = u / s
         lq = math.log1p(-p) if p < 1.0 else math.log(t / -s)
-        return _neg_binomial(r, math.log(p), lq, trunc_eps, u, k, case=1)
+        return _neg_binomial, (r, math.log(p), lq), (u, k, 1)
     # case 3: u > 0, shifted negative binomial with success u/t on levels l >= 0
-    return _neg_binomial(r, math.log(u / t), math.log(-s / t), trunc_eps, u, 0, case=3)
+    return _neg_binomial, (r, math.log(u / t), math.log(-s / t)), (u, 0, 3)
+
+
+def _transition_rows(rows, trunc_eps: float = 1e-12) -> list[TransitionLaw]:
+    """qbes_transition(start, t, delta, trunc_eps) of each (start, t, delta)
+    row: the infinite supports truncated together, one _truncate_rows call
+    for the negative binomials and one for the Poissons. Each law has the
+    bits of its row called alone, and the error raised is the one the first
+    failing row raises alone."""
+    outcomes, series = [], {_neg_binomial: [], _poisson: []}  # kind: [(row index, row, head)]
+    for start, t, delta in rows:
+        try:
+            law = _row_law(start, t, delta, trunc_eps)
+        except Exception as exc:  # raised below, after any earlier row's error
+            outcomes.append(exc)
+            break
+        if isinstance(law, tuple):
+            series[law[0]].append((len(outcomes), *law[1:]))
+        outcomes.append(law)
+    for kind, walks in series.items():
+        if walks:
+            at, kind_rows, heads = zip(*walks)
+            for i, law in zip(at, _truncate_rows(*kind(kind_rows), trunc_eps, heads)):
+                outcomes[i] = law
+    for law in outcomes:
+        if isinstance(law, Exception):
+            raise law
+    return outcomes
+
+
+def qbes_transition(start: FanPoint, t: float, delta: float,
+                    trunc_eps: float = 1e-12) -> TransitionLaw:
+    """One-step QBES(delta) transition law from a fan point over time t > 0:
+    the one-row call of _transition_rows."""
+    return _transition_rows([(start, t, delta)], trunc_eps)[0]
 
 
 @dataclass(frozen=True)
@@ -335,8 +425,7 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
     compared as a density mixture on a quantile-spread grid.
     """
     quad = quad or QuadratureSpec(abs_tol=1e-12)
-    law1 = qbes_transition(start, t1, delta)
-    direct = qbes_transition(start, t1 + t2, delta)
+    law1, direct = _transition_rows([(start, t1, delta), (start, t1 + t2, delta)])
 
     if law1.gamma_ray is not None:
         # gamma intermediate -> Poisson step; direct law is discrete (case 3)
@@ -345,7 +434,7 @@ def chapman_kolmogorov_qbes(start: FanPoint, t1: float, t2: float, delta: float,
         return float(np.max(np.abs(composed - np.array(direct.probs + (0.0,) * 3))))
 
     # discrete intermediate: one step law per atom, each on the branch of the direct law
-    steps = [qbes_transition(DiscretePoint(law1.tau, l), t2, delta) for l in law1.levels]
+    steps = _transition_rows([(DiscretePoint(law1.tau, l), t2, delta) for l in law1.levels])
     if any((step.gamma_ray is None) != (direct.gamma_ray is None) for step in steps):
         raise AssertionError("an intermediate step law and the direct law differ in branch")
     if direct.gamma_ray is not None:

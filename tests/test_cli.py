@@ -372,6 +372,22 @@ class TestTables:
     def test_char_eval_missing_option(self, argv, message, capsys):
         assert run_cli(["char-eval"] + argv, capsys) == (1, "", f"hyperbessel: error: {message}\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "bk", "--alpha", "2", "--u-grid", "1", "--x-grid", "1",
+          "--state", "garbage"], "char-eval --family bk takes no --state or --w-grid"),
+        (["--family", "bk", "--alpha", "2", "--u-grid", "1", "--x-grid", "1", "--w-grid", "0"],
+         "char-eval --family bk takes no --state or --w-grid"),
+        (["--family", "bk", "--alpha", "2", "--u-grid", "1", "--x-grid", "1", "--w-grid="],
+         "char-eval --family bk takes no --state or --w-grid"),
+        (["--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2", "--x-grid", "1",
+          "--w-grid", "0", "--u-grid", "5"], "char-eval --family laguerre takes no --u-grid"),
+        (["--family", "laguerre", "--alpha", "0.5", "--state", "tau=1,k=2", "--x-grid", "1",
+          "--w-grid", "0", "--u-grid="], "char-eval --family laguerre takes no --u-grid"),
+    ])
+    def test_char_eval_other_family_option(self, argv, message, capsys):
+        # each exited 0 with the option silently ignored
+        assert run_cli(["char-eval"] + argv, capsys) == (1, "", f"hyperbessel: error: {message}\n")
+
     def test_hankel_gaussian(self, capsys):
         code, out, _ = run_cli(["hankel", "--alpha", "1", "--function", "gaussian",
                                 "--u-grid", "0.0,1.0", "--cutoff", "12"], capsys)

@@ -246,8 +246,10 @@ def test_exact_sum_is_fsum_in_natural_order():
 def test_truncation_overshoot_is_rejected():
     # two atoms of 0.5 + 1e-11: the rounded atoms sum above 1 + 1e-12
     log_pmf = lambda ms: np.where(ms < 2, math.log(0.5 + 1e-11), -np.inf)  # noqa: E731
+    law, = kn._truncate_rows(lambda rows, ms: log_pmf(ms)[None], lambda row, m: 0.0, 1e-12,
+                             [(-1.0, 0, 1)])
     with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
-        kn._truncate_series(log_pmf, lambda m: 0.0, 1e-12, -1.0, 0, case=1)
+        raise law
 
 
 class TestTransitionLawInvariants:
@@ -472,9 +474,9 @@ class TestChapmanKolmogorov:
     def test_step_laws_on_another_branch_than_the_direct_law(self, monkeypatch, start,
                                                              t1, t2, step_t):
         # every step law must have a gamma ray exactly when the direct law has one
-        qbes_transition = kn.qbes_transition
-        monkeypatch.setattr(kn, "qbes_transition", lambda s, t, delta: qbes_transition(
-            s, step_t(s) if t == t2 else t, delta))
+        transition_rows = kn._transition_rows
+        monkeypatch.setattr(kn, "_transition_rows", lambda rows: transition_rows(
+            [(s, step_t(s) if t == t2 else t, delta) for s, t, delta in rows]))
         with pytest.raises(AssertionError, match="^an intermediate step law and the direct "
                                                  "law differ in branch$"):
             kn.chapman_kolmogorov_qbes(start, t1, t2, 1.5)

@@ -1,10 +1,12 @@
 """Array-speed law construction keeps every bit of the per-atom code.
 
-The per-atom forms of kernels._truncate_series, kernels._neg_binomial,
-kernels.law_json and TransitionLaw.__post_init__ are kept
-below verbatim (prefixed _per_atom_ where the name would clash). Through them
-qbes_transition builds each law atom by atom; every law, its JSON text and
-every raise message of the array forms must be equal to theirs.
+The per-atom forms of the truncation, of the negative-binomial and Poisson
+pmfs, of kernels.law_json and of TransitionLaw.__post_init__ are kept below
+verbatim (prefixed _per_atom_ where the name would clash). The per-atom
+reference of the row family kernels._truncate_rows truncates each row alone
+with them, so qbes_transition and kernels._transition_rows then build each
+law atom by atom; every law, its JSON text and every raise message of the
+array forms, lone or in a family of rows, must be equal to theirs.
 """
 import json
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from hyperbessel import kernels as kn
+from hyperbessel import verify as vf
 from hyperbessel.hypergroup import ContinuousPoint, DiscretePoint
 from hyperbessel.specfun import log_gamma
 
@@ -78,7 +81,7 @@ def _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case):
                          probs=tuple(probs), tail_mass=tail)
 
 
-def _neg_binomial(r, lp, lq, trunc_eps, tau, first_level, case):
+def _neg_binomial_pmf(r, lp, lq):
     q = math.exp(lq)
 
     def log_pmf(ms):
@@ -90,7 +93,35 @@ def _neg_binomial(r, lp, lq, trunc_eps, tau, first_level, case):
         # when r >= 1 and rises to 1 when r < 1
         return q * max((r + m) / (m + 1.0), 1.0)
 
-    return _truncate_series(log_pmf, tail_ratio, trunc_eps, tau, first_level, case)
+    return log_pmf, tail_ratio
+
+
+def _poisson_pmf(rate, log_rate):
+    def log_pmf(ls):
+        return ls * log_rate - rate - log_gamma(ls + 1.0)
+
+    return log_pmf, lambda m: rate / (m + 1.0)
+
+
+def _per_row(pmf):
+    """A row family's (log_pmf, tail_ratio) from the per-atom pmf of each row."""
+    def kind(series):
+        pmfs = [pmf(*row) for row in series]
+        return (lambda rows, ms: np.array([pmfs[i][0](ms) for i in rows]),
+                lambda row, m: pmfs[row][1](m))
+    return kind
+
+
+def _per_atom_truncate_rows(log_pmf, tail_ratio, trunc_eps, heads):
+    """kernels._truncate_rows as a loop of per-atom truncations, one per row."""
+    outcomes = []
+    for i, head in enumerate(heads):
+        try:
+            outcomes.append(_truncate_series(lambda ms: log_pmf(np.array([i]), ms)[0],
+                                             lambda m: tail_ratio(i, m), trunc_eps, *head))
+        except (RuntimeError, ValueError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _per_atom_law_json(law):
@@ -114,21 +145,45 @@ def _outcome(build, write):
 
 
 @pytest.fixture
-def per_atom_law(monkeypatch):
-    """The outcome of qbes_transition through the per-atom code."""
-    def outcome(start, t, delta, trunc_eps=1e-12):
+def per_atom(monkeypatch):
+    """build() through the per-atom code, its laws written by the per-atom law_json."""
+    def outcome(build):
         with monkeypatch.context() as m:
-            for name, obj in (("_truncate_series", _truncate_series),
-                              ("_neg_binomial", _neg_binomial),
+            for name, obj in (("_truncate_rows", _per_atom_truncate_rows),
+                              ("_neg_binomial", _per_row(_neg_binomial_pmf)),
+                              ("_poisson", _per_row(_poisson_pmf)),
                               ("TransitionLaw", TransitionLaw)):
                 m.setattr(kn, name, obj)
-            return _outcome(lambda: kn.qbes_transition(start, t, delta, trunc_eps),
-                            _per_atom_law_json)
+            return _outcome(build, _per_atom_law_json)
+    return outcome
+
+
+@pytest.fixture
+def per_atom_law(per_atom):
+    """The outcome of qbes_transition through the per-atom code."""
+    def outcome(start, t, delta, trunc_eps=1e-12):
+        return per_atom(lambda: kn.qbes_transition(start, t, delta, trunc_eps))
     return outcome
 
 
 def _law(start, t, delta, trunc_eps=1e-12):
     return _outcome(lambda: kn.qbes_transition(start, t, delta, trunc_eps), kn.law_json)
+
+
+def _raised(outcome):
+    """A row's law, or the error it holds raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _rows(truncate, pmfs, trunc_eps, heads):
+    """Each row's outcome of the truncation family truncate over the rows'
+    (log_pmf(ms), tail_ratio(m)) pairs pmfs, from one call."""
+    laws = truncate(lambda rows, ms: np.array([pmfs[i][0](ms) for i in rows]),
+                    lambda row, m: pmfs[row][1](m), trunc_eps, heads)
+    write = kn.law_json if truncate is kn._truncate_rows else _per_atom_law_json
+    return [_outcome(lambda law=law: _raised(law), write) for law in laws]
 
 
 # (start, t, delta) by kernel case; t near 1 |s| puts the crossing deep in a
@@ -166,6 +221,79 @@ def test_laws_keep_their_bits(per_atom_law, family, trunc_eps):
         assert max(len(o[3]) for o in outcomes if o not in raised) > 20_000
 
 
+# the qbes-kernel laws of the tabulate benchmark; two of them raise
+DESIGN_LAWS = [(DiscretePoint(-1.0, 4), 0.996, 1.3), (DiscretePoint(-1.0, 0), 0.992, 2.0),
+               (DiscretePoint(-1.5, 8), 1.496, 0.9), (ContinuousPoint(2000.0), 1.0, 2.5),
+               (ContinuousPoint(2003.09), 1.0, 2.5), (ContinuousPoint(700.0), 1.0, 1.0),
+               (DiscretePoint(-0.5, 200), 1.5, 1.5), (DiscretePoint(2.0, 300), 0.5, 3.0),
+               (DiscretePoint(-2.0, 5), 0.5, 0.7)]
+
+
+def _normalization_rows():
+    rng = np.random.default_rng(20241)
+    return [vf._random_scenario(rng, i % 5 + 1) for i in range(200)]
+
+
+def _ck_rows():
+    """The laws of the chapman-kolmogorov suite: both ends, then each step."""
+    rows = []
+    for start, t1, t2, delta in ((DiscretePoint(-2.0, 0), 0.5, 0.5, 1.7),
+                                 (DiscretePoint(-1.0, 1), 0.4, 1.0, 2.3),
+                                 (DiscretePoint(-1.0, 1), 1.0, 1.0, 2.3),
+                                 (DiscretePoint(-2.0, 1), 1.2, 0.8, 1.5),
+                                 (DiscretePoint(1.0, 3), 0.4, 0.6, 0.9),
+                                 (ContinuousPoint(0.7), 0.6, 0.9, 2.0)):
+        law1 = kn.qbes_transition(start, t1, delta)
+        rows += [(start, t1, delta), (start, t1 + t2, delta)]
+        rows += [(DiscretePoint(law1.tau, l), t2, delta) for l in law1.levels]
+    return rows
+
+
+ROW_FAMILIES = {**LAW_FAMILIES, "design": DESIGN_LAWS, "normalization": _normalization_rows(),
+                "chapman-kolmogorov": _ck_rows()}
+ROW_FAMILIES["all"] = [row for rows in ROW_FAMILIES.values() for row in rows]
+
+
+def _family(rows, trunc_eps):
+    """Every law of one _transition_rows call, or the raise it ends in."""
+    try:
+        laws = kn._transition_rows(rows, trunc_eps)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [_outcome(lambda law=law: law, kn.law_json) for law in laws]
+
+
+@pytest.mark.parametrize("family, trunc_eps", [
+    (family, eps) for family in sorted(ROW_FAMILIES) for eps in (1e-12, 1e-9, 1e-6)
+    if family not in ("case1-deep", "all") or eps == 1e-12])
+def test_law_family_equals_its_lone_laws(per_atom_law, family, trunc_eps):
+    # one family call keeps every law of the per-atom lone calls; with a row
+    # that raises, it raises the first such row's error
+    rows = ROW_FAMILIES[family]
+    lone = [per_atom_law(*row, trunc_eps) for row in rows]
+    raised = [o for o in lone if len(o) == 2]
+    assert _family(rows, trunc_eps) == (raised[0] if raised else lone)
+    kept = [row for row, o in zip(rows, lone) if len(o) != 2]
+    assert _family(kept, trunc_eps) == [o for o in lone if len(o) != 2]
+    if (family, trunc_eps) == ("design", 1e-12):
+        assert len(raised) == 2
+
+
+def test_law_family_raises_its_first_failing_row():
+    # a row the checks reject and a row past its reach, either side of good rows
+    good, far = LAW_FAMILIES["case1"][0], LAW_FAMILIES["case1-deep"][1]
+    bad = (DiscretePoint(-1.0, 0), 1.0, -2.0)
+    for rows, message in (([good, bad, far], "qbes_transition requires delta > 0"),
+                          ([good, far, bad], "cannot reach"),
+                          ([far, good, bad], "cannot reach"),
+                          ([good, (ContinuousPoint(1.0), 1.0, 1.0), bad], "requires delta > 0")):
+        with pytest.raises((RuntimeError, ValueError), match=message):
+            kn._transition_rows(rows)
+    with pytest.raises(TypeError, match="^not a fan point"):
+        kn._transition_rows([good, ((1.0, 2.0), 1.0, 1.0), far])
+    assert kn._transition_rows([]) == []
+
+
 def _geometric(q, mass=1.0):
     def log_pmf(ms):
         return math.log(mass * (1.0 - q)) + ms * math.log(q)
@@ -178,19 +306,46 @@ def _uniform(n):
     return log_pmf, lambda m: 1.0 if m < n - 1 else 0.0
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 511, 512, 513])
-@pytest.mark.parametrize("trunc_eps", [1e-12, 1e-7])
-def test_crossing_at_piece_edges(n, trunc_eps):
+@pytest.fixture(params=["wide", "narrow"])
+def min_round(request, monkeypatch):
+    """Rounds as the suites get them, and with every first round narrow: ending
+    at atoms 32 and 128 even for one row."""
+    if request.param == "narrow":
+        monkeypatch.setattr(kn, "_MIN_ROUND", 1)
+    return request.param
+
+
+def _piece_edge_pmfs(n, trunc_eps):
     # 1 - q^m reaches the target first at m = n atoms
     q = (0.9375 * trunc_eps) ** (1.0 / (n - 0.5))
-    for log_pmf, tail_ratio in (_geometric(q), _uniform(n)):
-        args = (log_pmf, tail_ratio, trunc_eps, 0.5, 3, 1)
-        got = _outcome(lambda: kn._truncate_series(*args), kn.law_json)
+    return [_geometric(q), _uniform(n)]
+
+
+PIECE_EDGES = [31, 32, 33, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1023, 1024, 1025]
+
+
+@pytest.mark.parametrize("n", PIECE_EDGES)
+@pytest.mark.parametrize("trunc_eps", [1e-12, 1e-7])
+def test_crossing_at_piece_edges(n, trunc_eps, min_round):
+    pmfs = _piece_edge_pmfs(n, trunc_eps)
+    for pmf in pmfs:
+        args = (*pmf, trunc_eps, 0.5, 3, 1)
+        got = _rows(kn._truncate_rows, [pmf], trunc_eps, [(0.5, 3, 1)])[0]
         assert got == _outcome(lambda: _truncate_series(*args), _per_atom_law_json)
         assert got[2] == range(3, 3 + n)
 
 
-def test_compensation_decides_the_crossing():
+@pytest.mark.parametrize("trunc_eps", [1e-12, 1e-7])
+def test_crossings_at_every_piece_edge_in_one_family(trunc_eps, min_round):
+    # rows that stop in different rounds leave one call at their own atoms
+    pmfs = [pmf for n in PIECE_EDGES for pmf in _piece_edge_pmfs(n, trunc_eps)]
+    heads = [(0.5, i, 1) for i in range(len(pmfs))]
+    got = _rows(kn._truncate_rows, pmfs, trunc_eps, heads)
+    assert got == _rows(_per_atom_truncate_rows, pmfs, trunc_eps, heads)
+    assert [len(law[3]) for law in got] == [n for n in PIECE_EDGES for _ in range(2)]
+
+
+def test_compensation_decides_the_crossing(min_round):
     # atoms triple up to level 29 (each outgrows the running total, the other
     # branch of Neumaier's step), then halve; targets a few ulps around the
     # running sums put the stop where only the carried compensation decides it
@@ -199,26 +354,30 @@ def test_compensation_decides_the_crossing():
                         29 * math.log(3.0) - (ms - 29) * math.log(2.0)) - log_norm
     log_norm = math.log(math.fsum(3.0 ** m for m in range(30)) + 3.0 ** 29)
     sums = np.cumsum(np.exp(log_pmf(np.arange(80))))
+    pmf = (log_pmf, lambda m: 3.0 if m < 29 else 0.5)
     for j in range(45, 75):
         for k in range(-6, 7):
             eps = (1.0 - (sums[j] + k * 2.0 ** -53)) / 0.9375
-            args = (log_pmf, lambda m: 3.0 if m < 29 else 0.5, eps, 0.5, 0, 1)
-            assert (_outcome(lambda: kn._truncate_series(*args), kn.law_json)
+            args = (*pmf, eps, 0.5, 0, 1)
+            assert (_rows(kn._truncate_rows, [pmf], eps, [(0.5, 0, 1)])[0]
                     == _outcome(lambda: _truncate_series(*args), _per_atom_law_json)), (j, k)
 
 
 @pytest.mark.parametrize("mass", [0.5, 1.0 - 2e-12])
-def test_unreachable_pmf_raises_alike(mass):
-    args = (*_geometric(0.99, mass), 1e-12, 0.5, 0, 1)
-    got = _outcome(lambda: kn._truncate_series(*args), kn.law_json)
-    assert got == _outcome(lambda: _truncate_series(*args), _per_atom_law_json)
-    assert got[0] == "RuntimeError" and "cannot reach" in got[1]
+def test_unreachable_pmf_raises_alike(mass, min_round):
+    # next to rows that finish first and later, in the same call
+    pmfs = [_geometric(0.5), _geometric(0.99, mass), _geometric(0.995)]
+    heads = [(0.5, 0, 1)] * 3
+    got = _rows(kn._truncate_rows, pmfs, 1e-12, heads)
+    assert got == _rows(_per_atom_truncate_rows, pmfs, 1e-12, heads)
+    assert got[1][0] == "RuntimeError" and "cannot reach" in got[1][1]
+    assert got[0][0] == got[2][0] == 1
 
 
 def test_nan_pmf_raises_alike():
-    args = (lambda ms: np.where(ms < 70, -5.0, np.nan), lambda m: 0.5, 1e-12, 0.5, 0, 1)
-    got = _outcome(lambda: kn._truncate_series(*args), kn.law_json)
-    assert got == _outcome(lambda: _truncate_series(*args), _per_atom_law_json)
+    pmf = (lambda ms: np.where(ms < 70, -5.0, np.nan), lambda m: 0.5)
+    got = _rows(kn._truncate_rows, [pmf], 1e-12, [(0.5, 0, 1)])[0]
+    assert got == _outcome(lambda: _truncate_series(*pmf, 1e-12, 0.5, 0, 1), _per_atom_law_json)
     assert got[0] == "RuntimeError" and "mass nan after 500224 atoms" in got[1]
 
 

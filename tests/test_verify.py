@@ -476,7 +476,8 @@ class TestProductFormulas:
     def test_multiplicativity_checks(self):
         assert vf._bk_multiplicativity_rows([(1.0, 0.7, 1.1, 2.0)], QuadratureSpec())[0].passed
         c = DiscretePoint(-0.7, 2)
-        r = vf.lag_multiplicativity_check(c, HeisPoint(1.0, 0.3), HeisPoint(0.8, -0.5), 0.5)
+        r = vf._lag_multiplicativity_rows([(c, HeisPoint(1.0, 0.3), HeisPoint(0.8, -0.5), 0.5)],
+                                          QuadratureSpec())[0]
         assert r.passed
 
 
@@ -537,7 +538,8 @@ def test_multiplicativity_checks_match_per_check_code():
             fn = lambda xs, ws: _second_kind_char(alpha, c.y1, xs) + 0.0j * ws
         lhs = lag_translate(fn, a, b, p, q)
         rhs = lag_character(c, a, p) * lag_character(c, b, p)
-        assert vf.lag_multiplicativity_check(c, a, b, alpha, q).max_abs_err == abs(lhs - rhs)
+        assert (vf._lag_multiplicativity_rows([(c, a, b, alpha)], q)[0].max_abs_err
+                == abs(lhs - rhs))
 
 
 PSD_POINTS = np.linspace(0.3, 2.7, 10)  # the psd-gram suite's points; its params hold only n
@@ -564,9 +566,9 @@ ONE_ROW_CHECKS = {
     "watson": lambda p, q: vf.watson_check(p["nu"], p["x"], p["y"], p["k"], q),
     "bk_multiplicativity": lambda p, q: vf._bk_multiplicativity_rows(
         [(p["u"], p["x"], p["xp"], p["alpha"])], q)[0],
-    "lag_multiplicativity": lambda p, q: vf.lag_multiplicativity_check(
-        _fan_point(p["chi"]), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]),
-        p["alpha"], q),
+    "lag_multiplicativity": lambda p, q: vf._lag_multiplicativity_rows(
+        [(_fan_point(p["chi"]), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]),
+          p["alpha"])], q)[0],
     "psd_gram": lambda p, q: vf.psd_gram_check(PSD_POINTS[:p["n"]], p["t"], p["delta"], q),
     "chapman_kolmogorov": lambda p, q: vf.chapman_kolmogorov_check(
         _fan_point(p["start"]), p["t1"], p["t2"], p["delta"], q),
@@ -664,6 +666,20 @@ class TestGramAndKernels:
     def test_normalization_rejects_no_laws(self, n):
         # a sweep over zero laws reported PASS
         with pytest.raises(ValueError, match="n >= 1"):
+            vf.normalization_check(n)
+
+    @pytest.mark.parametrize("n", [200.0, np.float64(50.0), np.int64(7)])
+    def test_normalization_integral_float_count(self, n):
+        # 200.0 raised TypeError from range()
+        r = vf.normalization_check(n)
+        assert r == vf.normalization_check(int(n))
+        assert r.params == (("n", int(n)), ("seed", 20241))
+        assert type(dict(r.params)["n"]) is int
+
+    @pytest.mark.parametrize("n", [True, False, 2.5, math.nan, math.inf, -math.inf, "3", None])
+    def test_normalization_rejects_a_non_integer_count(self, n):
+        # True passed with params n=True
+        with pytest.raises(ValueError, match="^normalization_check requires integer n >= 1$"):
             vf.normalization_check(n)
 
 
