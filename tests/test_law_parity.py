@@ -145,24 +145,17 @@ def _outcome(build, write):
 
 
 @pytest.fixture
-def per_atom(monkeypatch):
-    """build() through the per-atom code, its laws written by the per-atom law_json."""
-    def outcome(build):
+def per_atom_law(monkeypatch):
+    """The outcome of qbes_transition through the per-atom code."""
+    def outcome(start, t, delta, trunc_eps=1e-12):
         with monkeypatch.context() as m:
             for name, obj in (("_truncate_rows", _per_atom_truncate_rows),
                               ("_neg_binomial", _per_row(_neg_binomial_pmf)),
                               ("_poisson", _per_row(_poisson_pmf)),
                               ("TransitionLaw", TransitionLaw)):
                 m.setattr(kn, name, obj)
-            return _outcome(build, _per_atom_law_json)
-    return outcome
-
-
-@pytest.fixture
-def per_atom_law(per_atom):
-    """The outcome of qbes_transition through the per-atom code."""
-    def outcome(start, t, delta, trunc_eps=1e-12):
-        return per_atom(lambda: kn.qbes_transition(start, t, delta, trunc_eps))
+            return _outcome(lambda: kn.qbes_transition(start, t, delta, trunc_eps),
+                            _per_atom_law_json)
     return outcome
 
 
