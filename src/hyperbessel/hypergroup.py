@@ -6,9 +6,7 @@ Haar-weighted Hankel-type Fourier transform on the half-line. Each Laguerre
 character is written once, in _first_kind_char (a whole table of degrees from
 one laguerre_L_all call) and _second_kind_char, and _lag_char is the one place
 that picks the kind of a fan point; bk_translate takes arrays of points, and
-is the one-order call of _bk_translate_rows, whose points carry their order;
-lag_translate is the one-row call of _lag_translate_rows, whose (a, b) rows
-carry their order and give their nodes in one pass per kind of radial rule.
+is the one-order call of _bk_translate_rows, whose points carry their order.
 
 Convolution integrals carry endpoint-singular weights (sin^(alpha-2) theta on
 the half-line family, r (1-r^2)^(alpha-1) on the plane family), so they are
@@ -192,59 +190,24 @@ def lag_translate(f, a: HeisPoint, b: HeisPoint, p: LaguerreParams,
     """f evaluated at the convolution a * b of the plane hypergroup.
 
     The circle average of the radial average against r (1-r^2)^(alpha-1) dr,
-    which is the point mass at r = 1 when alpha = 0: one f call on the 1-d
-    arrays of (theta, r) nodes for every order, weights summed with no BLAS
-    product. f must accept arrays (x, w) and may be complex-valued. This is
-    the one-row call of _lag_translate_rows.
+    which is the point mass at r = 1 when alpha = 0: one f call on the (theta,
+    r) grid for every order, weights summed with no BLAS product. f must
+    accept arrays (x, w) and may be complex-valued.
     """
-    radii, ws, _, mean = _lag_translate_rows([a], [b], [p.alpha], q or QuadratureSpec())
-    return complex(mean(f(radii, ws))[0])
-
-
-def _lag_translate_rows(a, b, alpha, q: QuadratureSpec):
-    """The translation a[i] * b[i] of each row i, at its own order alpha[i] >= 0,
-    as (radii, ws, spans, mean): the (theta, r) nodes of every row in two 1-d
-    arrays, theta major, the rows of order 0 first; each row's (start, stop)
-    span of them; and mean, which takes f at the nodes to the translations,
-    one complex per row. Rows of order 0 take the one node r = 1, the others
-    their own Gauss-Jacobi rule, one array pass per kind."""
+    q = q or QuadratureSpec()
     n = q.nodes
     theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    # per row, as a lone call takes them: x^2 + x'^2, x x' and w + w'
-    sq, xx, wsum = (np.array(col) for col in zip(*[(ai.x ** 2 + bi.x ** 2, ai.x * bi.x,
-                                                    ai.w + bi.w) for ai, bi in zip(a, b)]))
-    alpha = np.asarray(alpha, dtype=float)
-    radii, ws, spans, groups = [], [], [None] * alpha.size, []
-    start = 0
-    for at in (alpha == 0.0, alpha != 0.0):
-        if not at.any():
-            continue
-        if alpha[at][0] == 0.0:
-            r = wv = np.ones((np.count_nonzero(at), 1))
-        else:
-            # v = r^2 turns r (1-r^2)^(alpha-1) dr into the Jacobi weight (1-v)^(alpha-1)/2
-            uv, wv = map(np.array, zip(*[gauss_jacobi(n, al - 1.0, 0.0) for al in alpha[at]]))
-            r = np.sqrt(0.5 * (uv + 1.0))
-        r = r[:, None, :]  # rows, theta, r
-        radii.append(np.sqrt(np.maximum(
-            sq[at][:, None, None] + (2.0 * xx[at])[:, None, None] * r * cos_t, 0.0)).ravel())
-        ws.append((wsum[at][:, None, None] + xx[at][:, None, None] * r * sin_t).ravel())
-        size = n * r.shape[-1]
-        for j, i in enumerate(np.flatnonzero(at).tolist()):
-            spans[i] = (start + j * size, start + (j + 1) * size)
-        groups.append((at, slice(start, start + radii[-1].size), wv))
-        start += radii[-1].size
-
-    def mean(values):
-        out = np.empty(alpha.shape, dtype=complex)
-        for at, nodes, wv in groups:
-            vals = values[nodes].reshape(wv.shape[0], n, wv.shape[1])
-            out[at] = (np.mean(np.sum(wv[:, None, :] * vals, axis=-1), axis=-1)
-                       / np.sum(wv, axis=-1))
-        return out
-
-    return np.concatenate(radii), np.concatenate(ws), spans, mean
+    if p.alpha == 0.0:
+        r = wv = np.ones(1)
+    else:
+        # v = r^2 turns r (1-r^2)^(alpha-1) dr into the Jacobi weight (1-v)^(alpha-1)/2
+        uv, wv = gauss_jacobi(n, p.alpha - 1.0, 0.0)
+        r = np.sqrt(0.5 * (uv + 1.0))
+    # rows are theta, columns r
+    xx = a.x * b.x
+    radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * r * np.cos(theta)[:, None], 0.0))
+    ws = a.w + b.w + xx * r * np.sin(theta)[:, None]
+    return complex(np.mean(np.sum(wv * f(radii, ws), axis=-1)) / np.sum(wv))
 
 
 def bk_character(u, x, p: BesselKingmanParams):

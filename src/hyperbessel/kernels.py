@@ -20,16 +20,15 @@ invariant rather than silently repaired. Rounded atom probabilities can sum to
 just under the mass target: once a geometric bound on the atoms still to come
 shows that, the law raises RuntimeError instead of walking on to the atom cap.
 Laws are built as a row family (_transition_rows; qbes_transition is its
-one-row call, and the normalization and Chapman-Kolmogorov checks each build
-their laws in one call). Truncation walks every unfinished law of the family
-at once: a round takes one exp and one log_gamma over a 2-D chunk of atoms,
-sums each row by np.cumsum, carrying Neumaier's sum and compensation exactly,
-with no per-atom Python loop, and drops the laws that stop. Rounds are 512
-atoms; a round of many laws may first end at atom 32 or 128. Truncation takes the
-exact sum of its atoms (fsum, largest first, which keeps fsum's partials few);
-the constructor takes it again only where the error bound of the plain sum
-cannot decide the mass check, past about 4,500 atoms. law_json fills its atom
-list in one % call.
+one-row call, and the normalization, Chapman-Kolmogorov and generator checks
+build their laws through it). Truncation walks up to _BLOCK (256) unfinished
+laws at once, in rounds of 512 atoms per law: a round takes one exp and one
+log_gamma over a 2-D chunk of atoms, sums each row by np.cumsum, carrying
+Neumaier's sum and compensation exactly, with no per-atom Python loop, and
+drops the laws that stop. Truncation takes the exact sum of its atoms (fsum,
+largest first, which keeps fsum's partials few); the constructor takes it
+again only where the error bound of the plain sum cannot decide the mass
+check, past about 4,500 atoms. law_json fills its atom list in one % call.
 bes_density evaluates a whole y-grid in one call, y = 0 by the same formula
 as y > 0 (its y^(delta-1) factor gives 0 above delta = 1 and inf below it).
 The regime boundary u = 0 triggers only on exact float equality s + t == 0:
@@ -136,13 +135,9 @@ def _exact_sum(probs) -> float:
     return math.fsum(sorted(probs, reverse=True))
 
 
-# a round of many rows may end early, at atom 32 or 128, where it still holds
-# _MIN_ROUND atoms: short laws then pay no 512-atom chunk, and a lone law pays
-# no extra round. Every other round ends at a multiple of 512, where the reach
-# check falls.
-_FIRST_STOPS = (32, 128)
-_MIN_ROUND = 2048
-_ROUND = 512
+_ROUND = 512  # atoms per row in a round
+# rows per _truncate_rows call, so that a round holds at most _BLOCK x _ROUND atoms
+_BLOCK = 256
 
 
 def _truncate_rows(log_pmf, tail_ratio, trunc_eps, heads) -> list:
@@ -174,15 +169,12 @@ def _truncate_rows(log_pmf, tail_ratio, trunc_eps, heads) -> list:
     """
     target = 1.0 - 0.9375 * trunc_eps
     outcomes = [None] * len(heads)
-    probs = [[] for _ in heads]
+    probs = [[] for _ in heads]  # each row's chunks of atoms
     active = np.arange(len(heads))
     total = comp = np.zeros(len(heads))  # Neumaier's sum and compensation per active row
     level = 0
     while active.size:
-        width = next((stop for stop in _FIRST_STOPS
-                      if stop > level and active.size * (stop - level) >= _MIN_ROUND),
-                     level - level % _ROUND + _ROUND) - level
-        ps = np.exp(log_pmf(active, np.arange(level, level + width)))
+        ps = np.exp(log_pmf(active, np.arange(level, level + _ROUND)))
         totals = np.concatenate((total[:, None], ps), axis=1).cumsum(axis=1)
         prev = totals[:, :-1]
         comps = np.concatenate(
@@ -190,30 +182,29 @@ def _truncate_rows(log_pmf, tail_ratio, trunc_eps, heads) -> list:
             axis=1).cumsum(axis=1)
         hit = totals[:, 1:] + comps[:, 1:] >= target  # NaN never hits
         total, comp = totals[:, -1], comps[:, -1]  # carried by the rows that go on
-        # a row stops at its first hit; width + 1 marks a row that goes on
-        stops = (np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, width + 1).tolist()
-                 if hit.any() else [width + 1] * active.size)
-        level += width
-        reach, leaving = level % _ROUND == 0, False
-        for j, (i, row, stop) in enumerate(zip(active.tolist(), ps.tolist(), stops)):
-            finished = stop <= width
-            probs[i] += row[:stop] if finished else row
+        # a row stops at its first hit; 0 marks a row that goes on
+        stops = (np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0).tolist()
+                 if hit.any() else [0] * active.size)
+        level += _ROUND
+        leaving = False
+        for j, (i, stop) in enumerate(zip(active.tolist(), stops)):
+            probs[i].append(ps[j, :stop] if stop else ps[j])
             out_of_reach = False
-            if reach and not finished:
+            if not stop:
                 ratio = tail_ratio(i, level - 1)
                 out_of_reach = ratio < 1.0 and (
-                    total[j] + comp[j] + 2.0 * row[-1] * ratio / (1.0 - ratio) + 1e-15 < target)
-            leaving |= finished or out_of_reach or level > _MAX_ATOMS
+                    total[j] + comp[j] + 2.0 * ps[j, -1] * ratio / (1.0 - ratio) + 1e-15 < target)
+            leaving |= bool(stop) or out_of_reach or level > _MAX_ATOMS
             if out_of_reach or level > _MAX_ATOMS:
-                mass = totals[j, min(stop, width)] + comps[j, min(stop, width)]
+                mass = totals[j, stop or _ROUND] + comps[j, stop or _ROUND]
                 outcomes[i] = RuntimeError(
                     f"transition law support too large to truncate (mass {mass:.6f} "
                     f"after {level} atoms); its rounded atom probabilities "
                     f"{'cannot' if out_of_reach else 'do not'} reach 1 - trunc_eps "
                     f"(trunc_eps = {trunc_eps:g}); use a larger trunc_eps (--trunc-eps)")
-            elif finished:
+            elif stop:
                 tau, first_level, case = heads[i]
-                law_probs = tuple(probs[i])
+                law_probs = tuple(np.concatenate(probs[i]).tolist())
                 tail = max(0.0, 1.0 - _exact_sum(law_probs))
                 try:
                     outcomes[i] = TransitionLaw(
@@ -301,6 +292,8 @@ def _row_law(start, t, delta, trunc_eps):
         return TransitionLaw(case=2, gamma_ray=GammaRay(delta + k, t))
 
     r = delta + k
+    if r == math.inf:  # what log_gamma(r) says, raised here in row order
+        raise ValueError("log_gamma requires finite x > 0")
     if u < 0.0:
         # case 1: negative binomial with success u/s, atoms at levels l >= k;
         # ln q = ln(t/-s) where u/s rounds to 1
@@ -314,9 +307,9 @@ def _row_law(start, t, delta, trunc_eps):
 def _transition_rows(rows, trunc_eps: float = 1e-12) -> list[TransitionLaw]:
     """qbes_transition(start, t, delta, trunc_eps) of each (start, t, delta)
     row: the infinite supports truncated together, one _truncate_rows call
-    for the negative binomials and one for the Poissons. Each law has the
-    bits of its row called alone, and the error raised is the one the first
-    failing row raises alone."""
+    per _BLOCK rows of the negative binomials and of the Poissons. Each law
+    has the bits of its row called alone, and the error raised is the one
+    the first failing row raises alone."""
     outcomes, series = [], {_neg_binomial: [], _poisson: []}  # kind: [(row index, row, head)]
     for start, t, delta in rows:
         try:
@@ -328,8 +321,8 @@ def _transition_rows(rows, trunc_eps: float = 1e-12) -> list[TransitionLaw]:
             series[law[0]].append((len(outcomes), *law[1:]))
         outcomes.append(law)
     for kind, walks in series.items():
-        if walks:
-            at, kind_rows, heads = zip(*walks)
+        for block in range(0, len(walks), _BLOCK):
+            at, kind_rows, heads = zip(*walks[block:block + _BLOCK])
             for i, law in zip(at, _truncate_rows(*kind(kind_rows), trunc_eps, heads)):
                 outcomes[i] = law
     for law in outcomes:

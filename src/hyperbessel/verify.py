@@ -12,29 +12,29 @@ under one spec, QuadratureSpec() unless one is given: 64 Gauss-Jacobi nodes
 and adaptive abs_tol 1e-10. chapman_kolmogorov_check called on its own
 integrates to abs_tol 1e-12 unless given a QuadratureSpec.
 
-Checks are certified by suite: the Weber, generator, spectral, Laguerre,
-half-line and Laguerre multiplicativity checks are row families
-(_weber_rows, _glowne3_rows, _bk_spectral_rows, _laguerre_rows,
-_bk_multiplicativity_rows, _lag_multiplicativity_rows) whose rows carry
-their own order (nu, delta or alpha), each suite one call of its family
-under the suite's spec. The generator, normalization and
-Chapman-Kolmogorov checks build their laws with one call of the law family
-of kernels. A family takes its integrals from one integrate_rows call and
-its Bessel values from array calls over an array of orders, which return
-the bits of scalar-order calls, so each report has the bits of its family
-called with that one row. Each Laguerre series identity reads its own run
-of the recurrence, as far as it sums.
+Checks are certified by suite: the Weber, generator, spectral, Laguerre and
+half-line multiplicativity checks are row families (_weber_rows,
+_glowne3_rows, _bk_spectral_rows, _laguerre_rows, _bk_multiplicativity_rows)
+whose rows carry their own order (nu, delta or alpha), each suite one call
+of its family under the suite's spec. A family takes its integrals from one
+integrate_rows call and its Bessel values from array calls over an array of
+orders, which return the bits of scalar-order calls, so each report has the
+bits of its family called with that one row. Each Laguerre series identity
+reads its own run of the recurrence, as far as it sums. The generator,
+normalization and Chapman-Kolmogorov checks build their laws with the law
+family of kernels (_transition_rows), a block of laws per call.
 
 A whole run of run_suite forks one child for _CHILD_SUITES (Weber,
-generator, multiplicativity and PSD: about 39 ms of CPU time alone on a
-2-CPU Xeon VM, as the other six suites take) and reads their outcomes back
-through a pipe while it runs the rest. Each suite seeds its own generator
-and builds its own laws and rules, so the reports are bit for bit those of
-one process, as are the error raised (that of the first failing suite in
-SUITE_NAMES order) and the warnings (recorded per suite and re-issued in
-suite order, in one process too). The child is used only where os.fork exists, os.sched_getaffinity
-holds at least 2 CPUs and no other thread runs; a CPU quota below 2 under
-a wider affinity gains nothing.
+generator, multiplicativity and PSD: about half the CPU time, 38.5 ms alone
+on a 2-CPU Xeon VM against 39.4 ms for the other six suites) and reads their
+outcomes back through a pipe while it runs the rest. Each suite seeds its
+own generator and builds its own laws and rules, so the reports are bit
+for bit those of one process, as are the error raised (that of the first
+failing suite in SUITE_NAMES order) and the warnings (recorded per suite
+and re-issued in suite order, in one process too). The child is used only
+where os.fork exists, os.sched_getaffinity holds at least 2 CPUs and no
+other thread runs; a CPU quota below 2 under a wider affinity gains
+nothing.
 
 Validity guards are hard: the Gegenbauer and Watson product formulas are
 rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
@@ -67,9 +67,10 @@ from .hypergroup import (
     _bk_translate_rows,
     _first_kind_char,
     _lag_char,
-    _lag_translate_rows,
     _second_kind_char,
     bk_translate,
+    lag_character,
+    lag_translate,
     psi_heis,
 )
 from .quadrature import QuadratureSpec, gauss_jacobi, integrate_rows
@@ -87,6 +88,7 @@ __all__ = [
     "VerificationReport",
     "gegenbauer_check",
     "watson_check",
+    "lag_multiplicativity_check",
     "psd_gram_check",
     "chapman_kolmogorov_check",
     "normalization_check",
@@ -485,27 +487,18 @@ def _bk_multiplicativity_rows(rows, q, tol=1e-6) -> list[VerificationReport]:
             for (u, x, xp, alpha), l, ex, exp in zip(rows, lhs, eta_x, eta_xp)]
 
 
-def _lag_multiplicativity_rows(rows, q, tol=1e-6) -> list[VerificationReport]:
-    """Translation of a Laguerre character equals the product of its values,
-    at each (c, a, b, alpha) row, each at its own order: the translations
-    a * b from one _lag_translate_rows call, and chi_c of each row at its
-    translation nodes and both product points from one _lag_char call."""
-    alphas = [LaguerreParams(alpha).alpha for *_, alpha in rows]
-    radii, ws, spans, mean = _lag_translate_rows([a for _, a, _, _ in rows],
-                                                 [b for _, _, b, _ in rows], alphas, q)
-    values = np.empty(radii.size, dtype=complex)
-    products = []
-    for (c, a, b, _), alpha, (i, j) in zip(rows, alphas, spans):
-        chis = _lag_char(c, alpha, np.append(radii[i:j], (a.x, b.x)),
-                         np.append(ws[i:j], (a.w, b.w)))
-        values[i:j] = chis[:-2]
-        products.append(chis[-2:].tolist())
-    return [_report("lag_multiplicativity",
-                    {"chi": _fan_label(c), "ax": a.x, "aw": a.w, "bx": b.x, "bw": b.w,
-                     "alpha": alpha},
-                    abs(l - chi_a * chi_b), tol)
-            for (c, a, b, alpha), l, (chi_a, chi_b)
-            in zip(rows, mean(values).tolist(), products)]
+def lag_multiplicativity_check(c: FanPoint, a: HeisPoint, b: HeisPoint, alpha: float,
+                               q: QuadratureSpec | None = None,
+                               tol: float = 1e-6) -> VerificationReport:
+    p = LaguerreParams(alpha)
+    q = q or QuadratureSpec()
+    lhs = lag_translate(lambda xs, ws: _lag_char(c, alpha, xs, ws), a, b, p, q)
+    chi_a, chi_b = lag_character(c, HeisPoint(np.array([a.x, b.x]), np.array([a.w, b.w])),
+                                 p).tolist()
+    return _report("lag_multiplicativity",
+                   {"chi": _fan_label(c), "ax": a.x, "aw": a.w, "bx": b.x, "bw": b.w,
+                    "alpha": alpha},
+                   abs(lhs - chi_a * chi_b), tol)
 
 
 def psd_gram_check(points, t: float, delta: float,
@@ -565,18 +558,21 @@ def _random_scenario(rng, case: int):
 
 def normalization_check(n: int = 200, tol: float = 1e-12) -> VerificationReport:
     """Sweep n >= 1 random laws (an integer n; an integral float is taken as
-    one) through all five kernel cases, built by one law-family call; report
-    the worst deviation of total mass from 1 (tail sizes recorded in the
-    notes)."""
+    one) through all five kernel cases, built by one law-family call per
+    block of kn._BLOCK laws; report the worst deviation of total mass from 1
+    (tail sizes recorded in the notes)."""
     if (isinstance(n, bool) or not isinstance(n, numbers.Real)
             or not (1 <= n < math.inf and n % 1 == 0)):
         raise ValueError("normalization_check requires integer n >= 1")
     n = int(n)
     seed = 20241
     rng = np.random.default_rng(seed)
-    laws = kn._transition_rows([_random_scenario(rng, i % 5 + 1) for i in range(n)])
-    worst_mass = max(abs(law.total_mass() - 1.0) for law in laws)
-    worst_tail = max(law.tail_mass for law in laws)
+    worst_mass = worst_tail = 0.0
+    for block in range(0, n, kn._BLOCK):  # so a block of laws at a time is kept
+        laws = kn._transition_rows([_random_scenario(rng, i % 5 + 1)
+                                    for i in range(block, min(block + kn._BLOCK, n))])
+        worst_mass = max(worst_mass, *(abs(law.total_mass() - 1.0) for law in laws))
+        worst_tail = max(worst_tail, *(law.tail_mass for law in laws))
     return _report("normalization", {"n": n, "seed": seed}, worst_mass, tol,
                    notes=f"max_tail={worst_tail:.3e}")
 
@@ -640,7 +636,6 @@ def _suite_multiplicativity(q, tol):
         alpha = float(rng.uniform(1.0, 4.0))
         bk_rows.append((*(float(v) for v in rng.uniform(0.1, 2.5, size=3)), alpha))
     reports = _bk_multiplicativity_rows(bk_rows, q, **_tol(tol))
-    lag_rows = []
     for i in range(25):
         alpha = float(rng.uniform(0.0, 3.0))
         a = HeisPoint(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2.0, 2.0)))
@@ -650,8 +645,8 @@ def _suite_multiplicativity(q, tol):
         else:
             c = DiscretePoint(float(rng.uniform(0.2, 2.0)) * (-1.0 if i % 2 else 1.0),
                               int(rng.integers(0, 5)))
-        lag_rows.append((c, a, b, alpha))
-    return reports + _lag_multiplicativity_rows(lag_rows, q, **_tol(tol))
+        reports.append(lag_multiplicativity_check(c, a, b, alpha, q, **_tol(tol)))
+    return reports
 
 
 def _suite_psd(q, tol):
@@ -691,7 +686,7 @@ _SUITES = {
 }
 SUITE_NAMES = tuple(_SUITES)
 # the suites a whole run hands to its second process: about half its CPU time
-# (each side about 39 ms alone and 44-46 ms inside the fork on a 2-CPU Xeon VM)
+# (each side 43-48 ms inside the fork on a 2-CPU Xeon VM)
 _CHILD_SUITES = ("weber-schafheitlin", "glowne3", "multiplicativity", "psd-gram")
 
 

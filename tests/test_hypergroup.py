@@ -184,64 +184,6 @@ def _parent_lag_translate(f, a, b, p, q):
     return complex(np.mean(vals @ wv) / np.sum(wv))
 
 
-def _head_lag_translate(f, a, b, p, q):
-    """lag_translate before it was the one-row call of _lag_translate_rows, verbatim."""
-    n = q.nodes
-    theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    if p.alpha == 0.0:
-        r = wv = np.ones(1)
-    else:
-        uv, wv = gauss_jacobi(n, p.alpha - 1.0, 0.0)
-        r = np.sqrt(0.5 * (uv + 1.0))
-    xx = a.x * b.x
-    radii = np.sqrt(np.maximum(a.x ** 2 + b.x ** 2 + 2.0 * xx * r * np.cos(theta)[:, None], 0.0))
-    ws = a.w + b.w + xx * r * np.sin(theta)[:, None]
-    return complex(np.mean(np.sum(wv * f(radii, ws), axis=-1)) / np.sum(wv))
-
-
-def _lag_rows():
-    """(c, a, b, alpha) rows at mixed orders, 0 among them, both fan kinds,
-    and a == b."""
-    rng = np.random.default_rng(31)
-    cs = [hg.DiscretePoint(-1.3, 3), hg.ContinuousPoint(1.9), hg.DiscretePoint(0.8, 0),
-          hg.ContinuousPoint(0.0)]
-    rows = []
-    for i, alpha in enumerate([0.0, 0.4, 2.9, 0.0, 1.0, 1e-9, 0.4, 3.7, 0.0]):
-        a = hg.HeisPoint(*rng.uniform(0.0, 2.0, size=2))
-        b = a if i % 4 == 1 else hg.HeisPoint(*rng.uniform(0.0, 2.0, size=2))
-        rows.append((cs[i % len(cs)], a, b, alpha))
-    rows.append((cs[0], hg.HeisPoint(0.0, 0.3), hg.HeisPoint(0.0, 0.3), 0.0))
-    return rows
-
-
-class TestLagTranslateRows:
-    @pytest.mark.parametrize("q", [Q, QuadratureSpec(nodes=17)])
-    @pytest.mark.parametrize("orders", ["mixed", "all zero", "none zero"])
-    def test_rows_equal_their_one_row_calls(self, q, orders):
-        rows = [row for row in _lag_rows()
-                if orders == "mixed" or (row[3] == 0.0) == (orders == "all zero")]
-        radii, ws, spans, mean = hg._lag_translate_rows(
-            [a for _, a, _, _ in rows], [b for _, _, b, _ in rows], [al for *_, al in rows], q)
-        values = np.empty(radii.size, dtype=complex)
-        for (c, _, _, alpha), (i, j) in zip(rows, spans):
-            values[i:j] = hg._lag_char(c, alpha, radii[i:j], ws[i:j])
-        got = mean(values).tolist()
-        assert sorted(k for span in spans for k in range(*span)) == list(range(radii.size))
-        for (c, a, b, alpha), value in zip(rows, got):
-            f = lambda x, w: hg._lag_char(c, alpha, x, w)
-            p = hg.LaguerreParams(alpha)
-            assert value == hg.lag_translate(f, a, b, p, q)
-            assert value == _head_lag_translate(f, a, b, p, q)
-
-    def test_spans_follow_the_order_kind(self):
-        rows = _lag_rows()
-        _, _, spans, _ = hg._lag_translate_rows([a for _, a, _, _ in rows],
-                                                [b for _, _, b, _ in rows],
-                                                [al for *_, al in rows], Q)
-        assert [j - i for i, j in spans] == [Q.nodes * (1 if al == 0.0 else Q.nodes)
-                                             for *_, al in rows]
-
-
 class TestLagTranslate:
     def test_one_path_matches_the_two_path_parent(self):
         # alpha = 0 is the one-node radial table r = weight = 1, so every

@@ -273,18 +273,59 @@ def test_law_family_equals_its_lone_laws(per_atom_law, family, trunc_eps):
 
 
 def test_law_family_raises_its_first_failing_row():
-    # a row the checks reject and a row past its reach, either side of good rows
+    # a row the checks reject, a row past its reach and a row whose shape
+    # delta + k overflows (alone it raises what log_gamma(inf) says), either
+    # side of good rows
     good, far = LAW_FAMILIES["case1"][0], LAW_FAMILIES["case1-deep"][1]
     bad = (DiscretePoint(-1.0, 0), 1.0, -2.0)
+    huge = (DiscretePoint(-1.0, int(1.7e308)), 0.5, 1e308)
+    with pytest.raises(ValueError) as infinite_shape:
+        log_gamma(math.inf)
     for rows, message in (([good, bad, far], "qbes_transition requires delta > 0"),
                           ([good, far, bad], "cannot reach"),
                           ([far, good, bad], "cannot reach"),
-                          ([good, (ContinuousPoint(1.0), 1.0, 1.0), bad], "requires delta > 0")):
+                          ([good, (ContinuousPoint(1.0), 1.0, 1.0), bad], "requires delta > 0"),
+                          ([huge], str(infinite_shape.value)),
+                          ([good, huge, far], str(infinite_shape.value)),
+                          ([far, good, huge], "cannot reach")):
         with pytest.raises((RuntimeError, ValueError), match=message):
             kn._transition_rows(rows)
     with pytest.raises(TypeError, match="^not a fan point"):
         kn._transition_rows([good, ((1.0, 2.0), 1.0, 1.0), far])
     assert kn._transition_rows([]) == []
+
+
+def test_a_round_holds_at_most_a_block_of_rows(monkeypatch):
+    # the family truncates _BLOCK rows per call, so a round's arrays hold at
+    # most _BLOCK x 512 atoms however many rows come, and normalization_check
+    # keeps one block of laws at a time
+    rounds, calls = [], []
+    truncate, transition = kn._truncate_rows, kn._transition_rows
+
+    def spy_truncate(log_pmf, tail_ratio, trunc_eps, heads):
+        def counted(rows, ms):
+            rounds.append(rows.size * ms.size)
+            return log_pmf(rows, ms)
+        return truncate(counted, tail_ratio, trunc_eps, heads)
+
+    def spy_transition(rows, *args):
+        calls.append(len(rows))
+        return transition(rows, *args)
+
+    monkeypatch.setattr(kn, "_truncate_rows", spy_truncate)
+    monkeypatch.setattr(kn, "_transition_rows", spy_transition)
+    n = 3 * kn._BLOCK + 7
+    got = vf.normalization_check(n)
+    assert calls == [kn._BLOCK] * 3 + [7]
+    assert max(rounds) <= kn._BLOCK * kn._ROUND
+    rng = np.random.default_rng(20241)
+    laws = [kn.qbes_transition(*vf._random_scenario(rng, i % 5 + 1)) for i in range(n)]
+    assert got.max_abs_err == max(abs(law.total_mass() - 1.0) for law in laws)
+    assert got.notes == f"max_tail={max(law.tail_mass for law in laws):.3e}"
+    rounds.clear()
+    rows = [(DiscretePoint(-1.0, k % 7), 0.9, 1.5) for k in range(2 * kn._BLOCK + 1)]
+    assert kn._transition_rows(rows) == [kn.qbes_transition(*row) for row in rows]
+    assert max(rounds) <= kn._BLOCK * kn._ROUND
 
 
 def _geometric(q, mass=1.0):
@@ -299,27 +340,18 @@ def _uniform(n):
     return log_pmf, lambda m: 1.0 if m < n - 1 else 0.0
 
 
-@pytest.fixture(params=["wide", "narrow"])
-def min_round(request, monkeypatch):
-    """Rounds as the suites get them, and with every first round narrow: ending
-    at atoms 32 and 128 even for one row."""
-    if request.param == "narrow":
-        monkeypatch.setattr(kn, "_MIN_ROUND", 1)
-    return request.param
-
-
 def _piece_edge_pmfs(n, trunc_eps):
     # 1 - q^m reaches the target first at m = n atoms
     q = (0.9375 * trunc_eps) ** (1.0 / (n - 0.5))
     return [_geometric(q), _uniform(n)]
 
 
-PIECE_EDGES = [31, 32, 33, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1023, 1024, 1025]
+PIECE_EDGES = [63, 64, 65, 511, 512, 513, 1023, 1024, 1025]
 
 
 @pytest.mark.parametrize("n", PIECE_EDGES)
 @pytest.mark.parametrize("trunc_eps", [1e-12, 1e-7])
-def test_crossing_at_piece_edges(n, trunc_eps, min_round):
+def test_crossing_at_piece_edges(n, trunc_eps):
     pmfs = _piece_edge_pmfs(n, trunc_eps)
     for pmf in pmfs:
         args = (*pmf, trunc_eps, 0.5, 3, 1)
@@ -329,7 +361,7 @@ def test_crossing_at_piece_edges(n, trunc_eps, min_round):
 
 
 @pytest.mark.parametrize("trunc_eps", [1e-12, 1e-7])
-def test_crossings_at_every_piece_edge_in_one_family(trunc_eps, min_round):
+def test_crossings_at_every_piece_edge_in_one_family(trunc_eps):
     # rows that stop in different rounds leave one call at their own atoms
     pmfs = [pmf for n in PIECE_EDGES for pmf in _piece_edge_pmfs(n, trunc_eps)]
     heads = [(0.5, i, 1) for i in range(len(pmfs))]
@@ -338,7 +370,7 @@ def test_crossings_at_every_piece_edge_in_one_family(trunc_eps, min_round):
     assert [len(law[3]) for law in got] == [n for n in PIECE_EDGES for _ in range(2)]
 
 
-def test_compensation_decides_the_crossing(min_round):
+def test_compensation_decides_the_crossing():
     # atoms triple up to level 29 (each outgrows the running total, the other
     # branch of Neumaier's step), then halve; targets a few ulps around the
     # running sums put the stop where only the carried compensation decides it
@@ -357,7 +389,7 @@ def test_compensation_decides_the_crossing(min_round):
 
 
 @pytest.mark.parametrize("mass", [0.5, 1.0 - 2e-12])
-def test_unreachable_pmf_raises_alike(mass, min_round):
+def test_unreachable_pmf_raises_alike(mass):
     # next to rows that finish first and later, in the same call
     pmfs = [_geometric(0.5), _geometric(0.99, mass), _geometric(0.995)]
     heads = [(0.5, 0, 1)] * 3

@@ -476,8 +476,7 @@ class TestProductFormulas:
     def test_multiplicativity_checks(self):
         assert vf._bk_multiplicativity_rows([(1.0, 0.7, 1.1, 2.0)], QuadratureSpec())[0].passed
         c = DiscretePoint(-0.7, 2)
-        r = vf._lag_multiplicativity_rows([(c, HeisPoint(1.0, 0.3), HeisPoint(0.8, -0.5), 0.5)],
-                                          QuadratureSpec())[0]
+        r = vf.lag_multiplicativity_check(c, HeisPoint(1.0, 0.3), HeisPoint(0.8, -0.5), 0.5)
         assert r.passed
 
 
@@ -538,8 +537,7 @@ def test_multiplicativity_checks_match_per_check_code():
             fn = lambda xs, ws: _second_kind_char(alpha, c.y1, xs) + 0.0j * ws
         lhs = lag_translate(fn, a, b, p, q)
         rhs = lag_character(c, a, p) * lag_character(c, b, p)
-        assert (vf._lag_multiplicativity_rows([(c, a, b, alpha)], q)[0].max_abs_err
-                == abs(lhs - rhs))
+        assert vf.lag_multiplicativity_check(c, a, b, alpha, q).max_abs_err == abs(lhs - rhs)
 
 
 PSD_POINTS = np.linspace(0.3, 2.7, 10)  # the psd-gram suite's points; its params hold only n
@@ -566,9 +564,9 @@ ONE_ROW_CHECKS = {
     "watson": lambda p, q: vf.watson_check(p["nu"], p["x"], p["y"], p["k"], q),
     "bk_multiplicativity": lambda p, q: vf._bk_multiplicativity_rows(
         [(p["u"], p["x"], p["xp"], p["alpha"])], q)[0],
-    "lag_multiplicativity": lambda p, q: vf._lag_multiplicativity_rows(
-        [(_fan_point(p["chi"]), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]),
-          p["alpha"])], q)[0],
+    "lag_multiplicativity": lambda p, q: vf.lag_multiplicativity_check(
+        _fan_point(p["chi"]), HeisPoint(p["ax"], p["aw"]), HeisPoint(p["bx"], p["bw"]),
+        p["alpha"], q),
     "psd_gram": lambda p, q: vf.psd_gram_check(PSD_POINTS[:p["n"]], p["t"], p["delta"], q),
     "chapman_kolmogorov": lambda p, q: vf.chapman_kolmogorov_check(
         _fan_point(p["start"]), p["t1"], p["t2"], p["delta"], q),
