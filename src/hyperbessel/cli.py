@@ -5,10 +5,11 @@ verify. Tabular commands emit CSV (RFC-4180-style, LF endings) or JSON;
 structured outputs (transition laws, verification reports) are JSON. Numbers
 are serialized with 17 significant digits so output round-trips exactly.
 
-Exit status: 0 on success, 1 on invalid parameters (single-line diagnostic on
-stderr), 2 when a verification check fails. A warning is one stderr line,
-"hyperbessel: warning: <message>". Each simulated path draws from its own
-seeded stream, so its rows do not depend on --paths.
+Exit status: 0 on success, 1 on invalid parameters or an output that cannot
+be written (single-line diagnostic on stderr), 2 when a verification check
+fails. A warning is one stderr line, "hyperbessel: warning: <message>". Each
+simulated path draws from its own seeded stream, so its rows do not depend
+on --paths.
 
 A command builds only its own parser from the one table of subcommands;
 build_parser() assembles all of them, for --help and for an argv that names
@@ -17,10 +18,12 @@ bes-density import kernels, verify imports verify (its parser reads the
 suite names from it), and json loads only for JSON tables; so qbes-sim and
 bes-sim load neither kernels nor verify. A transition law is written by
 kernels.law_json, and the verification reports by verify.reports_json. Other
-CSV text comes from % templates: one per grid time for the path rows, whose
-shared cells are formatted once (on a discrete step, the level cells once
-per distinct level), and one per table, in which each grid coordinate is
-formatted once and one % call fills every value cell. Every other JSON
+CSV text comes from one % call per table, whose template holds every shared
+cell formatted once. A path table's template is a path block of one row per
+grid time (its time and the cells all paths share there, and on a discrete
+step one cell per path taken from the level cells, formatted once per
+distinct level), repeated once per path and filled in path order. A grid
+table's template holds each grid coordinate formatted once. Every other JSON
 output is written by json.dumps. An empty grid gives a table of no rows.
 """
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 from itertools import chain, product, repeat
 
 import numpy as np
@@ -98,19 +102,21 @@ def parse_time_grid(text: str) -> list[float]:
         raise CliError("--t-grid must be finite, strictly increasing and start after 0") from None
 
 
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(out: str | None, text: str):
+    """text to the file out, or to stdout; a failed write is a CliError."""
+    try:
+        with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as f:
+            f.write(text)
+            f.flush()
+    except OSError as exc:
+        raise CliError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def _emit_json(args, header: list[str], rows):
     """Rows (tuples in header order) as a JSON list of objects."""
     import json
     payload = [dict(zip(header, row)) for row in rows]
-    _emit(args, json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
+    _emit(args.out, json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
 
 
 def _emit_table(args, header: list[str], axes: list[list], cols: list[list]):
@@ -124,7 +130,7 @@ def _emit_table(args, header: list[str], axes: list[list], cols: list[list]):
         return
     leads = [",".join(cells) for cells in product(*[["%.17g" % v for v in a] for a in axes])]
     row = "%s" + ",%.17g" * len(cols) + "\n"
-    _emit(args, ",".join(header) + "\n"
+    _emit(args.out, ",".join(header) + "\n"
           + "".join([row] * len(leads)) % tuple(chain.from_iterable(zip(leads, *cols))))
 
 
@@ -133,41 +139,41 @@ def cmd_qbes_kernel(args) -> int:
         raise CliError("qbes-kernel emits a structured law; use --format json")
     from . import kernels as kn
     law = kn.qbes_transition(parse_state(args.state), args.t, args.delta, args.trunc_eps)
-    _emit(args, kn.law_json(law) + "\n")
+    _emit(args.out, kn.law_json(law) + "\n")
     return 0
 
 
 _SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]
 _SIM_CELLS = ("%d", "%.17g", "%.17g", "%.17g", "%s", "%d")
-_LEVEL_CELLS = ",".join(_SIM_CELLS[3:])  # coord1, branch and k of a discrete row
+_COLUMN = (list, range)  # the cells of a path row that differ over the paths
 
 
-def _sim_rows(args, shared: tuple, *cols) -> list:
-    """The rows of one grid time, one per path.
+def _sim_template(row: tuple) -> str:
+    """The % template of a CSV path row: each shared cell formatted once, and
+    the spec of each column. A row short of the header ends in a column of
+    str cells (a discrete step's level cells, formatted once per level)."""
+    cells = [spec if isinstance(c, _COLUMN) else spec % c for spec, c in zip(_SIM_CELLS, row)]
+    if len(row) < len(_SIM_CELLS):
+        cells[-1] = "%s"
+    return ",".join(cells) + "\n"
 
-    shared holds the cells every path shares, and None where each path has its
-    own; cols fill those, path ids first. A CSV row comes from one % template
-    in which the shared cells are formatted once; a JSON row is a tuple for
-    _emit_json."""
+
+def _emit_sim(args, steps: list):
+    """The path table, path by path, from the row of each grid time, in which
+    each cell that differs over the paths is a column (path ids first).
+
+    In CSV the row templates of all grid times form one path block, and one %
+    call fills the block repeated once per path with every path's own cells in
+    path order. A JSON row is a tuple for _emit_json."""
     if args.format == "json":
-        own = iter(cols)
-        return list(zip(*[next(own) if c is None else repeat(c) for c in shared]))
-    template = _sim_template(shared)
-    return [template % row for row in zip(*cols)]
-
-
-def _sim_template(shared: tuple) -> str:
-    """The % template of a CSV row whose leading cells are shared (None: per path)."""
-    return ",".join(spec if c is None else spec % c for spec, c in zip(_SIM_CELLS, shared))
-
-
-def _emit_sim(args, per_time: list[list]):
-    """Rows path by path, from the rows over the paths per grid time."""
-    rows = [row for path in zip(*per_time) for row in path]
-    if args.format == "json":
-        _emit_json(args, _SIM_HEADER, rows)
-    else:
-        _emit(args, "\n".join([",".join(_SIM_HEADER)] + rows) + "\n")
+        per_time = [zip(*[c if isinstance(c, _COLUMN) else repeat(c) for c in row])
+                    for row in steps]
+        _emit_json(args, _SIM_HEADER, chain.from_iterable(zip(*per_time)))
+        return
+    block = "".join(_sim_template(row) for row in steps)
+    cols = [c for row in steps for c in row if isinstance(c, _COLUMN)]
+    _emit(args.out, (",".join(_SIM_HEADER) + "\n" + block * args.paths)
+          % tuple(chain.from_iterable(zip(*cols))))
 
 
 def cmd_qbes_sim(args) -> int:
@@ -175,21 +181,17 @@ def cmd_qbes_sim(args) -> int:
     grid = parse_time_grid(args.t_grid)
     ids = range(args.paths)
     rng = sp.RngState.for_path(args.seed, ids)
-    per_time = []
+    steps = []
     for t, (u, col) in zip(grid, sp.sample_qbes_lanes(start, grid, args.delta, rng)):
+        vals = col.tolist()
         if u == 0.0:
-            per_time.append(_sim_rows(args, (None, t, 0.0, None, "continuous", -1),
-                                      ids, col.tolist()))
+            steps.append((ids, t, 0.0, vals, "continuous", -1))
         elif args.format == "json":  # a discrete point embeds as (tau, k |tau|)
-            ks = col.tolist()
-            per_time.append(_sim_rows(args, (None, t, u, None, "discrete", None),
-                                      ids, [k * abs(u) for k in ks], ks))
+            steps.append((ids, t, u, [k * abs(u) for k in vals], "discrete", vals))
         else:  # paths share a few levels: each level's cells are formatted once
-            ks = col.tolist()
-            cells = {k: _LEVEL_CELLS % (k * abs(u), "discrete", k) for k in set(ks)}
-            template = _sim_template((None, t, u)) + ",%s"
-            per_time.append([template % (i, cells[k]) for i, k in zip(ids, ks)])
-    _emit_sim(args, per_time)
+            cells = {k: "%.17g,discrete,%d" % (k * abs(u), k) for k in set(vals)}
+            steps.append((ids, t, u, [cells[k] for k in vals]))
+    _emit_sim(args, steps)
     return 0
 
 
@@ -199,9 +201,8 @@ def cmd_bes_sim(args) -> int:
         raise CliError("--x0 must be finite and >= 0")
     ids = range(args.paths)
     rng = sp.RngState.for_path(args.seed, ids)
-    per_time = [_sim_rows(args, (None, t, None, 0.0, "continuous", -1), ids, col.tolist())
-                for t, col in zip(grid, sp.sample_bes_lanes(args.x0, grid, args.delta, rng))]
-    _emit_sim(args, per_time)
+    _emit_sim(args, [(ids, t, col.tolist(), 0.0, "continuous", -1)
+                     for t, col in zip(grid, sp.sample_bes_lanes(args.x0, grid, args.delta, rng))])
     return 0
 
 
@@ -215,13 +216,22 @@ def cmd_bes_density(args) -> int:
 
 
 def cmd_char_eval(args) -> int:
-    # one array call over the whole grid; rows run through the second grid fastest
+    # one array call over the grid, whose rows run through the second grid fastest;
+    # a missing option errors, and so does the other family's, even if empty
     if args.family == "bk":
+        if args.u_grid is None:
+            raise CliError("char-eval --family bk requires --u-grid")
+        if args.state is not None or args.w_grid is not None:
+            raise CliError("char-eval --family bk takes no --state or --w-grid")
         p = BesselKingmanParams(args.alpha)
         axes = [parse_grid(args.u_grid), parse_grid(args.x_grid)]
         vals = bk_character(*np.meshgrid(*axes, indexing="ij"), p)
         _emit_table(args, ["u", "x", "value"], axes, [vals.ravel().tolist()])
         return 0
+    if args.state is None or args.w_grid is None:
+        raise CliError("char-eval --family laguerre requires --state and --w-grid")
+    if args.u_grid is not None:
+        raise CliError("char-eval --family laguerre takes no --u-grid")
     p = LaguerreParams(args.alpha)
     c = parse_state(args.state)
     axes = [parse_grid(args.x_grid), parse_grid(args.w_grid)]
@@ -256,14 +266,14 @@ def cmd_verify(args) -> int:
     spec = QuadratureSpec(nodes=args.nodes)
     reports = vf.run_suite(args.suite, spec, args.tol)
     if args.out:  # the JSON goes only to --out; stdout carries the summary
-        _emit(args, vf.reports_json(reports) + "\n")
+        _emit(args.out, vf.reports_json(reports) + "\n")
     n_failed = sum(not r.passed for r in reports)
+    lines = []
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
         params = ",".join(f"{k}={v}" for k, v in r.params)
-        print(f"{status} {r.check_name} [{params}] max_abs_err={r.max_abs_err:.3e} "
-              f"tol={r.tol:.1e}")
-    print(f"{len(reports) - n_failed}/{len(reports)} checks passed")
+        lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.check_name} [{params}] "
+                     f"max_abs_err={r.max_abs_err:.3e} tol={r.tol:.1e}\n")
+    _emit(None, "".join(lines) + f"{len(reports) - n_failed}/{len(reports)} checks passed\n")
     return 2 if n_failed else 0
 
 
@@ -345,17 +355,6 @@ def main(argv=None) -> int:
     shown, warnings.showwarning = warnings.showwarning, _show_warning
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if args.command == "char-eval":
-            # an empty grid is a table of no rows; only a missing option errors
-            if args.family == "bk" and args.u_grid is None:
-                raise CliError("char-eval --family bk requires --u-grid")
-            if args.family == "laguerre" and (args.state is None or args.w_grid is None):
-                raise CliError("char-eval --family laguerre requires --state and --w-grid")
-            # nor is the other family's option ignored, even empty
-            if args.family == "bk" and (args.state is not None or args.w_grid is not None):
-                raise CliError("char-eval --family bk takes no --state or --w-grid")
-            if args.family == "laguerre" and args.u_grid is not None:
-                raise CliError("char-eval --family laguerre takes no --u-grid")
         if args.command in ("qbes-sim", "bes-sim") and args.paths < 0:
             raise CliError("--paths must be >= 0")
         return args.func(args)

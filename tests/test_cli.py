@@ -883,6 +883,42 @@ class TestVerifyCommand:
                                            "in 16..1024\n")
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written is one error line naming it, with exit 1."""
+
+    ARGV = [["char-eval", "--family", "bk", "--alpha", "2", "--u-grid", "1", "--x-grid", "1"],
+            ["bes-sim", "--delta", "2", "--x0", "1", "--t-grid", "0.5", "--paths", "2"],
+            ["verify", "--suite", "gegenbauer"]]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_out_is_a_directory(self, argv, tmp_path, capsys):
+        # an IsADirectoryError traceback
+        code, out, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert (code, out, err) == (
+            1, "", f"hyperbessel: error: cannot write {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_out_in_a_missing_folder(self, argv, tmp_path, capsys):
+        # a FileNotFoundError traceback
+        path = tmp_path / "missing" / "out"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out, err) == (
+            1, "", f"hyperbessel: error: cannot write {path}: No such file or directory\n")
+        assert not path.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_stdout_on_a_full_device(self, argv):
+        # an OSError traceback; nothing more is written when the interpreter exits
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "hyperbessel.cli"] + argv,
+                                    stdout=full, stderr=subprocess.PIPE, text=True,
+                                    env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (result.returncode, result.stderr) == (
+            1, "hyperbessel: error: cannot write stdout: No space left on device\n")
+
+
 def test_round_trip_17_digits(capsys):
     val = 0.1 + 0.2
     code, out, _ = run_cli(["char-eval", "--family", "bk", "--alpha", "2",

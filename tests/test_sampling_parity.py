@@ -430,6 +430,17 @@ def test_sim_output_matches_reference_loop(argv, fmt, tmp_path):
     assert out.read_text(encoding="utf-8") == _reference_sim_output(argv, fmt)
 
 
+@pytest.mark.parametrize("paths", ["0", "1"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", SIM_COMMANDS, ids=lambda argv: " ".join(argv[:5]))
+def test_sim_output_of_zero_and_one_path_matches_reference_loop(argv, fmt, paths, tmp_path):
+    # the edges of the path block, which is repeated once per path
+    argv = argv + ["--paths", paths, "--seed", "1234", "--format", fmt]
+    out = tmp_path / "paths"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _reference_sim_output(argv, fmt)
+
+
 # ---- table walks: block edges and the libm band ----------------------------
 
 @pytest.mark.parametrize("block", [sp._BLOCK, 3, 1])
