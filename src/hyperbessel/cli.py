@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from contextlib import nullcontext
@@ -357,6 +358,11 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args.command in ("qbes-sim", "bes-sim") and args.paths < 0:
             raise CliError("--paths must be >= 0")
+        if args.out:  # a missing directory fails before the work, and no file is made
+            try:
+                os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
+            except OSError as exc:
+                raise CliError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         return args.func(args)
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"hyperbessel: error: {exc}", file=sys.stderr)

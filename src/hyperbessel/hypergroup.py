@@ -5,8 +5,9 @@ function), characters of both families, the dual-fan parametrization and the
 Haar-weighted Hankel-type Fourier transform on the half-line. Each Laguerre
 character is written once, in _first_kind_char (a whole table of degrees from
 one laguerre_L_all call) and _second_kind_char, and _lag_char is the one place
-that picks the kind of a fan point; bk_translate takes arrays of points, and
-is the one-order call of _bk_translate_rows, whose points carry their order.
+that picks the kind of a fan point. _bk_translate_rows takes an f(radii, rows)
+as integrate_rows does, at points that carry their order; bk_translate is its
+one-order call on arrays of points, with an f of the radii alone.
 
 Convolution integrals carry endpoint-singular weights (sin^(alpha-2) theta on
 the half-line family, r (1-r^2)^(alpha-1) on the plane family), so they are
@@ -133,34 +134,30 @@ def bk_translate(f, x, xp, p: BesselKingmanParams, q: QuadratureSpec | None = No
     normalized sin^(alpha-2) theta weight. x and xp may be arrays that
     broadcast together: one value per pair, each with the bits of a scalar
     call, from one call of f on the nodes of every pair (a 1-d array). A
-    float for scalar x, xp. This is the one-order call of _bk_translate_rows.
+    float for scalar x, xp. This is _bk_translate_rows at one order, with an
+    f that ignores the rows.
     """
-    radii, _, mean = _bk_translate_rows(x, xp, p.alpha, q or QuadratureSpec())
-    out = mean(f(radii))
+    out = _bk_translate_rows(lambda radii, _: f(radii), x, xp, p.alpha, q or QuadratureSpec())
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _bk_translate_rows(x, xp, alpha, q: QuadratureSpec):
-    """The translation x * xp at each element of the broadcast of x, xp and
-    alpha (orders >= 1), each at its own order, as (radii, spread, mean): the
-    nodes of every element in one 1-d array; spread, which takes an array
-    over the elements to its value at each node; and mean, which takes f at
-    the radii to the translations, shaped like the broadcast. Elements of one
-    order share one rule, and a scalar alpha takes the elements unflattened."""
+def _bk_translate_rows(f, x, xp, alpha, q: QuadratureSpec):
+    """The translation x * xp of f at each element of the broadcast of x, xp
+    and alpha (orders >= 1), each at its own order, shaped like the
+    broadcast. As in integrate_rows, f is called once as f(radii, rows): the
+    nodes of every element in one 1-d array, and the flat index of each
+    node's element. Elements of one order share one rule."""
     x, xp, alpha = (np.asarray(v, dtype=float) for v in (x, xp, alpha))
     if np.any(x < 0.0) or np.any(xp < 0.0):
         raise ValueError("bk_translate requires x, xp >= 0")
     if not (np.all(x < math.inf) and np.all(xp < math.inf)):  # NaN included
         raise ValueError("bk_translate requires finite x, xp")
     shape = np.broadcast(x, xp, alpha).shape
-    if alpha.ndim == 0:
-        orders = [(..., float(alpha))]
-    else:
-        x, xp, alphas = (np.broadcast_to(v, shape) for v in (x, xp, alpha))
-        orders = [(alphas == a, a) for a in np.unique(alpha)]
+    x, xp, alpha = (np.broadcast_to(v, shape).ravel() for v in (x, xp, alpha))
     groups = []  # (elements, radii on a trailing node axis, weights) per order
-    for at, a in orders:
-        xa, xpa = x[at][..., None], xp[at][..., None]
+    for a in np.unique(alpha):
+        at = np.flatnonzero(alpha == a)
+        xa, xpa = x[at][:, None], xp[at][:, None]
         if a == 1.0:  # weights 1 and 1 over their sum 2: the two-point mean, bit for bit
             radii, w = np.concatenate((xa + xpa, abs(xa - xpa)), axis=-1), np.ones(2)
         else:
@@ -168,21 +165,16 @@ def _bk_translate_rows(x, xp, alpha, q: QuadratureSpec):
             u, w = gauss_jacobi(q.nodes, (a - 3.0) / 2.0, (a - 3.0) / 2.0)
             radii = np.sqrt(np.maximum(xa * xa + xpa * xpa - 2.0 * xa * xpa * u, 0.0))
         groups.append((at, radii, w))
-
-    def spread(v):
-        v = np.broadcast_to(v, shape)
-        return np.concatenate([np.repeat(v[at], radii.shape[-1]) for at, radii, _ in groups])
-
-    def mean(values):
-        out = np.empty(shape, dtype=values.dtype)
-        start = 0
-        for at, radii, w in groups:
-            vals = values[start:start + radii.size].reshape(radii.shape)
-            out[at] = np.sum(w * vals, axis=-1) / np.sum(w)
-            start += radii.size
-        return out
-
-    return np.concatenate([radii.ravel() for _, radii, _ in groups]), spread, mean
+    nodes = np.concatenate([np.empty(0)] + [radii.ravel() for _, radii, _ in groups])
+    rows = np.concatenate([np.empty(0, int)] + [np.repeat(at, radii.shape[1])
+                                                for at, radii, _ in groups])
+    values = f(nodes, rows)
+    out, start = np.empty(x.size, dtype=values.dtype), 0
+    for at, radii, w in groups:
+        out[at] = np.sum(w * values[start:start + radii.size].reshape(radii.shape),
+                         axis=-1) / np.sum(w)
+        start += radii.size
+    return out.reshape(shape)
 
 
 def lag_translate(f, a: HeisPoint, b: HeisPoint, p: LaguerreParams,
@@ -229,17 +221,15 @@ def bk_character(u, x, p: BesselKingmanParams):
         raise
 
 
-def _first_kind_char(alpha: float, tau: float, k, x, w, name: str = "lag_character",
-                     minus_w: bool = False):
+def _first_kind_char(alpha: float, tau: float, k, x, w, name: str = "lag_character"):
     """First-kind character at order alpha, vectorized over (x, w) and the
     degrees k (a degree axis first when k is an array), every degree from one
     laguerre_L_all table and its prefactor from math.exp, so each value has
-    the bits of a scalar-degree call. With minus_w it is read at (x, -w).
+    the bits of a scalar-degree call.
 
-    Raises OverflowError, prefixed by name and naming the w given, at the
-    first degree and point (row-major) where the product is not finite: for
-    large k and |tau| x^2, L_k overflows the double range while
-    exp(-|tau| x^2 / 2) underflows.
+    Raises OverflowError, prefixed by name, at the first degree and point
+    (row-major) where the product is not finite: for large k and |tau| x^2,
+    L_k overflows the double range while exp(-|tau| x^2 / 2) underflows.
     """
     ks = np.asarray(k)
     x, w = np.broadcast_arrays(x, w)
@@ -250,7 +240,7 @@ def _first_kind_char(alpha: float, tau: float, k, x, w, name: str = "lag_charact
         arg = abs(tau) * np.square(x)
         # past the double range exp(-inf) = 0 times a finite placeholder L_k(0)
         table = laguerre_L_all(ks.max(), alpha, np.where(np.isinf(arg), 0.0, arg))
-        out = pref * np.exp(1j * tau * (-w if minus_w else w) - 0.5 * arg) * table[ks]
+        out = pref * np.exp(1j * tau * w - 0.5 * arg) * table[ks]
     bad = ~np.isfinite(out)
     if np.any(bad):
         i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -266,13 +256,11 @@ def _second_kind_char(alpha: float, y1: float, x):
     return bessel_j_norm(alpha, 2.0 * np.asarray(x, dtype=float) * math.sqrt(y1))
 
 
-def _lag_char(c: FanPoint, alpha: float, x, w, name: str = "lag_character",
-              minus_w: bool = False):
-    """chi_c(x, w) at order alpha > -1 (at (x, -w) with minus_w), complex,
-    shaped like the broadcast of x and w: the one place that picks the
-    character kind of a fan point."""
+def _lag_char(c: FanPoint, alpha: float, x, w, name: str = "lag_character"):
+    """chi_c(x, w) at order alpha > -1, complex, shaped like the broadcast of
+    x and w: the one place that picks the character kind of a fan point."""
     if isinstance(c, DiscretePoint):
-        return _first_kind_char(alpha, c.tau, c.k, x, w, name, minus_w)
+        return _first_kind_char(alpha, c.tau, c.k, x, w, name)
     if isinstance(c, ContinuousPoint):
         return _second_kind_char(alpha, c.y1, x) + 0.0j * w
     raise TypeError(f"not a fan point: {c!r}")

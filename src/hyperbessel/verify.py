@@ -230,12 +230,11 @@ def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
     gamma_rows = []  # (check index, gamma ray, x, order) per gamma-ray integral
     for (start, t, delta), law in zip(laws, kn._transition_rows(laws)):
         al = delta - 1.0
-        # the identity reads chi at (x, -w); an overflow names the w given
-        chis_start = _lag_char(start, al, xs, ws, "glowne3", minus_w=True)
+        # the identity reads chi(x, -w), the conjugate of chi(x, w)
+        chis_start = np.conj(_lag_char(start, al, xs, ws, "glowne3"))
         if law.levels:
             probs = np.array(law.probs)
-            chis = _first_kind_char(al, law.tau, np.arange(law.levels.start, law.levels.stop),
-                                    xs, ws, "glowne3", minus_w=True)
+            chis = np.conj(_first_kind_char(al, law.tau, np.array(law.levels), xs, ws, "glowne3"))
         for i, a in enumerate(points):
             atom_sum = 0.0 + 0.0j
             if law.levels:
@@ -357,7 +356,7 @@ def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
     (finite, exact in exact arithmetic).
 
     The defaults hold at k_max = 10 at each alpha probed in [-0.6, 3.8],
-    under QuadratureSpec() and QuadratureSpec(abs_tol=1e-12). (ii) raises
+    under QuadratureSpec() and under abs_tol 1e-12. (ii) raises
     QuadratureError from alpha -0.7 down, and from 3.9 up under abs_tol
     1e-12; QuadratureSpec() there fails (i) (1.02e-10 at 4). (v) cancels as
     k_max grows: at alpha 0.5, k_max 15 passes and 20 fails (v) with
@@ -473,15 +472,14 @@ def watson_check(nu: float, x: float, y: float, k: int,
 def _bk_multiplicativity_rows(rows, q, tol=1e-6) -> list[VerificationReport]:
     """Translation of a half-line character equals the product of its values,
     at each (u, x, xp, alpha) row, each at its own order: eta_u =
-    j_(alpha/2-1)(u .) at every translation node and at both product points
-    from one bessel_j_norm call."""
+    j_(alpha/2-1)(u .) at every translation node from one bessel_j_norm call,
+    and at both product points from one more."""
     nus = np.array([BesselKingmanParams(alpha).alpha for *_, alpha in rows]) / 2.0 - 1.0
     us, xs, xps, alphas = (np.array(col, dtype=float) for col in zip(*rows))
-    radii, spread, mean = _bk_translate_rows(xs, xps, alphas, q)
-    etas = bessel_j_norm(np.concatenate((spread(nus), nus, nus)),
-                         np.concatenate((spread(us) * radii, us * xs, us * xps)))
-    lhs = mean(etas[:radii.size]).tolist()
-    eta_x, eta_xp = etas[radii.size:].reshape(2, -1).tolist()
+    lhs = _bk_translate_rows(lambda radii, r: bessel_j_norm(nus[r], us[r] * radii),
+                             xs, xps, alphas, q).tolist()
+    eta_x, eta_xp = bessel_j_norm(np.concatenate((nus, nus)),
+                                  np.concatenate((us * xs, us * xps))).reshape(2, -1).tolist()
     return [_report("bk_multiplicativity", {"u": u, "x": x, "xp": xp, "alpha": alpha},
                     abs(l - ex * exp), tol)
             for (u, x, xp, alpha), l, ex, exp in zip(rows, lhs, eta_x, eta_xp)]
@@ -533,7 +531,7 @@ def psd_gram_check(points, t: float, delta: float,
 def chapman_kolmogorov_check(start: FanPoint, t1: float, t2: float, delta: float,
                              q: QuadratureSpec | None = None,
                              tol: float = 1e-8) -> VerificationReport:
-    err = kn.chapman_kolmogorov_qbes(start, t1, t2, delta, q or QuadratureSpec(abs_tol=1e-12))
+    err = kn.chapman_kolmogorov_qbes(start, t1, t2, delta, q)
     return _report("chapman_kolmogorov",
                    {"start": _fan_label(start), "t1": t1, "t2": t2, "delta": delta},
                    err, tol)

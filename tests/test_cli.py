@@ -15,6 +15,8 @@ from scipy import special
 
 from hyperbessel import cli
 from hyperbessel import kernels as kn
+from hyperbessel import sampling as sp
+from hyperbessel import verify as vf
 from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, DiscretePoint,
                                     HeisPoint, LaguerreParams, bk_character, bk_fourier,
                                     lag_character)
@@ -62,30 +64,30 @@ class TestQbesKernel:
     # sha256 of stdout and stderr of the per-atom law code: the nine qbes-kernel
     # laws of the tabulate benchmark at their design points, and the README law
     @pytest.mark.parametrize("delta, state, t, code, out_sha, err_sha", [
-        ("1.3", "tau=-1,k=4", "0.996", 0,
-         "0a6997f7336fd1dfc95f56b8f62b1327eef532f12991942d1a8fdf64bc13db96",
-         ""),
-        ("2", "tau=-1,k=0", "0.992", 0,
-         "cab600a979f21721302bcf35cfc4aa9052f7a67802c14367d565765ed6841040",
-         ""),
+        pytest.param("1.3", "tau=-1,k=4", "0.996", 0,
+                     "0a6997f7336fd1dfc95f56b8f62b1327eef532f12991942d1a8fdf64bc13db96",
+                     "", marks=pytest.mark.dispatch_pinned),
+        pytest.param("2", "tau=-1,k=0", "0.992", 0,
+                     "cab600a979f21721302bcf35cfc4aa9052f7a67802c14367d565765ed6841040",
+                     "", marks=pytest.mark.dispatch_pinned),
         ("0.9", "tau=-1.5,k=8", "1.496", 1,
          "",
          "04fe52608f74d28ca14b63c8b2ed32039d0406177b78f365a2d02c19d6ce9d80"),
-        ("2.5", "y1=2000", "1", 0,
-         "33cc0c8af78401ac6299907138123b0d75c30563069b2faa674a3c96721a384e",
-         ""),
+        pytest.param("2.5", "y1=2000", "1", 0,
+                     "33cc0c8af78401ac6299907138123b0d75c30563069b2faa674a3c96721a384e",
+                     "", marks=pytest.mark.dispatch_pinned),
         ("2.5", "y1=2003.09", "1", 1,
          "",
          "d6ed1fa3bc786322586c23268336a436f4360ccd6346d443ef523e5551ebb921"),
-        ("1", "y1=700", "1", 0,
-         "67957fbd258ace81f92a0825cb5d495033fcae9d39b7b22bed176b56718b76b4",
-         ""),
-        ("1.5", "tau=-0.5,k=200", "1.5", 0,
-         "36cdcfde8eedc63adf2f72e3922c0bdb160927cc27f26d5a0a84e83c9ff3fa43",
-         ""),
-        ("3", "tau=2,k=300", "0.5", 0,
-         "31b025dd58946510f7f865920a37fc638c15f1b3ccf01c1854f0122cd128315d",
-         ""),
+        pytest.param("1", "y1=700", "1", 0,
+                     "67957fbd258ace81f92a0825cb5d495033fcae9d39b7b22bed176b56718b76b4",
+                     "", marks=pytest.mark.dispatch_pinned),
+        pytest.param("1.5", "tau=-0.5,k=200", "1.5", 0,
+                     "36cdcfde8eedc63adf2f72e3922c0bdb160927cc27f26d5a0a84e83c9ff3fa43",
+                     "", marks=pytest.mark.dispatch_pinned),
+        pytest.param("3", "tau=2,k=300", "0.5", 0,
+                     "31b025dd58946510f7f865920a37fc638c15f1b3ccf01c1854f0122cd128315d",
+                     "", marks=pytest.mark.dispatch_pinned),
         ("0.7", "tau=-2,k=5", "0.5", 0,
          "d4524726085ed2242e19006f17136cd9dc97bb5fde8211eae25010d5b3961525",
          ""),
@@ -397,6 +399,7 @@ class TestTables:
             want = math.sqrt(math.pi / 2.0) * math.exp(-0.5 * float(u_str) ** 2)
             assert float(val_str) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.dispatch_pinned
     def test_hankel_readme_example_bytes(self, capsys):
         # sha256 of stdout when the alpha = 1 Haar weight was a separate np.ones_like
         code, out, err = run_cli(["hankel", "--alpha", "1", "--function", "gaussian",
@@ -839,6 +842,7 @@ def test_bes_density_past_the_bessel_range(argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.dispatch_pinned
 def test_warning_is_one_stable_line():
     # no source path or line number, which changed with every edit and install
     code, out, err = run_cli_process(["hankel", "--alpha", "1", "--function", "gaussian",
@@ -900,6 +904,21 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
     def test_out_in_a_missing_folder(self, argv, tmp_path, capsys):
         # a FileNotFoundError traceback
+        path = tmp_path / "missing" / "out"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out, err) == (
+            1, "", f"hyperbessel: error: cannot write {path}: No such file or directory\n")
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("argv,module,work", [
+        (ARGV[1], sp, "sample_bes_lanes"), (["verify"], vf, "run_suite")], ids=["bes-sim", "verify"])
+    def test_missing_folder_fails_before_the_work(self, argv, module, work, tmp_path, capsys,
+                                                  monkeypatch):
+        # the sampler ran for seconds, or the whole suite ran, before the error
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} was called")
+
+        monkeypatch.setattr(module, work, never)
         path = tmp_path / "missing" / "out"
         code, out, err = run_cli(argv + ["--out", str(path)], capsys)
         assert (code, out, err) == (

@@ -133,13 +133,14 @@ class TestBkTranslateArrays:
                 assert got[i, j] == _parent_bk_translate(f, x, xp, p, Q)
         one = hg.bk_translate(f, xs[0], xps[0], p, Q)
         assert type(one) is float and one == got[0, 0]
+        assert hg.bk_translate(f, np.empty((0, 1)), xps, p, Q).shape == (0, 7)
 
     def test_rows_at_mixed_orders_keep_the_bits_of_one_order_calls(self):
         # each element at its own order, the two-point mean of alpha = 1 among them
         xs, xps = RNG.uniform(0.0, 3.0, size=(2, 9))
         alphas = np.array([1.0, 2.5, 1.0, 3.7, 2.5, 6.2, 1.0, 1.4, 3.7])
-        radii, spread, mean = hg._bk_translate_rows(xs, xps, alphas, Q)
-        got = mean(np.cos(spread(alphas) * radii))
+        got = hg._bk_translate_rows(lambda radii, rows: np.cos(alphas[rows] * radii),
+                                    xs, xps, alphas, Q)
         for g, x, xp, a in zip(got, xs, xps, alphas):
             want = hg.bk_translate(lambda r: np.cos(a * r), x, xp, hg.BesselKingmanParams(a), Q)
             assert g == want == _parent_bk_translate(lambda r: np.cos(a * r), x, xp,
@@ -318,6 +319,19 @@ class TestFirstKindTable:
                     assert table.shape == (ks.size, 4, 5)
                     for row, k in zip(table, ks):
                         assert _bits(row) == _bits(_parent_first_kind_char(alpha, tau, int(k), xs, ws))
+
+    def test_minus_w_is_the_conjugate(self):
+        # glowne3 reads chi(x, -w) as the conjugate of chi(x, w). Bit for bit,
+        # but for the sign of a zero (at w = 0, or where L_k vanishes), which + 0.0 clears
+        rng = np.random.default_rng(1604)
+        xs = np.append(rng.uniform(0.0, 6.0, size=5), [0.0, 1.0])
+        ws = np.append(rng.uniform(-3.0, 3.0, size=(4, 1)), [[0.0], [40.0]], axis=0)
+        for alpha in self.ALPHAS:
+            for tau in self.TAUS:
+                for k in (np.arange(31), 0, 1, 7):
+                    got = hg._first_kind_char(alpha, tau, k, xs, -ws)
+                    want = np.conj(hg._first_kind_char(alpha, tau, k, xs, ws))
+                    assert _bits(got + 0.0) == _bits(want + 0.0)
 
     def test_overflow_names_the_first_bad_degree(self):
         # a table raises what a scalar call at its lowest overflowing degree raises

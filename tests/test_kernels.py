@@ -330,6 +330,7 @@ class TestLawLayout:
         with pytest.raises(ValueError):
             kn.TransitionLaw(case=5, tau=1.0, levels=levels, probs=(0.5, 0.5))
 
+    @pytest.mark.dispatch_pinned
     def test_chapman_kolmogorov_values_unchanged(self):
         # the chapman-kolmogorov verify suite, in its order; per-level sums
         # keep their order, so every value keeps its bits

@@ -365,6 +365,7 @@ BETA_ROWS = [
 ]
 
 
+@pytest.mark.dispatch_pinned
 def test_integrate_rows_mixed_beta_rows_keep_lone_call_bits():
     f, calls = _row_integrand([fi for fi, *_ in BETA_ROWS])
     got = integrate_rows(f, [(a, b) for _, a, b, _ in BETA_ROWS], ROW_SPEC,

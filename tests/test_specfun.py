@@ -514,6 +514,15 @@ def test_empty_arrays_pass_the_checks(fn, extra, shape):
         assert out.shape == extra + np.shape(x)
 
 
+@pytest.mark.parametrize("fn,nu", [(sf.bessel_j_norm, -2.0), (sf.bessel_j_norm, NAN),
+                                   (sf.log_bessel_i_norm, -1.5)])
+@pytest.mark.parametrize("arg", [[], np.empty((0, 3))])
+def test_bad_scalar_order_raises_at_an_empty_argument(fn, nu, arg):
+    # the scalar-order path checks nu before it looks at the argument
+    with pytest.raises(ValueError, match=f"^{fn.__name__} requires nu > -1$"):
+        fn(nu, arg)
+
+
 @pytest.mark.parametrize("fn", [lambda x: sf.laguerre_L_all(3, 0.5, x),
                                 lambda x: sf.laguerre_L(3, 0.5, x)])
 @pytest.mark.parametrize("x", [INF, -INF, [2.0, INF], [[1.0, -INF]]])

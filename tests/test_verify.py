@@ -225,6 +225,7 @@ GLOWNE3_MOVED = {
 }
 
 
+@pytest.mark.dispatch_pinned
 @pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
 def test_glowne3_inline_atom_characters_differ_only_where_declared(q):
     moved = set()
@@ -369,8 +370,9 @@ def test_identity_ii_rows_match_per_integral_loop(alpha, q):
     (2.1, 10, QuadratureSpec(), [2.8421709430404007e-13, 4.3165471197426086e-13,
                                  3.419486915845482e-14, 1.7763568394002505e-15,
                                  3.108624468950438e-14]),
-    (0.5, 4, Q12, [3.9968028886505635e-15, 1.4432899320127035e-15, 6.661338147750939e-16,
-                    2.220446049250313e-15, 1.6653345369377348e-16]),
+    pytest.param(0.5, 4, Q12, [3.9968028886505635e-15, 1.4432899320127035e-15,
+                               6.661338147750939e-16, 2.220446049250313e-15,
+                               1.6653345369377348e-16], marks=pytest.mark.dispatch_pinned),
 ])
 def test_laguerre_suite_errors_unchanged(alpha, k_max, q, want):
     # (i) to (v) as the per-identity loops over per-point tables computed them
@@ -408,8 +410,9 @@ def table_degrees(monkeypatch, one_cpu):
 @pytest.mark.parametrize("alpha,k_max,want", [
     (2.1, 30, [1.979060471057892e-08, 2.744471316873387e-13, 1.0550138540565968e-10,
                1.7763568394002505e-15, 1.574607111365367e-08]),
-    (0.0, 60, [5.675360069935924e-05, 7.93809462606987e-15, 0.0001373291015625,
-               3.6914915568786455e-15, 0.001258119953449266]),
+    pytest.param(0.0, 60, [5.675360069935924e-05, 7.93809462606987e-15, 0.0001373291015625,
+                           3.6914915568786455e-15, 0.001258119953449266],
+                 marks=pytest.mark.dispatch_pinned),
 ])
 def test_laguerre_long_series_read_their_own_runs(alpha, k_max, want, table_degrees):
     # these series run more than 128 terms past k_max; each reads its own run that far
