@@ -34,7 +34,7 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 
 import numpy as np
 
@@ -103,11 +103,11 @@ def parse_time_grid(text: str) -> list[float]:
         raise CliError("--t-grid must be finite, strictly increasing and start after 0") from None
 
 
-def _emit(out: str | None, text: str):
-    """text to the file out, or to stdout; a failed write is a CliError."""
+def _emit(out: str | None, text):
+    """text (a str, or str pieces) to the file out, or to stdout; a failed write is a CliError."""
     try:
         with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
             f.flush()
     except OSError as exc:
         raise CliError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from None
@@ -147,6 +147,7 @@ def cmd_qbes_kernel(args) -> int:
 _SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]
 _SIM_CELLS = ("%d", "%.17g", "%.17g", "%.17g", "%s", "%d")
 _COLUMN = (list, range)  # the cells of a path row that differ over the paths
+_SIM_GROUP = 8192  # paths per % call of a CSV path table, which bounds its memory
 
 
 def _sim_template(row: tuple) -> str:
@@ -163,18 +164,19 @@ def _emit_sim(args, steps: list):
     """The path table, path by path, from the row of each grid time, in which
     each cell that differs over the paths is a column (path ids first).
 
-    In CSV the row templates of all grid times form one path block, and one %
-    call fills the block repeated once per path with every path's own cells in
-    path order. A JSON row is a tuple for _emit_json."""
+    In CSV the row templates of all grid times form one path block; one % call per group of at
+    most _SIM_GROUP paths fills it, repeated once per path, with the paths' own cells in path
+    order, and writes it before the next group is made. A JSON row is a tuple for _emit_json."""
     if args.format == "json":
         per_time = [zip(*[c if isinstance(c, _COLUMN) else repeat(c) for c in row])
                     for row in steps]
         _emit_json(args, _SIM_HEADER, chain.from_iterable(zip(*per_time)))
         return
     block = "".join(_sim_template(row) for row in steps)
-    cols = [c for row in steps for c in row if isinstance(c, _COLUMN)]
-    _emit(args.out, (",".join(_SIM_HEADER) + "\n" + block * args.paths)
-          % tuple(chain.from_iterable(zip(*cols))))
+    paths = zip(*[c for row in steps for c in row if isinstance(c, _COLUMN)])
+    sizes = [min(_SIM_GROUP, args.paths - lo) for lo in range(0, max(args.paths, 1), _SIM_GROUP)]
+    _emit(args.out, ((("" if i else ",".join(_SIM_HEADER) + "\n") + block * n)
+                     % tuple(chain.from_iterable(islice(paths, n))) for i, n in enumerate(sizes)))
 
 
 def cmd_qbes_sim(args) -> int:

@@ -11,7 +11,7 @@ one integral is a family of one). A row may carry an algebraic weight
 x^(alpha-1) at 0 costs no bisections. Integrands get a 1-d numpy array of
 nodes and each node's row index, and return an array (real or complex) of
 the same length whose every value depends only on its own node and row:
-one call evaluates a panel pair of every unfinished row.
+one call evaluates a round, one (panels x 48) block of every unfinished row's panels.
 """
 from __future__ import annotations
 
@@ -115,11 +115,11 @@ def integrate_rows(f, bounds, spec: QuadratureSpec | None = None, beta=None) -> 
 
     f(xs, rows) gets the nodes and, per node, its row index; each value may
     depend only on its own node and row. Each row keeps the heap, stop rule
-    and budget it would have alone, and each round bisects the worst
-    panel of every unfinished row in one call of f, so every value has the
-    bits of a one-row call (a row with a == b is 0.0). The QuadratureError
-    raised is that of the lowest row that exhausts, as a loop over the rows
-    gives; rows after it are dropped at once.
+    and budget it would have alone, and each round bisects the worst panel of
+    every unfinished row in one call of f, its panels summed as one block by
+    array calls that keep a one-row call's bits (a row with a == b is 0.0).
+    The QuadratureError raised is that of the lowest row that exhausts, as a
+    loop over the rows gives; rows after it are dropped at once.
 
     beta, if given, holds one endpoint power per row: row i integrates
     f(x) (x - a)^beta[i]. Its panel at a applies the Gauss-Jacobi (0, beta)
@@ -132,29 +132,31 @@ def integrate_rows(f, bounds, spec: QuadratureSpec | None = None, beta=None) -> 
     beta = [0.0] * len(bounds) if beta is None else [float(bt) for bt in beta]
     if len(beta) != len(bounds) or not all(-1.0 < bt < math.inf for bt in beta):
         raise ValueError("integrate_rows requires one finite beta > -1 per row")
-    jacobi = {bt: _pair(gauss_jacobi, 0.0, bt) for bt in set(beta) if bt}
+    powers = sorted({bt for bt in beta if bt})  # rule k > 0: the Jacobi pair of powers[k - 1]
+    table = [np.stack(c) for c in zip(_LEGENDRE, *(_pair(gauss_jacobi, 0.0, bt) for bt in powers))]
+    jacobi = np.array([powers.index(bt) + 1 if bt else 0 for bt in beta], dtype=np.intp)
+    lefts = np.array([a for a, _ in bounds], dtype=float)
 
     def panels(todo):
-        # (error, fine value) of each (row, pa, pb) panel, from one call of f
+        # (error, fine value) of each (row, pa, pb) panel: one call of f on one block
         if not todo:
             return []
-        rules = [jacobi[beta[row]] if beta[row] and pa == bounds[row][0] else _LEGENDRE
-                 for row, pa, _ in todo]
-        nodes = [0.5 * (pa + pb) + 0.5 * (pb - pa) * rule[0]
-                 for (_, pa, pb), rule in zip(todo, rules)]
-        vals = f(np.concatenate(nodes), np.repeat([row for row, _, _ in todo], 3 * _ORDER))
-        out = []
-        for i, ((row, pa, pb), rule, xs) in enumerate(zip(todo, rules, nodes)):
-            v = vals[i * 3 * _ORDER:(i + 1) * 3 * _ORDER]
-            scale = 0.5 * (pb - pa)
-            if rule is not _LEGENDRE:  # the panel at a: its weights carry the power
-                scale **= beta[row] + 1.0
-            elif beta[row]:
-                v = v * np.power(xs - bounds[row][0], beta[row])
-            coarse = scale * np.sum(rule[1] * v[:_ORDER])
-            fine = scale * np.sum(rule[2] * v[_ORDER:])
-            out.append((abs(fine - coarse), fine))
-        return out
+        rows, pa, pb = (np.array(col) for col in zip(*todo))
+        kind = jacobi[rows]
+        rule = np.where(pa == lefts[rows], kind, 0)  # a weighted row's panel at a: Jacobi
+        scale = 0.5 * (pb - pa)
+        xs = (0.5 * (pa + pb))[:, None] + scale[:, None] * table[0][rule]
+        v = f(xs.ravel(), np.repeat(rows, 3 * _ORDER)).reshape(xs.shape)
+        v = v.copy() if powers else v  # f's array stays as f returned it
+        for k, bt in enumerate(powers, 1):  # a scalar exponent, as a row alone has it
+            away = (kind == k) & (rule == 0)
+            v[away] *= np.power(xs[away] - lefts[rows[away], None], bt)
+        for n in np.flatnonzero(rule):  # the panel at a: its weights carry the power
+            scale[n] = float(scale[n]) ** (beta[rows[n]] + 1.0)
+        coarse = scale * np.sum(table[1][rule] * v[:, :_ORDER], axis=1)
+        fine = scale * np.sum(table[2][rule] * v[:, _ORDER:], axis=1)
+        diff = fine - coarse  # np.abs of a complex array is not abs's bits; hypot is
+        return list(zip(np.hypot(diff.real, diff.imag).tolist(), fine))
 
     live = [i for i, (a, b) in enumerate(bounds) if b != a]
     values = [0.0] * len(bounds)

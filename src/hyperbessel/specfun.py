@@ -19,8 +19,9 @@
   powers of two, so its log is finite wherever ln i is. Past y = 2^30, where
   ive returns NaN, it raises OverflowError. Callers combine it with other
   exponents in log space, so i_nu itself is never formed.
-- ``hyp1f1``: Kummer 1F1(a; b; z), summed in exact rationals when it
-  terminates (the Laguerre oracle), else ``scipy.special.hyp1f1``.
+- ``hyp1f1``: Kummer 1F1(a; b; z), summed in exact rationals (Python ints
+  over one denominator) when it terminates (the Laguerre oracle), else
+  ``scipy.special.hyp1f1``.
 
 All functions are pure, reject NaN and out-of-domain inputs, and accept
 scalars or numpy arrays (scalar in, Python float out). The two Bessel
@@ -30,8 +31,7 @@ jv/ive and the log prefactor are elementwise in nu), an error names the
 order of the first failing element, and a scalar order takes the scalar
 path at the cost it had. ``scipy.special`` is imported inside the functions
 that call it, so importing this module does not load scipy, and
-bessel_j_norm imports it only when some point is past the series; likewise
-``fractions`` loads only for a terminating hyp1f1.
+bessel_j_norm imports it only when some point is past the series.
 """
 from __future__ import annotations
 
@@ -74,8 +74,10 @@ def _shaped_like(out, like):
 
 
 def log_gamma(x):
-    """Natural log of the Gamma function for finite x > 0."""
+    """Natural log of the Gamma function for finite x > 0 (a float in range skips the checks)."""
     from scipy import special
+    if isinstance(x, float) and 0.0 < x < np.inf:
+        return float(special.gammaln(x))
     arr = np.asarray(x, dtype=float)
     if arr.size and not 0.0 < arr.min() <= arr.max() < np.inf:
         _as_array(arr, "x")  # a NaN anywhere names the error
@@ -278,13 +280,14 @@ def hyp1f1(a, b, z):
 
 
 def _hyp1f1_exact(k, b, z):
-    """Terminating 1F1(-k; b; z) summed exactly over rationals."""
-    from fractions import Fraction
-    term = Fraction(1)
-    total = Fraction(1)
-    bf = Fraction(b)
-    zf = Fraction(z)
-    for m in range(k):
-        term = term * (Fraction(-k + m) * zf) / ((bf + m) * (m + 1))
-        total += term
-    return float(total)
+    """Terminating 1F1(-k; b; z) summed exactly: dyadic b and z make every term an integer
+    over one growing denominator; int / int rounds correctly, as float(Fraction) does."""
+    bn, bd = float(b).as_integer_ratio()
+    zn, zd = float(z).as_integer_ratio()
+    term = total = den = 1
+    for m in range(k):  # term_{m+1} = term_m (m - k) z / ((b + m)(m + 1))
+        step = zd * (bn + m * bd) * (m + 1)
+        term *= (m - k) * zn * bd
+        total = total * step + term
+        den *= step
+    return total / den if den > 0 else -total / -den  # an exact 0 is +0.0, as in Fraction

@@ -19,14 +19,13 @@ whose rows carry their own order (nu, delta or alpha), each suite one call
 of its family under the suite's spec. A family takes its integrals from one
 integrate_rows call and its Bessel values from array calls over an array of
 orders, which return the bits of scalar-order calls, so each report has the
-bits of its family called with that one row. Each Laguerre series identity
-reads its own run of the recurrence, as far as it sums. The generator,
-normalization and Chapman-Kolmogorov checks build their laws with the law
-family of kernels (_transition_rows), a block of laws per call.
+bits of its family called with that one row. The Laguerre series identities
+are lanes of one array loop, each with the bits of its own series. The
+generator, normalization and Chapman-Kolmogorov checks build their laws with
+the law family of kernels (_transition_rows), a block of laws per call.
 
-A whole run of run_suite forks one child for _CHILD_SUITES (Weber,
-generator, multiplicativity and PSD: about half the CPU time, 38.5 ms alone
-on a 2-CPU Xeon VM against 39.4 ms for the other six suites) and reads their
+A whole run of run_suite forks one child for _CHILD_SUITES (generator,
+multiplicativity and PSD: about half the CPU time) and reads their
 outcomes back through a pipe while it runs the rest. Each suite seeds its
 own generator and builds its own laws and rules, so the reports are bit
 for bit those of one process, as are the error raised (that of the first
@@ -51,7 +50,6 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -245,18 +243,22 @@ def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
             lhs.append(np.exp(t * psi_heis(a)) * chis_start[i])
             rhs.append(atom_sum)
 
-    rays = [g for _, g, _, _ in gamma_rows]
-    xs = np.array([x for _, _, x, _ in gamma_rows])
-    als = np.array([al for *_, al in gamma_rows])
+    # per row: x, order, and its ray's shape, scale and the constants of GammaRay.log_pdf
+    xs, als, shapes, scales, log_gammas, shape_logs = np.array(
+        [(x, al, g.shape, g.scale, log_gamma(g.shape), g.shape * math.log(g.scale))
+         for _, g, x, al in gamma_rows], dtype=float).reshape(-1, 6).T
 
     def integrand(ys, rows):
-        pdf = np.empty_like(ys)
-        for row, g in enumerate(rays):
-            pdf[rows == row] = g.pdf(ys[rows == row])
+        # every row's GammaRay.pdf at once, in its order of operations (ys >= 0)
+        shape = shapes[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = np.where(shape != 1.0, (shape - 1.0) * np.log(ys), 0.0)
+        pdf = np.exp(power - ys / scales[rows] - log_gammas[rows] - shape_logs[rows])
         # chi_(0,y)(x, .) = j_al(2 x sqrt(y)); reuse the y1=1 form scaled
         return pdf * _second_kind_char(als[rows], 1.0, xs[rows] * np.sqrt(ys))
 
-    cuts = [g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0)) for g in rays]
+    cuts = [g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0))
+            for _, g, _, _ in gamma_rows]
     values = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
     for (n, *_), value in zip(gamma_rows, values):
         rhs[n] += value
@@ -287,26 +289,43 @@ def _bk_spectral_rows(rows, q, tol=1e-8) -> list[VerificationReport]:
 # Laguerre-side identities used in the QBES identification
 
 
-# terms summed at most by the series identities (i), (iii) and (iv)
-_LAG_TERMS = 420
+# terms summed at most by the series identities (i), (iii) and (iv), and per block of _lag_lanes
+_LAG_TERMS, _LAG_BLOCK = 420, 48
 
 
-def _lag_series(lag, tau, ratio, divide=False):
-    """sum_n c_n L_n tau^n over the run lag of L_0, L_1, ..., with c_0 = 1 and
-    c_{n+1} = c_n ratio(n); with divide, the terms are L_n tau^n / c_n instead.
-    Stops after the first term past n = 8 below 1e-18 of the sum, or after
-    _LAG_TERMS terms."""
-    coef = 1.0
-    total = 0.0
-    tp = 1.0
-    for n, lag_n in zip(range(_LAG_TERMS), lag):
-        term = lag_n * tp / coef if divide else coef * lag_n * tp
-        total += term
-        if abs(term) <= 1e-18 * max(1.0, abs(total)) and n > 8:
-            break
-        coef *= ratio(n)
-        tp *= tau
-    return total
+def _lag_lanes(a, x, j, tau, p, q, divide):
+    """Each lane's sum_n c_n L_{j+n}^(a)(x) tau^n, c_0 = 1 and c_{n+1} = c_n (p + n) / (q + n)
+    (a divide lane: terms L_{j+n} tau^n / c_n, c_{n+1} = c_n (p + n)), ended by its first term
+    past n = 8 below 1e-18 of its sum or by _LAG_TERMS. L follows _laguerre_run; c_n, tau^n and
+    the sums are sequential accumulates, so each sum has the bits of its series' float loop."""
+    lanes, out, todo = np.arange(len(a)), np.empty(len(a)), np.ones(len(a), dtype=bool)
+    run = np.array(list(islice(_laguerre_run(a, x), 1, int(j.max()) + 2)))  # L_1, L_2, ...
+    lag, lag_next = np.where(j == 0, 1.0, run[j - 1, lanes]), run[j, lanes]  # L_j, L_{j+1}
+    coef, tp, total = np.ones(len(a)), np.ones(len(a)), np.zeros(len(a))
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats run on
+        for n0 in range(0, _LAG_TERMS, _LAG_BLOCK):
+            n = np.arange(n0, min(n0 + _LAG_BLOCK, _LAG_TERMS))[:, None]
+            m = j + (n + 1)  # the degree of lag_next at step n
+            grow, drop, over = 2.0 * m + a + 1.0 - x, m + a, m + 1.0
+            lags = np.empty(m.shape)
+            for s in range(len(n)):
+                lags[s] = lag
+                lag, lag_next = lag_next, (grow[s] * lag_next - drop[s] * lag) / over[s]
+            ratio = p + n
+            coefs = np.multiply.accumulate(
+                np.vstack((coef, np.where(divide, ratio, ratio / (q + n)))))
+            tps = np.multiply.accumulate(np.vstack((tp, np.broadcast_to(tau, m.shape))))
+            coef, tp, coefs, tps = coefs[-1], tps[-1], coefs[:-1], tps[:-1]
+            terms = np.where(divide, lags * tps / coefs, coefs * lags * tps)
+            totals = np.add.accumulate(np.vstack((total, terms)))[1:]
+            total = totals[-1]
+            stop = (np.abs(terms) <= 1e-18 * np.fmax(1.0, np.abs(totals))) & (n > 8) & todo
+            hit = stop.any(axis=0)
+            out[hit], todo[hit] = totals[stop.argmax(axis=0), lanes][hit], False
+            if not todo.any():
+                break
+    out[todo] = total[todo]  # the lanes that reached _LAG_TERMS
+    return out
 
 
 def _identity_ii(rows, lag, q):
@@ -346,10 +365,10 @@ def _identity_v(alpha, k, c, lag, lag_c):
 
 
 def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
-    """The five Laguerre/Bessel identities behind the kernel identification,
-    five reports per alpha: the (ii) integrals of every alpha from one
-    integrate_rows call, (iv)'s j_alpha of every alpha from one bessel_j_norm
-    call.
+    """The five Laguerre/Bessel identities behind the kernel identification, five
+    reports per alpha: the (ii) integrals of every alpha from one integrate_rows call,
+    the series of (i), (iii) and (iv) of every alpha as lanes of one _lag_lanes call,
+    and (iv)'s j_alpha of every alpha from one bessel_j_norm call.
 
     A given tol applies to all five; with None each has its own default:
     (i) 1e-10, (ii) 1e-8 (quadrature), (iii) 1e-10, (iv) 1e-10, (v) 1e-12
@@ -368,8 +387,8 @@ def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
         raise ValueError("the Laguerre identities require an integer k_max >= 0")
     k_max = int(k_max)
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
-    # (ii), (v) and the closed forms read one table per alpha; each series reads
-    # its own run as far as it sums (entry n of a run has the bits of table row n)
+    # (ii), (v) and the closed forms read one table per alpha; the series of (i),
+    # (iii) and (iv) run their own recurrences, as lanes of one _lag_lanes call
     points = [0.5, 2.0, *(v / (1.0 - tau) for v in (0.5, 2.1) for tau in (0.3, -0.4)),
               *(c * 1.7 for c in (1.0, 0.35, 1.4))]
     lags = {alpha: dict(zip(points, laguerre_L_all(max(k_max, 1), alpha, points).T.tolist()))
@@ -380,25 +399,28 @@ def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
     iv_js = bessel_j_norm(np.repeat(np.array(alphas, dtype=float), len(iv_rows)),
                           np.array([2.0 * math.sqrt(v * tau) for v, tau in iv_rows]
                                    * len(alphas))).reshape(len(alphas), -1).tolist()
-    reports = []
-    for alpha, err_ii, js in zip(alphas, errs_ii, iv_js):
-        lag, run = lags[alpha], partial(_laguerre_run, alpha)
+    iii_cs = [(alpha + 1.0, alpha + 1.0 + k_max, 1.7) for alpha in alphas]
+    # one lane per series: (alpha, v, j, tau, p, q, divide) as _lag_lanes reads them
+    lanes = [lane for alpha, cs in zip(alphas, iii_cs) for lane in (
         # (i) generating identity: sum_i (i+j)!/(i! j!) L_{i+j}(v) tau^i
-        err_i = max(abs(_lag_series(islice(run(v), j, None), tau,
-                                    lambda i: (i + j + 1.0) / (i + 1.0))
-                        - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
-                        * lag[v / (1.0 - tau)][j])
-                    for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+        *((alpha, v, j, tau, j + 1.0, 1.0, False)
+          for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4)),
         # (iii) Pochhammer-ratio sum vs its Kummer-transformed hypergeometric form
-        err_iii = max(abs(_lag_series(run(v), tau, lambda l: (c + l) / (alpha + 1.0 + l))
-                          - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
-                          * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
-                      for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
-                      for v in (1.2, 2.1) for tau in (0.35,))
+        *((alpha, v, 0, tau, c, alpha + 1.0, False) for c in cs for v in (1.2, 2.1)
+          for tau in (0.35,)),
         # (iv) sum_l L_l(v) tau^l / (alpha+1)_l = e^tau j_alpha(2 sqrt(v tau))
-        err_iv = max(abs(_lag_series(run(v), tau, lambda l: alpha + 1.0 + l, divide=True)
-                         - math.exp(tau) * j)
-                     for (v, tau), j in zip(iv_rows, js))
+        *((alpha, v, 0, tau, alpha + 1.0, 1.0, True) for v, tau in iv_rows))]
+    sums = iter(_lag_lanes(*(np.array(col) for col in zip(*lanes))).tolist())
+    reports = []
+    for alpha, cs, err_ii, js in zip(alphas, iii_cs, errs_ii, iv_js):
+        lag = lags[alpha]
+        err_i = max(abs(next(sums) - (1.0 - tau) ** (-alpha - 1.0 - j)
+                        * math.exp(-v * tau / (1.0 - tau)) * lag[v / (1.0 - tau)][j])
+                    for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+        err_iii = max(abs(next(sums) - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
+                          * hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
+                      for c in cs for v in (1.2, 2.1) for tau in (0.35,))
+        err_iv = max(abs(next(sums) - math.exp(tau) * j) for (v, tau), j in zip(iv_rows, js))
         err_v = max(_identity_v(alpha, k, c, lag[1.7], lag[c * 1.7])
                     for k in ks for c in (1.0, 0.35, 1.4))
         reports += [_report(f"laguerre_identity_{name}", {"alpha": alpha}, err,
@@ -683,9 +705,9 @@ _SUITES = {
     "normalization": _suite_normalization,
 }
 SUITE_NAMES = tuple(_SUITES)
-# the suites a whole run hands to its second process: about half its CPU time
-# (each side 43-48 ms inside the fork on a 2-CPU Xeon VM)
-_CHILD_SUITES = ("weber-schafheitlin", "glowne3", "multiplicativity", "psd-gram")
+# the suites a whole run hands to its second process, about half its CPU time: 40.0 ms against
+# 41.6 ms in one process on a 2-CPU Xeon VM, where the parent also pays more page faults
+_CHILD_SUITES = ("glowne3", "multiplicativity", "psd-gram")
 
 
 def _two_processes() -> bool:

@@ -1,5 +1,6 @@
 """CLI tests: flag parsing, output schemas, determinism, exit codes."""
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -1000,3 +1001,54 @@ def _fresh(code: str) -> str:
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+SIM_ARGV = [["qbes-sim", "--delta", "1.5", "--start", "tau=-1,k=2", "--t-grid", "0.4,1.0,1.6",
+             "--seed", "3"],
+            ["bes-sim", "--delta", "2", "--x0", "1", "--t-grid", "0.5,1.0", "--seed", "5"]]
+
+
+@pytest.mark.parametrize("argv", SIM_ARGV, ids=lambda argv: argv[0])
+def test_path_table_groups_write_the_one_group_bytes(argv, tmp_path, capsys, monkeypatch):
+    # groups of 3 paths: none full, one, one and a part, and several
+    for paths in range(8):
+        full = run_cli(argv + ["--paths", str(paths)], capsys)
+        run_cli(argv + ["--paths", str(paths), "--out", str(tmp_path / "one.csv")], capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_SIM_GROUP", 3)
+            grouped = run_cli(argv + ["--paths", str(paths)], capsys)
+            run_cli(argv + ["--paths", str(paths), "--out", str(tmp_path / "groups.csv")], capsys)
+        assert grouped == full and full[0] == 0
+        assert (tmp_path / "groups.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert full[1].count("\n") == 1 + paths * (argv[-3].count(",") + 1)
+
+
+def test_path_table_groups_fill_one_template_each(capsys, monkeypatch):
+    # one % call per group, each on a block of at most _SIM_GROUP paths
+    sizes = []
+    real = cli._sim_template
+
+    def spy(row):
+        sizes.append(len(row[0]))
+        return real(row)
+
+    monkeypatch.setattr(cli, "_SIM_GROUP", 3)
+    monkeypatch.setattr(cli, "_sim_template", spy)
+    written = []
+    monkeypatch.setattr(cli, "_emit", lambda out, text: written.append(list(text)))
+    assert cli.main(SIM_ARGV[1] + ["--paths", "7"]) == 0
+    assert [chunk.count("\n") for chunk in written[0]] == [1 + 3 * 2, 3 * 2, 1 * 2]
+    assert sizes == [7, 7]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_path_table_groups_on_a_full_device_give_one_error_line(capsys, monkeypatch):
+    # a group's write fails inside the one open file: one line, no traceback
+    monkeypatch.setattr(cli, "_SIM_GROUP", 3)
+    full = open("/dev/full", "w", buffering=1)
+    monkeypatch.setattr(sys, "stdout", full)
+    code = cli.main(SIM_ARGV[1] + ["--paths", "7"])
+    with contextlib.suppress(OSError):  # the unwritten rest of the buffer
+        full.close()
+    assert (code, capsys.readouterr().err) == (
+        1, "hyperbessel: error: cannot write stdout: No space left on device\n")

@@ -407,3 +407,144 @@ def test_non_finite_bounds_raise(a, b):
 def test_bad_beta_raises(beta):
     with pytest.raises(ValueError, match="^integrate_rows requires one finite beta > -1 per row$"):
         integrate_rows(lambda xs, rows: xs, [(0.0, 1.0)], ROW_SPEC, beta)
+
+
+def _per_panel_integrate_rows(f, bounds, spec=None, beta=None):
+    """integrate_rows as it was before each round became one block: a loop over
+    the panels with two np.sum calls each, kept verbatim as the reference whose
+    bits the block form must keep."""
+    spec = spec or quadrature.DEFAULT_SPEC
+    _ORDER, _LEGENDRE, _pair = quadrature._ORDER, quadrature._LEGENDRE, quadrature._pair
+    if not all(-math.inf < a <= b < math.inf for a, b in bounds):
+        raise ValueError("integrate_rows requires finite a <= b")
+    beta = [0.0] * len(bounds) if beta is None else [float(bt) for bt in beta]
+    if len(beta) != len(bounds) or not all(-1.0 < bt < math.inf for bt in beta):
+        raise ValueError("integrate_rows requires one finite beta > -1 per row")
+    jacobi = {bt: _pair(gauss_jacobi, 0.0, bt) for bt in set(beta) if bt}
+
+    def panels(todo):
+        # (error, fine value) of each (row, pa, pb) panel, from one call of f
+        if not todo:
+            return []
+        rules = [jacobi[beta[row]] if beta[row] and pa == bounds[row][0] else _LEGENDRE
+                 for row, pa, _ in todo]
+        nodes = [0.5 * (pa + pb) + 0.5 * (pb - pa) * rule[0]
+                 for (_, pa, pb), rule in zip(todo, rules)]
+        vals = f(np.concatenate(nodes), np.repeat([row for row, _, _ in todo], 3 * _ORDER))
+        out = []
+        for i, ((row, pa, pb), rule, xs) in enumerate(zip(todo, rules, nodes)):
+            v = vals[i * 3 * _ORDER:(i + 1) * 3 * _ORDER]
+            scale = 0.5 * (pb - pa)
+            if rule is not _LEGENDRE:  # the panel at a: its weights carry the power
+                scale **= beta[row] + 1.0
+            elif beta[row]:
+                v = v * np.power(xs - bounds[row][0], beta[row])
+            coarse = scale * np.sum(rule[1] * v[:_ORDER])
+            fine = scale * np.sum(rule[2] * v[_ORDER:])
+            out.append((abs(fine - coarse), fine))
+        return out
+
+    live = [i for i, (a, b) in enumerate(bounds) if b != a]
+    values = [0.0] * len(bounds)
+    # per row: a heap of (neg_err, pa, pb, depth, value), one entry per panel (pa
+    # is unique, so comparisons never reach the possibly complex value), and its error
+    heaps, errs = {}, {}
+    for i, (err, val) in zip(live, panels([(i, *bounds[i]) for i in live])):
+        heaps[i] = [(-err, *bounds[i], 0, val)]
+        errs[i], values[i] = err, val
+    failure = None
+    while live:
+        split = []
+        for i in live:
+            if not errs[i] > spec.abs_tol:
+                continue
+            neg_err, pa, pb, depth, v_old = heapq.heappop(heaps[i])
+            if depth >= spec.max_depth or len(heaps[i]) + 1 >= 16384:
+                failure = QuadratureError(
+                    f"adaptive quadrature exhausted on [{pa:g}, {pb:g}]: "
+                    f"total residual {errs[i]:.3e} > {spec.abs_tol:.3e}")
+                break  # a loop over the rows would stop here
+            split.append((i, neg_err, pa, 0.5 * (pa + pb), pb, depth, v_old))
+        live = [i for i, *_ in split]
+        halves = panels([panel for i, _, pa, mid, pb, *_ in split
+                         for panel in ((i, pa, mid), (i, mid, pb))])
+        for n, (i, neg_err, pa, mid, pb, depth, v_old) in enumerate(split):
+            (e1, v1), (e2, v2) = halves[2 * n:2 * n + 2]
+            errs[i] += e1 + e2 + neg_err
+            values[i] += v1 + v2 - v_old
+            heapq.heappush(heaps[i], (-e1, pa, mid, depth + 1, v1))
+            heapq.heappush(heaps[i], (-e2, mid, pb, depth + 1, v2))
+    if failure is not None:
+        raise failure
+    return values
+
+
+def _same_bits(got, want):
+    """Equal type and bytes: NaN equals NaN, and 0.0 differs from -0.0."""
+    return type(got) is type(want) and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# (f, a, b, beta): rows that finish in different rounds, betas in (-1, 0) and
+# above, a shared beta, beta 0 next to weighted rows, a degenerate row, a NaN
+# row, a row whose value is -0.0, and a left end away from 0
+BLOCK_REAL_ROWS = [
+    (lambda x: np.exp(-x), 0.0, 4.0, 29.0),
+    (lambda x: np.cos(x) * np.exp(-0.1 * x), 0.0, 20.0, 0.5),
+    (lambda x: np.sin(x * x), 0.0, 12.0, 0.0),
+    (lambda x: np.exp(0.5 - x), 0.5, 4.5, -0.5),
+    (lambda x: x, 2.0, 2.0, 0.3),
+    (lambda x: np.cos(5.0 * x), 0.0, 3.0, -0.7),
+    (lambda x: np.full_like(x, np.nan), 0.0, 1.0, -0.3),
+    (lambda x: np.full_like(x, -0.0), 1.0, 2.0, 0.0),
+    (lambda x: np.sin(3.0 * x), 1.0, 9.0, 0.5),
+    (lambda x: np.sqrt(x), 0.0, 1.0, 0.0),
+    (lambda x: np.exp(-3.0 * x) * np.cos(7.0 * x), 0.25, 6.0, -0.95),
+]
+BLOCK_COMPLEX_ROWS = [
+    (lambda x: np.exp(1j * x * x), 0.0, 14.0, 0.0),
+    (lambda x: np.exp(1j * x) * np.exp(-x), 0.0, math.pi, -0.4),
+    (lambda x: x + 0j, 1.0, 1.0, 0.0),
+    (lambda x: np.exp(3j * x), 0.5, 6.0, 1.5),
+    (lambda x: np.full_like(x, complex(np.nan, 1.0), dtype=complex), 0.0, 1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("rows,complex_", [(BLOCK_REAL_ROWS, False), (BLOCK_COMPLEX_ROWS, True)])
+@pytest.mark.parametrize("with_beta", [True, False])
+def test_block_rounds_keep_the_bits_of_the_per_panel_loop(rows, complex_, with_beta):
+    f, calls = _row_integrand([fi for fi, *_ in rows], complex_)
+    ref, ref_calls = _row_integrand([fi for fi, *_ in rows], complex_)
+    bounds = [(a, b) for _, a, b, _ in rows]
+    beta = [bt for *_, bt in rows] if with_beta else None
+    got = integrate_rows(f, bounds, ROW_SPEC, beta)
+    want = _per_panel_integrate_rows(ref, bounds, ROW_SPEC, beta)
+    assert all(_same_bits(g, w) for g, w in zip(got, want)), (got, want)
+    # the same rounds, each one call of f on the same nodes and rows
+    assert len(calls) == len(ref_calls) > 10
+    for (xs, r), (ref_xs, ref_r) in zip(calls, ref_calls):
+        assert np.array_equal(xs, ref_xs) and np.array_equal(r, ref_r)
+    assert any(math.isnan(abs(v)) for v in got)
+
+
+def test_block_rounds_raise_the_per_panel_loops_error():
+    rows = [(lambda x: np.sin(x * x), 0.0, 12.0, 0.0), (_ONE_SINGULAR, 0.0, 1.0, -0.2),
+            (_TWO_SINGULAR, 0.0, 1.0, 0.4)]
+    messages = []
+    for integrate in (integrate_rows, _per_panel_integrate_rows):
+        f, _ = _row_integrand([fi for fi, *_ in rows])
+        with pytest.raises(QuadratureError) as exc:
+            integrate(f, [(a, b) for _, a, b, _ in rows], EXHAUST_SPEC, [bt for *_, bt in rows])
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_block_rounds_leave_the_integrands_array_as_it_was():
+    # the endpoint power multiplies a copy, never the array f returned
+    calls = []
+
+    def f(xs, rows):
+        calls.append((np.array(xs), np.cos(20.0 * xs)))
+        return calls[-1][1]
+
+    integrate_rows(f, [(1.0, 3.0)], ROW_SPEC, [0.5])
+    assert len(calls) > 1 and all(np.array_equal(v, np.cos(20.0 * xs)) for xs, v in calls)

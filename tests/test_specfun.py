@@ -532,3 +532,89 @@ def test_laguerre_rejects_infinite_x(fn, x):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^laguerre argument x must be finite$"):
             fn(x)
+
+
+def _array_log_gamma(x):
+    """log_gamma's array path, the only path before floats got their own."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not 0.0 < arr.min() <= arr.max() < np.inf:
+        sf._as_array(arr, "x")  # a NaN anywhere names the error
+        raise ValueError("log_gamma requires finite x > 0")
+    return sf._shaped_like(ss.gammaln(arr), x)
+
+
+_LOG_GAMMA_POINTS = [5e-324, 1e-300, 1e-8, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.3, 171.5, 1e6,
+                     1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, np.array, lambda x: np.array([[x, 2.5]])],
+                         ids=["float", "np.float64", "0-d", "n-d"])
+def test_log_gamma_keeps_the_bits_and_type_of_the_array_path(wrap):
+    for x in _LOG_GAMMA_POINTS:
+        got, want = sf.log_gamma(wrap(x)), _array_log_gamma(wrap(x))
+        assert type(got) is type(want)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_log_gamma_of_an_int_keeps_the_array_path():
+    for k in (1, 2, 7, 170, 10**6):
+        got = sf.log_gamma(k)
+        assert type(got) is float and got == _array_log_gamma(k)
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, np.array])
+@pytest.mark.parametrize("x,message", [(0.0, _LG_MSG), (-0.0, _LG_MSG), (-1.0, _LG_MSG),
+                                       (NAN, "x must not be NaN"), (INF, _LG_MSG),
+                                       (-INF, _LG_MSG), (-5e-324, _LG_MSG)])
+def test_log_gamma_float_errors_keep_their_messages(wrap, x, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sf.log_gamma(wrap(x))
+
+
+def _fraction_hyp1f1(k, b, z):
+    """The exact-rational sum _hyp1f1_exact replaced, verbatim."""
+    from fractions import Fraction
+    term = Fraction(1)
+    total = Fraction(1)
+    bf = Fraction(b)
+    zf = Fraction(z)
+    for m in range(k):
+        term = term * (Fraction(-k + m) * zf) / ((bf + m) * (m + 1))
+        total += term
+    return float(total)
+
+
+def _same_float(got, want):
+    return type(got) is type(want) is float and got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("b", [1.0, 1.5, 0.3, 60.5])
+def test_hyp1f1_exact_at_the_largest_cancellation(b):
+    # at k = 60, z = 50 the largest term is ~1e28 times the sum
+    assert _same_float(sf._hyp1f1_exact(60, b, 50.0), _fraction_hyp1f1(60, b, 50.0))
+
+
+def test_hyp1f1_exact_matches_fractions_over_random_dyadics():
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        k = int(rng.integers(0, 70))
+        b = float(rng.uniform(-30.0, 30.0) * 10.0 ** rng.uniform(-3.0, 3.0))
+        z = float(rng.normal() * 10.0 ** rng.uniform(-6.0, 2.5))
+        if b <= 0.0 and b == round(b):
+            continue
+        assert _same_float(sf._hyp1f1_exact(k, b, z), _fraction_hyp1f1(k, b, z)), (k, b, z)
+
+
+@pytest.mark.parametrize("k,b,z", [(1, 2.0, 2.0), (1, -1.5, -1.5), (2, -0.5, 0.0),
+                                   (3, -2.5, 1e-300), (0, -7.25, 3.0)])
+def test_hyp1f1_exact_keeps_the_sign_of_an_exact_zero(k, b, z):
+    # 1F1(-1; b; b) = 0 exactly; a negative b + m makes the denominator negative
+    assert _same_float(sf._hyp1f1_exact(k, b, z), _fraction_hyp1f1(k, b, z))
+
+
+def test_hyp1f1_exact_past_the_double_range_raises_as_fractions_do():
+    with pytest.raises(OverflowError) as want:
+        _fraction_hyp1f1(200, 1e-300, -1e5)
+    with pytest.raises(OverflowError) as got:
+        sf._hyp1f1_exact(200, 1e-300, -1e5)
+    assert str(got.value) == str(want.value)

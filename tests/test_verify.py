@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import itertools
 import signal
 import time
 import warnings
@@ -894,3 +895,174 @@ class TestTwoProcesses:
             assert [(w.category, str(w.message)) for w in caught] == [
                 (UserWarning, name) for name in vf.SUITE_NAMES]
         _no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the series of (i), (iii) and (iv) as lanes, and glowne3's densities as one block
+
+
+def _same_bits(got, want):
+    """Equal type and bytes: NaN equals NaN, and 0.0 differs from -0.0."""
+    return type(got) is type(want) and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _laguerre_run(a, x):
+    """specfun._laguerre_run, verbatim: L_0^{(a)}(x), L_1^{(a)}(x), ... without end."""
+    yield 1.0
+    prev, cur = 1.0, a + 1.0 - x
+    for n in itertools.count(1):
+        yield cur
+        prev, cur = cur, ((2.0 * n + a + 1.0 - x) * cur - (n + a) * prev) / (n + 1.0)
+
+
+def _lag_series(lag, tau, ratio, divide=False):
+    """The one-series loop that _lag_lanes replaced, verbatim: sum_n c_n L_n tau^n
+    over the run lag, with c_0 = 1 and c_{n+1} = c_n ratio(n); with divide, the
+    terms are L_n tau^n / c_n instead."""
+    coef = 1.0
+    total = 0.0
+    tp = 1.0
+    for n, lag_n in zip(range(vf._LAG_TERMS), lag):
+        term = lag_n * tp / coef if divide else coef * lag_n * tp
+        total += term
+        if abs(term) <= 1e-18 * max(1.0, abs(total)) and n > 8:
+            break
+        coef *= ratio(n)
+        tp *= tau
+    return total
+
+
+def _series_lanes(alphas, taus, js, k_max):
+    """(lane, reference sum) of identities (i), (iii) and (iv) over a grid."""
+    out = []
+    for alpha in alphas:
+        for tau in taus:
+            for v in (0.5, 2.1, 7.0):
+                run = lambda: _laguerre_run(alpha, v)  # noqa: E731
+                for j in js:
+                    out.append(((alpha, v, j, tau, j + 1.0, 1.0, False), _lag_series(
+                        itertools.islice(run(), j, None), tau,
+                        lambda i, j=j: (i + j + 1.0) / (i + 1.0))))
+                for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7):
+                    out.append(((alpha, v, 0, tau, c, alpha + 1.0, False), _lag_series(
+                        run(), tau, lambda l, c=c: (c + l) / (alpha + 1.0 + l))))
+                out.append(((alpha, v, 0, tau, alpha + 1.0, 1.0, True), _lag_series(
+                    run(), tau, lambda l: alpha + 1.0 + l, divide=True)))
+    return out
+
+
+@pytest.mark.parametrize("k_max", [10, 30])
+def test_lag_lanes_keep_the_bits_of_one_series_each(k_max):
+    # taus of +-0.9 run some series to the _LAG_TERMS cap; j up to k_max
+    lanes = _series_lanes((-0.6, 0.0, 3.8), (0.3, -0.3, 0.9, -0.9), (0, 1, 7, k_max), k_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = vf._lag_lanes(*(np.array(col) for col in zip(*(lane for lane, _ in lanes))))
+    assert got.shape == (len(lanes),)
+    assert all(_same_bits(g, want) for g, (_, want) in zip(got.tolist(), lanes))
+
+
+def test_lag_lanes_cover_every_way_a_series_ends():
+    # lanes that stop in the first block, in a later one, and at the _LAG_TERMS cap
+    lanes = _series_lanes((0.0,), (0.3, -0.9), (0, 30), 30)
+    lengths = []
+    for (alpha, v, j, tau, p, q, divide), _ in lanes:
+        taken = itertools.count()
+        run = (lag for lag, _ in zip(_laguerre_run(alpha, v), taken))
+        ratio = (lambda l: p + l) if divide else (lambda l: (p + l) / (q + l))
+        _lag_series(itertools.islice(run, j, None), tau, ratio, divide)
+        lengths.append(next(taken) - j)  # the terms the series summed
+    assert min(lengths) <= vf._LAG_BLOCK < max(n for n in lengths if n < vf._LAG_TERMS)
+    assert vf._LAG_TERMS in lengths
+    got = vf._lag_lanes(*(np.array(col) for col in zip(*(lane for lane, _ in lanes))))
+    assert all(_same_bits(g, want) for g, (_, want) in zip(got.tolist(), lanes))
+
+
+def test_lag_lanes_stop_only_past_n_8():
+    # at a root of L_8 (L_8 is 0.0 there at alpha 3.8) the term of n = 8 is below
+    # 1e-18 of the sum, yet the series goes on, as the one-series loop does
+    lanes = []
+    for alpha, v in ((3.8, 1.3191081813179169), (0.0, 0.9037017767993799)):
+        assert abs(next(itertools.islice(_laguerre_run(alpha, v), 8, None))) < 1e-16
+        for tau in (0.5, -0.5):
+            lanes += [((alpha, v, 0, tau, 1.0, 1.0, False), _lag_series(
+                          _laguerre_run(alpha, v), tau, lambda i: (i + 1.0) / (i + 1.0))),
+                      ((alpha, v, 0, tau, alpha + 1.0, 1.0, True), _lag_series(
+                          _laguerre_run(alpha, v), tau, lambda l: alpha + 1.0 + l, divide=True))]
+    got = vf._lag_lanes(*(np.array(col) for col in zip(*(lane for lane, _ in lanes))))
+    assert all(_same_bits(g, want) for g, (_, want) in zip(got.tolist(), lanes))
+
+
+@pytest.mark.parametrize("alphas,k_max", [((-0.6, 0.0, 3.8), 10), ((3.8, 0.0), 30),
+                                          ((0.5,), 0)])
+def test_laguerre_series_reports_keep_the_one_series_bits(alphas, k_max, monkeypatch):
+    # (i), (iii) and (iv) of every alpha against the one-series loops they
+    # replaced; (ii) is not under test here, so its integrals are stubbed
+    monkeypatch.setattr(vf, "_identity_ii", lambda rows, lag, q: [0.0] * len(rows))
+    reports = vf._laguerre_rows(list(alphas), k_max, QuadratureSpec(), None)
+    ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
+    iv_rows = [(v, tau) for v in (0.8, 3.0) for tau in (0.4, 2.5)]
+    for n, alpha in enumerate(alphas):
+        lag = lambda v, j: laguerre_L_all(max(k_max, j, 1), alpha, v)[j]  # noqa: E731
+        run = lambda v: _laguerre_run(alpha, v)  # noqa: E731
+        err_i = max(abs(_lag_series(itertools.islice(run(v), j, None), tau,
+                                    lambda i, j=j: (i + j + 1.0) / (i + 1.0))
+                        - (1.0 - tau) ** (-alpha - 1.0 - j) * math.exp(-v * tau / (1.0 - tau))
+                        * lag(v / (1.0 - tau), j))
+                    for j in ks for v in (0.5, 2.1) for tau in (0.3, -0.4))
+        err_iii = max(abs(_lag_series(run(v), tau, lambda l, c=c: (c + l) / (alpha + 1.0 + l))
+                          - (1.0 - tau) ** (-c) * math.exp(-v * tau / (1.0 - tau))
+                          * sf.hyp1f1(alpha + 1.0 - c, alpha + 1.0, v * tau / (1.0 - tau)))
+                      for c in (alpha + 1.0, alpha + 1.0 + k_max, 1.7)
+                      for v in (1.2, 2.1) for tau in (0.35,))
+        err_iv = max(abs(_lag_series(run(v), tau, lambda l: alpha + 1.0 + l, divide=True)
+                         - math.exp(tau) * bessel_j_norm(alpha, 2.0 * math.sqrt(v * tau)))
+                     for v, tau in iv_rows)
+        got = {r.check_name: r.max_abs_err for r in reports[5 * n:5 * n + 5]}
+        assert got["laguerre_identity_i"] == err_i
+        assert got["laguerre_identity_iii"] == err_iii
+        assert got["laguerre_identity_iv"] == err_iv
+
+
+def _per_row_gamma_integrand(gamma_rows):
+    """glowne3's gamma-ray integrand as it was before its densities became one
+    block: a loop over the rows, one GammaRay.pdf call each, verbatim."""
+    rays = [g for _, g, _, _ in gamma_rows]
+    xs = np.array([x for _, _, x, _ in gamma_rows])
+    als = np.array([al for *_, al in gamma_rows])
+
+    def integrand(ys, rows):
+        pdf = np.empty_like(ys)
+        for row, g in enumerate(rays):
+            pdf[rows == row] = g.pdf(ys[rows == row])
+        # chi_(0,y)(x, .) = j_al(2 x sqrt(y)); reuse the y1=1 form scaled
+        return pdf * _second_kind_char(als[rows], 1.0, xs[rows] * np.sqrt(ys))
+
+    return integrand
+
+
+def test_glowne3_gamma_densities_keep_the_per_row_bits(monkeypatch):
+    # the suite's laws, plus rays of shape 1 (no log y term) and of shape < 1
+    laws = [(start, t, delta) for delta in (1.0, 1.5, 3.7) for start, t in GLOWNE3_LAWS]
+    laws += [(DiscretePoint(-1.0, 0), 1.0, 1.0), (DiscretePoint(-2.0, 0), 2.0, 0.5)]
+    seen = []
+
+    def spy(f, bounds, q):  # the integrand alone is under test
+        seen.append(f)
+        return [0.0] * len(bounds)
+
+    monkeypatch.setattr(vf, "integrate_rows", spy)
+    vf._glowne3_rows(laws, GLOWNE3_POINTS, QuadratureSpec())
+    gamma_rows = [(None, law.gamma_ray, a.x, delta - 1.0)
+                  for (_, _, delta), law in zip(laws, kn._transition_rows(laws))
+                  if law.gamma_ray is not None for a in GLOWNE3_POINTS]
+    assert {g.shape for _, g, _, _ in gamma_rows} >= {0.5, 1.0}
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, len(gamma_rows), 4000)
+    ys = np.concatenate(([0.0, 5e-324, 1e-300], rng.uniform(0.0, 60.0, 3997)))
+    ys[3:200] = rng.uniform(0.0, 1e-6, 197)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = seen[0](ys, rows)
+        want = _per_row_gamma_integrand(gamma_rows)(ys, rows)
+    assert got.tobytes() == want.tobytes()
