@@ -23,8 +23,8 @@ cell formatted once. A path table's template is a path block of one row per
 grid time (its time and the cells all paths share there, and on a discrete
 step one cell per path taken from the level cells, formatted once per
 distinct level), repeated once per path and filled in path order. A grid
-table's template holds each grid coordinate formatted once. Every other JSON
-output is written by json.dumps. An empty grid gives a table of no rows.
+table's template holds each grid coordinate formatted once. Other JSON is written
+by json.dumps, a table a group of rows at a time. An empty grid gives no rows.
 """
 from __future__ import annotations
 
@@ -114,10 +114,12 @@ def _emit(out: str | None, text):
 
 
 def _emit_json(args, header: list[str], rows):
-    """Rows (tuples in header order) as a JSON list of objects."""
+    """Rows (an iterator of tuples in header order) as a JSON list of objects, written a group
+    of at most _GROUP rows at a time: json.dumps of a list is its items joined by ","."""
     import json
-    payload = [dict(zip(header, row)) for row in rows]
-    _emit(args.out, json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
+    groups = iter(lambda: [dict(zip(header, row)) for row in islice(rows, _GROUP)], [])
+    _emit(args.out, chain("[", (("," if i else "") + json.dumps(group, separators=(",", ":"))[1:-1]
+                                for i, group in enumerate(groups)), "]\n"))
 
 
 def _emit_table(args, header: list[str], axes: list[list], cols: list[list]):
@@ -147,7 +149,7 @@ def cmd_qbes_kernel(args) -> int:
 _SIM_HEADER = ["path_id", "time", "coord0", "coord1", "branch", "k"]
 _SIM_CELLS = ("%d", "%.17g", "%.17g", "%.17g", "%s", "%d")
 _COLUMN = (list, range)  # the cells of a path row that differ over the paths
-_SIM_GROUP = 8192  # paths per % call of a CSV path table, which bounds its memory
+_GROUP = 8192  # paths per % call of a CSV path table, rows per json.dumps of a JSON table
 
 
 def _sim_template(row: tuple) -> str:
@@ -165,7 +167,7 @@ def _emit_sim(args, steps: list):
     each cell that differs over the paths is a column (path ids first).
 
     In CSV the row templates of all grid times form one path block; one % call per group of at
-    most _SIM_GROUP paths fills it, repeated once per path, with the paths' own cells in path
+    most _GROUP paths fills it, repeated once per path, with the paths' own cells in path
     order, and writes it before the next group is made. A JSON row is a tuple for _emit_json."""
     if args.format == "json":
         per_time = [zip(*[c if isinstance(c, _COLUMN) else repeat(c) for c in row])
@@ -174,7 +176,7 @@ def _emit_sim(args, steps: list):
         return
     block = "".join(_sim_template(row) for row in steps)
     paths = zip(*[c for row in steps for c in row if isinstance(c, _COLUMN)])
-    sizes = [min(_SIM_GROUP, args.paths - lo) for lo in range(0, max(args.paths, 1), _SIM_GROUP)]
+    sizes = [min(_GROUP, args.paths - lo) for lo in range(0, max(args.paths, 1), _GROUP)]
     _emit(args.out, ((("" if i else ",".join(_SIM_HEADER) + "\n") + block * n)
                      % tuple(chain.from_iterable(islice(paths, n))) for i, n in enumerate(sizes)))
 

@@ -74,15 +74,23 @@ class GammaRay:
 
     def log_pdf(self, y):
         """ln of the density: -inf (density 0) at y < 0, off the ray."""
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # shape 1 has no log y term; 0 * log 0 would be NaN at y = 0
-            power = (self.shape - 1.0) * np.log(y) if self.shape != 1.0 else 0.0
-        out = power - y / self.scale - log_gamma(self.shape) - self.shape * math.log(self.scale)
-        return np.where(y < 0.0, -np.inf, out)[()]
+        return _gamma_log_pdf_rows([self], y)[()]
 
     def pdf(self, y):
         return np.exp(self.log_pdf(y))
+
+
+def _gamma_log_pdf_rows(rays, y, rows=0):
+    """GammaRay.log_pdf at each y under rays[r], r the y's entry of rows: a family in one call.
+    ln Gamma(shape) and shape ln scale are taken once per row, as a lone ray takes them."""
+    y = np.asarray(y, dtype=float)
+    shape, scale, log_gamma_shape, shape_log = np.array([
+        (g.shape, g.scale, log_gamma(g.shape), g.shape * math.log(g.scale))
+        for g in rays]).T[:, rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # shape 1 has no log y term; 0 * log 0 would be NaN at y = 0
+        power = np.where(shape != 1.0, (shape - 1.0) * np.log(y), 0.0)
+    return np.where(y < 0.0, -np.inf, power - y / scale - log_gamma_shape - shape_log)
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,18 @@ under one spec, QuadratureSpec() unless one is given: 64 Gauss-Jacobi nodes
 and adaptive abs_tol 1e-10. chapman_kolmogorov_check called on its own
 integrates to abs_tol 1e-12 unless given a QuadratureSpec.
 
-Checks are certified by suite: the Weber, generator, spectral, Laguerre and
-half-line multiplicativity checks are row families (_weber_rows,
-_glowne3_rows, _bk_spectral_rows, _laguerre_rows, _bk_multiplicativity_rows)
-whose rows carry their own order (nu, delta or alpha), each suite one call
-of its family under the suite's spec. A family takes its integrals from one
-integrate_rows call and its Bessel values from array calls over an array of
-orders, which return the bits of scalar-order calls, so each report has the
-bits of its family called with that one row. The Laguerre series identities
-are lanes of one array loop, each with the bits of its own series. The
-generator, normalization and Chapman-Kolmogorov checks build their laws with
-the law family of kernels (_transition_rows), a block of laws per call.
+Checks are certified by suite, each identity through the code that computes
+it: the Gegenbauer, Weber, generator, spectral, Laguerre and half-line
+multiplicativity checks are row families (_gegenbauer_rows, _weber_rows,
+_glowne3_rows, _bk_spectral_rows, _laguerre_rows, _bk_multiplicativity_rows),
+each suite one call of its family. Gegenbauer and multiplicativity translate
+by one _bk_translate_rows call; Weber's integral (a scaled spectral identity)
+and the spectral check integrate kernels' BES density by one
+_bk_spectral_errs call, the generator its gamma-ray density; the Laguerre
+series are lanes of one _lag_lanes call on specfun's recurrence. Bessel
+values come from array calls over an array of orders, with the bits of
+scalar-order calls, so each report has the bits of its family called with
+its one row. Laws come from kernels' law family, a block of laws per call.
 
 A whole run of run_suite forks one child for _CHILD_SUITES (generator,
 multiplicativity and PSD: about half the CPU time) and reads their
@@ -35,10 +36,9 @@ where os.fork exists, os.sched_getaffinity holds at least 2 CPUs and no
 other thread runs; a CPU quota below 2 under a wider affinity gains
 nothing.
 
-Validity guards are hard: the Gegenbauer and Watson product formulas are
-rejected (not attempted) outside nu >= -1/2 and nu > -1/2 respectively, and
-infinite integrals are cut where the integrand envelope drops below 1e-16 of
-its peak.
+Validity guards are hard: the Weber and Gegenbauer identities are rejected
+(not attempted) outside nu >= -1/2 (delta >= 1, the hypergroup regime) and
+Watson's product formula outside nu > -1/2.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -78,13 +78,11 @@ from .specfun import (
     hyp1f1,
     laguerre_L,
     laguerre_L_all,
-    log_bessel_i_norm,
     log_gamma,
 )
 
 __all__ = [
     "VerificationReport",
-    "gegenbauer_check",
     "watson_check",
     "lag_multiplicativity_check",
     "psd_gram_check",
@@ -169,44 +167,20 @@ def _fan_label(point: FanPoint) -> str:
 # integral identity for the BES identification
 
 
-_WEBER_TOL = 1e-9
-
-
-def _weber_rows(rows, q, tol=_WEBER_TOL) -> list[VerificationReport]:
+def _weber_rows(rows, q, tol=1e-9) -> list[VerificationReport]:
     """Weber's integral at each (nu, alpha, beta, gamma) row, each at its own order:
 
         int_0^inf e^{-alpha v^2} i_nu(beta v) j_nu(gamma v) v^(2nu+1) / (2^nu Gamma(nu+1)) dv
         = (2 alpha)^-(nu+1) e^{(beta^2-gamma^2)/(4 alpha)} j_nu(beta gamma / (2 alpha))
 
-    for nu > -1, alpha > 0 and beta, gamma >= 0; the integrals from one
-    integrate_rows call and the closed forms' j_nu from one bessel_j_norm call."""
-    nus, alphas, betas, gammas = (np.array(col, dtype=float) for col in zip(*rows))
-    log_pref = -nus * math.log(2.0) - log_gamma(nus + 1.0)
-
-    def integrand(vs, r):
-        nu = nus[r]
-        with np.errstate(divide="ignore"):
-            log_env = -alphas[r] * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref[r]
-        # at beta = 0, ln i_nu(0) = 0 adds exactly 0 to the exponent
-        return (np.exp(log_env + log_bessel_i_norm(nu, betas[r] * vs))
-                * bessel_j_norm(nu, gammas[r] * vs))
-
-    cuts = []  # grow each cutoff until the exponential envelope is 1e-16 of its peak
-    for nu, alpha, beta, _ in rows:
-        peak_v = max((beta + math.sqrt(beta * beta + 4.0 * alpha * (2.0 * nu + 1.0 + 1.0)))
-                     / (2.0 * alpha), 1.0)
-        cut = peak_v + math.sqrt(50.0 / alpha) + beta / alpha
-        while (-alpha * cut * cut + beta * cut + abs(2.0 * nu + 1.0) * math.log(1.0 + cut)
-               ) > (-alpha * peak_v * peak_v + beta * peak_v - 37.0 * math.log(10.0)):
-            cut *= 1.25
-        cuts.append(cut)
-
-    lhs = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
-    js = bessel_j_norm(nus, betas * gammas / (2.0 * alphas)).tolist()
+    for nu >= -1/2, alpha > 0 and beta, gamma >= 0: (2 alpha)^-(nu+1) e^{beta^2/(4 alpha)}
+    times the BES spectral identity at u = beta/(2 alpha), x = gamma, t = 1/(2 alpha) and
+    delta = 2nu + 2, whose errors, so scaled, come from one _bk_spectral_errs call."""
+    errs = _bk_spectral_errs([(be / (2.0 * al), ga, 1.0 / (2.0 * al), 2.0 * nu + 2.0)
+                              for nu, al, be, ga in rows], q)
     return [_report("weber_schafheitlin", {"nu": nu, "alpha": al, "beta": be, "gamma": ga},
-                    abs(value - (2.0 * al) ** -(nu + 1.0)
-                        * math.exp((be * be - ga * ga) / (4.0 * al)) * j), tol)
-            for (nu, al, be, ga), value, j in zip(rows, lhs, js)]
+                    (2.0 * al) ** -(nu + 1.0) * math.exp(be * be / (4.0 * al)) * err, tol)
+            for (nu, al, be, ga), err in zip(rows, errs)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +191,7 @@ def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
     """QBES generator identity at order alpha = delta - 1 of each (start, t,
     delta) law at each Heisenberg point: the laws from one law-family call,
     the gamma-ray integrals of all of them, each at its own order, from one
-    integrate_rows call.
+    integrate_rows call over kernels' gamma-ray density rows.
 
     Certified for delta >= 1 (the hypergroup regime); smaller delta > 0 is
     accepted for informative runs since the kernel itself extends there.
@@ -243,33 +217,26 @@ def _glowne3_rows(laws, points, q, tol=1e-8) -> list[VerificationReport]:
             lhs.append(np.exp(t * psi_heis(a)) * chis_start[i])
             rhs.append(atom_sum)
 
-    # per row: x, order, and its ray's shape, scale and the constants of GammaRay.log_pdf
-    xs, als, shapes, scales, log_gammas, shape_logs = np.array(
-        [(x, al, g.shape, g.scale, log_gamma(g.shape), g.shape * math.log(g.scale))
-         for _, g, x, al in gamma_rows], dtype=float).reshape(-1, 6).T
+    rays = [g for _, g, _, _ in gamma_rows]
+    xs, als = np.array([(x, al) for *_, x, al in gamma_rows], dtype=float).reshape(-1, 2).T
 
     def integrand(ys, rows):
-        # every row's GammaRay.pdf at once, in its order of operations (ys >= 0)
-        shape = shapes[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power = np.where(shape != 1.0, (shape - 1.0) * np.log(ys), 0.0)
-        pdf = np.exp(power - ys / scales[rows] - log_gammas[rows] - shape_logs[rows])
         # chi_(0,y)(x, .) = j_al(2 x sqrt(y)); reuse the y1=1 form scaled
-        return pdf * _second_kind_char(als[rows], 1.0, xs[rows] * np.sqrt(ys))
+        return (np.exp(kn._gamma_log_pdf_rows(rays, ys, rows))
+                * _second_kind_char(als[rows], 1.0, xs[rows] * np.sqrt(ys)))
 
-    cuts = [g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0))
-            for _, g, _, _ in gamma_rows]
+    cuts = [g.scale * (g.shape + 45.0 + 12.0 * math.sqrt(g.shape + 1.0)) for g in rays]
     values = integrate_rows(integrand, [(0.0, cut) for cut in cuts], q)
     for (n, *_), value in zip(gamma_rows, values):
         rhs[n] += value
     return [_report("glowne3", p, abs(l - r), tol) for p, l, r in zip(params, lhs, rhs)]
 
 
-def _bk_spectral_rows(rows, q, tol=1e-8) -> list[VerificationReport]:
-    """BES spectral identity e^{-t x^2/2} eta_u(x) = int eta_v(x) p_t(u, dv) at
-    each (u, x, t, delta) row (u, x >= 0, t > 0), each at its own order
-    delta/2 - 1: the characters eta_u(x) = j_(delta/2-1)(u x) from one
-    bessel_j_norm call, the integrals from one integrate_rows call."""
+def _bk_spectral_errs(rows, q) -> list[float]:
+    """The error of the BES spectral identity e^{-t x^2/2} eta_u(x) = int eta_v(x) p_t(u, dv)
+    at each (u, x, t, delta) row (u, x >= 0, t > 0), each at its own order delta/2 - 1: the
+    characters eta_u(x) = j_(delta/2-1)(u x) from one bessel_j_norm call, the integrals of
+    eta_v(x) against kernels' BES density from one integrate_rows call."""
     nus = np.array([BesselKingmanParams(delta).alpha for *_, delta in rows]) / 2.0 - 1.0
     us, xs, _, _ = (np.array(col, dtype=float) for col in zip(*rows))
     chars = bessel_j_norm(nus, us * xs).tolist()
@@ -280,9 +247,14 @@ def _bk_spectral_rows(rows, q, tol=1e-8) -> list[VerificationReport]:
 
     rhs = integrate_rows(integrand, [(0.0, u + 12.0 * math.sqrt(t) + 1.0) for u, _, t, _ in rows],
                          q)
-    return [_report("bk_spectral", {"u": u, "x": x, "t": t, "delta": delta},
-                    abs(math.exp(-0.5 * t * x * x) * char - value), tol)
-            for (u, x, t, delta), char, value in zip(rows, chars, rhs)]
+    return [abs(math.exp(-0.5 * t * x * x) * char - value)
+            for (_, x, t, _), char, value in zip(rows, chars, rhs)]
+
+
+def _bk_spectral_rows(rows, q, tol=1e-8) -> list[VerificationReport]:
+    """The BES spectral identity at each (u, x, t, delta) row, its errors from _bk_spectral_errs."""
+    return [_report("bk_spectral", {"u": u, "x": x, "t": t, "delta": delta}, err, tol)
+            for (u, x, t, delta), err in zip(rows, _bk_spectral_errs(rows, q))]
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +268,23 @@ _LAG_TERMS, _LAG_BLOCK = 420, 48
 def _lag_lanes(a, x, j, tau, p, q, divide):
     """Each lane's sum_n c_n L_{j+n}^(a)(x) tau^n, c_0 = 1 and c_{n+1} = c_n (p + n) / (q + n)
     (a divide lane: terms L_{j+n} tau^n / c_n, c_{n+1} = c_n (p + n)), ended by its first term
-    past n = 8 below 1e-18 of its sum or by _LAG_TERMS. L follows _laguerre_run; c_n, tau^n and
-    the sums are sequential accumulates, so each sum has the bits of its series' float loop."""
+    past n = 8 below 1e-18 of its sum or by _LAG_TERMS. L is read from one _laguerre_run over
+    the lanes, a block of degrees at a time; c_n, tau^n and the sums are sequential
+    accumulates, so each sum has the bits of its series' float loop."""
     lanes, out, todo = np.arange(len(a)), np.empty(len(a)), np.ones(len(a), dtype=bool)
-    run = np.array(list(islice(_laguerre_run(a, x), 1, int(j.max()) + 2)))  # L_1, L_2, ...
-    lag, lag_next = np.where(j == 0, 1.0, run[j - 1, lanes]), run[j, lanes]  # L_j, L_{j+1}
+    run, lag = _laguerre_run(a, x), np.empty((int(j.max()) + _LAG_TERMS, len(a)))  # L_d per row d
     coef, tp, total = np.ones(len(a)), np.ones(len(a)), np.zeros(len(a))
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats run on
         for n0 in range(0, _LAG_TERMS, _LAG_BLOCK):
             n = np.arange(n0, min(n0 + _LAG_BLOCK, _LAG_TERMS))[:, None]
-            m = j + (n + 1)  # the degree of lag_next at step n
-            grow, drop, over = 2.0 * m + a + 1.0 - x, m + a, m + 1.0
-            lags = np.empty(m.shape)
-            for s in range(len(n)):
-                lags[s] = lag
-                lag, lag_next = lag_next, (grow[s] * lag_next - drop[s] * lag) / over[s]
+            top = int(j.max()) + n0 + len(n)  # the degrees j + n of this block lie below top
+            for d, value in zip(range(top - len(n) if n0 else 0, top), run):
+                lag[d] = value
+            lags = lag[j + n, lanes]  # L_{j+n}
             ratio = p + n
             coefs = np.multiply.accumulate(
                 np.vstack((coef, np.where(divide, ratio, ratio / (q + n)))))
-            tps = np.multiply.accumulate(np.vstack((tp, np.broadcast_to(tau, m.shape))))
+            tps = np.multiply.accumulate(np.vstack((tp, np.broadcast_to(tau, lags.shape))))
             coef, tp, coefs, tps = coefs[-1], tps[-1], coefs[:-1], tps[:-1]
             terms = np.where(divide, lags * tps / coefs, coefs * lags * tps)
             totals = np.add.accumulate(np.vstack((total, terms)))[1:]
@@ -388,7 +358,7 @@ def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
     k_max = int(k_max)
     ks = sorted({0, 1, min(3, k_max), min(7, k_max), k_max})
     # (ii), (v) and the closed forms read one table per alpha; the series of (i),
-    # (iii) and (iv) run their own recurrences, as lanes of one _lag_lanes call
+    # (iii) and (iv) read their own runs of the recurrence, as lanes of one _lag_lanes call
     points = [0.5, 2.0, *(v / (1.0 - tau) for v in (0.5, 2.1) for tau in (0.3, -0.4)),
               *(c * 1.7 for c in (1.0, 0.35, 1.4))]
     lags = {alpha: dict(zip(points, laguerre_L_all(max(k_max, 1), alpha, points).T.tolist()))
@@ -435,32 +405,23 @@ def _laguerre_rows(alphas, k_max, q, tol) -> list[VerificationReport]:
 # product formulas
 
 
-def gegenbauer_check(nu: float, x: float, y: float,
-                     q: QuadratureSpec | None = None,
-                     tol: float = 1e-8) -> VerificationReport:
-    """Gegenbauer's product formula in normalized form for nu > -1/2:
+def _gegenbauer_rows(rows, q, tol=1e-8) -> list[VerificationReport]:
+    """Gegenbauer's product formula at each (nu, x, y) row, nu >= -1/2, each at its own order:
 
         j_nu(x) j_nu(y) = Gamma(nu+1) / (Gamma(nu+1/2) sqrt(pi))
-                          * int_0^pi j_nu(sqrt(x^2+y^2-2xy cos th)) sin^(2nu) th dth;
+                          * int_0^pi j_nu(sqrt(x^2+y^2-2xy cos th)) sin^(2nu) th dth,
 
-    at nu = -1/2 it degenerates to cos x cos y = (cos(x+y) + cos(x-y)) / 2.
-    """
-    if nu < -0.5:
-        raise ValueError("Gegenbauer product formula requires nu >= -1/2")
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("gegenbauer_check requires x, y > 0")
-    q = q or QuadratureSpec()
-    if nu == -0.5:
-        lhs = math.cos(x) * math.cos(y)
-        rhs = 0.5 * (math.cos(x + y) + math.cos(x - y))
-        return _report("gegenbauer", {"nu": nu, "x": x, "y": y}, abs(lhs - rhs), tol,
-                       notes="degenerate cosine product")
-    j_x, j_y = bessel_j_norm(nu, np.array([x, y])).tolist()
-    us, ws = gauss_jacobi(q.nodes, nu - 0.5, nu - 0.5)
-    radii = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * us, 0.0))
-    pref = math.exp(log_gamma(nu + 1.0) - log_gamma(nu + 0.5)) / math.sqrt(math.pi)
-    rhs = pref * float(np.sum(ws * bessel_j_norm(nu, radii)))
-    return _report("gegenbauer", {"nu": nu, "x": x, "y": y}, abs(j_x * j_y - rhs), tol)
+    whose right side is the half-line translation x * y of j_nu at order 2nu + 2 (at nu = -1/2
+    its two-point mean): all from one _bk_translate_rows call, j_nu(x), j_nu(y) from one
+    bessel_j_norm call."""
+    nus, xs, ys = (np.array(col, dtype=float) for col in zip(*rows))
+    orders = [BesselKingmanParams(2.0 * nu + 2.0).alpha for nu, _, _ in rows]  # nu >= -1/2
+    rhs = _bk_translate_rows(lambda radii, r: bessel_j_norm(nus[r], radii), xs, ys, orders,
+                             q).tolist()
+    j_x, j_y = bessel_j_norm(np.concatenate((nus, nus)),
+                             np.concatenate((xs, ys))).reshape(2, -1).tolist()
+    return [_report("gegenbauer", {"nu": nu, "x": x, "y": y}, abs(jx * jy - r), tol)
+            for (nu, x, y), jx, jy, r in zip(rows, j_x, j_y, rhs)]
 
 
 def watson_check(nu: float, x: float, y: float, k: int,
@@ -637,9 +598,8 @@ def _suite_laguerre(q, tol):
 
 
 def _suite_gegenbauer(q, tol):
-    return [gegenbauer_check(nu, x, y, q, **_tol(tol))
-            for nu in (-0.5, 0.75, 2.0)
-            for (x, y) in ((1.3, 0.7), (3.0, 0.1), (0.4, 2.2))]
+    return _gegenbauer_rows([(nu, x, y) for nu in (-0.5, 0.75, 2.0)
+                             for (x, y) in ((1.3, 0.7), (3.0, 0.1), (0.4, 2.2))], q, **_tol(tol))
 
 
 def _suite_watson(q, tol):

@@ -1015,7 +1015,7 @@ def test_path_table_groups_write_the_one_group_bytes(argv, tmp_path, capsys, mon
         full = run_cli(argv + ["--paths", str(paths)], capsys)
         run_cli(argv + ["--paths", str(paths), "--out", str(tmp_path / "one.csv")], capsys)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_SIM_GROUP", 3)
+            m.setattr(cli, "_GROUP", 3)
             grouped = run_cli(argv + ["--paths", str(paths)], capsys)
             run_cli(argv + ["--paths", str(paths), "--out", str(tmp_path / "groups.csv")], capsys)
         assert grouped == full and full[0] == 0
@@ -1023,8 +1023,30 @@ def test_path_table_groups_write_the_one_group_bytes(argv, tmp_path, capsys, mon
         assert full[1].count("\n") == 1 + paths * (argv[-3].count(",") + 1)
 
 
+GRID_ARGV = ["char-eval", "--family", "bk", "--alpha", "2.5", "--u-grid", "0:2:5",
+             "--x-grid", "0:3:4"]
+
+
+@pytest.mark.parametrize("argv", SIM_ARGV + [GRID_ARGV], ids=lambda argv: argv[0])
+def test_json_table_groups_write_the_one_group_bytes(argv, tmp_path, capsys, monkeypatch):
+    # groups of 3 rows: a path table of 0 to 7 paths, and a grid table of 20 rows
+    for paths in range(8) if argv[0].endswith("sim") else [None]:
+        args = argv + ["--format", "json"] + ([] if paths is None else ["--paths", str(paths)])
+        full = run_cli(args, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_GROUP", 3)
+            grouped = run_cli(args, capsys)
+            run_cli(args + ["--out", str(tmp_path / "groups.json")], capsys)
+        assert grouped == full and full[0] == 0
+        assert (tmp_path / "groups.json").read_text() == full[1]
+        # the bytes of one json.dumps call on the whole list
+        assert full[1] == json.dumps(json.loads(full[1]), separators=(",", ":")) + "\n"
+        assert len(json.loads(full[1])) == (20 if paths is None else
+                                            paths * (argv[-3].count(",") + 1))
+
+
 def test_path_table_groups_fill_one_template_each(capsys, monkeypatch):
-    # one % call per group, each on a block of at most _SIM_GROUP paths
+    # one % call per group, each on a block of at most _GROUP paths
     sizes = []
     real = cli._sim_template
 
@@ -1032,7 +1054,7 @@ def test_path_table_groups_fill_one_template_each(capsys, monkeypatch):
         sizes.append(len(row[0]))
         return real(row)
 
-    monkeypatch.setattr(cli, "_SIM_GROUP", 3)
+    monkeypatch.setattr(cli, "_GROUP", 3)
     monkeypatch.setattr(cli, "_sim_template", spy)
     written = []
     monkeypatch.setattr(cli, "_emit", lambda out, text: written.append(list(text)))
@@ -1044,7 +1066,7 @@ def test_path_table_groups_fill_one_template_each(capsys, monkeypatch):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_path_table_groups_on_a_full_device_give_one_error_line(capsys, monkeypatch):
     # a group's write fails inside the one open file: one line, no traceback
-    monkeypatch.setattr(cli, "_SIM_GROUP", 3)
+    monkeypatch.setattr(cli, "_GROUP", 3)
     full = open("/dev/full", "w", buffering=1)
     monkeypatch.setattr(sys, "stdout", full)
     code = cli.main(SIM_ARGV[1] + ["--paths", "7"])

@@ -21,8 +21,7 @@ from hyperbessel.hypergroup import (BesselKingmanParams, ContinuousPoint, Discre
                                     lag_character, lag_translate, psi_heis)
 from hyperbessel.quadrature import (QuadratureError, QuadratureSpec, gauss_jacobi,
                                     integrate_rows)
-from hyperbessel.specfun import (bessel_j_norm, laguerre_L, laguerre_L_all, log_bessel_i_norm,
-                                 log_gamma)
+from hyperbessel.specfun import bessel_j_norm, laguerre_L, laguerre_L_all, log_gamma
 
 
 # the spec each check called on its own used to default to
@@ -51,30 +50,6 @@ class TestWeberSchafheitlin:
         assert r.max_abs_err <= 1e-12
 
 
-def _parent_weber_lhs(nu, alpha, beta, gamma_, q):
-    """The integral of the per-check Weber check that the batched
-    rows replaced, verbatim except that ln i_nu comes from log_bessel_i_norm
-    instead of the log of its exponential."""
-    log_pref = -nu * math.log(2.0) - log_gamma(nu + 1.0)
-
-    def integrand(vs):
-        with np.errstate(divide="ignore"):
-            log_env = -alpha * vs * vs + (2.0 * nu + 1.0) * np.log(vs) + log_pref
-        i_part = np.exp(log_env + (log_bessel_i_norm(nu, beta * vs)
-                                   if beta > 0.0 else 0.0))
-        return i_part * bessel_j_norm(nu, gamma_ * vs)
-
-    # cutoff: grow until the exponential envelope is 1e-16 of its peak
-    peak_v = max((beta + math.sqrt(beta * beta + 4.0 * alpha * (2.0 * nu + 1.0 + 1.0)))
-                 / (2.0 * alpha), 1.0)
-    cut = peak_v + math.sqrt(50.0 / alpha) + beta / alpha
-    while (-alpha * cut * cut + beta * cut + abs(2.0 * nu + 1.0) * math.log(1.0 + cut)
-           ) > (-alpha * peak_v * peak_v + beta * peak_v - 37.0 * math.log(10.0)):
-        cut *= 1.25
-
-    return integrate_rows(lambda vs, rows: integrand(vs), [(0.0, cut)], q)[0]
-
-
 WEBER_ROWS = ((0.5, 0.0, 1.0), (1.0, 1.0, 1.0), (0.7, 0.5, 1.5), (2.0, 1.2, 0.3),
               (1.0, 0.0, 0.0), (0.3, 2.0, 0.0))
 
@@ -85,16 +60,27 @@ def test_weber_rows_match_per_check_loop(nu, q):
     batched = vf._weber_rows([(nu, *row) for row in WEBER_ROWS], q, 1e-9)
     for report, (al, be, ga) in zip(batched, WEBER_ROWS):
         assert report == vf._weber_rows([(nu, al, be, ga)], q)[0]
-        rhs = ((2.0 * al) ** -(nu + 1.0) * math.exp((be * be - ga * ga) / (4.0 * al))
-               * bessel_j_norm(nu, be * ga / (2.0 * al)))
-        assert report.max_abs_err == float(abs(_parent_weber_lhs(nu, al, be, ga, q) - rhs))
+        assert report.passed
 
 
-def test_weber_suite_takes_ln_i_as_computed():
-    # with exp(ln i) rounded and its log taken again, this report read 0x1.4p-55
-    report, = [r for r in vf.run_suite("weber-schafheitlin")
-               if dict(r.params) == {"nu": 1.5, "alpha": 2.0, "beta": 1.2, "gamma": 0.3}]
-    assert report.max_abs_err.hex() == "0x1.0000000000000p-55"
+@pytest.mark.parametrize("nu", [-0.5, 0.5, 1.5, 0.7])
+@pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)])
+def test_weber_reports_are_scaled_spectral_errors(nu, q):
+    # Weber's integral is (2 alpha)^-(nu+1) e^{beta^2/(4 alpha)} times the BES spectral
+    # identity at u = beta/(2 alpha), x = gamma, t = 1/(2 alpha), delta = 2nu + 2; its
+    # error is the per-check spectral code's error there, so scaled, bit for bit
+    reports = vf._weber_rows([(nu, *row) for row in WEBER_ROWS], q)
+    for report, (al, be, ga) in zip(reports, WEBER_ROWS):
+        spectral = _parent_bk_spectral(be / (2.0 * al), ga, 1.0 / (2.0 * al), 2.0 * nu + 2.0, q)
+        scale = (2.0 * al) ** -(nu + 1.0) * math.exp(be * be / (4.0 * al))
+        assert report.max_abs_err.hex() == float(scale * spectral).hex()
+        assert report.max_abs_err <= 1e-9 and report.tol == 1e-9
+
+
+def test_weber_rejects_an_order_below_one_half():
+    # delta = 2nu + 2 < 1 lies outside the Bessel-Kingman hypergroups
+    with pytest.raises(ValueError, match="alpha >= 1"):
+        vf._weber_rows([(-0.6, 1.0, 1.0, 1.0)], Q12)
 
 
 def _glowne3(start, a, t, delta, q=Q12):
@@ -445,16 +431,17 @@ def test_laguerre_table_columns_match_scalar_calls():
 
 class TestProductFormulas:
     def test_gegenbauer_degenerate(self):
-        r = vf.gegenbauer_check(-0.5, 1.3, 0.7)
+        # at nu = -1/2 the translation is the two-point mean of j_(-1/2) = cos
+        r = vf._gegenbauer_rows([(-0.5, 1.3, 0.7)], QuadratureSpec())[0]
         assert r.max_abs_err <= 1e-14
 
     def test_gegenbauer_grid(self):
-        for nu, x, y in [(0.75, 1.3, 0.7), (2.0, 3.0, 0.1)]:
-            assert vf.gegenbauer_check(nu, x, y).max_abs_err <= 1e-9
+        for r in vf._gegenbauer_rows([(0.75, 1.3, 0.7), (2.0, 3.0, 0.1)], QuadratureSpec()):
+            assert r.max_abs_err <= 1e-9
 
     def test_gegenbauer_rejects_below_range(self):
         with pytest.raises(ValueError):
-            vf.gegenbauer_check(-0.6, 1.0, 1.0)
+            vf._gegenbauer_rows([(-0.6, 1.0, 1.0)], QuadratureSpec())
 
     def test_watson_grid(self):
         for nu in (0.5, 1.4):
@@ -485,8 +472,8 @@ class TestProductFormulas:
 
 
 def _parent_gegenbauer(nu, x, y, q):
-    """The error of gegenbauer_check before its left-hand side became one
-    bessel_j_norm call, verbatim (nu > -1/2)."""
+    """The error of the removed gegenbauer_check, with Gegenbauer's constant and
+    its own Jacobi rule, verbatim but for two scalar calls on the left (nu > -1/2)."""
     lhs = bessel_j_norm(nu, x) * bessel_j_norm(nu, y)
     us, ws = gauss_jacobi(q.nodes, nu - 0.5, nu - 0.5)
     radii = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * us, 0.0))
@@ -495,12 +482,30 @@ def _parent_gegenbauer(nu, x, y, q):
     return abs(lhs - rhs)
 
 
-@pytest.mark.parametrize("nu", [0.75, 2.0, -0.2])
+@pytest.mark.parametrize("nu", [0.75, 2.0, -0.2, -0.5])
 def test_gegenbauer_matches_per_check_code(nu):
-    # the left-hand side's two values now come from one bessel_j_norm call
+    # each report is the per-row translation at order 2nu + 2, bit for bit, and
+    # within a few units in the last place of the rule with Gegenbauer's constant
     for q in (QuadratureSpec(), QuadratureSpec(nodes=32)):
-        for x, y in ((1.3, 0.7), (3.0, 0.1), (0.4, 2.2)):
-            assert vf.gegenbauer_check(nu, x, y, q).max_abs_err == _parent_gegenbauer(nu, x, y, q)
+        rows = [(nu, x, y) for x, y in ((1.3, 0.7), (3.0, 0.1), (0.4, 2.2))]
+        for report, (_, x, y) in zip(vf._gegenbauer_rows(rows, q), rows):
+            rhs = bk_translate(lambda r: bessel_j_norm(nu, r), x, y,
+                               BesselKingmanParams(2.0 * nu + 2.0), q)
+            assert report.max_abs_err == abs(bessel_j_norm(nu, x) * bessel_j_norm(nu, y) - rhs)
+            if nu > -0.5:
+                assert abs(report.max_abs_err - _parent_gegenbauer(nu, x, y, q)) <= 1e-15
+
+
+def test_gegenbauer_degenerate_reports_run_the_package_code(monkeypatch):
+    # the nu = -1/2 reports compared math.cos with itself; a j_(-1/2) off by 1e-6
+    # must now fail them, and only them
+    def planted(nu, z):
+        return bessel_j_norm(nu, z) + 1e-6 * (np.asarray(nu) == -0.5)
+
+    monkeypatch.setattr(vf, "bessel_j_norm", planted)
+    reports = vf.run_suite("gegenbauer")
+    assert len(reports) == 9
+    assert [dict(r.params)["nu"] for r in reports if not r.passed] == [-0.5] * 3
 
 
 def _multiplicativity_rows():
@@ -564,7 +569,7 @@ ONE_ROW_CHECKS = {
     "bk_spectral": lambda p, q: vf._bk_spectral_rows([(p["u"], p["x"], p["t"], p["delta"])], q)[0],
     **{f"laguerre_identity_{i}": (lambda p, q, n=n: vf._laguerre_rows(
         [p["alpha"]], 10, q, None)[n]) for n, i in enumerate(("i", "ii", "iii", "iv", "v"))},
-    "gegenbauer": lambda p, q: vf.gegenbauer_check(p["nu"], p["x"], p["y"], q),
+    "gegenbauer": lambda p, q: vf._gegenbauer_rows([(p["nu"], p["x"], p["y"])], q)[0],
     "watson": lambda p, q: vf.watson_check(p["nu"], p["x"], p["y"], p["k"], q),
     "bk_multiplicativity": lambda p, q: vf._bk_multiplicativity_rows(
         [(p["u"], p["x"], p["xp"], p["alpha"])], q)[0],
@@ -1066,3 +1071,91 @@ def test_glowne3_gamma_densities_keep_the_per_row_bits(monkeypatch):
         got = seen[0](ys, rows)
         want = _per_row_gamma_integrand(gamma_rows)(ys, rows)
     assert got.tobytes() == want.tobytes()
+
+
+def _block_lag_lanes(a, x, j, tau, p, q, divide):
+    """_lag_lanes as it ran its own copy of the Laguerre recurrence, verbatim."""
+    lanes, out, todo = np.arange(len(a)), np.empty(len(a)), np.ones(len(a), dtype=bool)
+    run = np.array(list(itertools.islice(_laguerre_run(a, x), 1, int(j.max()) + 2)))
+    lag, lag_next = np.where(j == 0, 1.0, run[j - 1, lanes]), run[j, lanes]  # L_j, L_{j+1}
+    coef, tp, total = np.ones(len(a)), np.ones(len(a)), np.zeros(len(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0 in range(0, vf._LAG_TERMS, vf._LAG_BLOCK):
+            n = np.arange(n0, min(n0 + vf._LAG_BLOCK, vf._LAG_TERMS))[:, None]
+            m = j + (n + 1)  # the degree of lag_next at step n
+            grow, drop, over = 2.0 * m + a + 1.0 - x, m + a, m + 1.0
+            lags = np.empty(m.shape)
+            for s in range(len(n)):
+                lags[s] = lag
+                lag, lag_next = lag_next, (grow[s] * lag_next - drop[s] * lag) / over[s]
+            ratio = p + n
+            coefs = np.multiply.accumulate(
+                np.vstack((coef, np.where(divide, ratio, ratio / (q + n)))))
+            tps = np.multiply.accumulate(np.vstack((tp, np.broadcast_to(tau, m.shape))))
+            coef, tp, coefs, tps = coefs[-1], tps[-1], coefs[:-1], tps[:-1]
+            terms = np.where(divide, lags * tps / coefs, coefs * lags * tps)
+            totals = np.add.accumulate(np.vstack((total, terms)))[1:]
+            total = totals[-1]
+            stop = (np.abs(terms) <= 1e-18 * np.fmax(1.0, np.abs(totals))) & (n > 8) & todo
+            hit = stop.any(axis=0)
+            out[hit], todo[hit] = totals[stop.argmax(axis=0), lanes][hit], False
+            if not todo.any():
+                break
+    out[todo] = total[todo]
+    return out
+
+
+@pytest.mark.parametrize("k_max", [0, 10, 30, 60])
+def test_lag_lanes_keep_the_bits_of_their_own_recurrence(k_max):
+    # reading L from specfun's run moves no bit of any lane, to degree k_max + _LAG_TERMS
+    lanes = _series_lanes((-0.6, 0.0, 3.8), (0.3, -0.3, 0.9, -0.9), (0, 1, 7, k_max), k_max)
+    cols = [np.array(col) for col in zip(*(lane for lane, _ in lanes))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = vf._lag_lanes(*cols)
+    assert got.tobytes() == _block_lag_lanes(*cols).tobytes()
+
+
+def _block_gamma_pdf(gamma_rows):
+    """glowne3's gamma-ray densities as one block of its own, verbatim."""
+    shapes, scales, log_gammas, shape_logs = np.array(
+        [(g.shape, g.scale, log_gamma(g.shape), g.shape * math.log(g.scale))
+         for _, g, _, _ in gamma_rows], dtype=float).reshape(-1, 4).T
+
+    def pdf(ys, rows):
+        shape = shapes[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = np.where(shape != 1.0, (shape - 1.0) * np.log(ys), 0.0)
+        return np.exp(power - ys / scales[rows] - log_gammas[rows] - shape_logs[rows])
+
+    return pdf
+
+
+def _own_log_pdf(g, y):
+    """GammaRay.log_pdf as it took its density alone, verbatim."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = (g.shape - 1.0) * np.log(y) if g.shape != 1.0 else 0.0
+    out = power - y / g.scale - log_gamma(g.shape) - g.shape * math.log(g.scale)
+    return np.where(y < 0.0, -np.inf, out)[()]
+
+
+def test_gamma_densities_keep_the_bits_of_their_own_code():
+    # glowne3's block and GammaRay.log_pdf now read one row form of kernels;
+    # shape 1 at y = 0 has no log y term, and y < 0 is off the ray
+    rng = np.random.default_rng(34)
+    rays = [kn.GammaRay(shape, scale) for shape in (1.0, 0.5, 2.0, 3.7, 7.25)
+            for scale in (0.4, 1.0, 2.5)]
+    ys = np.concatenate(([0.0, 5e-324, 1e-300, -1.0], rng.uniform(0.0, 60.0, 497)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in rays:
+            assert _same_bits(g.log_pdf(ys), _own_log_pdf(g, ys))
+            for y in (0.0, 1.5, -2.0):
+                assert _same_bits(g.log_pdf(y), _own_log_pdf(g, y))
+        rows = rng.integers(0, len(rays), ys.size)
+        block = _block_gamma_pdf([(None, g, None, None) for g in rays])
+        at = ys >= 0.0  # glowne3 integrates the ray alone
+        got = np.exp(kn._gamma_log_pdf_rows(rays, ys[at], rows[at]))
+    assert got.tobytes() == block(ys[at], rows[at]).tobytes()
+    assert kn.GammaRay(1.0, 2.0).log_pdf(0.0) == -math.log(2.0)
